@@ -107,12 +107,20 @@ class BoundConstants:
         return out
 
 
-def _check_window(eta: float, L1: float) -> None:
+def step_window(L1: float) -> tuple[float, float]:
+    """Admissible step sizes (0, 1/(2 L1)) for a drift with Lipschitz
+    constant L1; unbounded for L1 = 0."""
+    return (0.0, math.inf if L1 == 0 else 1.0 / (2.0 * L1))
+
+
+def check_step(eta: float, L1: float, enforce_window: bool = True) -> None:
+    """Reject a nonpositive step, and (when enforced) one outside step_window."""
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigurationError("step size must be positive")
-    if L1 > 0 and eta >= 1.0 / (2.0 * L1):
+    hi = step_window(L1)[1]
+    if enforce_window and eta >= hi:
         raise ConfigurationError(
-            f"step size {eta} outside the admissible window (0, {1.0 / (2.0 * L1)})"
+            f"step size {eta} outside the admissible window (0, {hi}) for L1={L1}"
         )
 
 
@@ -125,7 +133,7 @@ def _check_horizon_dim(T: float, d: int) -> None:
 
 def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
     """Term decomposition of the dissipative-drift KL bound (variant 1)."""
-    _check_window(eta, c.L1)
+    check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("mu", "beta")
     moment_factor = c.sigma0**2 * d + (c.beta + d) / c.mu
@@ -165,7 +173,7 @@ def kl_bound_dissipative(c: BoundConstants, eta: float, T: float, d: int) -> flo
 
 def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
     """Term decomposition of the non-negative-potential KL bound (variant 2)."""
-    _check_window(eta, c.L1)
+    check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("f0")
     moment_factor = c.sigma0**2 * d + c.f0 + c.L1 * T * c.sigma0**2 * (c.h0 + c.entropy0 + d)

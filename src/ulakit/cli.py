@@ -8,16 +8,21 @@ Every JSON report embeds the config hash, master seed, the c0/c1 constants
 in force, and a claim-check verdict.  Exit status: 0 when all claim checks
 pass, 1 when any fails, 2 on configuration errors.  Reruns from the recorded
 config reproduce artifacts byte for byte.
+
+One skeleton (run_command) loads, checks and records the config and emits
+the report; each cmd_* function only computes, returning an Outcome.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +42,32 @@ DEFAULT_BANDS = {
     "sweep_slope": (1.9, 2.1),
 }
 
-
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+# Top-level config keys of each command: (required, optional).  "seed" is
+# always allowed; estimate also requires the keys of its estimator.
+CONFIG_KEYS = {
+    "rate-scan": (
+        {"model", "init", "eta_grid", "horizon"},
+        {"exact", "girsanov_chains", "quad_points_per_step", "bands"},
+    ),
+    "mixing-scan": (
+        {"target", "rho", "init", "eps_grid"},
+        {"metric", "scale_constant", "max_steps", "bands"},
+    ),
+    "verify": (
+        {"model"},
+        {"init", "ball_radius", "pair_count", "grad_points", "radius_grid", "directions_per_radius"},
+    ),
+    "sample": (
+        {"model", "init", "eta", "horizon", "chains"},
+        {"snapshot_times", "allow_outside_window"},
+    ),
+    "estimate": ({"estimator"}, {"inputs", "params"}),
+    "bound-eval": (set(), {"theorem", "constants", "eta", "eta_grid", "horizon", "dim", "bands"}),
+}
+ESTIMATOR_KEYS = {
+    "girsanov_pathwise_kl": {"model", "init", "eta", "horizon", "chains"},
+    "rate_fit": {"points"},
+}
 
 
 def load_config(path) -> dict:
@@ -51,20 +79,25 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
 
 
+def check_config_keys(command: str, cfg) -> None:
+    """Reject a config that lacks a required key of the command or carries a
+    key the command does not read."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("config must be a JSON object")
+    required, optional = CONFIG_KEYS[command]
+    if command == "estimate":
+        required = required | ESTIMATOR_KEYS.get(str(cfg.get("estimator")), set())
+    missing = sorted(required - cfg.keys())
+    if missing:
+        raise ConfigurationError(f"{command} config lacks required keys: {', '.join(missing)}")
+    unknown = sorted(cfg.keys() - required - optional - {"seed"})
+    if unknown:
+        raise ConfigurationError(f"{command} config has unknown keys: {', '.join(unknown)}")
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def build_model(entry: dict) -> dm.DriftModel:
@@ -87,40 +120,54 @@ def build_init(entry: dict, dim: int) -> sp.InitDensity:
     return sp.InitDensity(mean=mean, sigma0=float(entry["sigma0"]))
 
 
-def _resolve(cfg: dict, args) -> dict:
+class Outcome(NamedTuple):
+    """What a command computed: report fields (they may override c0/c1), claim
+    checks, and the report's writer when it does not go to <command>.json."""
+
+    fields: dict
+    claims: list[dict]
+    write_report: Callable[[dict], None] | None = None
+
+
+def run_command(args) -> int:
+    """Load and check the config, resolve the seed, create the output
+    directory, run the command, record the config it ran with, write the
+    report, print the c0/c1 and verdict lines, and return the exit status."""
+    cfg = load_config(args.config) if args.config else {}
+    check_config_keys(args.command, cfg)
     resolved = dict(cfg)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         resolved["seed"] = args.seed
     resolved.setdefault("seed", 0)
-    return resolved
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-
-def _claims_verdict(claims: list[dict]) -> dict:
+    # Commands may complete the config (bound-eval's flags, estimate's input
+    # paths), so it is hashed and recorded after they run.
+    outcome = args.func(resolved, out_dir, args)
+    claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
-    line = ("PASS" if all_pass else "FAIL") + ": " + "; ".join(
-        f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in claims
-    )
-    return {"claims": claims, "all_pass": all_pass, "verdict_line": line}
-
-
-def _base_report(resolved: dict, c0: float = 1.0, c1: float = 1.0) -> dict:
-    return {
+    report = {
         "config_hash": config_hash(resolved),
-        "master_seed": resolved.get("seed", 0),
-        "c0": c0,
-        "c1": c1,
+        "master_seed": resolved["seed"],
+        "c0": 1.0,
+        "c1": 1.0,
+        **outcome.fields,
+        "claims": claims,
+        "all_pass": all_pass,
+        "verdict_line": ("PASS" if all_pass else "FAIL") + ": " + "; ".join(
+            f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in claims
+        ),
     }
-
-
-def _emit(out_dir: Path, name: str, resolved: dict, report: dict) -> None:
-    write_json(out_dir / f"{name}_config.json", resolved)
-    write_json(out_dir / f"{name}.json", report)
+    name = args.command.replace("-", "_")
+    sp.write_json(out_dir / f"{name}_config.json", resolved)
+    if outcome.write_report is None:
+        sp.write_json(out_dir / f"{name}.json", report)
+    else:
+        outcome.write_report(report)
     print(f"c0={report['c0']} c1={report['c1']}")
     print(report["verdict_line"])
-
-
-def _finish(report: dict) -> int:
-    return 0 if report["all_pass"] else 1
+    return 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +175,7 @@ def _finish(report: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rate_scan(args) -> int:
-    cfg = load_config(args.config)
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim)
     etas = [float(e) for e in resolved["eta_grid"]]
@@ -155,7 +197,7 @@ def cmd_rate_scan(args) -> int:
     rows = []
     exact_pairs, girs_pairs, records = [], [], []
     for eta in etas:
-        sp._require_step(model, eta, enforce_window=True)
+        bnd.check_step(eta, model.constants.L1)
         steps = int(math.floor(T / eta + 1e-9))
         rec = {"eta": eta, "steps": steps}
         kl_exact = None
@@ -180,7 +222,7 @@ def cmd_rate_scan(args) -> int:
             kl_exact if kl_exact is not None else "",
             kl_girs if kl_girs is not None else "",
         ])
-    write_csv(out_dir / "rate_scan.csv", ["eta", "kl_exact", "kl_girsanov"], rows)
+    sp.write_csv(out_dir / "rate_scan.csv", ["eta", "kl_exact", "kl_girsanov"], rows)
 
     def _fit(pairs):
         if len(pairs) >= 3 and all(v > 0 for _, v in pairs):
@@ -219,15 +261,11 @@ def cmd_rate_scan(args) -> int:
     if not claims:
         claims.append({"name": "completed", "pass": True, "detail": "no claim checks requested"})
 
-    report = _base_report(resolved)
-    report.update({
+    return Outcome({
         "records": records,
         "fit_exact": fit_exact.to_dict() if fit_exact else None,
         "fit_girsanov": fit_girs.to_dict() if fit_girs else None,
-    })
-    report.update(_claims_verdict(claims))
-    _emit(out_dir, "rate_scan", resolved, report)
-    return _finish(report)
+    }, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -235,43 +273,21 @@ def cmd_rate_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dist_fn(metric: str, target: ga.GaussianMoments):
-    key = metric.upper()
-    if key == "KL":
-        return lambda p: ga.kl_gaussian(p, target)
-    if key == "W2":
-        return lambda p: ga.w2_gaussian(p, target)
-    if key == "TV":
-        if target.dim != 1:
-            raise ConfigurationError("TV mixing scans are supported in dimension 1 only")
-        return lambda p: ga.tv_gaussian_1d(p, target)
-    raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
+# Per metric: the distance to the target, and the KL tolerance the step-size
+# rule (stated for KL) is given for tolerance eps, through Pinsker
+# (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)).  The lambdas look
+# the distances up on each call, so a replaced module attribute is the one used.
+MIXING_METRICS = {
+    "KL": (lambda p, q: ga.kl_gaussian(p, q), lambda eps, rho: eps),
+    "TV": (lambda p, q: ga.tv_gaussian_1d(p, q), lambda eps, rho: 2.0 * eps**2),
+    "W2": (lambda p, q: ga.w2_gaussian(p, q), lambda eps, rho: rho * eps**2 / 2.0),
+}
 
 
-def _kl_equivalent_eps(metric: str, eps: float, rho: float) -> float:
-    # The step-size rule is stated for a KL tolerance; other metrics map to
-    # one through Pinsker (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)).
-    key = metric.upper()
-    if key == "KL":
-        return eps
-    if key == "TV":
-        return 2.0 * eps**2
-    if key == "W2":
-        return rho * eps**2 / 2.0
-    raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
-
-
-def cmd_mixing_scan(args) -> int:
-    cfg = load_config(args.config)
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if "rho" not in resolved:
-        raise ConfigurationError("missing constants: rho (log-Sobolev constant is user-supplied)")
+def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     rho = float(resolved["rho"])
-    tgt_cfg = resolved.get("target")
-    if not tgt_cfg:
+    tgt_cfg = resolved["target"]
+    if not isinstance(tgt_cfg, dict) or not {"mean", "cov"} <= tgt_cfg.keys():
         raise ConfigurationError('mixing-scan needs a Gaussian "target": {"mean": [...], "cov": [[...]]}')
     target = ga.GaussianMoments(np.asarray(tgt_cfg["mean"], float), np.asarray(tgt_cfg["cov"], float))
     d = target.dim
@@ -279,9 +295,11 @@ def cmd_mixing_scan(args) -> int:
     precision = np.linalg.inv(target.cov)
     drift = ga.LinearDrift(-0.5 * precision, 0.5 * precision @ target.mean)
     L1 = float(np.max(np.abs(np.linalg.eigvalsh(drift.A))))
-    init = build_init(resolved["init"], d)
-    metric = resolved.get("metric", "KL")
-    dist = _dist_fn(metric, target)
+    start = build_init(resolved["init"], d).moments()
+    metric = str(resolved.get("metric", "KL")).upper()
+    if metric not in MIXING_METRICS:
+        raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
+    distance, kl_tolerance = MIXING_METRICS[metric]
     eps_grid = [float(e) for e in resolved["eps_grid"]]
     scale = float(resolved.get("scale_constant", 1.0))
     max_steps = int(resolved.get("max_steps", 10**6))
@@ -289,23 +307,15 @@ def cmd_mixing_scan(args) -> int:
 
     rows, records, fit_pairs = [], [], []
     for eps in eps_grid:
-        eta = bnd.step_size_rule(_kl_equivalent_eps(metric, eps, rho), rho, d)
-        m = init.mean.copy()
-        S = init.sigma0**2 * np.eye(d)
-        if dist(ga.GaussianMoments(m, S)) <= eps:
+        eta = bnd.step_size_rule(kl_tolerance(eps, rho), rho, d)
+        n_measured = None
+        if distance(start, target) <= eps:
             n_measured = 0  # already mixed at k = 0; no stepping needed
         else:
-            if L1 > 0 and eta >= 1.0 / (2.0 * L1):
-                raise ConfigurationError(
-                    f"eps={eps} yields step {eta} outside the window (0, {1.0 / (2.0 * L1)}); "
-                    "tighten eps or supply the step size directly"
-                )
-            M = np.eye(d) + eta * drift.A
-            n_measured = None
-            for k in range(1, max_steps + 1):
-                m = M @ m + eta * drift.c
-                S = M @ S @ M.T + eta * np.eye(d)
-                if dist(ga.GaussianMoments(m, S)) <= eps:
+            bnd.check_step(eta, L1)
+            steps = itertools.islice(ga.em_moment_steps(drift, start, eta), max_steps)
+            for k, (m, S) in enumerate(steps, start=1):
+                if distance(ga.GaussianMoments(m, S), target) <= eps:
                     n_measured = k
                     break
         if n_measured is None:
@@ -321,30 +331,25 @@ def cmd_mixing_scan(args) -> int:
         })
         if n_measured > 0:
             fit_pairs.append((eps, float(n_measured)))
-    write_csv(out_dir / "mixing_scan.csv", ["eps", "eta_used", "N_measured", "N_predicted"], rows)
+    sp.write_csv(out_dir / "mixing_scan.csv", ["eps", "eta_used", "N_measured", "N_predicted"], rows)
 
     fit = est.rate_fit(fit_pairs) if len(fit_pairs) >= 3 else None
-    claims = []
-    band = bands["mixing_slope"].get(metric.upper())
+    band = bands["mixing_slope"].get(metric)
     if fit is not None and band is not None:
         lo, hi = band
-        claims.append({
+        claims = [{
             "name": "mixing_slope", "pass": bool(lo <= fit.slope <= hi),
             "detail": f"slope(log N vs log eps)={fit.slope:.4f} band=[{lo},{hi}]",
-        })
+        }]
     else:
-        claims.append({"name": "completed", "pass": True, "detail": "scan completed (no slope fit)"})
+        claims = [{"name": "completed", "pass": True, "detail": "scan completed (no slope fit)"}]
 
-    report = _base_report(resolved)
-    report.update({
-        "metric": metric.upper(),
+    return Outcome({
+        "metric": metric,
         "records": records,
         "fit": fit.to_dict() if fit else None,
         "log_factor_note": bnd.LOG_FACTOR_NOTE,
-    })
-    report.update(_claims_verdict(claims))
-    _emit(out_dir, "mixing_scan", resolved, report)
-    return _finish(report)
+    }, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +361,7 @@ def _default_radius_grid() -> np.ndarray:
     return np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim) if "init" in resolved else sp.InitDensity(
         mean=np.zeros(model.dim), sigma0=1.0
@@ -446,11 +446,7 @@ def cmd_verify(args) -> int:
         {"name": name, "pass": bool(sec["pass"]), "detail": ""}
         for name, sec in report_sections.items()
     ]
-    report = _base_report(resolved)
-    report["assumptions"] = report_sections
-    report.update(_claims_verdict(claims))
-    _emit(out_dir, "verify", resolved, report)
-    return _finish(report)
+    return Outcome({"assumptions": report_sections}, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +454,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
-    cfg = load_config(args.config)
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
+    """Writes ensemble.csv, snapshot CSVs and the ensemble.json sidecar, which
+    carries the report; a divergence leaves only the report, in sample.json."""
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim)
     eta = float(resolved["eta"])
@@ -480,20 +473,12 @@ def cmd_sample(args) -> int:
             model, init, eta, T, n, seed, snapshot_times=snaps, enforce_window=enforce
         )
     except DivergenceError as exc:
-        report = _base_report(resolved)
-        report.update(_claims_verdict([{
+        return Outcome({}, [{
             "name": "simulation", "pass": False,
             "detail": f"divergence: {exc} (chain={exc.chain}, step={exc.step})",
-        }]))
-        write_json(out_dir / "sample_config.json", resolved)
-        write_json(out_dir / "sample.json", report)
-        print(report["verdict_line"])
-        return 1
+        }])
 
-    if snaps is None:
-        final, snapshots = result, []
-    else:
-        final, snapshots = result
+    final, snapshots = (result, []) if snaps is None else result
     sp.write_ensemble_csv(final, out_dir / "ensemble.csv")
     snap_files = []
     for i, snap in enumerate(snapshots):
@@ -504,16 +489,14 @@ def cmd_sample(args) -> int:
         "name": "window_check", "pass": True,
         "detail": f"eta={eta} inside ({lo:g}, {hi:g})" if eta < hi else "window check overridden",
     }]
-    report = _base_report(resolved)
-    report.update(_claims_verdict(claims))
-    sp.write_ensemble_sidecar(
-        final, out_dir / "ensemble.json", model=model,
-        extra={**report, "snapshots": snap_files},
-    )
-    write_json(out_dir / "sample_config.json", resolved)
-    print(f"c0={report['c0']} c1={report['c1']}")
-    print(report["verdict_line"])
-    return _finish(report)
+
+    def write_sidecar(report):
+        sp.write_ensemble_sidecar(
+            final, out_dir / "ensemble.json", model=model,
+            extra={**report, "snapshots": snap_files},
+        )
+
+    return Outcome({}, claims, write_sidecar)
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +504,25 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    name = resolved.get("estimator")
+def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
+    name = resolved["estimator"]
     params = dict(resolved.get("params", {}))
+    # Input paths resolve against the config's directory; they are recorded
+    # as the absolute paths read, so a rerun from the recorded config (which
+    # sits in the output directory) reads the same files.
+    if "inputs" in resolved:
+        if not isinstance(resolved["inputs"], dict):
+            raise ConfigurationError('estimate "inputs" must map input names to CSV paths')
+        base = Path(args.config).parent
+        resolved["inputs"] = {k: str((base / p).resolve()) for k, p in resolved["inputs"].items()}
     inputs = resolved.get("inputs", {})
-    base = Path(args.config).parent
 
     def load(key):
         if key not in inputs:
             raise ConfigurationError(f"estimator {name!r} needs input {key!r}")
-        p = Path(inputs[key])
-        return sp.read_ensemble_csv(p if p.is_absolute() else base / p)
+        if not Path(inputs[key]).is_file():
+            raise ConfigurationError(f"estimator input {key!r} not found: {inputs[key]}")
+        return sp.read_ensemble_csv(inputs[key])
 
     if name == "knn_kl":
         value = est.knn_kl(load("p"), load("q"), k=int(params.get("k", 5)))
@@ -563,11 +549,7 @@ def cmd_estimate(args) -> int:
         raise ConfigurationError(f"unknown estimator {name!r}")
 
     claims = [{"name": "estimate", "pass": bool(np.isfinite(value)), "detail": f"{name}={value:.6g}"}]
-    report = _base_report(resolved)
-    report.update({"estimator": name, "parameters": params, "value": value})
-    report.update(_claims_verdict(claims))
-    _emit(out_dir, "estimate", resolved, report)
-    return _finish(report)
+    return Outcome({"estimator": name, "parameters": params, "value": value}, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +557,14 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound_eval(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    resolved = _resolve(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
     theorem = args.theorem if args.theorem is not None else int(resolved.get("theorem", 1))
     if theorem not in (1, 2):
         raise ConfigurationError("--theorem must be 1 (dissipative) or 2 (non-negative potential)")
     constants_src = args.constants or resolved.get("constants")
     if constants_src is None:
         raise ConfigurationError("missing constants file (--constants or config key)")
-    if isinstance(constants_src, dict):
-        cdict = constants_src
-    else:
-        cdict = load_config(constants_src)
+    cdict = constants_src if isinstance(constants_src, dict) else load_config(constants_src)
     constants = bnd.BoundConstants.from_dict(cdict)
     resolved["theorem"] = theorem
     resolved["constants"] = cdict
@@ -601,18 +575,16 @@ def cmd_bound_eval(args) -> int:
         bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
     )
 
-    report = _base_report(resolved, c0=constants.c0, c1=constants.c1)
-    claims = []
+    fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
     if args.eta is not None or "eta" in resolved:
         eta = float(args.eta if args.eta is not None else resolved["eta"])
         resolved["eta"] = eta
         terms = evaluator(constants, eta, T, d)
-        report.update({"theorem": theorem, "eta": eta, "horizon": T, "dim": d, "terms": terms,
-                       "value": terms["total"]})
-        claims.append({
+        fields.update({"eta": eta, "terms": terms, "value": terms["total"]})
+        claims = [{
             "name": "bound_finite", "pass": bool(np.isfinite(terms["total"])),
             "detail": f"value={terms['total']:.6g}",
-        })
+        }]
     elif "eta_grid" in resolved:
         pairs = []
         sweep = []
@@ -622,18 +594,14 @@ def cmd_bound_eval(args) -> int:
             sweep.append({"eta": float(eta), "value": terms["total"]})
         fit = est.rate_fit(pairs)
         lo, hi = {**DEFAULT_BANDS, **resolved.get("bands", {})}["sweep_slope"]
-        report.update({"theorem": theorem, "horizon": T, "dim": d, "sweep": sweep,
-                       "fit": fit.to_dict()})
-        claims.append({
+        fields.update({"sweep": sweep, "fit": fit.to_dict()})
+        claims = [{
             "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),
             "detail": f"slope={fit.slope:.6f} band=[{lo},{hi}]",
-        })
+        }]
     else:
         raise ConfigurationError("bound-eval needs --eta or an eta_grid in the config")
-
-    report.update(_claims_verdict(claims))
-    _emit(out_dir, "bound_eval", resolved, report)
-    return _finish(report)
+    return Outcome(fields, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -648,50 +616,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    # The cmd_* functions are looked up here, once per parse, so that a
+    # replaced module attribute takes effect on the next call of main().
+    def command(name, func, help, config_required=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=config_required, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--threads", type=int, default=None,
                        help="reserved; affects speed only, never results")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rate-scan", help="KL discretization error vs step size")
-    common(p)
-    p.set_defaults(func=cmd_rate_scan)
-
-    p = sub.add_parser("mixing-scan", help="first-crossing mixing times vs accuracy")
-    common(p)
-    p.set_defaults(func=cmd_mixing_scan)
-
-    p = sub.add_parser("verify", help="check declared drift/init certificates by sampling")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sample", help="run a seeded chain ensemble to CSV")
-    common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("estimate", help="run a sample-based estimator on ensemble CSVs")
-    common(p)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("bound-eval", help="evaluate a KL error bound with term audit")
-    common(p, config_required=False)
+    command("rate-scan", cmd_rate_scan, "KL discretization error vs step size")
+    command("mixing-scan", cmd_mixing_scan, "first-crossing mixing times vs accuracy")
+    command("verify", cmd_verify, "check declared drift/init certificates by sampling")
+    command("sample", cmd_sample, "run a seeded chain ensemble to CSV")
+    command("estimate", cmd_estimate, "run a sample-based estimator on ensemble CSVs")
+    p = command("bound-eval", cmd_bound_eval, "evaluate a KL error bound with term audit",
+                config_required=False)
     p.add_argument("--theorem", type=int, choices=(1, 2), default=None,
                    help="1 = dissipative-drift bound, 2 = non-negative-potential bound")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--constants", default=None, help="JSON file of bound constants")
-    p.set_defaults(func=cmd_bound_eval)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except (ConfigurationError, InputError, UnsupportedError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,9 @@
 """Drift fields for dX_t = b(X_t) dt + dB_t, with machine-checkable certificates.
 
-A model bundles the drift b, its Jacobian, the directional derivative of the
-Jacobian, and declared constants: a Lipschitz bound L1 on b, a Lipschitz
-bound L2 on the Jacobian, the drift magnitude A0 = ||b(0)||, and optionally
-distant-dissipativity constants (mu, beta) certifying
-<b(x), x> <= -mu ||x||^2 + beta.
+A model bundles the drift b, its Jacobian, and declared constants: a
+Lipschitz bound L1 on b, a Lipschitz bound L2 on the Jacobian, the drift
+magnitude A0 = ||b(0)||, and optionally distant-dissipativity constants
+(mu, beta) certifying <b(x), x> <= -mu ||x||^2 + beta.
 
 Built-in models ship analytic constants.  The polynomially growing drifts
 are not globally Lipschitz, so their L1/L2 are certified on the ball
@@ -78,15 +77,14 @@ class DriftModel:
 
     ``drift`` must broadcast over leading axes: it maps arrays of shape
     (..., dim) to arrays of the same shape (ensemble code relies on this).
-    ``jacobian`` and ``hessian_apply`` act on single points.  All three are
-    deterministic pure functions; models are immutable and safe to share.
+    ``jacobian`` acts on single points.  Both are deterministic pure
+    functions; models are immutable and safe to share.
     """
 
     name: str
     dim: int
     drift: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
-    hessian_apply: Callable[[Array, Array], Array]
     constants: SmoothnessCert
     params: dict = field(default_factory=dict)
     linear: Optional[LinearDrift] = None
@@ -263,7 +261,6 @@ def zero_drift(dim: int = 1) -> DriftModel:
         dim=dim,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         jacobian=lambda x: eye.copy(),
-        hessian_apply=lambda x, v: eye.copy(),
         constants=SmoothnessCert(L1=0.0, L2=0.0, A0=0.0, potential_floor=0.0, source="analytic"),
         params={"dim": dim},
         linear=LinearDrift(np.zeros((dim, dim)), np.zeros(dim)),
@@ -313,7 +310,6 @@ def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0
         dim=dim,
         drift=lambda x: np.asarray(x, dtype=float) @ A_ro.T + c_ro,
         jacobian=lambda x: A_ro.copy(),
-        hessian_apply=lambda x, v: np.zeros((dim, dim)),
         constants=SmoothnessCert(
             L1=float(-lam.min()),
             L2=0.0,
@@ -347,18 +343,12 @@ def double_well_drift(dim: int = 1) -> DriftModel:
         r2 = float(x @ x)
         return -0.5 * ((r2 - 1.0) * np.eye(dim) + 2.0 * np.outer(x, x))
 
-    def hessian_apply(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return -(float(x @ v) * np.eye(dim) + np.outer(v, x) + np.outer(x, v))
-
     R = CERT_RADIUS
     return DriftModel(
         name="double-well",
         dim=dim,
         drift=drift,
         jacobian=jacobian,
-        hessian_apply=hessian_apply,
         constants=SmoothnessCert(
             L1=0.5 * (3.0 * R * R - 1.0),
             L2=3.0 * R,
@@ -397,12 +387,6 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
         t = math.tanh(float(x @ a))
         return 0.5 * (-np.eye(dim) + (1.0 - t * t) * np.outer(a, a))
 
-    def hessian_apply(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        t = math.tanh(float(x @ a))
-        return -((1.0 - t * t) * t * float(a @ v)) * np.outer(a, a)
-
     # Potential f = U/2 for the normalized mixture density; minimum sits on
     # the symmetry axis, located by a dense 1D search.
     ts = np.linspace(0.0, 2.0 * math.sqrt(a2), 4001)
@@ -416,7 +400,6 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
         dim=dim,
         drift=drift,
         jacobian=jacobian,
-        hessian_apply=hessian_apply,
         constants=SmoothnessCert(
             L1=max(0.5, 0.5 * (a2 - 1.0)),
             L2=(2.0 / (3.0 * math.sqrt(3.0))) * a2**1.5,
@@ -445,7 +428,6 @@ def expansive_drift(dim: int = 1, rate: float = 1.0) -> DriftModel:
         dim=dim,
         drift=lambda x: r * np.asarray(x, dtype=float),
         jacobian=lambda x: r * np.eye(dim),
-        hessian_apply=lambda x, v: np.zeros((dim, dim)),
         constants=SmoothnessCert(L1=r, L2=0.0, A0=0.0, source="analytic"),
         params={"dim": dim, "rate": r},
         linear=LinearDrift(r * np.eye(dim), np.zeros(dim)),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bounds import check_step
 from .drift_models import DriftModel
 from .errors import InputError, UnsupportedError
 from .samplers import (
@@ -24,7 +25,6 @@ from .samplers import (
     _check_seed,
     _grid_steps,
     _guard,
-    _require_step,
     noise_block,
 )
 
@@ -183,7 +183,7 @@ def girsanov_pathwise_kl(
     with noise_scale=0 the quantity degenerates to the deterministic Euler
     defect, which scales as O(eta^2)).
     """
-    _require_step(model, eta, enforce_window)
+    check_step(eta, model.constants.L1, enforce_window)
     if init.dim != model.dim:
         raise InputError("init dimension does not match model")
     if n < 1:

@@ -14,6 +14,7 @@ and Fisher information for Gaussian measures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,22 +141,34 @@ def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: floa
     return GaussianMoments(mean, 0.5 * (cov + cov.T))
 
 
-def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: int) -> GaussianMoments:
-    """Moments after k forward-Euler steps: m <- (I + eta A) m + eta c and
-    S <- (I + eta A) S (I + eta A)^T + eta I."""
+def em_moment_steps(drift: LinearDrift, init: GaussianMoments, eta: float):
+    """Endless iterator over the forward-Euler moments (m_k, S_k), k = 1, 2, ...:
+    m <- (I + eta A) m + eta c and S <- (I + eta A) S (I + eta A)^T + eta I."""
     if drift.dim != init.dim:
         raise InputError("drift and init dimensions differ")
     if eta <= 0:
         raise InputError("step size must be positive")
+    M = np.eye(drift.dim) + eta * drift.A
+    step_cov = eta * np.eye(drift.dim)
+
+    def steps():
+        m, S = init.mean, init.cov
+        while True:
+            m = M @ m + eta * drift.c
+            S = M @ S @ M.T + step_cov
+            yield m, S
+
+    return steps()
+
+
+def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: int) -> GaussianMoments:
+    """Moments after k forward-Euler steps (see em_moment_steps)."""
+    steps = em_moment_steps(drift, init, eta)
     if k < 0 or int(k) != k:
         raise InputError("step count must be a nonnegative integer")
-    d = drift.dim
-    M = np.eye(d) + eta * drift.A
-    m = init.mean.copy()
-    S = init.cov.copy()
-    for _ in range(int(k)):
-        m = M @ m + eta * drift.c
-        S = M @ S @ M.T + eta * np.eye(d)
+    m, S = init.mean, init.cov
+    for m, S in itertools.islice(steps, int(k)):
+        pass
     return GaussianMoments(m, 0.5 * (S + S.T))
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
+from .bounds import check_step, step_window
 from .drift_models import DriftModel
 from .errors import ConfigurationError, DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -133,19 +134,7 @@ class SampleEnsemble:
 
 def step_size_window(model: DriftModel) -> tuple[float, float]:
     """Admissible step sizes (0, 1/(2 L1)); unbounded for L1 = 0."""
-    L1 = model.constants.L1
-    return (0.0, math.inf if L1 == 0 else 1.0 / (2.0 * L1))
-
-
-def _require_step(model: DriftModel, eta: float, enforce_window: bool) -> None:
-    if not (np.isfinite(eta) and eta > 0):
-        raise ConfigurationError("step size must be positive")
-    lo, hi = step_size_window(model)
-    if enforce_window and eta >= hi:
-        raise ConfigurationError(
-            f"step size {eta} outside the admissible window (0, {hi}) for L1={model.constants.L1}; "
-            "pass enforce_window=False to run anyway"
-        )
+    return step_window(model.constants.L1)
 
 
 def _guard(points: np.ndarray, step: int, time: float) -> None:
@@ -200,9 +189,10 @@ def simulate_ensemble(
 
     Returns the final SampleEnsemble, or (final, snapshots) when
     snapshot_times is given.  Snapshots land on grid times only (requested
-    times are rounded down, with a warning when off-grid).
+    times are rounded down, with a warning when off-grid); times outside
+    [0, T] are rejected.
     """
-    _require_step(model, eta, enforce_window)
+    check_step(eta, model.constants.L1, enforce_window)
     if init.dim != model.dim:
         raise InputError("init dimension does not match model")
     if n < 1:
@@ -213,10 +203,12 @@ def simulate_ensemble(
     snap_index: dict[int, float] = {}
     if snapshot_times is not None:
         for t_req in snapshot_times:
+            if not 0 <= t_req <= T:
+                raise ConfigurationError(f"snapshot time {t_req} outside [0, horizon={T}]")
             k = int(math.floor(t_req / eta + 1e-9))
             if abs(k * eta - t_req) > 1e-9 * max(1.0, abs(t_req)):
                 warnings.warn(f"snapshot time {t_req} is off-grid; using {k * eta}", stacklevel=2)
-            snap_index[min(max(k, 0), steps)] = min(max(k, 0), steps) * eta
+            snap_index[min(k, steps)] = min(k, steps) * eta
 
     x = init.sample(n, seed)
     snapshots = []
@@ -288,12 +280,25 @@ def fine_reference_ensemble(
 
 # ---------------------------------------------------------------------------
 # On-disk format: columnar CSV  chain,coord0..coord{d-1},time  plus a JSON
-# sidecar carrying seed lineage and model identity.
+# sidecar carrying seed lineage and model identity.  Floats are written with
+# 17 significant digits, which round-trips every double.
 # ---------------------------------------------------------------------------
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
+
+
+def write_json(path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    """Write rows under header; string cells are written as they are."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
@@ -321,7 +326,7 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
         payload["model"] = {"name": model.name, "params": model.params}
     if extra:
         payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:

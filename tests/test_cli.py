@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ulakit.cli import main
+from ulakit.cli import check_config_keys, main
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -30,16 +31,6 @@ def test_sample_rerun_is_byte_identical(tmp_path):
     code1, out1 = run(tmp_path, "sample", SAMPLE_CFG, out="a")
     code2, out2 = run(tmp_path, "sample", SAMPLE_CFG, out="b")
     assert code1 == 0 and code2 == 0
-    assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
-    assert (out1 / "ensemble.json").read_bytes() == (out2 / "ensemble.json").read_bytes()
-
-
-def test_sample_rerun_from_recorded_config_is_byte_identical(tmp_path):
-    code, out1 = run(tmp_path, "sample", SAMPLE_CFG, out="a")
-    assert code == 0
-    recorded = json.loads((out1 / "sample_config.json").read_text())
-    code2, out2 = run(tmp_path, "sample", recorded, out="b")
-    assert code2 == 0
     assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
     assert (out1 / "ensemble.json").read_bytes() == (out2 / "ensemble.json").read_bytes()
 
@@ -87,6 +78,11 @@ def test_sample_divergence_reports_failure(tmp_path):
     report = json.loads((out / "sample.json").read_text())
     assert not report["all_pass"]
     assert "divergence" in report["claims"][0]["detail"]
+
+
+def test_sample_snapshot_outside_horizon_is_config_error(tmp_path):
+    code, _ = run(tmp_path, "sample", dict(SAMPLE_CFG, snapshot_times=[-3, 5, 7]))
+    assert code == 2
 
 
 def test_sample_snapshots_written(tmp_path):
@@ -361,6 +357,18 @@ def test_estimate_girsanov_runs_simulation(tmp_path):
     assert rep["value"] > 0
 
 
+def test_estimate_missing_input_file_is_config_error(tmp_path, capsys):
+    cfg = {"estimator": "moment_estimate", "inputs": {"samples": "nope/ensemble.csv"}}
+    code, _ = run(tmp_path, "estimate", cfg)
+    assert code == 2
+    assert "nope" in capsys.readouterr().err
+
+
+def test_estimate_inputs_not_a_map_is_config_error(tmp_path):
+    code, _ = run(tmp_path, "estimate", {"estimator": "moment_estimate", "inputs": ["a.csv"]})
+    assert code == 2
+
+
 def test_estimate_unknown_estimator(tmp_path):
     code, _ = run(tmp_path, "estimate", {"estimator": "mmd", "inputs": {}})
     assert code == 2
@@ -447,3 +455,122 @@ def test_threads_flag_accepted_and_ignored(tmp_path):
     code2, out2 = run(tmp_path, "sample", SAMPLE_CFG, out="b")
     assert code1 == code2 == 0
     assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
+
+
+# --- one skeleton: rerun identity and declared config keys ------------------------
+
+
+RATE_CFG = {
+    "model": {"name": "ou", "params": {"dim": 1}},
+    "init": {"mean": [1.0], "sigma0": 1.0},
+    "horizon": 1.0,
+    "eta_grid": [0.2, 0.1, 0.05],
+    "girsanov_chains": 500,
+    "seed": 4,
+}
+VERIFY_CFG = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [0.0], "sigma0": 1.0}, "seed": 1}
+BOUND_CFG = {"theorem": 1, "eta_grid": [1e-4, 5e-5, 2.5e-5], "horizon": 1.0, "dim": 1,
+             "constants": ALL_ONES_CONSTANTS}
+GIRSANOV_CFG = {
+    "estimator": "girsanov_pathwise_kl",
+    "model": {"name": "ou", "params": {"dim": 1}},
+    "init": {"mean": [1.0], "sigma0": 1.0},
+    "eta": 0.1,
+    "horizon": 1.0,
+    "chains": 200,
+    "seed": 21,
+}
+RATE_FIT_CFG = {"estimator": "rate_fit", "points": [[0.1, 0.01], [0.05, 0.0025], [0.025, 0.000625]]}
+# The estimate config sits in tmp_path; its input path is relative to it.
+ESTIMATE_CFG = {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensemble.csv"}, "params": {"p": 2}}
+
+RERUN_CASES = {
+    "rate-scan": RATE_CFG,
+    "mixing-scan": MIX_CFG,
+    "verify": VERIFY_CFG,
+    "sample": SAMPLE_CFG,
+    "estimate": ESTIMATE_CFG,
+    "bound-eval": BOUND_CFG,
+}
+
+
+@pytest.mark.parametrize("command", list(RERUN_CASES))
+def test_rerun_from_recorded_config_is_byte_identical(tmp_path, command):
+    if command == "estimate":
+        assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
+    code1, out1 = run(tmp_path, command, RERUN_CASES[command], out="a")
+    # Rerun from the recorded config where it was written, in the output directory.
+    recorded = out1 / f"{command.replace('-', '_')}_config.json"
+    out2 = tmp_path / "b"
+    code2 = main([command, "--config", str(recorded), "--out", str(out2)])
+    assert code1 == code2 == 0
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    for name in files:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_estimate_records_absolute_input_paths(tmp_path):
+    assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
+    code, out = run(tmp_path, "estimate", ESTIMATE_CFG, out="est")
+    assert code == 0
+    recorded = json.loads((out / "estimate_config.json").read_text())
+    assert recorded["inputs"] == {"samples": str((tmp_path / "ens" / "ensemble.csv").resolve())}
+
+
+# (command, a valid config, the top-level keys it must not run without)
+REQUIRED_KEYS = [
+    ("rate-scan", RATE_CFG, ["model", "init", "eta_grid", "horizon"]),
+    ("mixing-scan", MIX_CFG, ["target", "rho", "init", "eps_grid"]),
+    ("verify", VERIFY_CFG, ["model"]),
+    ("sample", SAMPLE_CFG, ["model", "init", "eta", "horizon", "chains"]),
+    ("estimate", GIRSANOV_CFG, ["estimator", "model", "init", "eta", "horizon", "chains"]),
+    ("estimate", RATE_FIT_CFG, ["points"]),
+    ("estimate", ESTIMATE_CFG, ["estimator"]),
+    ("bound-eval", BOUND_CFG, []),
+]
+BAD_CONFIGS = [
+    pytest.param(command, {k: v for k, v in cfg.items() if k != key}, key,
+                 id=f"{cfg.get('estimator', command)}-without-{key}")
+    for command, cfg, keys in REQUIRED_KEYS
+    for key in keys
+] + [
+    pytest.param(command, dict(cfg, girsanov_chain=1000), "girsanov_chain",
+                 id=f"{cfg.get('estimator', command)}-unknown-key")
+    for command, cfg, _keys in REQUIRED_KEYS
+]
+
+
+@pytest.mark.parametrize("command, cfg, key", BAD_CONFIGS)
+def test_bad_config_keys_exit_2_before_any_output(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+# verify fails dissipativity, by design, on the drifts without inward pull.
+CONFIG_EXIT = {"verify.zero.json": 1, "verify.expansive.json": 1}
+
+
+def _command(path: Path) -> str:
+    return path.name.split(".")[0]
+
+
+def test_checked_in_configs_cover_the_experiments():
+    assert {_command(p) for p in CONFIGS} == {"rate-scan", "mixing-scan", "verify", "bound-eval"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_checked_in_config_keys_are_declared(path):
+    check_config_keys(_command(path), json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in CONFIGS if _command(p) in ("verify", "bound-eval", "mixing-scan")],
+    ids=lambda p: p.name,
+)
+def test_cheap_checked_in_config_runs(tmp_path, path):
+    code = main([_command(path), "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == CONFIG_EXIT.get(path.name, 0)

@@ -106,19 +106,6 @@ def test_grad_check_twenty_random_points(name):
         assert grad_check(m, x, h=1e-5) < 1e-5
 
 
-@pytest.mark.parametrize("name", ["double-well", "gauss-mix"])
-def test_hessian_apply_matches_jacobian_differences(name):
-    # independent oracle: directional finite differences of the Jacobian
-    m = make_model(name, dim=2)
-    rng = np.random.default_rng(3)
-    h = 1e-6
-    for _ in range(10):
-        x = rng.uniform(-2, 2, size=2)
-        v = rng.standard_normal(2)
-        fd = (drift_jacobian(m, x + h * v) - drift_jacobian(m, x - h * v)) / (2 * h)
-        assert np.allclose(m.hessian_apply(x, v), fd, atol=1e-5)
-
-
 # --- Lipschitz certificates -------------------------------------------------
 
 

@@ -215,6 +215,12 @@ def test_snapshots_on_grid():
     assert np.array_equal(snaps[-1].points, final.points)
 
 
+@pytest.mark.parametrize("times", [[-3, 5, 7], [-0.1], [1.5]])
+def test_snapshot_times_outside_horizon_rejected(times):
+    with pytest.raises(ConfigurationError, match="outside"):
+        simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 10, master_seed=29, snapshot_times=times)
+
+
 def test_off_grid_horizon_warns_and_rounds_down():
     with pytest.warns(UserWarning):
         ens = simulate_ensemble(OU1, STD_INIT, 0.3, 1.0, 10, master_seed=31)
