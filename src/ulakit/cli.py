@@ -11,13 +11,19 @@ config reproduce artifacts byte for byte.
 
 One skeleton (run_command) loads, checks and records the config and emits
 the report; each cmd_* function only computes, returning an Outcome.
+Config keys are declared per command, nested maps included (CONFIG_KEYS,
+ESTIMATOR_KEYS, BAND_KEYS, NESTED_KEYS); an undeclared key exits 2.
+
+The exact oracles are closed forms: rate-scan takes the chain's moments from
+gaussian_analytics.em_moments_linear, and mixing-scan, whose chain stays
+diagonal in the target's eigenbasis, evaluates whole blocks of steps at once
+to find the exact first step within eps.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -64,10 +70,23 @@ CONFIG_KEYS = {
     "estimate": ({"estimator"}, {"inputs", "params"}),
     "bound-eval": (set(), {"theorem", "constants", "eta", "eta_grid", "horizon", "dim", "bands"}),
 }
+# Per estimator: (the top-level keys it requires, the keys of its "params").
 ESTIMATOR_KEYS = {
-    "girsanov_pathwise_kl": {"model", "init", "eta", "horizon", "chains"},
-    "rate_fit": {"points"},
+    "knn_kl": (set(), {"k"}),
+    "w2_empirical_1d": (set(), set()),
+    "tv_histogram": (set(), {"bins_per_dim"}),
+    "moment_estimate": (set(), {"p"}),
+    "girsanov_pathwise_kl": ({"model", "init", "eta", "horizon", "chains"}, {"quad_points_per_step"}),
+    "rate_fit": ({"points"}, set()),
 }
+# The DEFAULT_BANDS entries each command reads from its "bands", and the keys
+# of the other nested maps.
+BAND_KEYS = {
+    "rate-scan": {"exact_slope", "exact_r2_min", "girsanov_slope", "slope_gap_min"},
+    "mixing-scan": {"mixing_slope"},
+    "bound-eval": {"sweep_slope"},
+}
+NESTED_KEYS = {"model": {"name", "params"}, "init": {"mean", "sigma0"}, "target": {"mean", "cov"}}
 
 
 def load_config(path) -> dict:
@@ -79,20 +98,34 @@ def load_config(path) -> dict:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
 
 
+def _check_keys(where: str, entry, allowed) -> None:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = sorted(entry.keys() - allowed)
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys: {', '.join(unknown)}")
+
+
 def check_config_keys(command: str, cfg) -> None:
     """Reject a config that lacks a required key of the command or carries a
-    key the command does not read."""
+    key the command does not read, at the top level or in a nested map."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
     required, optional = CONFIG_KEYS[command]
-    if command == "estimate":
-        required = required | ESTIMATOR_KEYS.get(str(cfg.get("estimator")), set())
+    nested = {key: NESTED_KEYS[key] for key in NESTED_KEYS.keys() & cfg.keys()}
+    if command in BAND_KEYS and "bands" in cfg:
+        nested["bands"] = BAND_KEYS[command]
+    if command == "estimate" and str(cfg.get("estimator")) in ESTIMATOR_KEYS:
+        extra, nested["params"] = ESTIMATOR_KEYS[str(cfg["estimator"])]
+        required = required | extra
     missing = sorted(required - cfg.keys())
     if missing:
         raise ConfigurationError(f"{command} config lacks required keys: {', '.join(missing)}")
-    unknown = sorted(cfg.keys() - required - optional - {"seed"})
-    if unknown:
-        raise ConfigurationError(f"{command} config has unknown keys: {', '.join(unknown)}")
+    _check_keys(f"{command} config", cfg, required | optional | {"seed"})
+    for key in sorted(nested.keys() & cfg.keys()):
+        _check_keys(f"{command} config {key!r}", cfg[key], nested[key])
+    slopes = cfg.get("bands", {}).get("mixing_slope", {})
+    _check_keys(f"{command} config bands 'mixing_slope'", slopes, MIXING_METRICS.keys())
 
 
 def config_hash(cfg: dict) -> str:
@@ -273,15 +306,50 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-# Per metric: the distance to the target, and the KL tolerance the step-size
-# rule (stated for KL) is given for tolerance eps, through Pinsker
-# (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)).  The lambdas look
-# the distances up on each call, so a replaced module attribute is the one used.
+# Per metric: the distance to the target of a Gaussian that is diagonal in the
+# target's eigenbasis, from its mean gap and variances there, and the KL
+# tolerance the step-size rule (stated for KL) is given for tolerance eps,
+# through Pinsker (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)).
 MIXING_METRICS = {
-    "KL": (lambda p, q: ga.kl_gaussian(p, q), lambda eps, rho: eps),
-    "TV": (lambda p, q: ga.tv_gaussian_1d(p, q), lambda eps, rho: 2.0 * eps**2),
-    "W2": (lambda p, q: ga.w2_gaussian(p, q), lambda eps, rho: rho * eps**2 / 2.0),
+    "KL": (ga.kl_gaussian_diag, lambda eps, rho: eps),
+    "TV": (ga.tv_gaussian_diag, lambda eps, rho: 2.0 * eps**2),
+    "W2": (ga.w2_gaussian_diag, lambda eps, rho: rho * eps**2 / 2.0),
 }
+# Rows (step counts) of the first search block, and the most array elements
+# (rows times dimension) one block may hold.
+FIRST_BLOCK_ROWS = 64
+BLOCK_ELEMENTS = 1 << 12
+
+
+def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
+    """First k in 1..max_steps at which the forward-Euler chain for the drift
+    with eigenvalues w, started at mean gap `gap` and isotropic variance var0
+    in the eigenbasis of the target N(0, diag s), is within eps of the
+    target; None when there is none.
+
+    Blocks of consecutive k are evaluated at once, growing geometrically up
+    to BLOCK_ELEMENTS entries, so memory is bounded whatever max_steps is.
+    Every k is evaluated in order, so the first crossing is exact without
+    assuming the distance decreases.  The target is the fixed point of the
+    chain's mean, so the mean gap after k steps is lam^k gap.
+    """
+    cap = max(FIRST_BLOCK_ROWS, BLOCK_ELEMENTS // w.size)
+    start, rows = 1, FIRST_BLOCK_ROWS
+    while start <= max_steps:
+        k = np.arange(start, min(start + rows, max_steps + 1))[:, None]
+        power, _, var_sum = ga.em_mode_sums(eta * w, k)
+        var = power * power * var0 + eta * var_sum
+        mean_gap = power * gap
+        bad = ~np.all(np.isfinite(mean_gap) & np.isfinite(var) & (var > 0), axis=1)
+        stop = bad | (distance(mean_gap, var, s) <= eps)
+        if stop.any():
+            i = int(np.argmax(stop))
+            if bad[i]:
+                raise InputError(f"chain moments are not finite positive-definite at step {k[i, 0]}")
+            return int(k[i, 0])
+        start += k.size
+        rows = min(2 * rows, cap)
+    return None
 
 
 def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
@@ -291,11 +359,15 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         raise ConfigurationError('mixing-scan needs a Gaussian "target": {"mean": [...], "cov": [[...]]}')
     target = ga.GaussianMoments(np.asarray(tgt_cfg["mean"], float), np.asarray(tgt_cfg["cov"], float))
     d = target.dim
-    # ULA drift for the target: b = -grad(U)/2 with U the Gaussian potential.
-    precision = np.linalg.inv(target.cov)
-    drift = ga.LinearDrift(-0.5 * precision, 0.5 * precision @ target.mean)
-    L1 = float(np.max(np.abs(np.linalg.eigvalsh(drift.A))))
-    start = build_init(resolved["init"], d).moments()
+    # ULA drift for the target: b = -grad(U)/2 with U the Gaussian potential,
+    # so A = -cov^-1 / 2 shares the target's eigenbasis.  The start is
+    # isotropic, so every marginal is diagonal in that basis too.
+    s, Q = np.linalg.eigh(target.cov)
+    w = -0.5 / s
+    L1 = float(np.max(np.abs(w)))
+    start = build_init(resolved["init"], d)
+    gap = Q.T @ (start.mean - target.mean)
+    var0 = np.square(start.sigma0)  # inf, not OverflowError, for a huge sigma0
     metric = str(resolved.get("metric", "KL")).upper()
     if metric not in MIXING_METRICS:
         raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
@@ -308,16 +380,11 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     rows, records, fit_pairs = [], [], []
     for eps in eps_grid:
         eta = bnd.step_size_rule(kl_tolerance(eps, rho), rho, d)
-        n_measured = None
-        if distance(start, target) <= eps:
+        if distance(gap, var0, s) <= eps:
             n_measured = 0  # already mixed at k = 0; no stepping needed
         else:
             bnd.check_step(eta, L1)
-            steps = itertools.islice(ga.em_moment_steps(drift, start, eta), max_steps)
-            for k, (m, S) in enumerate(steps, start=1):
-                if distance(ga.GaussianMoments(m, S), target) <= eps:
-                    n_measured = k
-                    break
+            n_measured = first_crossing(distance, gap, var0, eta, w, s, eps, max_steps)
         if n_measured is None:
             raise ConfigurationError(
                 f"no crossing within max_steps={max_steps} for eps={eps}; "
@@ -455,8 +522,9 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
 
 
 def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
-    """Writes ensemble.csv, snapshot CSVs and the ensemble.json sidecar, which
-    carries the report; a divergence leaves only the report, in sample.json."""
+    """Writes ensemble.csv, snapshot CSVs each with its lineage sidecar, and
+    the ensemble.json sidecar, which carries the report; a divergence leaves
+    only the report, in sample.json."""
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim)
     eta = float(resolved["eta"])
@@ -482,9 +550,10 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
     sp.write_ensemble_csv(final, out_dir / "ensemble.csv")
     snap_files = []
     for i, snap in enumerate(snapshots):
-        name = f"snapshot_{i:03d}.csv"
-        sp.write_ensemble_csv(snap, out_dir / name)
-        snap_files.append({"file": name, "time": snap.time})
+        name = f"snapshot_{i:03d}"
+        sp.write_ensemble_csv(snap, out_dir / f"{name}.csv")
+        sp.write_ensemble_sidecar(snap, out_dir / f"{name}.json", model=model)
+        snap_files.append({"file": f"{name}.csv", "time": snap.time})
     claims = [{
         "name": "window_check", "pass": True,
         "detail": f"eta={eta} inside ({lo:g}, {hi:g})" if eta < hi else "window check overridden",

@@ -6,19 +6,24 @@ forward-Euler chain X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k.  This module
 propagates (mean, covariance) exactly along both, which makes every rate
 claim checkable without Monte Carlo error: the mean solves m' = A m + c and
 the covariance solves the Lyapunov ODE S' = A S + S A^T + I, both in closed
-form in the eigenbasis of A.
+form in the eigenbasis of A.  The chain is closed-form there too: each mode
+is scaled by 1 + eta w per step, so k steps cost O(d^3) whatever k is.
 
-Also provides closed-form KL, 2-Wasserstein, total variation (1D), entropy,
-and Fisher information for Gaussian measures.
+Also provides closed-form KL (through the whitened covariance's eigenvalues,
+free of cancellation), 2-Wasserstein, total variation (1D), entropy, and
+Fisher information for Gaussian measures, and KL / W2 / TV kernels for
+Gaussians with diagonal covariances that evaluate whole arrays of them at
+once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 
 from .errors import InputError, UnsupportedError
 
@@ -141,35 +146,53 @@ def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: floa
     return GaussianMoments(mean, 0.5 * (cov + cov.T))
 
 
-def em_moment_steps(drift: LinearDrift, init: GaussianMoments, eta: float):
-    """Endless iterator over the forward-Euler moments (m_k, S_k), k = 1, 2, ...:
-    m <- (I + eta A) m + eta c and S <- (I + eta A) S (I + eta A)^T + eta I."""
+def em_mode_sums(eta_w, k):
+    """For the forward-Euler factor lam = 1 + eta_w and step counts k
+    (broadcast against each other): lam^k, sum_{j<k} lam^j and sum_{j<k} lam^(2j).
+
+    Powers go through exp(k log|lam|) with log|lam| = log1p(eta_w) for lam > 0,
+    and the sums through expm1, with the limit k where the ratio is 0/0
+    (lam = 1 for the first sum, lam^2 = 1 for the second).  Factors lam <= 0,
+    from steps outside the stability window, keep the sign of lam^k.
+    """
+    eta_w = np.asarray(eta_w, dtype=float)
+    k = np.asarray(k)
+    lam = 1.0 + eta_w
+    pos = lam > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_abs = np.where(pos, np.log1p(eta_w), np.log(np.abs(lam)))
+        # 0 * log(0) is nan; lam^0 = 1 also for lam = 0.
+        x = np.where(k == 0, 0.0, k * log_abs)
+        grow = np.expm1(x)  # |lam|^k - 1
+        power = np.where(pos | (k % 2 == 0), grow + 1.0, -(grow + 1.0))
+        mean_sum = np.where(eta_w == 0, k, np.where(pos, grow, power - 1.0) / eta_w)
+        # |lam|^(2k) - 1 = (|lam|^k - 1)(|lam|^k + 1)
+        sq = np.expm1(2.0 * log_abs)
+        var_sum = np.where(sq == 0, k, grow * (grow + 2.0) / sq)
+    return power, mean_sum, var_sum
+
+
+def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: int) -> GaussianMoments:
+    """Moments after k forward-Euler steps m <- (I + eta A) m + eta c and
+    S <- (I + eta A) S (I + eta A)^T + eta I, in closed form.
+
+    In the eigenbasis of A each mode is scaled by lam_i = 1 + eta w_i per step:
+    m_k = lam^k m_0 + eta c sum_{j<k} lam^j and
+    S_k[i, l] = (lam_i lam_l)^k S_0[i, l] + delta_il eta sum_{j<k} lam_i^(2j)
+    (see em_mode_sums), so the cost is O(d^3) whatever k is.
+    """
     if drift.dim != init.dim:
         raise InputError("drift and init dimensions differ")
     if eta <= 0:
         raise InputError("step size must be positive")
-    M = np.eye(drift.dim) + eta * drift.A
-    step_cov = eta * np.eye(drift.dim)
-
-    def steps():
-        m, S = init.mean, init.cov
-        while True:
-            m = M @ m + eta * drift.c
-            S = M @ S @ M.T + step_cov
-            yield m, S
-
-    return steps()
-
-
-def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: int) -> GaussianMoments:
-    """Moments after k forward-Euler steps (see em_moment_steps)."""
-    steps = em_moment_steps(drift, init, eta)
     if k < 0 or int(k) != k:
         raise InputError("step count must be a nonnegative integer")
-    m, S = init.mean, init.cov
-    for m, S in itertools.islice(steps, int(k)):
-        pass
-    return GaussianMoments(m, 0.5 * (S + S.T))
+    w, Q = np.linalg.eigh(drift.A)
+    power, mean_sum, var_sum = em_mode_sums(eta * w, int(k))
+    mean_q = power * (Q.T @ init.mean) + eta * mean_sum * (Q.T @ drift.c)
+    S_q = np.outer(power, power) * (Q.T @ init.cov @ Q) + np.diag(eta * var_sum)
+    cov = Q @ S_q @ Q.T
+    return GaussianMoments(Q @ mean_q, 0.5 * (cov + cov.T))
 
 
 def interp_moments_linear(
@@ -225,23 +248,77 @@ def moment_ode_rk4(
     return GaussianMoments(m, 0.5 * (S + S.T))
 
 
+def _kl_terms(r, quad) -> np.ndarray:
+    """(sum over the last axis of (r - log1p r) + quad) / 2, where r are the
+    eigenvalues of the whitened covariance minus 1 and quad the whitened
+    squared mean gap; free of the cancellation in tr - d - log det."""
+    return 0.5 * (np.sum(r - np.log1p(r), axis=-1) + quad)
+
+
 def kl_gaussian(p: GaussianMoments, q: GaussianMoments) -> float:
-    """KL(p || q) = (tr(Sq^-1 Sp) + dm^T Sq^-1 dm - d + ln det Sq - ln det Sp)/2."""
+    """KL(p || q) = (sum_i (r_i - log1p r_i) + ||L^-1 dm||^2) / 2, where L is
+    the Cholesky factor of Sq and r_i the eigenvalues of L^-1 (Sp - Sq) L^-T."""
     if p.dim != q.dim:
         raise InputError("dimension mismatch")
-    if np.array_equal(p.mean, q.mean) and np.array_equal(p.cov, q.cov):
-        return 0.0
-    d = p.dim
     try:
-        trace = float(np.trace(np.linalg.solve(q.cov, p.cov)))
-        dm = q.mean - p.mean
-        quad = float(dm @ np.linalg.solve(q.cov, dm))
+        L = np.linalg.cholesky(q.cov)
     except np.linalg.LinAlgError as exc:
         raise InputError("singular covariance") from exc
-    _, logdet_p = np.linalg.slogdet(p.cov)
-    _, logdet_q = np.linalg.slogdet(q.cov)
-    val = 0.5 * (trace + quad - d + float(logdet_q) - float(logdet_p))
-    return max(val, 0.0)
+    half = solve_triangular(L, p.cov - q.cov, lower=True)
+    whitened = solve_triangular(L, half.T, lower=True)
+    r = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))
+    z = solve_triangular(L, p.mean - q.mean, lower=True)
+    return float(_kl_terms(r, z @ z))
+
+
+def kl_gaussian_diag(dm, var_p, var_q) -> np.ndarray:
+    """KL(N(dm, diag var_p) || N(0, diag var_q)) over the last axis, for
+    arrays of mean gaps and variances broadcast against each other."""
+    dm, var_p, var_q = np.broadcast_arrays(dm, var_p, var_q)
+    return _kl_terms((var_p - var_q) / var_q, np.sum(dm * dm / var_q, axis=-1))
+
+
+def w2_gaussian_diag(dm, var_p, var_q) -> np.ndarray:
+    """2-Wasserstein distance between N(dm, diag var_p) and N(0, diag var_q)
+    over the last axis."""
+    gap = np.sqrt(var_p) - np.sqrt(var_q)
+    dm, gap = np.broadcast_arrays(dm, gap)
+    return np.sqrt(np.sum(dm * dm + gap * gap, axis=-1))
+
+
+def tv_gaussian_diag(dm, var_p, var_q) -> np.ndarray:
+    """Total variation between the 1D Gaussians N(dm, var_p) and N(0, var_q);
+    the last axis is the coordinate and must have length 1.
+
+    The density log-ratio a x^2 + b x + c is quadratic, so |p - q| integrates
+    in closed form between its (at most two) zeros x1 <= x2 via the normal CDF.
+    """
+    dm, var_p, var_q = np.broadcast_arrays(
+        np.asarray(dm, float), np.asarray(var_p, float), np.asarray(var_q, float)
+    )
+    if dm.shape[-1:] != (1,):
+        raise UnsupportedError("closed-form TV implemented for 1D only")
+    dm, var_p, var_q = dm[..., 0], var_p[..., 0], var_q[..., 0]
+    a = 0.5 / var_q - 0.5 / var_p
+    b = dm / var_p
+    c = 0.5 * np.log(var_q / var_p) - 0.5 * dm * dm / var_p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        # Stable quadratic roots t/a and c/t; a double root when disc <= 0.
+        t = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        lo = np.where(disc > 0, np.minimum(t / a, c / t), -b / (2.0 * a))
+        hi = np.where(disc > 0, np.maximum(t / a, c / t), lo)
+        # Equal variances: one zero (none when the laws coincide).
+        line = np.where(b == 0, np.inf, -c / b)
+        flat = np.abs(a) < 1e-300
+        x1 = np.where(flat, line, lo)
+        x2 = np.where(flat, line, hi)
+
+    def gap_cdf(x):  # P(X <= x) - Q(X <= x)
+        return ndtr((x - dm) / np.sqrt(var_p)) - ndtr(x / np.sqrt(var_q))
+
+    d1, d2 = gap_cdf(x1), gap_cdf(x2)
+    return 0.5 * (np.abs(d1) + np.abs(d2 - d1) + np.abs(d2))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -277,48 +354,8 @@ def entropy_gaussian(p: GaussianMoments) -> float:
     return 0.5 * p.dim * (1.0 + math.log(2.0 * math.pi)) + 0.5 * float(logdet)
 
 
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def tv_gaussian_1d(p: GaussianMoments, q: GaussianMoments) -> float:
-    """Exact total variation between two 1D Gaussians.
-
-    The density log-ratio is quadratic, so |p - q| integrates in closed form
-    through the (at most two) crossing points via the normal CDF.
-    """
+    """Exact total variation between two 1D Gaussians (see tv_gaussian_diag)."""
     if p.dim != 1 or q.dim != 1:
         raise UnsupportedError("closed-form TV implemented for 1D only")
-    m1 = float(p.mean[0])
-    m2 = float(q.mean[0])
-    s1 = math.sqrt(float(p.cov[0, 0]))
-    s2 = math.sqrt(float(q.cov[0, 0]))
-    if m1 == m2 and s1 == s2:
-        return 0.0
-    a = 0.5 / s2**2 - 0.5 / s1**2
-    b = m1 / s1**2 - m2 / s2**2
-    cc = m2**2 / (2 * s2**2) - m1**2 / (2 * s1**2) + math.log(s2 / s1)
-    if abs(a) < 1e-300:
-        roots = [] if b == 0 else [-cc / b]
-    else:
-        disc = b * b - 4 * a * cc
-        if disc <= 0:
-            roots = [-b / (2 * a)]
-        else:
-            r = math.sqrt(disc)
-            roots = sorted([(-b - r) / (2 * a), (-b + r) / (2 * a)])
-    cuts = [-math.inf] + roots + [math.inf]
-
-    def cdfs(x):
-        if x == -math.inf:
-            return 0.0, 0.0
-        if x == math.inf:
-            return 1.0, 1.0
-        return _norm_cdf((x - m1) / s1), _norm_cdf((x - m2) / s2)
-
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        fp_lo, fq_lo = cdfs(lo)
-        fp_hi, fq_hi = cdfs(hi)
-        total += abs((fp_hi - fp_lo) - (fq_hi - fq_lo))
-    return 0.5 * total
+    return float(tv_gaussian_diag(p.mean - q.mean, p.cov[0], q.cov[0]))

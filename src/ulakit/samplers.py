@@ -109,12 +109,13 @@ class InitDensity:
 
 @dataclass(frozen=True)
 class SampleEnsemble:
-    """n i.i.d. chain states at a fixed time, with seed lineage."""
+    """n i.i.d. chain states at a fixed time, with seed lineage (None for
+    an ensemble read back without its sidecar)."""
 
     time: float
-    eta: float
+    eta: float | None
     points: np.ndarray
-    master_seed: int
+    master_seed: int | None
     label: str = "em"
 
     def __post_init__(self):
@@ -330,6 +331,8 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
 
 
 def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
+    """Read an ensemble CSV and its JSON sidecar (default: the same path with
+    suffix .json); without a sidecar the seed and step size are None."""
     path = Path(path)
     rows = path.read_text().strip().split("\n")
     header = rows[0].split(",")
@@ -345,8 +348,8 @@ def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
         meta = json.loads(sidecar.read_text())
     return SampleEnsemble(
         time=meta.get("time", time),
-        eta=meta.get("eta", float("nan")),
+        eta=meta.get("eta"),
         points=points,
-        master_seed=meta.get("master_seed", 0),
+        master_seed=meta.get("master_seed"),
         label=meta.get("label", "em"),
     )

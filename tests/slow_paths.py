@@ -1,0 +1,76 @@
+"""Slow reference paths that the closed forms are checked against.
+
+The forward-Euler moment recursion, stepped one matrix product at a time,
+and the mixing-scan first-crossing search done one step at a time on full
+moment matrices with the general-purpose distances.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from ulakit import bounds as bnd
+from ulakit import gaussian_analytics as ga
+from ulakit.errors import ConfigurationError
+
+
+def em_moment_steps(drift: ga.LinearDrift, init: ga.GaussianMoments, eta: float):
+    """Endless iterator over the forward-Euler moments (m_k, S_k), k = 1, 2, ...:
+    m <- (I + eta A) m + eta c and S <- (I + eta A) S (I + eta A)^T + eta I."""
+    M = np.eye(drift.dim) + eta * drift.A
+    m, S = init.mean, init.cov
+    while True:
+        m = M @ m + eta * drift.c
+        S = M @ S @ M.T + eta * np.eye(drift.dim)
+        yield m, S
+
+
+def em_moments_by_recursion(drift, init, eta, k):
+    """(m_k, S_k) after k recursion steps, unvalidated."""
+    m, S = init.mean, init.cov
+    for m, S in itertools.islice(em_moment_steps(drift, init, eta), k):
+        pass
+    return m, S
+
+
+DISTANCES = {"KL": ga.kl_gaussian, "TV": ga.tv_gaussian_1d, "W2": ga.w2_gaussian}
+KL_TOLERANCE = {
+    "KL": lambda eps, rho: eps,
+    "TV": lambda eps, rho: 2.0 * eps**2,
+    "W2": lambda eps, rho: rho * eps**2 / 2.0,
+}
+
+
+def mixing_scan_by_recursion(cfg: dict) -> list[int]:
+    """First-crossing step per eps of a mixing-scan config, one recursion step
+    and one validated GaussianMoments at a time.  Raises the errors the
+    command exits 2 on."""
+    target = ga.GaussianMoments(np.asarray(cfg["target"]["mean"], float),
+                                np.asarray(cfg["target"]["cov"], float))
+    precision = np.linalg.inv(target.cov)
+    drift = ga.LinearDrift(-0.5 * precision, 0.5 * precision @ target.mean)
+    L1 = float(np.max(np.abs(np.linalg.eigvalsh(drift.A))))
+    d = target.dim
+    var0 = np.square(float(cfg["init"]["sigma0"]))
+    mean0 = np.zeros(d) + np.asarray(cfg["init"].get("mean", 0.0), float)
+    start = ga.GaussianMoments(mean0, var0 * np.eye(d))
+    metric = cfg.get("metric", "KL").upper()
+    distance, rho = DISTANCES[metric], float(cfg["rho"])
+    max_steps = int(cfg.get("max_steps", 10**6))
+    found = []
+    for eps in cfg["eps_grid"]:
+        eta = bnd.step_size_rule(KL_TOLERANCE[metric](eps, rho), rho, d)
+        if distance(start, target) <= eps:
+            found.append(0)
+            continue
+        bnd.check_step(eta, L1)
+        steps = itertools.islice(em_moment_steps(drift, start, eta), max_steps)
+        for k, (m, S) in enumerate(steps, start=1):
+            if distance(ga.GaussianMoments(m, S), target) <= eps:
+                found.append(k)
+                break
+        else:
+            raise ConfigurationError(f"no crossing within max_steps={max_steps} for eps={eps}")
+    return found

@@ -1,10 +1,18 @@
 import json
+import resource
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ulakit import ConfigurationError, InputError, UnsupportedError, read_ensemble_csv
 from ulakit.cli import check_config_keys, main
+
+from slow_paths import mixing_scan_by_recursion
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -92,6 +100,13 @@ def test_sample_snapshots_written(tmp_path):
     sidecar = json.loads((out / "ensemble.json").read_text())
     assert [s["time"] for s in sidecar["snapshots"]] == [0.5, 1.0]
     assert (out / "snapshot_000.csv").exists()
+
+
+def test_sample_snapshot_read_back_carries_run_lineage(tmp_path):
+    code, out = run(tmp_path, "sample", dict(SAMPLE_CFG, snapshot_times=[0.5], seed=3))
+    assert code == 0
+    snap = read_ensemble_csv(out / "snapshot_000.csv")
+    assert (snap.master_seed, snap.eta, snap.time, snap.label) == (3, 0.1, 0.5, "em")
 
 
 # --- verify -------------------------------------------------------------------
@@ -227,25 +242,40 @@ def test_mixing_scan_kl_slope(tmp_path):
     assert ns == sorted(ns)
 
 
+MIX_CASES = {
+    "kl": MIX_CFG,
+    "already-mixed": dict(MIX_CFG, eps_grid=[1000.0], init={"mean": [0.1], "sigma0": 1.0}),
+    "w2": dict(MIX_CFG, metric="W2", eps_grid=[0.3, 0.1, 0.03, 0.01]),
+    "tv": dict(MIX_CFG, metric="TV", eps_grid=[0.3, 0.1, 0.03, 0.01]),
+    # sigma0^2 overflows: the moments are not finite (exit 2).
+    "non-finite-start": dict(MIX_CFG, init={"mean": [6.0], "sigma0": 1e200}),
+    "2d-non-isotropic": {
+        "target": {"mean": [0.0, 0.5], "cov": [[0.5, 0.1], [0.1, 0.8]]},
+        "rho": 0.5,
+        "metric": "KL",
+        "eps_grid": [0.1, 0.03, 0.01],
+        "init": {"mean": [4.0, -4.0], "sigma0": 1.0},
+        "seed": 1,
+    },
+}
+
+
 def test_mixing_scan_already_mixed_gives_zero(tmp_path):
-    cfg = dict(MIX_CFG, eps_grid=[1000.0], init={"mean": [0.1], "sigma0": 1.0})
-    code, out = run(tmp_path, "mixing-scan", cfg)
+    code, out = run(tmp_path, "mixing-scan", MIX_CASES["already-mixed"])
     assert code == 0
     rep = json.loads((out / "mixing_scan.json").read_text())
     assert rep["records"][0]["n_measured"] == 0
 
 
 def test_mixing_scan_w2_metric(tmp_path):
-    cfg = dict(MIX_CFG, metric="W2", eps_grid=[0.3, 0.1, 0.03, 0.01])
-    code, out = run(tmp_path, "mixing-scan", cfg)
+    code, out = run(tmp_path, "mixing-scan", MIX_CASES["w2"])
     assert code == 0
     rep = json.loads((out / "mixing_scan.json").read_text())
     assert -1.3 <= rep["fit"]["slope"] <= -0.8
 
 
 def test_mixing_scan_tv_metric(tmp_path):
-    cfg = dict(MIX_CFG, metric="TV", eps_grid=[0.3, 0.1, 0.03, 0.01])
-    code, out = run(tmp_path, "mixing-scan", cfg)
+    code, out = run(tmp_path, "mixing-scan", MIX_CASES["tv"])
     assert code == 0
     rep = json.loads((out / "mixing_scan.json").read_text())
     ns = [r["n_measured"] for r in rep["records"]]
@@ -260,19 +290,39 @@ def test_mixing_scan_missing_rho_is_config_error(tmp_path):
 
 
 def test_mixing_scan_2d_target(tmp_path):
-    cfg = {
-        "target": {"mean": [0.0, 0.5], "cov": [[0.5, 0.1], [0.1, 0.8]]},
-        "rho": 0.5,
-        "metric": "KL",
-        "eps_grid": [0.1, 0.03, 0.01],
-        "init": {"mean": [4.0, -4.0], "sigma0": 1.0},
-        "seed": 1,
-    }
-    code, out = run(tmp_path, "mixing-scan", cfg)
+    code, out = run(tmp_path, "mixing-scan", MIX_CASES["2d-non-isotropic"])
     assert code == 0
     rep = json.loads((out / "mixing_scan.json").read_text())
     ns = [r["n_measured"] for r in rep["records"]]
     assert ns == sorted(ns) and ns[-1] > ns[0] > 0
+
+
+def test_mixing_scan_non_finite_moments_exit_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "mixing-scan", MIX_CASES["non-finite-start"])
+    assert code == 2
+    assert "not finite positive-definite at step 1" in capsys.readouterr().err
+
+
+def test_mixing_scan_below_bias_floor_exits_2_in_bounded_memory(tmp_path, capsys):
+    # rho near 1 makes the rule's step so large that the chain's stationary
+    # KL bias (about d eta^2 / 16) stays far above eps: there is no crossing.
+    d = 8
+    cfg = {
+        "target": {"mean": [0.0] * d, "cov": (0.5 * np.eye(d)).tolist()},
+        "rho": 0.99, "metric": "KL", "eps_grid": [1e-5],
+        "init": {"mean": [1.0] * d, "sigma0": 1.0},
+    }
+    assert run(tmp_path, "mixing-scan", dict(cfg, max_steps=10**4), out="short")[0] == 2
+    peak_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t0 = time.perf_counter()
+    code, _ = run(tmp_path, "mixing-scan", dict(cfg, max_steps=10**6), out="long")
+    elapsed = time.perf_counter() - t0
+    grown_mb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_before) / 1024.0
+    assert code == 2
+    assert "no crossing within max_steps=1000000" in capsys.readouterr().err
+    assert elapsed < 2.0
+    # One array over all 10^6 steps would take 64 MB.
+    assert grown_mb < 16.0
 
 
 def test_mixing_scan_tv_rejected_beyond_1d(tmp_path):
@@ -549,6 +599,35 @@ def test_bad_config_keys_exit_2_before_any_output(tmp_path, capsys, command, cfg
     assert not out.exists()
 
 
+INPUTS_PQ = {"p": "p.csv", "q": "q.csv"}
+# (command, a config with one misspelled nested key, that key)
+MISSPELLED_NESTED = [
+    ("rate-scan", dict(RATE_CFG, bands={"exact_slop": [5, 6]}), "exact_slop"),
+    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slop": [-1, 0]}), "mixing_slop"),
+    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slope": {"kl": [-1, 0]}}), "kl"),
+    ("verify", dict(VERIFY_CFG, init={"means": [0.0], "sigma0": 1.0}), "means"),
+    ("sample", dict(SAMPLE_CFG, model={"name": "ou", "param": {"dim": 1}}), "param"),
+    ("bound-eval", dict(BOUND_CFG, bands={"sweep_slop": [0, 1]}), "sweep_slop"),
+    ("estimate", {"estimator": "knn_kl", "inputs": INPUTS_PQ, "params": {"kk": 1}}, "kk"),
+    ("estimate", {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ, "params": {"k": 5}}, "k"),
+    ("estimate", {"estimator": "tv_histogram", "inputs": INPUTS_PQ, "params": {"bins": 16}}, "bins"),
+    ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"q": 2}}, "q"),
+    ("estimate", dict(GIRSANOV_CFG, params={"quad_points": 4}), "quad_points"),
+    ("estimate", dict(RATE_FIT_CFG, params={"slope": 2}), "slope"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [pytest.param(*case, id=f"{case[1].get('estimator', case[0])}-{case[2]}") for case in MISSPELLED_NESTED],
+)
+def test_misspelled_nested_key_exits_2_before_any_output(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 # verify fails dissipativity, by design, on the drifts without inward pull.
 CONFIG_EXIT = {"verify.zero.json": 1, "verify.expansive.json": 1}
@@ -574,3 +653,50 @@ def test_checked_in_config_keys_are_declared(path):
 def test_cheap_checked_in_config_runs(tmp_path, path):
     code = main([_command(path), "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == CONFIG_EXIT.get(path.name, 0)
+
+
+# --- mixing-scan against the per-step recursion -------------------------------------
+
+
+def assert_mixing_scan_matches_recursion(tmp_path, cfg):
+    """The closed-form block search finds the same first-crossing step for
+    every eps as stepping the moment recursion, or fails where it fails."""
+    try:
+        want = mixing_scan_by_recursion(cfg)
+    except (ConfigurationError, InputError, UnsupportedError):
+        want = None
+    code, out = run(tmp_path, "mixing-scan", cfg)
+    if want is None:
+        assert code == 2
+        return
+    assert code in (0, 1)
+    records = json.loads((out / "mixing_scan.json").read_text())["records"]
+    assert [r["n_measured"] for r in records] == want
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [pytest.param(json.loads(p.read_text()), id=p.name) for p in CONFIGS if _command(p) == "mixing-scan"]
+    + [pytest.param(cfg, id=name) for name, cfg in MIX_CASES.items()],
+)
+def test_mixing_scan_matches_per_step_recursion(tmp_path, cfg):
+    assert_mixing_scan_matches_recursion(tmp_path, cfg)
+
+
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 3), metric=st.sampled_from(["KL", "TV", "W2"]))
+@settings(max_examples=25)
+def test_mixing_scan_matches_per_step_recursion_on_drawn_targets(seed, d, metric):
+    rng = np.random.default_rng(seed)
+    d = 1 if metric == "TV" else d
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    cov = (Q * rng.uniform(0.2, 2.0, d)) @ Q.T
+    cfg = {
+        "target": {"mean": rng.uniform(-1.0, 1.0, d).tolist(), "cov": (0.5 * (cov + cov.T)).tolist()},
+        "rho": float(rng.uniform(0.1, 0.9)),
+        "metric": metric,
+        "eps_grid": sorted(rng.uniform(0.005, 0.3, 2).tolist(), reverse=True),
+        "init": {"mean": rng.uniform(-4.0, 4.0, d).tolist(), "sigma0": float(rng.uniform(0.3, 2.0))},
+        "max_steps": 3000,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_mixing_scan_matches_recursion(Path(tmp), cfg)

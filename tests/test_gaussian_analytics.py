@@ -22,6 +22,9 @@ from ulakit import (
     tv_gaussian_1d,
     w2_gaussian,
 )
+from ulakit.gaussian_analytics import kl_gaussian_diag, tv_gaussian_diag, w2_gaussian_diag
+
+from slow_paths import em_moments_by_recursion
 
 # --- independent test-side oracles -----------------------------------------
 
@@ -229,6 +232,64 @@ def test_em_zero_drift_matches_heat_flow():
     assert np.allclose(out.cov, 3.0 * np.eye(2), atol=1e-15)
 
 
+# Per-step factors lam = 1 + eta w: anywhere in [-1.5, 1.5] (negative, zero and
+# positive w), plus the exact edge cases lam = 0, -1 (steps outside the window)
+# and 1 (w = 0).
+STEP_FACTORS = st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, -1.0, 1.0]))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    lams=st.lists(STEP_FACTORS, min_size=1, max_size=4),
+    eta=st.one_of(st.sampled_from([1.0, 0.5, 0.125]), st.floats(0.01, 1.0)),
+    k=st.integers(0, 2000),
+)
+def test_em_closed_form_matches_recursion(seed, lams, eta, k):
+    rng = np.random.default_rng(seed)
+    d = len(lams)
+    w = (np.asarray(lams) - 1.0) / eta
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    A = (Q * w) @ Q.T
+    drift = LinearDrift(0.5 * (A + A.T), rng.standard_normal(d))
+    init = GaussianMoments(rng.standard_normal(d), random_spd(rng, d, rng.uniform(0.1, 2.0)))
+    # Growing modes: keep |lam|^(2k) <= 1e8, so the covariance stays well
+    # conditioned enough to be positive definite in floating point.
+    top = max(abs(x) for x in lams)
+    if top > 1.0:
+        k = min(k, int(4 / math.log10(top)))
+    m, S = em_moments_by_recursion(drift, init, eta, k)
+    out = em_moments_linear(drift, init, eta, k)
+    assert np.max(np.abs(out.mean - m)) <= 1e-9 * (np.max(np.abs(m)) + 1.0)
+    assert np.max(np.abs(out.cov - S)) <= 1e-9 * np.max(np.abs(S))
+
+
+def test_em_closed_form_d50_long_run_matches_scalar_modes():
+    rng = np.random.default_rng(50)
+    d, eta, k = 50, 6.25e-5, 32_000
+    w = rng.uniform(-1.5, -0.05, d)
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    A = (Q * w) @ Q.T
+    c, m0, v0 = rng.standard_normal(d), rng.standard_normal(d), rng.uniform(0.2, 2.0, d)
+    init = GaussianMoments(Q @ m0, (Q * v0) @ Q.T)
+    out = em_moments_linear(LinearDrift(0.5 * (A + A.T), Q @ c), init, eta, k)
+    mean_q, cov_q = Q.T @ out.mean, Q.T @ out.cov @ Q
+    for i in range(d):
+        lam = 1.0 + eta * w[i]
+        p = lam**k
+        mean = p * m0[i] + eta * c[i] * (1.0 - p) / (1.0 - lam)
+        var = p * p * v0[i] + eta * (1.0 - p * p) / (1.0 - lam * lam)
+        assert mean_q[i] == pytest.approx(mean, rel=1e-9, abs=1e-12)
+        assert cov_q[i, i] == pytest.approx(var, rel=1e-9)
+    assert np.max(np.abs(cov_q - np.diag(np.diag(cov_q)))) < 1e-12
+
+
+def test_em_step_outside_window_flips_sign():
+    ld = LinearDrift([[-3.0]], [0.0])  # lam = 1 - 3 * 0.5 = -0.5
+    out = em_moments_linear(ld, GaussianMoments([1.0], [[1.0]]), 0.5, 3)
+    assert out.mean[0] == pytest.approx(-0.125, abs=1e-15)
+    assert out.cov[0, 0] == pytest.approx(0.5**6 + 0.5 * (1 + 0.25 + 0.0625), abs=1e-15)
+
+
 # --- within-step interpolation ----------------------------------------------
 
 
@@ -309,6 +370,63 @@ def test_kl_quadrature_agreement_random_pairs():
         p = GaussianMoments([rng.uniform(-2, 2)], [[rng.uniform(0.2, 3.0)]])
         q = GaussianMoments([rng.uniform(-2, 2)], [[rng.uniform(0.2, 3.0)]])
         assert kl_gaussian(p, q) == pytest.approx(kl_quadrature_1d(p, q), abs=1e-8)
+
+
+def test_kl_has_no_cancellation_near_equal_covariances():
+    # tr - d - log det cancels to nothing at this scale; the whitened
+    # eigenvalue form keeps every digit: KL = d (r - log1p r) / 2.
+    d, r = 20, 1e-9
+    p = GaussianMoments(np.zeros(d), (1.0 + r) * np.eye(d))
+    q = GaussianMoments(np.zeros(d), np.eye(d))
+    assert kl_gaussian(p, q) == pytest.approx(d * (r - math.log1p(r)) / 2, rel=1e-6)
+    assert kl_gaussian(q, p) > 0.0
+
+
+def test_rate_scan_d50_kl_matches_50_digit_reference():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(5)
+    mean0 = rng.uniform(-1.0, 1.0, 50)
+    drift = LinearDrift(-np.eye(50), np.zeros(50))
+    init = GaussianMoments(mean0, np.eye(50))
+    norm2 = sum(mp.mpf(float(x)) ** 2 for x in mean0)
+    for eta in (1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5):
+        k = int(math.floor(2.0 / eta + 1e-9))
+        kl = kl_gaussian(em_moments_linear(drift, init, eta, k),
+                         continuous_moments_linear(drift, init, k * eta))
+        lam, t = 1 - mp.mpf(eta), mp.mpf(k * eta)
+        v_em = lam ** (2 * k) + mp.mpf(eta) * (1 - lam ** (2 * k)) / (1 - lam**2)
+        v_ct = mp.exp(-2 * t) + (1 - mp.exp(-2 * t)) / 2
+        ratio = v_em / v_ct
+        want = 25 * (ratio - 1 - mp.log(ratio)) + (lam**k - mp.exp(-t)) ** 2 * norm2 / (2 * v_ct)
+        assert abs(kl - want) <= 1e-9 * want
+
+
+@given(st.integers(0, 10_000))
+def test_diag_kernels_match_full_matrix_distances(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    dm = rng.standard_normal(d)
+    vp, vq = rng.uniform(0.1, 3.0, d), rng.uniform(0.1, 3.0, d)
+    p, q = GaussianMoments(dm, np.diag(vp)), GaussianMoments(np.zeros(d), np.diag(vq))
+    assert kl_gaussian_diag(dm, vp, vq) == pytest.approx(kl_gaussian(p, q), rel=1e-12)
+    assert w2_gaussian_diag(dm, vp, vq) == pytest.approx(w2_gaussian(p, q), rel=1e-9)
+    # Rows are independent evaluations.
+    rows = kl_gaussian_diag(np.stack([dm, 2 * dm]), vp, vq)
+    assert rows[1] == pytest.approx(kl_gaussian(GaussianMoments(2 * dm, np.diag(vp)), q), rel=1e-12)
+    if d == 1:
+        assert tv_gaussian_diag(dm, vp, vq) == pytest.approx(tv_gaussian_1d(p, q), abs=1e-15)
+
+
+def test_tv_diag_rejects_more_than_one_coordinate():
+    with pytest.raises(UnsupportedError):
+        tv_gaussian_diag(np.zeros(2), np.ones(2), np.ones(2))
+
+
+def test_tv_equal_variances_and_identical_laws():
+    assert tv_gaussian_diag([0.0], [1.0], [1.0]) == 0.0
+    # Equal variances: TV = 2 Phi(|dm| / 2) - 1.
+    assert tv_gaussian_diag([1.0], [1.0], [1.0]) == pytest.approx(math.erf(0.5 / math.sqrt(2)), abs=1e-15)
 
 
 @given(st.integers(0, 10_000))

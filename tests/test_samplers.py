@@ -283,3 +283,11 @@ def test_csv_round_trip(tmp_path):
     first = csv.read_bytes()
     write_ensemble_csv(ens, csv)
     assert csv.read_bytes() == first
+
+
+def test_csv_without_sidecar_has_no_lineage(tmp_path):
+    ens = simulate_ensemble(OU1, STD_INIT, 0.1, 0.5, 5, master_seed=47)
+    write_ensemble_csv(ens, tmp_path / "ens.csv")
+    back = read_ensemble_csv(tmp_path / "ens.csv")
+    assert back.master_seed is None and back.eta is None
+    assert back.time == ens.time
