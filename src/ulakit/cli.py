@@ -573,6 +573,10 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+# Sidecar fields each CSV input's entry in estimate.json's inputs_lineage carries.
+LINEAGE_FIELDS = ("master_seed", "eta", "time", "label", "chain_count")
+
+
 def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
     name = resolved["estimator"]
     params = dict(resolved.get("params", {}))
@@ -585,12 +589,16 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
         base = Path(args.config).parent
         resolved["inputs"] = {k: str((base / p).resolve()) for k, p in resolved["inputs"].items()}
     inputs = resolved.get("inputs", {})
+    lineage = {}
 
     def load(key):
         if key not in inputs:
             raise ConfigurationError(f"estimator {name!r} needs input {key!r}")
         if not Path(inputs[key]).is_file():
             raise ConfigurationError(f"estimator input {key!r} not found: {inputs[key]}")
+        # Lineage comes from the input's sidecar alone: null where it has none.
+        meta = sp.read_ensemble_sidecar(inputs[key])
+        lineage[key] = {f: meta.get(f) for f in LINEAGE_FIELDS}
         return sp.read_ensemble_csv(inputs[key])
 
     if name == "knn_kl":
@@ -618,7 +626,9 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
         raise ConfigurationError(f"unknown estimator {name!r}")
 
     claims = [{"name": "estimate", "pass": bool(np.isfinite(value)), "detail": f"{name}={value:.6g}"}]
-    return Outcome({"estimator": name, "parameters": params, "value": value}, claims)
+    return Outcome(
+        {"estimator": name, "parameters": params, "value": value, "inputs_lineage": lineage}, claims
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,11 @@ def verify_init(density) -> InitCertificate:
     s = float(sigma0)
     if s <= 0:
         raise InputError("sigma0 must be positive")
+    s2 = s * s
+    if not 0.0 < s2 < math.inf:
+        raise InputError(f"sigma0^2 = {s!r}^2 is not a finite positive number")
     d = m.size
-    h0 = 0.5 * d * math.log(2.0 * math.pi * s * s) + float(m @ m) / (s * s)
+    h0 = 0.5 * d * math.log(2.0 * math.pi * s2) + float(m @ m) / s2
     sigma = s * math.sqrt(2.0) if not np.any(m != 0.0) else s
     return InitCertificate(h0=h0, sigma=sigma)
 

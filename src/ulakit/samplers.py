@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,20 @@ SUB_INIT = 1
 SUB_QUAD_BASE = 2
 MAX_QUAD_POINTS = NUM_SUBSTREAMS - SUB_QUAD_BASE
 
+_WORD = (1 << 64) - 1
+# One Philox generator per thread, rekeyed on every call, so no call sees
+# another's state.
+_philox = threading.local()
+
+
+def _philox_generator() -> np.random.Generator:
+    """This thread's reusable generator: building one per call would pull OS
+    entropy that the rekeying discards."""
+    gen = getattr(_philox, "gen", None)
+    if gen is None:
+        gen = _philox.gen = np.random.Generator(np.random.Philox())
+    return gen
+
 
 def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -> np.ndarray:
     """Standard-normal block of shape (n, dim) for one (step, substream).
@@ -48,7 +63,14 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
     if not 0 <= substream < NUM_SUBSTREAMS:
         raise InputError(f"substream must be in [0, {NUM_SUBSTREAMS})")
     offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=offset))
+    gen = _philox_generator()
+    # Key, counter and an emptied output buffer: the state of a fresh
+    # Philox(key=seed, counter=offset).
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(offset >> s) & _WORD for s in (0, 64, 128, 192)], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     u = gen.random((n, dim)) + 2.0**-54
     return ndtri(u)
 
@@ -87,21 +109,33 @@ class InitDensity:
         return self.mean.size
 
     @property
+    def variance(self) -> float:
+        """sigma0^2; InputError when it overflows or underflows to zero."""
+        try:
+            s2 = self.sigma0**2
+        except OverflowError:
+            s2 = math.inf
+        if not 0.0 < s2 < math.inf:
+            raise InputError(f"sigma0^2 = {self.sigma0!r}^2 is not a finite positive number")
+        return s2
+
+    @property
     def h0(self) -> float:
-        s2 = self.sigma0**2
+        s2 = self.variance
         return 0.5 * self.dim * math.log(2.0 * math.pi * s2) + float(self.mean @ self.mean) / s2
 
     @property
     def entropy(self) -> float:
-        return 0.5 * self.dim * (1.0 + math.log(2.0 * math.pi * self.sigma0**2))
+        return 0.5 * self.dim * (1.0 + math.log(2.0 * math.pi * self.variance))
 
     def moments(self) -> GaussianMoments:
-        return GaussianMoments(self.mean, self.sigma0**2 * np.eye(self.dim))
+        return GaussianMoments(self.mean, self.variance * np.eye(self.dim))
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         d2 = np.sum((x - self.mean) ** 2, axis=-1)
-        return -0.5 * self.dim * math.log(2.0 * math.pi * self.sigma0**2) - d2 / (2.0 * self.sigma0**2)
+        s2 = self.variance
+        return -0.5 * self.dim * math.log(2.0 * math.pi * s2) - d2 / (2.0 * s2)
 
     def sample(self, n: int, master_seed: int) -> np.ndarray:
         return self.mean + self.sigma0 * noise_block(master_seed, -1, SUB_INIT, n, self.dim)
@@ -286,8 +320,13 @@ def fine_reference_ensemble(
 # ---------------------------------------------------------------------------
 
 
+FLOAT_FORMAT = "%.17g"
+# Rows per formatted block of write_ensemble_csv, which bounds its memory.
+CSV_CHUNK_ROWS = 16384
+
+
 def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+    return FLOAT_FORMAT % float(x)
 
 
 def write_json(path, payload: dict) -> None:
@@ -303,15 +342,22 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
-    path = Path(path)
-    d = ensemble.dim
-    header = "chain," + ",".join(f"coord{j}" for j in range(d)) + ",time"
-    lines = [header]
-    t = _fmt(ensemble.time)
-    for i in range(ensemble.chain_count):
-        coords = ",".join(_fmt(v) for v in ensemble.points[i])
-        lines.append(f"{i},{coords},{t}")
-    path.write_text("\n".join(lines) + "\n")
+    """Write the ensemble as chain,coord0..coord{d-1},time rows, formatting
+    CSV_CHUNK_ROWS rows at a time with one row template per block."""
+    d, n = ensemble.dim, ensemble.chain_count
+    header = "chain," + ",".join(f"coord{j}" for j in range(d)) + ",time\n"
+    row = "%d," + ",".join([FLOAT_FORMAT] * d) + "," + _fmt(ensemble.time) + "\n"
+    with Path(path).open("w") as fh:
+        fh.write(header)
+        for a in range(0, n, CSV_CHUNK_ROWS):
+            block = ensemble.points[a : a + CSV_CHUNK_ROWS]
+            rows = block.shape[0]
+            # Row-major template arguments: chain index, then the d coordinates.
+            args = [None] * (rows * (d + 1))
+            args[:: d + 1] = range(a, a + rows)
+            for j in range(d):
+                args[j + 1 :: d + 1] = block[:, j].tolist()
+            fh.write((row * rows) % tuple(args))
 
 
 def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | None = None, extra: dict | None = None) -> None:
@@ -330,26 +376,52 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
     write_json(path, payload)
 
 
-def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
-    """Read an ensemble CSV and its JSON sidecar (default: the same path with
-    suffix .json); without a sidecar the seed and step size are None."""
-    path = Path(path)
-    rows = path.read_text().strip().split("\n")
-    header = rows[0].split(",")
-    if header[0] != "chain" or header[-1] != "time":
-        raise InputError(f"{path} is not an ensemble CSV")
-    d = len(header) - 2
-    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    points = data[:, 1 : 1 + d]
-    time = float(data[0, -1]) if len(data) else 0.0
-    meta = {}
-    sidecar = Path(sidecar_path) if sidecar_path else path.with_suffix(".json")
-    if sidecar.exists():
+def read_ensemble_sidecar(path, sidecar_path=None) -> dict:
+    """The JSON sidecar of an ensemble CSV (default: the same path with suffix
+    .json); {} when there is none, InputError when it is not a JSON object."""
+    sidecar = Path(sidecar_path) if sidecar_path else Path(path).with_suffix(".json")
+    if not sidecar.exists():
+        return {}
+    try:
         meta = json.loads(sidecar.read_text())
+    except ValueError as exc:
+        raise InputError(f"{sidecar} is not a JSON sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise InputError(f"{sidecar} is not a JSON sidecar: not an object")
+    return meta
+
+
+def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
+    """Read an ensemble CSV and its JSON sidecar; without a sidecar the seed
+    and step size are None.
+
+    A file that is not an ensemble CSV, has no data rows, or has a blank,
+    ragged, commented or non-numeric row raises InputError naming it.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        header = fh.readline().decode("ascii", "replace").rstrip("\r\n").split(",")
+        # loadtxt skips blank lines, so count the rows it must return.
+        lines = sum(1 for _ in fh)
+    d = len(header) - 2
+    if d < 1 or header[0] != "chain" or header[-1] != "time":
+        raise InputError(f"{path} is not an ensemble CSV")
+    if lines == 0:
+        raise InputError(f"{path} has no data rows")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if data.shape != (lines, d + 2):
+        raise InputError(
+            f"{path}: {lines} data lines under a {d + 2}-column header, "
+            f"but {data.shape[0]} rows of {data.shape[1]} fields parsed"
+        )
+    meta = read_ensemble_sidecar(path, sidecar_path)
     return SampleEnsemble(
-        time=meta.get("time", time),
+        time=meta.get("time", float(data[0, -1])),
         eta=meta.get("eta"),
-        points=points,
+        points=data[:, 1 : 1 + d],
         master_seed=meta.get("master_seed"),
         label=meta.get("label", "em"),
     )

@@ -1,19 +1,24 @@
-"""Slow reference paths that the closed forms are checked against.
+"""Slow reference paths that the closed forms and fast paths are checked against.
 
-The forward-Euler moment recursion, stepped one matrix product at a time,
-and the mixing-scan first-crossing search done one step at a time on full
-moment matrices with the general-purpose distances.
+The forward-Euler moment recursion, stepped one matrix product at a time;
+the mixing-scan first-crossing search done one step at a time on full
+moment matrices with the general-purpose distances; the noise block drawn
+from a freshly built Philox generator; and the ensemble CSV written and read
+one value at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtri
 
 from ulakit import bounds as bnd
 from ulakit import gaussian_analytics as ga
 from ulakit.errors import ConfigurationError
+from ulakit.samplers import NUM_SUBSTREAMS
 
 
 def em_moment_steps(drift: ga.LinearDrift, init: ga.GaussianMoments, eta: float):
@@ -74,3 +79,29 @@ def mixing_scan_by_recursion(cfg: dict) -> list[int]:
         else:
             raise ConfigurationError(f"no crossing within max_steps={max_steps} for eps={eps}")
     return found
+
+
+def noise_block_fresh_philox(master_seed, step, substream, n, dim):
+    """The noise block from a Philox generator built for this one call."""
+    offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(master_seed), counter=offset))
+    return ndtri(gen.random((n, dim)) + 2.0**-54)
+
+
+def write_ensemble_csv_per_value(points, time, path) -> None:
+    """The ensemble CSV formatted one value at a time with "%.17g"."""
+    d = points.shape[1]
+    lines = ["chain," + ",".join(f"coord{j}" for j in range(d)) + ",time"]
+    t = "%.17g" % float(time)
+    for i in range(points.shape[0]):
+        coords = ",".join("%.17g" % float(v) for v in points[i])
+        lines.append(f"{i},{coords},{t}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_ensemble_csv_per_value(path):
+    """(points, time) of an ensemble CSV, parsed one value at a time with float()."""
+    rows = Path(path).read_text().strip().split("\n")
+    d = len(rows[0].split(",")) - 2
+    data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    return data[:, 1 : 1 + d], float(data[0, -1])

@@ -419,6 +419,56 @@ def test_estimate_inputs_not_a_map_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_estimate_reports_input_lineage_from_sidecars(tmp_path):
+    code, out = run(tmp_path, "sample", dict(SAMPLE_CFG, chains=500, seed=5), out="ens")
+    assert code == 0
+    # The same CSV without its sidecar: no lineage, same value.
+    bare = tmp_path / "bare" / "ensemble.csv"
+    bare.parent.mkdir()
+    bare.write_bytes((out / "ensemble.csv").read_bytes())
+    reports = []
+    for csv in (out / "ensemble.csv", bare):
+        cfg = {"estimator": "moment_estimate", "inputs": {"samples": str(csv)}, "params": {"p": 2}}
+        code, est_out = run(tmp_path, "estimate", cfg, out=f"est_{csv.parent.name}")
+        assert code == 0
+        reports.append(json.loads((est_out / "estimate.json").read_text()))
+    assert reports[0]["inputs_lineage"] == {
+        "samples": {"master_seed": 5, "eta": 0.1, "time": 1.0, "label": "em", "chain_count": 500},
+    }
+    assert reports[1]["inputs_lineage"] == {
+        "samples": dict.fromkeys(["master_seed", "eta", "time", "label", "chain_count"]),
+    }
+    assert reports[0]["value"] == reports[1]["value"]
+
+
+ENSEMBLE_HEAD = "chain,coord0,time\n"
+MALFORMED_CSVS = {
+    "header-only": ENSEMBLE_HEAD,
+    "ragged": ENSEMBLE_HEAD + "0,1.5,1\n1,2.5\n",
+    "non-numeric": ENSEMBLE_HEAD + "0,1.5,1\n1,abc,1\n",
+    "blank-line": ENSEMBLE_HEAD + "0,1.5,1\n\n1,2.5,1\n",
+    "comment-line": ENSEMBLE_HEAD + "0,1.5,1\n# 1,2.5,1\n1,2.5,1\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CSVS))
+def test_estimate_malformed_input_csv_exits_2(tmp_path, capsys, case):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(MALFORMED_CSVS[case])
+    code, _ = run(tmp_path, "estimate", {"estimator": "moment_estimate", "inputs": {"samples": str(csv)}})
+    assert code == 2
+    assert str(csv) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", ['{"master_seed": 1,', "[1, 2]"])
+def test_estimate_malformed_sidecar_exits_2(tmp_path, capsys, sidecar):
+    assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
+    (tmp_path / "ens" / "ensemble.json").write_text(sidecar)
+    code, _ = run(tmp_path, "estimate", {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensemble.csv"}})
+    assert code == 2
+    assert "ensemble.json" in capsys.readouterr().err
+
+
 def test_estimate_unknown_estimator(tmp_path):
     code, _ = run(tmp_path, "estimate", {"estimator": "mmd", "inputs": {}})
     assert code == 2
@@ -533,6 +583,18 @@ GIRSANOV_CFG = {
 RATE_FIT_CFG = {"estimator": "rate_fit", "points": [[0.1, 0.01], [0.05, 0.0025], [0.025, 0.000625]]}
 # The estimate config sits in tmp_path; its input path is relative to it.
 ESTIMATE_CFG = {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensemble.csv"}, "params": {"p": 2}}
+
+
+# sigma0^2 overflows (1e200) or underflows to 0 (1e-200).
+@pytest.mark.parametrize("command, cfg", [
+    ("rate-scan", dict(RATE_CFG, init={"mean": [1.0], "sigma0": 1e200})),
+    ("verify", dict(VERIFY_CFG, init={"mean": [0.0], "sigma0": 1e-200})),
+])
+def test_init_variance_outside_float_range_exits_2(tmp_path, capsys, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "sigma0" in capsys.readouterr().err
+
 
 RERUN_CASES = {
     "rate-scan": RATE_CFG,

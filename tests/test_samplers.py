@@ -1,8 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ulakit import samplers as sp
 from ulakit import (
     ConfigurationError,
     DivergenceError,
@@ -20,9 +26,12 @@ from ulakit import (
     read_ensemble_csv,
     simulate_ensemble,
     step_size_window,
+    verify_init,
     write_ensemble_csv,
     write_ensemble_sidecar,
 )
+
+from slow_paths import noise_block_fresh_philox, read_ensemble_csv_per_value, write_ensemble_csv_per_value
 
 OU1 = make_model("ou", dim=1)
 STD_INIT = InitDensity(mean=[0.0], sigma0=1.0)
@@ -112,6 +121,20 @@ def test_noise_block_purity():
     assert not np.array_equal(noise_block(9, 3, 1, 25, 2), b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    step=st.integers(-1, 2**40),
+    substream=st.integers(0, sp.NUM_SUBSTREAMS - 1),
+    n=st.integers(1, 50),
+    dim=st.integers(1, 4),
+)
+def test_noise_block_matches_fresh_philox(seed, step, substream, n, dim):
+    # Successive examples share this thread's rekeyed generator.
+    want = noise_block_fresh_philox(seed, step, substream, n, dim)
+    assert noise_block(seed, step, substream, n, dim).tobytes() == want.tobytes()
+
+
 def test_seed_validation():
     with pytest.raises(InputError):
         simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 10, master_seed=-1)
@@ -129,6 +152,15 @@ def test_init_density_validation_and_derived_quantities():
     assert init.entropy == pytest.approx(1 + math.log(8 * math.pi))
     m = init.moments()
     assert np.allclose(m.cov, 4.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("sigma0", [1e200, 1e-200])
+def test_init_variance_outside_float_range_is_input_error(sigma0):
+    # sigma0^2 overflows (1e200) or underflows to 0 (1e-200).
+    init = InitDensity(mean=[0.0], sigma0=sigma0)
+    for derived in (lambda: init.h0, lambda: init.entropy, init.moments, lambda: verify_init(init)):
+        with pytest.raises(InputError, match="sigma0"):
+            derived()
 
 
 # --- ensemble moments vs oracles -------------------------------------------------
@@ -276,7 +308,8 @@ def test_csv_round_trip(tmp_path):
     write_ensemble_csv(ens, csv)
     write_ensemble_sidecar(ens, tmp_path / "ens.json", model=OU1)
     back = read_ensemble_csv(csv)
-    assert np.allclose(back.points, ens.points)
+    assert back.points.tobytes() == ens.points.tobytes()
+    assert back.time == ens.time
     assert back.eta == ens.eta
     assert back.master_seed == ens.master_seed
     # byte-identical rewrite
@@ -291,3 +324,56 @@ def test_csv_without_sidecar_has_no_lineage(tmp_path):
     back = read_ensemble_csv(tmp_path / "ens.csv")
     assert back.master_seed is None and back.eta is None
     assert back.time == ens.time
+
+
+def _tie_17():
+    """Doubles k / 2^j whose exact decimal expansion has 18 significant
+    digits ending in 5: "%.17g" must round them half to even."""
+    return st.integers(2, 25).flatmap(
+        lambda j: st.integers(
+            math.ceil(10**17 / 5**j) // 2, (min(2**53 - 1, (10**18 - 1) // 5**j) - 1) // 2
+        ).map(lambda h: (2 * h + 1) / 2**j)
+    )
+
+
+CSV_SPECIAL = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1e308, -1e308, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3]
+)
+CSV_FLOATS = st.one_of(
+    CSV_SPECIAL,
+    _tie_17(),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    chunk=st.sampled_from([1, 2, 7, sp.CSV_CHUNK_ROWS]),
+    # n = blocks * chunk + extra: 1, chunk - 1, chunk, chunk + 1, 2 chunk + 3
+    rows=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]),
+    values=st.lists(CSV_FLOATS, min_size=1, max_size=40),
+    time=CSV_FLOATS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_io_matches_per_value_oracle(d, chunk, rows, values, time, seed):
+    blocks, extra = rows
+    n = max(1, blocks * chunk + extra)
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-20, 20, (n, d))
+    flat = points.reshape(-1)
+    at = rng.choice(flat.size, size=min(len(values), flat.size), replace=False)
+    flat[at] = values[: at.size]
+    ens = sp.SampleEnsemble(time=time, eta=0.1, points=points, master_seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        with mock.patch.object(sp, "CSV_CHUNK_ROWS", chunk):
+            write_ensemble_csv(ens, new)
+        write_ensemble_csv_per_value(points, time, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = read_ensemble_csv(new)
+        want_points, want_time = read_ensemble_csv_per_value(old)
+    assert back.points.tobytes() == points.tobytes() == want_points.tobytes()
+    assert np.float64(back.time).tobytes() == np.float64(time).tobytes() == np.float64(want_time).tobytes()
