@@ -14,7 +14,7 @@ step-size / mixing-time scalings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -59,6 +59,7 @@ class BoundConstants:
                 raise InputError(f"{name} must be finite and nonnegative")
         if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
             raise InputError("sigma0 must be positive")
+        finite_square(self.sigma0, "sigma0")
         for name in ("h0", "entropy0"):
             if not np.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite")
@@ -81,11 +82,7 @@ class BoundConstants:
 
     @staticmethod
     def from_dict(d: dict) -> "BoundConstants":
-        known = {
-            "L1", "L2", "A0", "sigma0", "h0", "entropy0",
-            "mu", "beta", "rho", "f0", "c0", "c1",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(BoundConstants)}
         if unknown:
             raise ConfigurationError("unknown constants: " + ", ".join(sorted(unknown)))
         required = ["L1", "L2", "A0", "sigma0", "h0", "entropy0"]
@@ -105,6 +102,15 @@ class BoundConstants:
             if v is not None:
                 out[k] = v
         return out
+
+
+def finite_square(value: float, name: str) -> float:
+    """value^2; InputError naming the value when it overflows or underflows
+    to zero."""
+    sq = float(value) * float(value)
+    if not 0.0 < sq < math.inf:
+        raise InputError(f"{name}^2 = {value!r}^2 is not a finite positive number")
+    return sq
 
 
 def step_window(L1: float) -> tuple[float, float]:

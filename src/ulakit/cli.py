@@ -1,8 +1,8 @@
 """Experiment driver: subcommands over JSON configs, emitting CSV + JSON.
 
 Subcommands: rate-scan, mixing-scan, verify, sample, estimate, bound-eval.
-Common flags: --config, --out, --seed (overrides the config seed),
---threads (reserved; affects speed only, never results).
+Every command is configured by its JSON config alone; the flags are
+--config, --out and --seed (overrides the config seed).
 
 Every JSON report embeds the config hash, master seed, the c0/c1 constants
 in force, and a claim-check verdict.  Exit status: 0 when all claim checks
@@ -23,9 +23,9 @@ to find the exact first step within eps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -68,7 +68,7 @@ CONFIG_KEYS = {
         {"snapshot_times", "allow_outside_window"},
     ),
     "estimate": ({"estimator"}, {"inputs", "params"}),
-    "bound-eval": (set(), {"theorem", "constants", "eta", "eta_grid", "horizon", "dim", "bands"}),
+    "bound-eval": ({"constants"}, {"theorem", "eta", "eta_grid", "horizon", "dim", "bands"}),
 }
 # Per estimator: (the top-level keys it requires, the keys of its "params").
 ESTIMATOR_KEYS = {
@@ -86,7 +86,12 @@ BAND_KEYS = {
     "mixing-scan": {"mixing_slope"},
     "bound-eval": {"sweep_slope"},
 }
-NESTED_KEYS = {"model": {"name", "params"}, "init": {"mean", "sigma0"}, "target": {"mean", "cov"}}
+NESTED_KEYS = {
+    "model": {"name", "params"},
+    "init": {"mean", "sigma0"},
+    "target": {"mean", "cov"},
+    "constants": {f.name for f in dataclasses.fields(bnd.BoundConstants)},
+}
 
 
 def load_config(path) -> dict:
@@ -166,7 +171,7 @@ def run_command(args) -> int:
     """Load and check the config, resolve the seed, create the output
     directory, run the command, record the config it ran with, write the
     report, print the c0/c1 and verdict lines, and return the exit status."""
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     check_config_keys(args.command, cfg)
     resolved = dict(cfg)
     if args.seed is not None:
@@ -175,8 +180,8 @@ def run_command(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Commands may complete the config (bound-eval's flags, estimate's input
-    # paths), so it is hashed and recorded after they run.
+    # estimate resolves its input paths in the config, so it is hashed and
+    # recorded after the command runs.
     outcome = args.func(resolved, out_dir, args)
     claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
@@ -231,7 +236,7 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     exact_pairs, girs_pairs, records = [], [], []
     for eta in etas:
         bnd.check_step(eta, model.constants.L1)
-        steps = int(math.floor(T / eta + 1e-9))
+        steps = sp.grid_steps(T, eta)
         rec = {"eta": eta, "steps": steps}
         kl_exact = None
         if use_exact:
@@ -637,27 +642,20 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
 
 
 def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
-    theorem = args.theorem if args.theorem is not None else int(resolved.get("theorem", 1))
+    theorem = int(resolved.get("theorem", 1))
     if theorem not in (1, 2):
-        raise ConfigurationError("--theorem must be 1 (dissipative) or 2 (non-negative potential)")
-    constants_src = args.constants or resolved.get("constants")
-    if constants_src is None:
-        raise ConfigurationError("missing constants file (--constants or config key)")
-    cdict = constants_src if isinstance(constants_src, dict) else load_config(constants_src)
-    constants = bnd.BoundConstants.from_dict(cdict)
-    resolved["theorem"] = theorem
-    resolved["constants"] = cdict
+        raise ConfigurationError("theorem must be 1 (dissipative) or 2 (non-negative potential)")
+    constants = bnd.BoundConstants.from_dict(resolved["constants"])
 
-    T = float(args.horizon if args.horizon is not None else resolved.get("horizon", 1.0))
-    d = int(args.dim if args.dim is not None else resolved.get("dim", 1))
+    T = float(resolved.get("horizon", 1.0))
+    d = int(resolved.get("dim", 1))
     evaluator = (
         bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
     )
 
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
-    if args.eta is not None or "eta" in resolved:
-        eta = float(args.eta if args.eta is not None else resolved["eta"])
-        resolved["eta"] = eta
+    if "eta" in resolved:
+        eta = float(resolved["eta"])
         terms = evaluator(constants, eta, T, d)
         fields.update({"eta": eta, "terms": terms, "value": terms["total"]})
         claims = [{
@@ -679,7 +677,7 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
             "detail": f"slope={fit.slope:.6f} band=[{lo},{hi}]",
         }]
     else:
-        raise ConfigurationError("bound-eval needs --eta or an eta_grid in the config")
+        raise ConfigurationError("bound-eval needs an eta or an eta_grid in the config")
     return Outcome(fields, claims)
 
 
@@ -697,29 +695,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The cmd_* functions are looked up here, once per parse, so that a
     # replaced module attribute takes effect on the next call of main().
-    def command(name, func, help, config_required=True):
+    def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", required=config_required, help="JSON config file")
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="reserved; affects speed only, never results")
         p.set_defaults(func=func)
-        return p
 
     command("rate-scan", cmd_rate_scan, "KL discretization error vs step size")
     command("mixing-scan", cmd_mixing_scan, "first-crossing mixing times vs accuracy")
     command("verify", cmd_verify, "check declared drift/init certificates by sampling")
     command("sample", cmd_sample, "run a seeded chain ensemble to CSV")
     command("estimate", cmd_estimate, "run a sample-based estimator on ensemble CSVs")
-    p = command("bound-eval", cmd_bound_eval, "evaluate a KL error bound with term audit",
-                config_required=False)
-    p.add_argument("--theorem", type=int, choices=(1, 2), default=None,
-                   help="1 = dissipative-drift bound, 2 = non-negative-potential bound")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--constants", default=None, help="JSON file of bound constants")
+    command("bound-eval", cmd_bound_eval, "evaluate a KL error bound with term audit")
     return parser
 
 

@@ -233,20 +233,13 @@ def verify_init(density) -> InitCertificate:
     off-center ones the split ||x - m0||^2 <= 2||x||^2 + 2||m0||^2 yields
     sigma' = sigma0.
     """
-    mean = getattr(density, "mean", None)
-    sigma0 = getattr(density, "sigma0", None)
-    if mean is None or sigma0 is None:
+    # The init's own h0 (through InitDensity.variance, which raises
+    # InputError when sigma0^2 leaves the float range).
+    h0 = getattr(density, "h0", None)
+    if h0 is None:
         raise UnsupportedError("only isotropic Gaussian initializations are supported")
-    m = np.atleast_1d(np.asarray(mean, dtype=float))
-    s = float(sigma0)
-    if s <= 0:
-        raise InputError("sigma0 must be positive")
-    s2 = s * s
-    if not 0.0 < s2 < math.inf:
-        raise InputError(f"sigma0^2 = {s!r}^2 is not a finite positive number")
-    d = m.size
-    h0 = 0.5 * d * math.log(2.0 * math.pi * s2) + float(m @ m) / s2
-    sigma = s * math.sqrt(2.0) if not np.any(m != 0.0) else s
+    s = density.sigma0
+    sigma = s * math.sqrt(2.0) if not np.any(density.mean != 0.0) else s
     return InitCertificate(h0=h0, sigma=sigma)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .bounds import check_step, step_window
+from .bounds import check_step, finite_square, step_window
 from .drift_models import DriftModel
 from .errors import ConfigurationError, DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -111,13 +111,7 @@ class InitDensity:
     @property
     def variance(self) -> float:
         """sigma0^2; InputError when it overflows or underflows to zero."""
-        try:
-            s2 = self.sigma0**2
-        except OverflowError:
-            s2 = math.inf
-        if not 0.0 < s2 < math.inf:
-            raise InputError(f"sigma0^2 = {self.sigma0!r}^2 is not a finite positive number")
-        return s2
+        return finite_square(self.sigma0, "sigma0")
 
     @property
     def h0(self) -> float:
@@ -173,6 +167,8 @@ def step_size_window(model: DriftModel) -> tuple[float, float]:
 
 
 def _guard(points: np.ndarray, step: int, time: float) -> None:
+    """Raise DivergenceError naming the first chain (row) with a coordinate
+    that is not finite or exceeds DIVERGENCE_LIMIT in absolute value."""
     bad = ~np.isfinite(points) | (np.abs(points) > DIVERGENCE_LIMIT)
     if bad.any():
         chain = int(np.argwhere(bad.any(axis=1))[0, 0])
@@ -193,21 +189,69 @@ def em_step(x, model: DriftModel, eta: float, noise) -> np.ndarray:
     if x.shape != (model.dim,) or noise.shape != (model.dim,):
         raise InputError(f"point and noise must have shape ({model.dim},)")
     out = x + eta * model.drift(x) + math.sqrt(eta) * noise
-    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > DIVERGENCE_LIMIT):
-        raise DivergenceError(f"state diverged at {x.tolist()}", state=out)
+    _guard(out[None], step=1, time=eta)
     return out
 
 
-def _grid_steps(eta: float, T: float) -> int:
-    if T <= 0:
-        raise ConfigurationError("horizon must be positive")
-    steps = int(math.floor(T / eta + 1e-9))
-    if abs(steps * eta - T) > 1e-9 * max(1.0, T):
+def grid_steps(t: float, eta: float, what: str = "horizon") -> int:
+    """The grid index floor(t/eta + 1e-9) of time t, with a warning when t
+    is off the grid."""
+    k = int(math.floor(t / eta + 1e-9))
+    if abs(k * eta - t) > 1e-9 * max(1.0, abs(t)):
         warnings.warn(
-            f"horizon {T} is not a multiple of eta={eta}; rounded down to {steps} steps",
+            f"{what} {t} is not a multiple of eta={eta}; rounded down to {k} steps",
             stacklevel=3,
         )
-    return steps
+    return k
+
+
+def em_chain(
+    model: DriftModel,
+    init: InitDensity,
+    eta: float,
+    T: float,
+    n: int,
+    master_seed: int,
+    enforce_window: bool = True,
+):
+    """The forward-Euler chain X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
+    n independent chains over floor(T/eta) steps, xi_k drawn on SUB_EM.
+
+    Checks the step (against step_size_window unless enforce_window is
+    False), dimensions, chain count, seed and horizon, and draws the initial
+    states, before it returns, so a bad configuration fails before any
+    stepping.  An initial state beyond the divergence limit is an InputError
+    naming init; a later one a DivergenceError naming chain and step.
+    Returns an iterator over (k, x_k, b(x_k)) for k < steps, then
+    (steps, x_steps, None).
+    """
+    check_step(eta, model.constants.L1, enforce_window)
+    if init.dim != model.dim:
+        raise InputError("init dimension does not match model")
+    if n < 1:
+        raise InputError("need at least one chain")
+    seed = _check_seed(master_seed)
+    if not T > 0:
+        raise ConfigurationError("horizon must be positive")
+    steps = grid_steps(T, eta)
+    x = init.sample(n, seed)
+    try:
+        _guard(x, step=0, time=0.0)
+    except DivergenceError as exc:
+        raise InputError(
+            f"init draws chain {exc.chain} at {exc.state.tolist()}, beyond the divergence "
+            f"limit {DIVERGENCE_LIMIT:g}: check its mean and sigma0"
+        ) from None
+
+    def run(x):
+        for k in range(steps):
+            bx = model.drift(x)
+            yield k, x, bx
+            x = x + eta * bx + math.sqrt(eta) * noise_block(seed, k, SUB_EM, n, model.dim)
+            _guard(x, step=k + 1, time=(k + 1) * eta)
+        yield steps, x, None
+
+    return run(x)
 
 
 def simulate_ensemble(
@@ -220,47 +264,26 @@ def simulate_ensemble(
     snapshot_times=None,
     enforce_window: bool = True,
 ):
-    """Run n independent chains for floor(T/eta) steps.
+    """Run n independent chains of em_chain for floor(T/eta) steps.
 
     Returns the final SampleEnsemble, or (final, snapshots) when
     snapshot_times is given.  Snapshots land on grid times only (requested
     times are rounded down, with a warning when off-grid); times outside
     [0, T] are rejected.
     """
-    check_step(eta, model.constants.L1, enforce_window)
-    if init.dim != model.dim:
-        raise InputError("init dimension does not match model")
-    if n < 1:
-        raise InputError("need at least one chain")
-    seed = _check_seed(master_seed)
-    steps = _grid_steps(eta, T)
+    chain = em_chain(model, init, eta, T, n, master_seed, enforce_window)
+    seed = int(master_seed)
+    snap_steps = set()
+    for t_req in snapshot_times or ():
+        if not 0 <= t_req <= T:
+            raise ConfigurationError(f"snapshot time {t_req} outside [0, horizon={T}]")
+        snap_steps.add(grid_steps(t_req, eta, "snapshot time"))
 
-    snap_index: dict[int, float] = {}
-    if snapshot_times is not None:
-        for t_req in snapshot_times:
-            if not 0 <= t_req <= T:
-                raise ConfigurationError(f"snapshot time {t_req} outside [0, horizon={T}]")
-            k = int(math.floor(t_req / eta + 1e-9))
-            if abs(k * eta - t_req) > 1e-9 * max(1.0, abs(t_req)):
-                warnings.warn(f"snapshot time {t_req} is off-grid; using {k * eta}", stacklevel=2)
-            snap_index[min(k, steps)] = min(k, steps) * eta
-
-    x = init.sample(n, seed)
     snapshots = []
-
-    def take(k, pts):
-        snapshots.append(
-            SampleEnsemble(time=k * eta, eta=eta, points=pts, master_seed=seed)
-        )
-
-    if 0 in snap_index:
-        take(0, x)
-    for k in range(steps):
-        x = x + eta * model.drift(x) + math.sqrt(eta) * noise_block(seed, k, SUB_EM, n, model.dim)
-        _guard(x, step=k + 1, time=(k + 1) * eta)
-        if (k + 1) in snap_index:
-            take(k + 1, x)
-    final = SampleEnsemble(time=steps * eta, eta=eta, points=x, master_seed=seed)
+    for k, x, _ in chain:
+        if k in snap_steps:
+            snapshots.append(SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed))
+    final = SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed)
     if snapshot_times is None:
         return final
     return final, snapshots

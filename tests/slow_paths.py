@@ -3,13 +3,15 @@
 The forward-Euler moment recursion, stepped one matrix product at a time;
 the mixing-scan first-crossing search done one step at a time on full
 moment matrices with the general-purpose distances; the noise block drawn
-from a freshly built Philox generator; and the ensemble CSV written and read
-one value at a time.
+from a freshly built Philox generator; the ensemble CSV written and read
+one value at a time; and the forward-Euler ensemble and the pathwise
+comparator each stepped by its own hand-written loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.special import ndtri
 from ulakit import bounds as bnd
 from ulakit import gaussian_analytics as ga
 from ulakit.errors import ConfigurationError
-from ulakit.samplers import NUM_SUBSTREAMS
+from ulakit.samplers import DIVERGENCE_LIMIT, NUM_SUBSTREAMS, SUB_EM, SUB_QUAD_BASE, noise_block
 
 
 def em_moment_steps(drift: ga.LinearDrift, init: ga.GaussianMoments, eta: float):
@@ -105,3 +107,43 @@ def read_ensemble_csv_per_value(path):
     d = len(rows[0].split(",")) - 2
     data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     return data[:, 1 : 1 + d], float(data[0, -1])
+
+
+def _in_range(x):
+    assert np.all(np.isfinite(x) & (np.abs(x) <= DIVERGENCE_LIMIT)), "chain left the range"
+
+
+def simulate_ensemble_loop(model, init, eta, T, n, master_seed, snapshot_times=()):
+    """(final states, {step: states at each snapshot step}) of the forward-Euler
+    ensemble, stepped by its own loop; unvalidated."""
+    steps = int(math.floor(T / eta + 1e-9))
+    snap_steps = {min(int(math.floor(t / eta + 1e-9)), steps) for t in snapshot_times}
+    x = init.sample(n, master_seed)
+    snaps = {0: x} if 0 in snap_steps else {}
+    for k in range(steps):
+        x = x + eta * model.drift(x) + math.sqrt(eta) * noise_block(master_seed, k, SUB_EM, n, model.dim)
+        _in_range(x)
+        if k + 1 in snap_steps:
+            snaps[k + 1] = x
+    return x, snaps
+
+
+def girsanov_pathwise_kl_loop(model, init, eta, T, n, master_seed, quad_points_per_step=4):
+    """The pathwise comparator with its own copy of the forward-Euler loop;
+    unvalidated."""
+    steps = int(math.floor(T / eta + 1e-9))
+    m = quad_points_per_step
+    d = model.dim
+    x = init.sample(n, master_seed)
+    total = 0.0
+    for k in range(steps):
+        bx = model.drift(x)
+        for j in range(m):
+            tau = (j + 0.5) * eta / m
+            xi = noise_block(master_seed, k, SUB_QUAD_BASE + j, n, d)
+            xt = x + tau * bx + math.sqrt(tau) * xi
+            diff = bx - model.drift(xt)
+            total += (eta / m) * float(np.mean(np.sum(diff * diff, axis=1)))
+        x = x + eta * bx + math.sqrt(eta) * noise_block(master_seed, k, SUB_EM, n, d)
+        _in_range(x)
+    return 0.5 * total

@@ -484,13 +484,8 @@ ALL_ONES_CONSTANTS = {
 
 
 def test_bound_eval_all_ones(tmp_path):
-    consts = tmp_path / "constants.json"
-    consts.write_text(json.dumps(ALL_ONES_CONSTANTS))
-    out = tmp_path / "out"
-    code = main([
-        "bound-eval", "--theorem", "1", "--eta", "0.1", "--horizon", "1.0",
-        "--dim", "1", "--constants", str(consts), "--out", str(out),
-    ])
+    cfg = {"theorem": 1, "eta": 0.1, "horizon": 1.0, "dim": 1, "constants": ALL_ONES_CONSTANTS}
+    code, out = run(tmp_path, "bound-eval", cfg)
     assert code == 0
     rep = json.loads((out / "bound_eval.json").read_text())
     assert rep["value"] == pytest.approx(0.1007, abs=1e-12)
@@ -500,22 +495,15 @@ def test_bound_eval_all_ones(tmp_path):
 
 
 def test_bound_eval_missing_f0_names_it(tmp_path, capsys):
-    consts = tmp_path / "constants.json"
-    consts.write_text(json.dumps({k: v for k, v in ALL_ONES_CONSTANTS.items() if k != "f0"}))
-    out = tmp_path / "out"
-    code = main([
-        "bound-eval", "--theorem", "2", "--eta", "0.1",
-        "--constants", str(consts), "--out", str(out),
-    ])
+    constants = {k: v for k, v in ALL_ONES_CONSTANTS.items() if k != "f0"}
+    code, _ = run(tmp_path, "bound-eval", {"theorem": 2, "eta": 0.1, "constants": constants})
     assert code == 2
     assert "f0" in capsys.readouterr().err
 
 
 def test_bound_eval_sweep_slope(tmp_path):
-    consts = tmp_path / "constants.json"
-    consts.write_text(json.dumps(ALL_ONES_CONSTANTS))
     cfg = {"theorem": 1, "eta_grid": [1e-4, 5e-5, 2.5e-5], "horizon": 1.0, "dim": 1,
-           "constants": str(consts)}
+           "constants": ALL_ONES_CONSTANTS}
     code, out = run(tmp_path, "bound-eval", cfg)
     assert code == 0
     rep = json.loads((out / "bound_eval.json").read_text())
@@ -532,14 +520,17 @@ def test_bound_eval_inline_constants_and_theorem_2(tmp_path):
 
 
 def test_bound_eval_window_rejection(tmp_path):
-    consts = tmp_path / "constants.json"
-    consts.write_text(json.dumps(ALL_ONES_CONSTANTS))
-    out = tmp_path / "out"
-    code = main([
-        "bound-eval", "--theorem", "1", "--eta", "0.5",
-        "--constants", str(consts), "--out", str(out),
-    ])
+    code, _ = run(tmp_path, "bound-eval", {"theorem": 1, "eta": 0.5, "constants": ALL_ONES_CONSTANTS})
     assert code == 2
+
+
+def test_bound_eval_constants_path_exits_2(tmp_path, capsys):
+    # constants are an inline map; a file path is not read.
+    (tmp_path / "constants.json").write_text(json.dumps(ALL_ONES_CONSTANTS))
+    code, out = run(tmp_path, "bound-eval", {"eta": 0.1, "constants": "constants.json"})
+    assert code == 2
+    assert "constants" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- misc -----------------------------------------------------------------------
@@ -548,13 +539,6 @@ def test_bound_eval_window_rejection(tmp_path):
 def test_missing_config_file_is_config_error(tmp_path):
     code = main(["sample", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert code == 2
-
-
-def test_threads_flag_accepted_and_ignored(tmp_path):
-    code1, out1 = run(tmp_path, "sample", SAMPLE_CFG, out="a", extra=("--threads", "4"))
-    code2, out2 = run(tmp_path, "sample", SAMPLE_CFG, out="b")
-    assert code1 == code2 == 0
-    assert (out1 / "ensemble.csv").read_bytes() == (out2 / "ensemble.csv").read_bytes()
 
 
 # --- one skeleton: rerun identity and declared config keys ------------------------
@@ -589,11 +573,28 @@ ESTIMATE_CFG = {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensem
 @pytest.mark.parametrize("command, cfg", [
     ("rate-scan", dict(RATE_CFG, init={"mean": [1.0], "sigma0": 1e200})),
     ("verify", dict(VERIFY_CFG, init={"mean": [0.0], "sigma0": 1e-200})),
+    ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, sigma0=1e200))),
+    ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, sigma0=1e-200))),
 ])
 def test_init_variance_outside_float_range_exits_2(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert "sigma0" in capsys.readouterr().err
+
+
+# Every chain's initial state lies beyond the divergence limit: a bad init,
+# not a divergence of the chain.
+@pytest.mark.parametrize("command, cfg", [
+    ("sample", dict(SAMPLE_CFG, init={"mean": [0.0], "sigma0": 1e200})),
+    ("sample", dict(SAMPLE_CFG, init={"mean": [1e13], "sigma0": 1.0})),
+    ("estimate", dict(GIRSANOV_CFG, init={"mean": [1.0], "sigma0": 1e200})),
+])
+def test_init_out_of_range_exits_2_without_output(tmp_path, capsys, command, cfg):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "init" in err and "diverged" not in err
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
 
 RERUN_CASES = {
@@ -639,7 +640,7 @@ REQUIRED_KEYS = [
     ("estimate", GIRSANOV_CFG, ["estimator", "model", "init", "eta", "horizon", "chains"]),
     ("estimate", RATE_FIT_CFG, ["points"]),
     ("estimate", ESTIMATE_CFG, ["estimator"]),
-    ("bound-eval", BOUND_CFG, []),
+    ("bound-eval", BOUND_CFG, ["constants"]),
 ]
 BAD_CONFIGS = [
     pytest.param(command, {k: v for k, v in cfg.items() if k != key}, key,
@@ -670,6 +671,7 @@ MISSPELLED_NESTED = [
     ("verify", dict(VERIFY_CFG, init={"means": [0.0], "sigma0": 1.0}), "means"),
     ("sample", dict(SAMPLE_CFG, model={"name": "ou", "param": {"dim": 1}}), "param"),
     ("bound-eval", dict(BOUND_CFG, bands={"sweep_slop": [0, 1]}), "sweep_slop"),
+    ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, LI=1.0)), "LI"),
     ("estimate", {"estimator": "knn_kl", "inputs": INPUTS_PQ, "params": {"kk": 1}}, "kk"),
     ("estimate", {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ, "params": {"k": 5}}, "k"),
     ("estimate", {"estimator": "tv_histogram", "inputs": INPUTS_PQ, "params": {"bins": 16}}, "bins"),

@@ -269,19 +269,6 @@ def test_girsanov_ou_matches_per_step_expectation():
     assert mc == pytest.approx(expected, rel=0.02)
 
 
-def test_girsanov_noise_free_limit_is_second_order():
-    # with Brownian increments off, the mismatch is the deterministic Euler
-    # defect tau^2 ||A b(x)||^2, one order higher in eta
-    init = InitDensity([1.0], 1.0)
-    pairs = []
-    for eta in (0.2, 0.1, 0.05, 0.025):
-        pairs.append(
-            (eta, girsanov_pathwise_kl(OU1, init, eta, 2.0, 4_000, master_seed=179, noise_scale=0.0))
-        )
-    fit = rate_fit(pairs)
-    assert 1.85 <= fit.slope <= 2.15
-
-
 def test_girsanov_window_and_quad_validation():
     init = InitDensity([1.0], 1.0)
     from ulakit import ConfigurationError

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +32,15 @@ from ulakit import (
     write_ensemble_sidecar,
 )
 
-from slow_paths import noise_block_fresh_philox, read_ensemble_csv_per_value, write_ensemble_csv_per_value
+from ulakit.estimators import girsanov_pathwise_kl
+
+from slow_paths import (
+    girsanov_pathwise_kl_loop,
+    noise_block_fresh_philox,
+    read_ensemble_csv_per_value,
+    simulate_ensemble_loop,
+    write_ensemble_csv_per_value,
+)
 
 OU1 = make_model("ou", dim=1)
 STD_INIT = InitDensity(mean=[0.0], sigma0=1.0)
@@ -66,6 +75,13 @@ def test_em_step_deterministic_euler():
 def test_em_step_with_noise():
     # 1 - 0.04 + sqrt(0.04) * 0.5
     assert em_step([1.0], OU1, 0.04, [0.5]) == pytest.approx([1.06])
+
+
+def test_em_step_divergence_is_the_chain_guard():
+    with pytest.raises(DivergenceError) as err:
+        em_step([1.0], OU1, 0.1, [1e13])
+    assert err.value.chain == 0 and err.value.step == 1
+    assert err.value.state.tolist() == [0.9 + math.sqrt(0.1) * 1e13]
 
 
 def test_em_step_rejects_bad_eta():
@@ -257,6 +273,70 @@ def test_off_grid_horizon_warns_and_rounds_down():
     with pytest.warns(UserWarning):
         ens = simulate_ensemble(OU1, STD_INIT, 0.3, 1.0, 10, master_seed=31)
     assert ens.time == pytest.approx(0.9)
+
+
+# --- one forward-Euler chain against the hand-written loops ------------------------
+
+
+CHAIN_MODELS = [("ou", 1), ("ou", 2), ("double-well", 1), ("gauss-mix", 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(CHAIN_MODELS),
+    frac=st.floats(0.05, 0.95),
+    steps=st.integers(0, 12),
+    off_grid=st.sampled_from([0.0, 0.37]),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+    snap_fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
+    quad=st.integers(1, sp.MAX_QUAD_POINTS),
+    center=st.floats(-1.0, 1.0),
+    sigma0=st.floats(0.1, 2.0),
+)
+def test_chain_and_comparator_match_loop_oracles(
+    case, frac, steps, off_grid, n, seed, snap_fracs, quad, center, sigma0
+):
+    name, dim = case
+    model = make_model(name, dim=dim)
+    init = InitDensity(mean=[center] * dim, sigma0=sigma0)
+    eta = frac * step_size_window(model)[1]
+    T = (steps + off_grid) * eta
+    if T <= 0:
+        T = eta
+    times = [f * T for f in snap_fracs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # off-grid horizons and snapshot times
+        final, snaps = simulate_ensemble(model, init, eta, T, n, seed, snapshot_times=times)
+        x_ref, snaps_ref = simulate_ensemble_loop(model, init, eta, T, n, seed, times)
+        value = girsanov_pathwise_kl(model, init, eta, T, n, seed, quad_points_per_step=quad)
+        value_ref = girsanov_pathwise_kl_loop(model, init, eta, T, n, seed, quad_points_per_step=quad)
+    assert np.array_equal(final.points, x_ref)
+    assert final.master_seed == seed and final.eta == eta
+    assert [s.time for s in snaps] == [k * eta for k in sorted(snaps_ref)]
+    for snap, k in zip(snaps, sorted(snaps_ref)):
+        assert np.array_equal(snap.points, snaps_ref[k])
+    assert value == value_ref
+
+
+@pytest.mark.parametrize("mean, sigma0", [(0.0, 1e200), (1e13, 1.0)])
+def test_init_out_of_range_is_input_error(mean, sigma0):
+    init = InitDensity(mean=[mean], sigma0=sigma0)
+    for run in (
+        lambda: simulate_ensemble(OU1, init, 0.1, 1.0, 10, master_seed=3),
+        lambda: girsanov_pathwise_kl(OU1, init, 0.1, 1.0, 10, master_seed=3),
+    ):
+        with pytest.raises(InputError, match="init"):
+            run()
+
+
+def test_em_chain_yields_each_state_with_its_drift():
+    chain = sp.em_chain(OU1, STD_INIT, 0.1, 0.3, 5, master_seed=37)
+    seen = list(chain)
+    assert [k for k, _, _ in seen] == [0, 1, 2, 3]
+    for _, x, bx in seen[:-1]:
+        assert np.array_equal(bx, OU1.drift(x))
+    assert seen[-1][2] is None
 
 
 # --- fine reference -----------------------------------------------------------------
