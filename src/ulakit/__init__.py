@@ -10,9 +10,7 @@ from .bounds import (
     BoundConstants,
     MixingPrediction,
     avg_fisher_bound,
-    kl_bound_dissipative,
     kl_bound_dissipative_terms,
-    kl_bound_nonneg_potential,
     kl_bound_nonneg_potential_terms,
     kl_derivative_bound,
     mixing_time_predict,
@@ -59,9 +57,7 @@ from .gaussian_analytics import (
     em_moments_linear,
     entropy_gaussian,
     fisher_info_gaussian,
-    interp_moments_linear,
     kl_gaussian,
-    moment_ode_rk4,
     tv_gaussian_1d,
     w2_gaussian,
 )
@@ -69,13 +65,9 @@ from .samplers import (
     DIVERGENCE_LIMIT,
     InitDensity,
     SampleEnsemble,
-    em_step,
-    fine_reference_ensemble,
-    interpolated_sample,
     noise_block,
     read_ensemble_csv,
     simulate_ensemble,
-    step_size_window,
     write_ensemble_csv,
     write_ensemble_sidecar,
 )

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-MIXING_METRICS = ("KL", "TV", "W2", "W1")
-
 # The order predictions hide polylogarithmic factors; they are reported as an
 # annotation, never multiplied in.
 LOG_FACTOR_NOTE = "times unspecified polylog factors log(1/eps) * log(1/rho)"
@@ -91,18 +89,6 @@ class BoundConstants:
             raise ConfigurationError("missing constants: " + ", ".join(missing))
         return BoundConstants(**{k: float(v) for k, v in d.items()})
 
-    def to_dict(self) -> dict:
-        out = {
-            "L1": self.L1, "L2": self.L2, "A0": self.A0,
-            "sigma0": self.sigma0, "h0": self.h0, "entropy0": self.entropy0,
-            "c0": self.c0, "c1": self.c1,
-        }
-        for k in ("mu", "beta", "rho", "f0"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
-
 
 def finite_square(value: float, name: str) -> float:
     """value^2; InputError naming the value when it overflows or underflows
@@ -138,7 +124,14 @@ def _check_horizon_dim(T: float, d: int) -> None:
 
 
 def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
-    """Term decomposition of the dissipative-drift KL bound (variant 1)."""
+    """KL(hat_pi_T || pi_T) bound for dissipative drifts (variant 1), term
+    by term; "total" is
+
+        c0 eta^2 [ h0 + H0 + A0^2
+                   + (sigma0^2 d + (beta + d)/mu)(sigma0^-2 + T L1^2)
+                   + T L2^2 d^2 ]
+        + c1 eta^4 L2^2 [ A0^4 + L1^4 (sigma0^2 d + (beta + d)^2/mu + d^2) ].
+    """
     check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("mu", "beta")
@@ -166,19 +159,17 @@ def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) 
     }
 
 
-def kl_bound_dissipative(c: BoundConstants, eta: float, T: float, d: int) -> float:
-    """KL(hat_pi_T || pi_T) bound for dissipative drifts:
-
-        c0 eta^2 [ h0 + H0 + A0^2
-                   + (sigma0^2 d + (beta + d)/mu)(sigma0^-2 + T L1^2)
-                   + T L2^2 d^2 ]
-        + c1 eta^4 L2^2 [ A0^4 + L1^4 (sigma0^2 d + (beta + d)^2/mu + d^2) ].
-    """
-    return kl_bound_dissipative_terms(c, eta, T, d)["total"]
-
-
 def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
-    """Term decomposition of the non-negative-potential KL bound (variant 2)."""
+    """KL(hat_pi_T || pi_T) bound for b = -grad f with f >= 0 (variant 2),
+    term by term; "total" is
+
+        c0 eta^2 [ A0^2
+                   + (sigma0^2 d + f0 + L1 T sigma0^2 (h0 + H0 + d))
+                     (sigma0^-2 + T L1^2)
+                   + T L2^2 d^2 ]
+        + c1 eta^4 L2^2 [ A0^4 + L1^4 (f0^2 + L1^2 T^2 sigma0^4 (h0 + d)^2
+                                        + L1^2 T^4 d^2) ].
+    """
     check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("f0")
@@ -204,19 +195,6 @@ def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: 
         "order4_term": order4,
         "total": order2 + order4,
     }
-
-
-def kl_bound_nonneg_potential(c: BoundConstants, eta: float, T: float, d: int) -> float:
-    """KL(hat_pi_T || pi_T) bound for b = -grad f with f >= 0:
-
-        c0 eta^2 [ A0^2
-                   + (sigma0^2 d + f0 + L1 T sigma0^2 (h0 + H0 + d))
-                     (sigma0^-2 + T L1^2)
-                   + T L2^2 d^2 ]
-        + c1 eta^4 L2^2 [ A0^4 + L1^4 (f0^2 + L1^2 T^2 sigma0^4 (h0 + d)^2
-                                        + L1^2 T^4 d^2) ].
-    """
-    return kl_bound_nonneg_potential_terms(c, eta, T, d)["total"]
 
 
 def kl_derivative_bound(
@@ -308,23 +286,18 @@ class MixingPrediction:
     note: str = LOG_FACTOR_NOTE
 
 
-def mixing_time_predict(
-    eps: float, rho: float, d: int, metric: str, scale_constant: float = 1.0
-) -> MixingPrediction:
+def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> MixingPrediction:
     """Order prediction for the first grid index with dist(hat_pi, target) <= eps:
 
         KL: eps^-1/2 d rho^-3/2        TV: d eps^-1 rho^-3/2
-        W2: d eps^-1 rho^-5/2          W1: d^3/2 eps^-1 rho^-3/2
+        W2: d eps^-1 rho^-5/2
 
-    scaled by scale_constant.  Polylog factors are reported in the note, not
-    folded in.
+    Polylog factors are reported in the note, not folded in.
     """
     if eps <= 0 or rho <= 0:
         raise ConfigurationError("eps and rho must be positive")
     if d < 1 or int(d) != d:
         raise ConfigurationError("dimension must be a positive integer")
-    if scale_constant <= 0:
-        raise InputError("scale_constant must be positive")
     key = metric.upper()
     if key == "KL":
         val = eps**-0.5 * d * rho**-1.5
@@ -332,11 +305,9 @@ def mixing_time_predict(
         val = d * eps**-1.0 * rho**-1.5
     elif key == "W2":
         val = d * eps**-1.0 * rho**-2.5
-    elif key == "W1":
-        val = d**1.5 * eps**-1.0 * rho**-1.5
     else:
-        raise InputError(f"unknown metric {metric!r}; choose from {MIXING_METRICS}")
-    return MixingPrediction(steps=scale_constant * val, metric=key)
+        raise InputError(f"unknown metric {metric!r}; choose from KL, TV, W2")
+    return MixingPrediction(steps=val, metric=key)
 
 
 def moment_bound_dissipative(

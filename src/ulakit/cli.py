@@ -37,7 +37,7 @@ from . import drift_models as dm
 from . import estimators as est
 from . import gaussian_analytics as ga
 from . import samplers as sp
-from .errors import ConfigurationError, DivergenceError, InputError, UnsupportedError
+from .errors import ConfigurationError, DivergenceError, InputError
 
 DEFAULT_BANDS = {
     "exact_slope": (1.85, 2.15),
@@ -57,12 +57,9 @@ CONFIG_KEYS = {
     ),
     "mixing-scan": (
         {"target", "rho", "init", "eps_grid"},
-        {"metric", "scale_constant", "max_steps", "bands"},
+        {"metric", "max_steps", "bands"},
     ),
-    "verify": (
-        {"model"},
-        {"init", "ball_radius", "pair_count", "grad_points", "radius_grid", "directions_per_radius"},
-    ),
+    "verify": ({"model"}, {"init"}),
     "sample": (
         {"model", "init", "eta", "horizon", "chains"},
         {"snapshot_times", "allow_outside_window"},
@@ -133,6 +130,18 @@ def check_config_keys(command: str, cfg) -> None:
     _check_keys(f"{command} config bands 'mixing_slope'", slopes, MIXING_METRICS.keys())
 
 
+def config_int(entry: dict, key: str, default=None) -> int:
+    """entry[key], or default when it is absent, as an int.  A boolean, a
+    non-number or a number with a fractional part is a ConfigurationError
+    naming the key, never truncated."""
+    value = entry.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -176,7 +185,7 @@ def run_command(args) -> int:
     resolved = dict(cfg)
     if args.seed is not None:
         resolved["seed"] = args.seed
-    resolved.setdefault("seed", 0)
+    resolved["seed"] = config_int(resolved, "seed", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -221,9 +230,9 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         raise ConfigurationError("eta_grid must be nonempty")
     T = float(resolved["horizon"])
     use_exact = bool(resolved.get("exact", True))
-    n_chains = int(resolved.get("girsanov_chains", 0))
-    quad = int(resolved.get("quad_points_per_step", 4))
-    seed = int(resolved["seed"])
+    n_chains = config_int(resolved, "girsanov_chains", 0)
+    quad = config_int(resolved, "quad_points_per_step", 4)
+    seed = resolved["seed"]
     bands = {**DEFAULT_BANDS, **resolved.get("bands", {})}
 
     if use_exact and model.linear is None:
@@ -378,8 +387,7 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
     distance, kl_tolerance = MIXING_METRICS[metric]
     eps_grid = [float(e) for e in resolved["eps_grid"]]
-    scale = float(resolved.get("scale_constant", 1.0))
-    max_steps = int(resolved.get("max_steps", 10**6))
+    max_steps = config_int(resolved, "max_steps", 10**6)
     bands = {**DEFAULT_BANDS, **resolved.get("bands", {})}
 
     rows, records, fit_pairs = [], [], []
@@ -395,7 +403,7 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
                 f"no crossing within max_steps={max_steps} for eps={eps}; "
                 "the discretization bias floor may exceed eps"
             )
-        pred = bnd.mixing_time_predict(eps, rho, d, metric, scale)
+        pred = bnd.mixing_time_predict(eps, rho, d, metric)
         rows.append([eps, eta, n_measured, pred.steps])
         records.append({
             "eps": eps, "eta": eta, "n_measured": n_measured,
@@ -429,8 +437,12 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def _default_radius_grid() -> np.ndarray:
-    return np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
+# Sampled point pairs for the Lipschitz checks, points for the Jacobian
+# finite-difference check, and the shell radii of the dissipativity fit
+# (16 directions per radius); the ball is CERT_RADIUS.
+VERIFY_PAIRS = 100
+VERIFY_GRAD_POINTS = 20
+VERIFY_RADIUS_GRID = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
 def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
@@ -438,21 +450,18 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
     init = build_init(resolved["init"], model.dim) if "init" in resolved else sp.InitDensity(
         mean=np.zeros(model.dim), sigma0=1.0
     )
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     rng = np.random.default_rng(seed)
     cert = model.constants
-    ball = float(resolved.get("ball_radius", dm.CERT_RADIUS))
-    n_pairs = int(resolved.get("pair_count", 100))
-    n_grad = int(resolved.get("grad_points", 20))
     report_sections = {}
 
     def sample_ball(count):
         pts = rng.standard_normal((count, model.dim))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        return pts * (ball * rng.random((count, 1)))
+        return pts * (dm.CERT_RADIUS * rng.random((count, 1)))
 
     # Drift Lipschitz constant.
-    xs, ys = sample_ball(n_pairs), sample_ball(n_pairs)
+    xs, ys = sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS)
     worst_l1 = 0.0
     for x, y in zip(xs, ys):
         gap = float(np.linalg.norm(x - y))
@@ -473,7 +482,7 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
             continue
         dj = dm.drift_jacobian(model, x) - dm.drift_jacobian(model, y)
         worst_l2 = max(worst_l2, float(np.linalg.norm(dj, 2)) / gap)
-    worst_fd = max(dm.grad_check(model, x, h=1e-5) for x in sample_ball(n_grad))
+    worst_fd = max(dm.grad_check(model, x, h=1e-5) for x in sample_ball(VERIFY_GRAD_POINTS))
     ok_l2 = worst_l2 <= cert.L2 * (1 + 1e-9) + 1e-12 and worst_fd < 1e-5
     report_sections["smooth_drift"] = {
         "pass": bool(ok_l2), "declared_L2": cert.L2,
@@ -481,12 +490,7 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
     }
 
     # Distant dissipativity.
-    radius_grid = np.asarray(resolved.get("radius_grid", _default_radius_grid()), dtype=float)
-    fit = dm.dissipativity_fit(
-        model, radius_grid,
-        directions_per_radius=int(resolved.get("directions_per_radius", 16)),
-        seed=seed,
-    )
+    fit = dm.dissipativity_fit(model, VERIFY_RADIUS_GRID, seed=seed)
     diss = {"declared": list(cert.dissipativity) if cert.dissipativity else None}
     if fit is not None:
         diss.update({"pass": True, "witnessed_mu": fit[0], "witnessed_beta": fit[1]})
@@ -534,12 +538,12 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
     init = build_init(resolved["init"], model.dim)
     eta = float(resolved["eta"])
     T = float(resolved["horizon"])
-    n = int(resolved["chains"])
-    seed = int(resolved["seed"])
+    n = config_int(resolved, "chains")
+    seed = resolved["seed"]
     snaps = resolved.get("snapshot_times")
     enforce = not bool(resolved.get("allow_outside_window", False))
 
-    lo, hi = sp.step_size_window(model)
+    lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
     try:
         result = sp.simulate_ensemble(
@@ -607,21 +611,21 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
         return sp.read_ensemble_csv(inputs[key])
 
     if name == "knn_kl":
-        value = est.knn_kl(load("p"), load("q"), k=int(params.get("k", 5)))
+        value = est.knn_kl(load("p"), load("q"), k=config_int(params, "k", 5))
     elif name == "w2_empirical_1d":
         value = est.w2_empirical_1d(load("p"), load("q"))
     elif name == "tv_histogram":
-        value = est.tv_histogram(load("p"), load("q"), bins_per_dim=int(params.get("bins_per_dim", 64)))
+        value = est.tv_histogram(load("p"), load("q"), bins_per_dim=config_int(params, "bins_per_dim", 64))
     elif name == "moment_estimate":
-        value = est.moment_estimate(load("samples"), p=int(params.get("p", 2)))
+        value = est.moment_estimate(load("samples"), p=config_int(params, "p", 2))
     elif name == "girsanov_pathwise_kl":
         model = build_model(resolved["model"])
         init = build_init(resolved["init"], model.dim)
         value = est.girsanov_pathwise_kl(
             model, init,
             eta=float(resolved["eta"]), T=float(resolved["horizon"]),
-            n=int(resolved["chains"]), master_seed=int(resolved["seed"]),
-            quad_points_per_step=int(params.get("quad_points_per_step", 4)),
+            n=config_int(resolved, "chains"), master_seed=resolved["seed"],
+            quad_points_per_step=config_int(params, "quad_points_per_step", 4),
         )
     elif name == "rate_fit":
         fit = est.rate_fit([(float(e), float(v)) for e, v in resolved["points"]])
@@ -642,21 +646,29 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
 
 
 def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
-    theorem = int(resolved.get("theorem", 1))
+    theorem = config_int(resolved, "theorem", 1)
     if theorem not in (1, 2):
         raise ConfigurationError("theorem must be 1 (dissipative) or 2 (non-negative potential)")
     constants = bnd.BoundConstants.from_dict(resolved["constants"])
 
     T = float(resolved.get("horizon", 1.0))
-    d = int(resolved.get("dim", 1))
-    evaluator = (
-        bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
-    )
+    d = config_int(resolved, "dim", 1)
+    terms_of = bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
+
+    def evaluator(eta):
+        # A total that overflows through addition is inf, which bound_finite
+        # reports; a power that overflows raises.
+        try:
+            return terms_of(constants, eta, T, d)
+        except OverflowError:
+            raise InputError(
+                f"the theorem {theorem} bound leaves the float range for these constants"
+            ) from None
 
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
     if "eta" in resolved:
         eta = float(resolved["eta"])
-        terms = evaluator(constants, eta, T, d)
+        terms = evaluator(eta)
         fields.update({"eta": eta, "terms": terms, "value": terms["total"]})
         claims = [{
             "name": "bound_finite", "pass": bool(np.isfinite(terms["total"])),
@@ -666,7 +678,7 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
         pairs = []
         sweep = []
         for eta in resolved["eta_grid"]:
-            terms = evaluator(constants, float(eta), T, d)
+            terms = evaluator(float(eta))
             pairs.append((float(eta), terms["total"]))
             sweep.append({"eta": float(eta), "value": terms["total"]})
         fit = est.rate_fit(pairs)
@@ -715,7 +727,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args)
-    except (ConfigurationError, InputError, UnsupportedError) as exc:
+    except (TypeError, ValueError) as exc:
+        # The library's input errors (ConfigurationError, InputError,
+        # UnsupportedError) are ValueErrors; float() and numpy raise a
+        # ValueError or TypeError for a config value of the wrong type.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -37,8 +37,7 @@ class SmoothnessCert:
 
     L1 bounds ||b(x) - b(y)|| / ||x - y||, L2 bounds the operator-norm
     Lipschitz constant of the Jacobian, A0 = ||b(0)||.  mu/beta, when
-    present, certify <b(x), x> <= -mu ||x||^2 + beta.  potential_floor is
-    the minimum of the potential f (b = -grad f) after normalizing f >= 0.
+    present, certify <b(x), x> <= -mu ||x||^2 + beta.
     """
 
     L1: float
@@ -46,8 +45,6 @@ class SmoothnessCert:
     A0: float
     mu: Optional[float] = None
     beta: Optional[float] = None
-    potential_floor: Optional[float] = None
-    source: str = "declared"
 
     def __post_init__(self):
         for name in ("L1", "L2", "A0"):
@@ -61,8 +58,6 @@ class SmoothnessCert:
                 raise InputError("mu must be positive")
             if not (self.beta >= 0 and np.isfinite(self.beta)):
                 raise InputError("beta must be nonnegative")
-        if self.potential_floor is not None and self.potential_floor < 0:
-            raise InputError("potential_floor must be nonnegative")
 
     @property
     def dissipativity(self) -> Optional[tuple[float, float]]:
@@ -257,7 +252,7 @@ def zero_drift(dim: int = 1) -> DriftModel:
         dim=dim,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         jacobian=lambda x: eye.copy(),
-        constants=SmoothnessCert(L1=0.0, L2=0.0, A0=0.0, potential_floor=0.0, source="analytic"),
+        constants=SmoothnessCert(L1=0.0, L2=0.0, A0=0.0),
         params={"dim": dim},
         linear=LinearDrift(np.zeros((dim, dim)), np.zeros(dim)),
     )
@@ -312,8 +307,6 @@ def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0
             A0=a0,
             mu=mu,
             beta=beta,
-            potential_floor=0.0,
-            source="analytic",
         ),
         params={"dim": dim, "matrix": A_ro.tolist(), "offset": c_ro.tolist()},
         linear=LinearDrift(A_ro, c_ro),
@@ -351,8 +344,6 @@ def double_well_drift(dim: int = 1) -> DriftModel:
             A0=0.0,
             mu=0.5,
             beta=0.5,
-            potential_floor=0.0,
-            source="analytic",
         ),
         params={"dim": dim},
     )
@@ -383,14 +374,6 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
         t = math.tanh(float(x @ a))
         return 0.5 * (-np.eye(dim) + (1.0 - t * t) * np.outer(a, a))
 
-    # Potential f = U/2 for the normalized mixture density; minimum sits on
-    # the symmetry axis, located by a dense 1D search.
-    ts = np.linspace(0.0, 2.0 * math.sqrt(a2), 4001)
-    na = math.sqrt(a2)
-    log_mix = np.logaddexp(-0.5 * (ts - na) ** 2, -0.5 * (ts + na) ** 2)
-    f_axis = -0.5 * (math.log(0.5) - 0.5 * dim * math.log(2.0 * math.pi) + log_mix)
-    floor = float(f_axis.min())
-
     return DriftModel(
         name="gauss-mix",
         dim=dim,
@@ -402,8 +385,6 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
             A0=0.0,
             mu=0.25,
             beta=a2 / 4.0,
-            potential_floor=max(floor, 0.0),
-            source="analytic",
         ),
         params={"dim": dim, "separation": float(separation)},
     )
@@ -424,7 +405,7 @@ def expansive_drift(dim: int = 1, rate: float = 1.0) -> DriftModel:
         dim=dim,
         drift=lambda x: r * np.asarray(x, dtype=float),
         jacobian=lambda x: r * np.eye(dim),
-        constants=SmoothnessCert(L1=r, L2=0.0, A0=0.0, source="analytic"),
+        constants=SmoothnessCert(L1=r, L2=0.0, A0=0.0),
         params={"dim": dim, "rate": r},
         linear=LinearDrift(r * np.eye(dim), np.zeros(dim)),
     )

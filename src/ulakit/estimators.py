@@ -55,8 +55,8 @@ def rate_fit(points) -> RateFit:
     pts = [(float(e), float(v)) for e, v in points]
     if len(pts) < 3:
         raise InputError("rate fit needs at least 3 points")
-    if any(e <= 0 or v <= 0 for e, v in pts):
-        raise InputError("rate fit needs strictly positive steps and values")
+    if not all(0 < e < math.inf and 0 < v < math.inf for e, v in pts):
+        raise InputError("rate fit needs finite, strictly positive steps and values")
     x = np.log([e for e, _ in pts])
     y = np.log([v for _, v in pts])
     design = np.vstack([x, np.ones_like(x)]).T

