@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -142,6 +143,15 @@ def config_int(entry: dict, key: str, default=None) -> int:
     return int(value)
 
 
+def config_bool(entry: dict, key: str, default: bool) -> bool:
+    """entry[key], or default when it is absent.  Anything but a JSON boolean
+    (the string "false" included) is a ConfigurationError naming the key."""
+    value = entry.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -229,7 +239,7 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
     T = float(resolved["horizon"])
-    use_exact = bool(resolved.get("exact", True))
+    use_exact = config_bool(resolved, "exact", True)
     n_chains = config_int(resolved, "girsanov_chains", 0)
     quad = config_int(resolved, "quad_points_per_step", 4)
     seed = resolved["seed"]
@@ -241,34 +251,26 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
             "set exact=false and compare against a fine-step reference ensemble instead"
         )
 
-    rows = []
-    exact_pairs, girs_pairs, records = [], [], []
+    records = []
     for eta in etas:
         bnd.check_step(eta, model.constants.L1)
         steps = sp.grid_steps(T, eta)
         rec = {"eta": eta, "steps": steps}
-        kl_exact = None
         if use_exact:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
             ref = ga.continuous_moments_linear(model.linear, init.moments(), steps * eta)
-            kl_exact = ga.kl_gaussian(hat, ref)
-            exact_pairs.append((eta, kl_exact))
-            rec["kl_exact"] = kl_exact
+            rec["kl_exact"] = ga.kl_gaussian(hat, ref)
             rec["em_moments"] = hat.to_dict()
             rec["exact_moments"] = ref.to_dict()
-        kl_girs = None
-        if n_chains > 0:
-            kl_girs = est.girsanov_pathwise_kl(
-                model, init, eta, T, n_chains, seed, quad_points_per_step=quad
-            )
-            girs_pairs.append((eta, kl_girs))
-            rec["kl_girsanov"] = kl_girs
         records.append(rec)
-        rows.append([
-            eta,
-            kl_exact if kl_exact is not None else "",
-            kl_girs if kl_girs is not None else "",
-        ])
+    if n_chains > 0:
+        # One comparator call steps the whole grid on the shared noise.
+        kl_girs = est.girsanov_pathwise_kl(model, init, etas, T, n_chains, seed, quad_points_per_step=quad)
+        for rec, value in zip(records, kl_girs):
+            rec["kl_girsanov"] = value
+    exact_pairs = [(rec["eta"], rec["kl_exact"]) for rec in records if "kl_exact" in rec]
+    girs_pairs = [(rec["eta"], rec["kl_girsanov"]) for rec in records if "kl_girsanov" in rec]
+    rows = [[rec["eta"], rec.get("kl_exact", ""), rec.get("kl_girsanov", "")] for rec in records]
     sp.write_csv(out_dir / "rate_scan.csv", ["eta", "kl_exact", "kl_girsanov"], rows)
 
     def _fit(pairs):
@@ -335,6 +337,20 @@ FIRST_BLOCK_ROWS = 64
 BLOCK_ELEMENTS = 1 << 12
 
 
+def mixing_kl_tolerance(kl_tolerance, eps: float, rho: float) -> float:
+    """The KL tolerance of accuracy eps; a ConfigurationError when eps is
+    not finite and positive or the tolerance overflows."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigurationError(f"eps must be finite and positive, got {eps}")
+    try:
+        tolerance = kl_tolerance(eps, rho)
+    except OverflowError:
+        tolerance = math.inf
+    if tolerance == math.inf:
+        raise ConfigurationError(f"the KL tolerance of eps={eps} leaves the float range")
+    return tolerance
+
+
 def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
     """First k in 1..max_steps at which the forward-Euler chain for the drift
     with eigenvalues w, started at mean gap `gap` and isotropic variance var0
@@ -387,12 +403,13 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
     distance, kl_tolerance = MIXING_METRICS[metric]
     eps_grid = [float(e) for e in resolved["eps_grid"]]
+    tolerances = [mixing_kl_tolerance(kl_tolerance, eps, rho) for eps in eps_grid]
     max_steps = config_int(resolved, "max_steps", 10**6)
     bands = {**DEFAULT_BANDS, **resolved.get("bands", {})}
 
     rows, records, fit_pairs = [], [], []
-    for eps in eps_grid:
-        eta = bnd.step_size_rule(kl_tolerance(eps, rho), rho, d)
+    for eps, tolerance in zip(eps_grid, tolerances):
+        eta = bnd.step_size_rule(tolerance, rho, d)
         if distance(gap, var0, s) <= eps:
             n_measured = 0  # already mixed at k = 0; no stepping needed
         else:
@@ -541,7 +558,7 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
     n = config_int(resolved, "chains")
     seed = resolved["seed"]
     snaps = resolved.get("snapshot_times")
-    enforce = not bool(resolved.get("allow_outside_window", False))
+    enforce = not config_bool(resolved, "allow_outside_window", False)
 
     lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
@@ -621,9 +638,9 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
     elif name == "girsanov_pathwise_kl":
         model = build_model(resolved["model"])
         init = build_init(resolved["init"], model.dim)
-        value = est.girsanov_pathwise_kl(
+        [value] = est.girsanov_pathwise_kl(
             model, init,
-            eta=float(resolved["eta"]), T=float(resolved["horizon"]),
+            etas=[float(resolved["eta"])], T=float(resolved["horizon"]),
             n=config_int(resolved, "chains"), master_seed=resolved["seed"],
             quad_points_per_step=config_int(params, "quad_points_per_step", 4),
         )

@@ -20,8 +20,9 @@ class ConfigurationError(ValueError):
 class DivergenceError(RuntimeError):
     """A chain left the numerically trusted region ``|x_i| <= 1e12``."""
 
-    def __init__(self, message, chain=None, step=None, state=None):
+    def __init__(self, message, chain=None, step=None, state=None, eta=None):
         super().__init__(message)
         self.chain = chain
         self.step = step
         self.state = state
+        self.eta = eta

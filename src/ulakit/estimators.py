@@ -153,33 +153,41 @@ def moment_estimate(samples, p: int) -> float:
 def girsanov_pathwise_kl(
     model: DriftModel,
     init: InitDensity,
-    eta: float,
+    etas,
     T: float,
     n: int,
     master_seed: int,
     quad_points_per_step: int = 4,
-) -> float:
-    """Pathwise drift-mismatch KL quantity of the frozen-drift comparison:
+) -> list[float]:
+    """Pathwise drift-mismatch KL quantity of the frozen-drift comparison,
 
         (1/2) * integral_0^T E || b(X_{k eta}) - b(X_t) ||^2 dt,
 
-    estimated by Monte Carlo over the chains of samplers.em_chain with a
-    midpoint rule inside each step; within-step states come from the
-    frozen-drift bridge, its noise drawn on substream SUB_QUAD_BASE + j for
-    quadrature point j.  Scales as O(eta) on linear drifts, which is the
-    first-order benchmark the exact marginal KL is measured against.
+    for each step size eta of the grid etas, in grid order.
+
+    Estimated by Monte Carlo over the chains of samplers.em_chain, which
+    steps the grid in lockstep, with a midpoint rule inside each step;
+    within-step states come from the frozen-drift bridge, its noise drawn on
+    substream SUB_QUAD_BASE + j for quadrature point j.  The block of step k
+    and point j is drawn once and shared by every eta still stepping at k,
+    so each value is bitwise the one a one-element grid gives.  Scales as
+    O(eta) on linear drifts, which is the first-order benchmark the exact
+    marginal KL is measured against.
     """
     m = quad_points_per_step
     if not 1 <= m <= MAX_QUAD_POINTS:
         raise InputError(f"quad_points_per_step must be in [1, {MAX_QUAD_POINTS}]")
-    total = 0.0
-    for k, x, bx in em_chain(model, init, eta, T, n, master_seed):
-        if bx is None:
+    etas = list(etas)
+    totals = [0.0] * len(etas)
+    for k, states in em_chain(model, init, etas, T, n, master_seed):
+        live = [(i, x, bx) for i, x, bx in states if bx is not None]
+        if not live:
             break
         for j in range(m):
-            tau = (j + 0.5) * eta / m
             xi = noise_block(master_seed, k, SUB_QUAD_BASE + j, n, model.dim)
-            xt = x + tau * bx + math.sqrt(tau) * xi
-            diff = bx - model.drift(xt)
-            total += (eta / m) * float(np.mean(np.sum(diff * diff, axis=1)))
-    return 0.5 * total
+            for i, x, bx in live:
+                tau = (j + 0.5) * etas[i] / m
+                xt = x + tau * bx + math.sqrt(tau) * xi
+                diff = bx - model.drift(xt)
+                totals[i] += (etas[i] / m) * float(np.mean(np.sum(diff * diff, axis=1)))
+    return [0.5 * total for total in totals]

@@ -160,17 +160,19 @@ class SampleEnsemble:
         return self.points.shape[1]
 
 
-def _guard(points: np.ndarray, step: int, time: float) -> None:
-    """Raise DivergenceError naming the first chain (row) with a coordinate
-    that is not finite or exceeds DIVERGENCE_LIMIT in absolute value."""
+def _guard(points: np.ndarray, step: int, time: float, eta: float) -> None:
+    """Raise DivergenceError naming the step size, and the first chain (row)
+    with a coordinate that is not finite or exceeds DIVERGENCE_LIMIT in
+    absolute value."""
     bad = ~np.isfinite(points) | (np.abs(points) > DIVERGENCE_LIMIT)
     if bad.any():
         chain = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise DivergenceError(
-            f"chain {chain} diverged at step {step} (t={time:g})",
+            f"chain {chain} diverged at step {step} (eta={eta:g}, t={time:g})",
             chain=chain,
             step=step,
             state=np.array(points[chain]),
+            eta=eta,
         )
 
 
@@ -189,24 +191,36 @@ def grid_steps(t: float, eta: float, what: str = "horizon") -> int:
 def em_chain(
     model: DriftModel,
     init: InitDensity,
-    eta: float,
+    etas,
     T: float,
     n: int,
     master_seed: int,
     enforce_window: bool = True,
 ):
-    """The forward-Euler chain X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
-    n independent chains over floor(T/eta) steps, xi_k drawn on SUB_EM.
+    """The forward-Euler chains X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
+    n independent chains over floor(T/eta) steps, for every step size eta of
+    the grid etas in lockstep.
 
-    Checks the step (against bounds.step_window unless enforce_window is
+    xi_k is a pure function of (master_seed, k), so every eta of the grid
+    takes the same block at step k: it is drawn once on SUB_EM and applied to
+    each eta with k < steps(eta).  Each eta keeps its own state, drift, guard
+    and step count, so its chain is bitwise the one it would run alone.
+
+    Checks every step (against bounds.step_window unless enforce_window is
     False), dimensions, chain count, seed and horizon, and draws the initial
-    states, before it returns, so a bad configuration fails before any
+    states once, before it returns, so a bad configuration fails before any
     stepping.  An initial state beyond the divergence limit is an InputError
-    naming init; a later one a DivergenceError naming chain and step.
-    Returns an iterator over (k, x_k, b(x_k)) for k < steps, then
-    (steps, x_steps, None).
+    naming init; a later one a DivergenceError naming the step size, chain
+    and step, raised at the first step, in grid order within a step, where
+    any eta diverges.  Returns an iterator over (k, states) for k = 0 ..
+    max steps(eta), states listing (i, x_k, b(x_k)) in grid order for each
+    eta_i with k <= steps(eta_i), with b(x_k) None at k = steps(eta_i).
     """
-    check_step(eta, model.constants.L1, enforce_window)
+    etas = list(etas)
+    if not etas:
+        raise InputError("the step-size grid is empty")
+    for eta in etas:
+        check_step(eta, model.constants.L1, enforce_window)
     if init.dim != model.dim:
         raise InputError("init dimension does not match model")
     if n < 1:
@@ -214,25 +228,29 @@ def em_chain(
     seed = _check_seed(master_seed)
     if not T > 0:
         raise ConfigurationError("horizon must be positive")
-    steps = grid_steps(T, eta)
+    steps = [grid_steps(T, eta) for eta in etas]
+    last = max(steps)
     x = init.sample(n, seed)
     try:
-        _guard(x, step=0, time=0.0)
+        _guard(x, step=0, time=0.0, eta=etas[0])
     except DivergenceError as exc:
         raise InputError(
             f"init draws chain {exc.chain} at {exc.state.tolist()}, beyond the divergence "
             f"limit {DIVERGENCE_LIMIT:g}: check its mean and sigma0"
         ) from None
 
-    def run(x):
-        for k in range(steps):
-            bx = model.drift(x)
-            yield k, x, bx
-            x = x + eta * bx + math.sqrt(eta) * noise_block(seed, k, SUB_EM, n, model.dim)
-            _guard(x, step=k + 1, time=(k + 1) * eta)
-        yield steps, x, None
+    def run(xs):
+        for k in range(last):
+            bxs = [model.drift(x) if k < s else None for x, s in zip(xs, steps)]
+            yield k, [(i, xs[i], bxs[i]) for i, s in enumerate(steps) if k <= s]
+            xi = noise_block(seed, k, SUB_EM, n, model.dim)
+            for i, (eta, bx) in enumerate(zip(etas, bxs)):
+                if bx is not None:
+                    xs[i] = xs[i] + eta * bx + math.sqrt(eta) * xi
+                    _guard(xs[i], step=k + 1, time=(k + 1) * eta, eta=eta)
+        yield last, [(i, xs[i], None) for i, s in enumerate(steps) if s == last]
 
-    return run(x)
+    return run([x] * len(etas))
 
 
 def simulate_ensemble(
@@ -245,14 +263,15 @@ def simulate_ensemble(
     snapshot_times=None,
     enforce_window: bool = True,
 ):
-    """Run n independent chains of em_chain for floor(T/eta) steps.
+    """Run n independent chains of em_chain, on the one-element grid [eta],
+    for floor(T/eta) steps.
 
     Returns the final SampleEnsemble, or (final, snapshots) when
     snapshot_times is given.  Snapshots land on grid times only (requested
     times are rounded down, with a warning when off-grid); times outside
     [0, T] are rejected.
     """
-    chain = em_chain(model, init, eta, T, n, master_seed, enforce_window)
+    chain = em_chain(model, init, [eta], T, n, master_seed, enforce_window)
     seed = int(master_seed)
     snap_steps = set()
     for t_req in snapshot_times or ():
@@ -261,7 +280,7 @@ def simulate_ensemble(
         snap_steps.add(grid_steps(t_req, eta, "snapshot time"))
 
     snapshots = []
-    for k, x, _ in chain:
+    for k, [(_, x, _)] in chain:
         if k in snap_steps:
             snapshots.append(SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed))
     final = SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed)
@@ -286,8 +305,22 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
+def _strict_json(value):
+    """value with every non-finite float replaced by None, since strict JSON
+    has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write payload as strict JSON, a non-finite float as null."""
+    text = json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import resource
 import tempfile
 import time
@@ -228,6 +229,24 @@ def test_rate_scan_nonlinear_model_with_exact_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_rate_scan_comparator_divergence_exits_1_naming_eta_chain_and_step(tmp_path, capsys):
+    # The grid steps in lockstep; 0.05, the largest step, diverges first.
+    cfg = {
+        "model": {"name": "expansive", "params": {"dim": 1}},
+        "init": {"mean": [0.0], "sigma0": 1.0},
+        "horizon": 48.0,
+        "eta_grid": [0.02, 0.05, 0.04],
+        "exact": False,
+        "girsanov_chains": 100,
+        "seed": 5,
+    }
+    code, out = run(tmp_path, "rate-scan", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "diverged at step" in err and "(eta=0.05, t=" in err
+    assert not (out / "rate_scan.csv").exists()
+
+
 # --- mixing-scan ----------------------------------------------------------------
 
 
@@ -303,6 +322,21 @@ def test_mixing_scan_2d_target(tmp_path):
     rep = json.loads((out / "mixing_scan.json").read_text())
     ns = [r["n_measured"] for r in rep["records"]]
     assert ns == sorted(ns) and ns[-1] > ns[0] > 0
+
+
+@pytest.mark.parametrize("metric, eps, message", [
+    ("TV", 1e200, "leaves the float range"),
+    ("W2", 1e200, "leaves the float range"),
+    ("KL", math.inf, "finite and positive"),
+    ("KL", math.nan, "finite and positive"),
+    ("TV", 0.0, "finite and positive"),
+    ("W2", -0.1, "finite and positive"),
+])
+def test_mixing_scan_bad_eps_exits_2_before_any_output(tmp_path, capsys, metric, eps, message):
+    code, out = run(tmp_path, "mixing-scan", dict(MIX_CFG, metric=metric, eps_grid=[0.1, eps]))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_mixing_scan_non_finite_moments_exit_2(tmp_path, capsys):
@@ -632,6 +666,19 @@ def test_bound_sum_overflow_fails_bound_finite(tmp_path):
     assert [(c["name"], c["pass"]) for c in claims] == [("bound_finite", False)]
 
 
+def reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def test_non_finite_report_value_is_strict_json_null(tmp_path):
+    constants = dict(ALL_ONES_CONSTANTS, h0=1e308, entropy0=1e308)
+    code, out = run(tmp_path, "bound-eval", {"theorem": 1, "eta": 0.1, "constants": constants})
+    assert code == 1
+    report = json.loads((out / "bound_eval.json").read_text(), parse_constant=reject_constant)
+    assert report["value"] is None and report["terms"]["total"] is None
+    assert report["claims"][0]["detail"] == "value=inf"
+
+
 # The estimators' inputs, relative to the config: written by sample into "ens".
 ENS_PQ = {"p": "ens/ensemble.csv", "q": "ens/ensemble.csv"}
 # (command, a valid config, an integer field: a top-level key or params.<key>)
@@ -665,6 +712,20 @@ def test_non_integer_integer_field_exits_2_before_any_output(tmp_path, capsys, c
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     assert f"{key} must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# (command, a valid config, a boolean flag)
+BOOLEAN_FLAGS = [("rate-scan", RATE_CFG, "exact"), ("sample", SAMPLE_CFG, "allow_outside_window")]
+NON_BOOLEANS = ["false", "true", 0, 1, None, [False]]
+
+
+@pytest.mark.parametrize("value", NON_BOOLEANS)
+@pytest.mark.parametrize("command, cfg, key", BOOLEAN_FLAGS, ids=[key for _, _, key in BOOLEAN_FLAGS])
+def test_non_boolean_flag_exits_2_before_any_output(tmp_path, capsys, command, cfg, key, value):
+    code, out = run(tmp_path, command, dict(cfg, **{key: value}))
+    assert code == 2
+    assert f"{key} must be true or false" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -861,16 +922,17 @@ def test_mixing_scan_matches_per_step_recursion_on_drawn_targets(seed, d, metric
 
 # A tiny config per command, and per kind of estimate; "s.csv" sits next to it.
 TINY_CONFIGS = [
-    ("rate-scan", dict(RATE_CFG, girsanov_chains=20, quad_points_per_step=2)),
+    ("rate-scan", dict(RATE_CFG, girsanov_chains=20, quad_points_per_step=2, exact=True)),
     ("mixing-scan", dict(MIX_CFG, max_steps=5000, bands={"mixing_slope": {"KL": [-0.75, -0.4]}})),
     ("verify", VERIFY_CFG),
-    ("sample", dict(SAMPLE_CFG, chains=20, horizon=0.3, snapshot_times=[0.1])),
+    ("sample", dict(SAMPLE_CFG, chains=20, horizon=0.3, snapshot_times=[0.1], allow_outside_window=False)),
     ("estimate", dict(GIRSANOV_CFG, chains=20, params={"quad_points_per_step": 2})),
     ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"p": 2}}),
     ("estimate", RATE_FIT_CFG),
     ("bound-eval", BOUND_CFG),
 ]
 INTEGER_KEYS = {field.split(".")[-1] for _command, _cfg, field in INTEGER_FIELDS}
+BOOLEAN_KEYS = {key for _command, _cfg, key in BOOLEAN_FLAGS}
 WRONG_TYPES = ["x", None, True, [], {}, [0.5], -1, 0]
 
 
@@ -887,12 +949,14 @@ def key_paths(cfg):
 def test_mutated_configs_exit_0_1_or_2(data):
     command, cfg = data.draw(st.sampled_from(TINY_CONFIGS))
     cfg = json.loads(json.dumps(cfg))
-    kind = data.draw(st.sampled_from(["drop", "swap", "misspell", "fraction"]))
+    kind = data.draw(st.sampled_from(["drop", "swap", "misspell", "fraction", "flag"]))
     paths = list(key_paths(cfg))
     if kind == "misspell":
         paths = [p for p in paths if len(p) == 2] or paths
     elif kind == "fraction":
         paths = [p for p in paths if p[-1] in INTEGER_KEYS] or [("seed",)]
+    elif kind == "flag":
+        paths = [p for p in paths if p[-1] in BOOLEAN_KEYS] or [("seed",)]
     *where, key = data.draw(st.sampled_from(paths))
     entry = cfg[where[0]] if where else cfg
     if kind == "drop":
@@ -901,11 +965,15 @@ def test_mutated_configs_exit_0_1_or_2(data):
         entry[key] = data.draw(st.sampled_from(WRONG_TYPES))
     elif kind == "misspell":
         entry[key + "x"] = entry.pop(key)
-    else:
+    elif kind == "fraction":
         entry[key] = entry.get(key, 0) + 0.5
+    else:
+        entry[key] = data.draw(st.sampled_from(NON_BOOLEANS))
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tmp = Path(tmp)
         write_ensemble_csv(SampleEnsemble(0.3, 0.1, np.linspace(-1.0, 1.0, 20), 0), tmp / "s.csv")
         code, _ = run(tmp, command, cfg)
     assert code in (0, 1, 2)
+    if key in BOOLEAN_KEYS and key in entry and not isinstance(entry[key], bool):
+        assert code == 2  # a flag is never read by truthiness

@@ -65,9 +65,9 @@ def one_step(model, x0, eta, noise):
     (the init's and the step's) replaced by `noise`."""
     init = InitDensity(mean=x0 - np.asarray(noise, float), sigma0=1.0)
     with mock.patch.object(sp, "noise_block", lambda *a: np.array([noise], float)):
-        states = list(sp.em_chain(model, init, eta, eta, 1, master_seed=0))
-    assert np.array_equal(states[0][1][0], x0)
-    return states[-1][1][0]
+        (_, [(_, x, _)]), (_, [(_, x1, _)]) = sp.em_chain(model, init, [eta], eta, 1, master_seed=0)
+    assert np.array_equal(x[0], x0)
+    return x1[0]
 
 
 def test_em_step_zero_everything():
@@ -90,14 +90,21 @@ def test_em_step_divergence_is_the_chain_guard():
 
     init = InitDensity(mean=[1.0], sigma0=1.0)
     with mock.patch.object(sp, "noise_block", draw), pytest.raises(DivergenceError) as err:
-        list(sp.em_chain(OU1, init, 0.1, 0.1, 1, master_seed=0))
-    assert err.value.chain == 0 and err.value.step == 1
+        list(sp.em_chain(OU1, init, [0.1], 0.1, 1, master_seed=0))
+    assert err.value.chain == 0 and err.value.step == 1 and err.value.eta == 0.1
     assert err.value.state.tolist() == [0.9 + math.sqrt(0.1) * 1e13]
 
 
 def test_em_step_rejects_bad_eta():
     with pytest.raises(ConfigurationError):
-        sp.em_chain(OU1, STD_INIT, 0.0, 1.0, 1, master_seed=0)
+        sp.em_chain(OU1, STD_INIT, [0.0], 1.0, 1, master_seed=0)
+
+
+def test_em_chain_checks_every_eta_before_it_returns():
+    with pytest.raises(ConfigurationError):
+        sp.em_chain(OU1, STD_INIT, [0.1, 0.05, 0.6], 1.0, 1, master_seed=0)
+    with pytest.raises(InputError, match="empty"):
+        sp.em_chain(OU1, STD_INIT, [], 1.0, 1, master_seed=0)
 
 
 # --- step-size window ----------------------------------------------------------
@@ -224,7 +231,7 @@ def test_interpolated_sample_deterministic_value():
     init = InitDensity(mean=[1.0], sigma0=1.0)
     with mock.patch.object(sp, "noise_block", lambda *a: np.zeros((1, 1))), \
             mock.patch("ulakit.estimators.noise_block", lambda *a: np.zeros((1, 1))):
-        value = girsanov_pathwise_kl(OU1, init, 0.1, 0.1, 1, master_seed=0, quad_points_per_step=1)
+        [value] = girsanov_pathwise_kl(OU1, init, [0.1], 0.1, 1, master_seed=0, quad_points_per_step=1)
     assert value == pytest.approx(0.5 * 0.1 * 0.05**2)
 
 
@@ -266,13 +273,22 @@ def test_off_grid_horizon_warns_and_rounds_down():
 # --- one forward-Euler chain against the hand-written loops ------------------------
 
 
-CHAIN_MODELS = [("ou", 1), ("ou", 2), ("double-well", 1), ("gauss-mix", 2)]
+CHAIN_MODELS = [(name, dim) for name in ("ou", "double-well", "gauss-mix") for dim in (1, 2)]
+
+
+def final_states(model, init, etas, T, n, seed):
+    """Each eta's final states from one lockstep em_chain over the grid."""
+    finals = {}
+    for _, states in sp.em_chain(model, init, etas, T, n, seed):
+        finals.update((i, x) for i, x, bx in states if bx is None)
+    return [finals[i] for i in range(len(etas))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     case=st.sampled_from(CHAIN_MODELS),
-    frac=st.floats(0.05, 0.95),
+    fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+    duplicate=st.booleans(),
     steps=st.integers(0, 12),
     off_grid=st.sampled_from([0.0, 0.37]),
     n=st.integers(1, 40),
@@ -283,12 +299,15 @@ CHAIN_MODELS = [("ou", 1), ("ou", 2), ("double-well", 1), ("gauss-mix", 2)]
     sigma0=st.floats(0.1, 2.0),
 )
 def test_chain_and_comparator_match_loop_oracles(
-    case, frac, steps, off_grid, n, seed, snap_fracs, quad, center, sigma0
+    case, fracs, duplicate, steps, off_grid, n, seed, snap_fracs, quad, center, sigma0
 ):
     name, dim = case
     model = make_model(name, dim=dim)
     init = InitDensity(mean=[center] * dim, sigma0=sigma0)
-    eta = frac * step_window(model.constants.L1)[1]
+    etas = [f * step_window(model.constants.L1)[1] for f in fracs]
+    if duplicate and len(etas) < 4:
+        etas.append(etas[0])  # a duplicate step size
+    eta = etas[0]
     T = (steps + off_grid) * eta
     if T <= 0:
         T = eta
@@ -297,14 +316,60 @@ def test_chain_and_comparator_match_loop_oracles(
         warnings.simplefilter("ignore")  # off-grid horizons and snapshot times
         final, snaps = simulate_ensemble(model, init, eta, T, n, seed, snapshot_times=times)
         x_ref, snaps_ref = simulate_ensemble_loop(model, init, eta, T, n, seed, times)
-        value = girsanov_pathwise_kl(model, init, eta, T, n, seed, quad_points_per_step=quad)
-        value_ref = girsanov_pathwise_kl_loop(model, init, eta, T, n, seed, quad_points_per_step=quad)
+        finals = final_states(model, init, etas, T, n, seed)
+        values = girsanov_pathwise_kl(model, init, etas, T, n, seed, quad_points_per_step=quad)
+        for e, x, value in zip(etas, finals, values, strict=True):
+            assert np.array_equal(x, simulate_ensemble_loop(model, init, e, T, n, seed)[0])
+            assert value == girsanov_pathwise_kl_loop(model, init, e, T, n, seed, quad_points_per_step=quad)
     assert np.array_equal(final.points, x_ref)
     assert final.master_seed == seed and final.eta == eta
     assert [s.time for s in snaps] == [k * eta for k in sorted(snaps_ref)]
     for snap, k in zip(snaps, sorted(snaps_ref)):
         assert np.array_equal(snap.points, snaps_ref[k])
-    assert value == value_ref
+
+
+def test_grid_draws_each_noise_block_once():
+    # Steps: 20 (0.05, twice), 5 (0.2), 10 (0.1); the grid draws the init
+    # once and, for each step below the longest, one SUB_EM block and one
+    # block per quadrature point.
+    etas, quad = [0.05, 0.2, 0.1, 0.05], 3
+    drawn = []
+
+    def counting(master_seed, step, substream, n, dim):
+        drawn.append((step, substream))
+        return noise_block(master_seed, step, substream, n, dim)
+
+    with mock.patch.object(sp, "noise_block", counting), \
+            mock.patch("ulakit.estimators.noise_block", counting):
+        values = girsanov_pathwise_kl(OU1, STD_INIT, etas, 1.0, 10, master_seed=5, quad_points_per_step=quad)
+    assert len(drawn) == 20 * (1 + quad) + 1
+    assert len(set(drawn)) == len(drawn)
+    assert values == [
+        girsanov_pathwise_kl_loop(OU1, STD_INIT, eta, 1.0, 10, 5, quad_points_per_step=quad) for eta in etas
+    ]
+
+
+def test_grid_divergence_names_the_first_diverging_eta_chain_and_step():
+    m = make_model("expansive", dim=1)
+    etas = [0.02, 0.05, 0.03]
+    alone = []
+    for eta in etas:
+        with pytest.raises(DivergenceError) as err:
+            simulate_ensemble(m, STD_INIT, eta, 48.0, 200, master_seed=23)
+        alone.append(err.value)
+    # The largest step diverges in the fewest steps, though it is not first
+    # in the grid.
+    first = min(range(len(etas)), key=lambda i: alone[i].step)
+    assert first == 1 and alone[1].step < min(alone[0].step, alone[2].step)
+    for run in (
+        lambda: list(sp.em_chain(m, STD_INIT, etas, 48.0, 200, master_seed=23)),
+        lambda: girsanov_pathwise_kl(m, STD_INIT, etas, 48.0, 200, master_seed=23),
+    ):
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert (err.value.eta, err.value.chain, err.value.step) == (0.05, alone[1].chain, alone[1].step)
+        assert np.array_equal(err.value.state, alone[1].state)
+        assert f"chain {alone[1].chain} diverged at step {alone[1].step} (eta=0.05," in str(err.value)
 
 
 @pytest.mark.parametrize("mean, sigma0", [(0.0, 1e200), (1e13, 1.0)])
@@ -312,19 +377,33 @@ def test_init_out_of_range_is_input_error(mean, sigma0):
     init = InitDensity(mean=[mean], sigma0=sigma0)
     for run in (
         lambda: simulate_ensemble(OU1, init, 0.1, 1.0, 10, master_seed=3),
-        lambda: girsanov_pathwise_kl(OU1, init, 0.1, 1.0, 10, master_seed=3),
+        lambda: girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 10, master_seed=3),
     ):
         with pytest.raises(InputError, match="init"):
             run()
 
 
 def test_em_chain_yields_each_state_with_its_drift():
-    chain = sp.em_chain(OU1, STD_INIT, 0.1, 0.3, 5, master_seed=37)
-    seen = list(chain)
+    chain = sp.em_chain(OU1, STD_INIT, [0.1], 0.3, 5, master_seed=37)
+    seen = [(k, x, bx) for k, [(_, x, bx)] in chain]
     assert [k for k, _, _ in seen] == [0, 1, 2, 3]
     for _, x, bx in seen[:-1]:
         assert np.array_equal(bx, OU1.drift(x))
     assert seen[-1][2] is None
+
+
+def test_em_chain_grid_yields_each_eta_up_to_its_own_steps():
+    # T = 0.3 is 3 steps of 0.1 and 2 of 0.15.
+    seen = list(sp.em_chain(OU1, STD_INIT, [0.1, 0.15], 0.3, 5, master_seed=37))
+    assert [(k, [i for i, _, _ in states]) for k, states in seen] == [
+        (0, [0, 1]), (1, [0, 1]), (2, [0, 1]), (3, [0])
+    ]
+    for k, states in seen:
+        for i, x, bx in states:
+            if k == (3, 2)[i]:
+                assert bx is None
+            else:
+                assert np.array_equal(bx, OU1.drift(x))
 
 
 # --- fine-step reference: the chain at a step well below the coarse one -------------
