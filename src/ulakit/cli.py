@@ -152,6 +152,70 @@ def config_bool(entry: dict, key: str, default: bool) -> bool:
     return value
 
 
+def config_float(entry: dict, key: str, default=None) -> float:
+    """entry[key], or default when it is absent, as a float.  A boolean, a
+    string or another non-number, or a value that is not finite as a float,
+    is a ConfigurationError naming the key."""
+    return _number(entry.get(key, default), key)
+
+
+def config_floats(entry: dict, key: str, default=None, positive: bool = False) -> list[float]:
+    """entry[key], or default when it is absent, as a list of floats, each
+    checked as by config_float and, with positive, above zero."""
+    value = entry.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(v, key, positive) for v in value]
+
+
+def config_array(entry: dict, key: str) -> np.ndarray:
+    """entry[key], a number or nested lists of numbers, as a float array,
+    each number checked as by config_float."""
+
+    def numbers(value):
+        return [numbers(v) for v in value] if isinstance(value, list) else _number(value, key)
+
+    checked = numbers(entry[key])
+    try:
+        return np.array(checked, dtype=float)
+    except ValueError:
+        raise ConfigurationError(f"{key} has rows of different lengths") from None
+
+
+def _number(value, key: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or (positive and not number > 0.0):
+        raise ConfigurationError(f"{key} must be finite{' and positive' * positive}, got {value!r}")
+    return number
+
+
+def config_bands(resolved: dict) -> dict:
+    """DEFAULT_BANDS overridden by the config's "bands": each a number or a
+    [low, high] pair, and mixing_slope a map of such pairs per metric."""
+    given = resolved.get("bands", {})
+    bands = dict(DEFAULT_BANDS)
+    for key in given:
+        if isinstance(DEFAULT_BANDS[key], dict):
+            bands[key] = {metric: _band(given[key], metric) for metric in given[key]}
+        elif isinstance(DEFAULT_BANDS[key], tuple):
+            bands[key] = _band(given, key)
+        else:
+            bands[key] = config_float(given, key)
+    return bands
+
+
+def _band(entry: dict, key: str) -> tuple[float, float]:
+    band = config_floats(entry, key)
+    if len(band) != 2:
+        raise ConfigurationError(f"{key} must be a [low, high] pair, got {entry[key]!r}")
+    return tuple(band)
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -169,12 +233,12 @@ def build_model(entry: dict) -> dm.DriftModel:
 def build_init(entry: dict, dim: int) -> sp.InitDensity:
     if not isinstance(entry, dict) or "sigma0" not in entry:
         raise ConfigurationError('init config must be {"mean": [...], "sigma0": s}')
-    mean = np.asarray(entry.get("mean", np.zeros(dim)), dtype=float)
+    mean = config_array(entry, "mean") if "mean" in entry else np.zeros(dim)
     if mean.ndim == 0:
-        mean = np.full(dim, float(mean))
+        mean = np.full(dim, mean)
     if mean.shape != (dim,):
         raise ConfigurationError(f"init mean must have dimension {dim}")
-    return sp.InitDensity(mean=mean, sigma0=float(entry["sigma0"]))
+    return sp.InitDensity(mean=mean, sigma0=config_float(entry, "sigma0"))
 
 
 class Outcome(NamedTuple):
@@ -235,15 +299,15 @@ def run_command(args) -> int:
 def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim)
-    etas = [float(e) for e in resolved["eta_grid"]]
+    etas = config_floats(resolved, "eta_grid")
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
-    T = float(resolved["horizon"])
+    T = config_float(resolved, "horizon")
     use_exact = config_bool(resolved, "exact", True)
     n_chains = config_int(resolved, "girsanov_chains", 0)
     quad = config_int(resolved, "quad_points_per_step", 4)
     seed = resolved["seed"]
-    bands = {**DEFAULT_BANDS, **resolved.get("bands", {})}
+    bands = config_bands(resolved)
 
     if use_exact and model.linear is None:
         raise ConfigurationError(
@@ -338,10 +402,8 @@ BLOCK_ELEMENTS = 1 << 12
 
 
 def mixing_kl_tolerance(kl_tolerance, eps: float, rho: float) -> float:
-    """The KL tolerance of accuracy eps; a ConfigurationError when eps is
-    not finite and positive or the tolerance overflows."""
-    if not 0.0 < eps < math.inf:
-        raise ConfigurationError(f"eps must be finite and positive, got {eps}")
+    """The KL tolerance of accuracy eps; a ConfigurationError when it
+    overflows."""
     try:
         tolerance = kl_tolerance(eps, rho)
     except OverflowError:
@@ -383,11 +445,11 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
 
 
 def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
-    rho = float(resolved["rho"])
+    rho = config_float(resolved, "rho")
     tgt_cfg = resolved["target"]
     if not isinstance(tgt_cfg, dict) or not {"mean", "cov"} <= tgt_cfg.keys():
         raise ConfigurationError('mixing-scan needs a Gaussian "target": {"mean": [...], "cov": [[...]]}')
-    target = ga.GaussianMoments(np.asarray(tgt_cfg["mean"], float), np.asarray(tgt_cfg["cov"], float))
+    target = ga.GaussianMoments(config_array(tgt_cfg, "mean"), config_array(tgt_cfg, "cov"))
     d = target.dim
     # ULA drift for the target: b = -grad(U)/2 with U the Gaussian potential,
     # so A = -cov^-1 / 2 shares the target's eigenbasis.  The start is
@@ -402,10 +464,10 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     if metric not in MIXING_METRICS:
         raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
     distance, kl_tolerance = MIXING_METRICS[metric]
-    eps_grid = [float(e) for e in resolved["eps_grid"]]
+    eps_grid = config_floats(resolved, "eps_grid", positive=True)
     tolerances = [mixing_kl_tolerance(kl_tolerance, eps, rho) for eps in eps_grid]
     max_steps = config_int(resolved, "max_steps", 10**6)
-    bands = {**DEFAULT_BANDS, **resolved.get("bands", {})}
+    bands = config_bands(resolved)
 
     rows, records, fit_pairs = [], [], []
     for eps, tolerance in zip(eps_grid, tolerances):
@@ -553,11 +615,11 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
     only the report, in sample.json."""
     model = build_model(resolved["model"])
     init = build_init(resolved["init"], model.dim)
-    eta = float(resolved["eta"])
-    T = float(resolved["horizon"])
+    eta = config_float(resolved, "eta")
+    T = config_float(resolved, "horizon")
     n = config_int(resolved, "chains")
     seed = resolved["seed"]
-    snaps = resolved.get("snapshot_times")
+    snaps = config_floats(resolved, "snapshot_times") if "snapshot_times" in resolved else None
     enforce = not config_bool(resolved, "allow_outside_window", False)
 
     lo, hi = bnd.step_window(model.constants.L1)
@@ -640,12 +702,12 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
         init = build_init(resolved["init"], model.dim)
         [value] = est.girsanov_pathwise_kl(
             model, init,
-            etas=[float(resolved["eta"])], T=float(resolved["horizon"]),
+            etas=[config_float(resolved, "eta")], T=config_float(resolved, "horizon"),
             n=config_int(resolved, "chains"), master_seed=resolved["seed"],
             quad_points_per_step=config_int(params, "quad_points_per_step", 4),
         )
     elif name == "rate_fit":
-        fit = est.rate_fit([(float(e), float(v)) for e, v in resolved["points"]])
+        fit = est.rate_fit(config_array(resolved, "points"))
         value = fit.slope
         params["fit"] = fit.to_dict()
     else:
@@ -666,9 +728,10 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
     theorem = config_int(resolved, "theorem", 1)
     if theorem not in (1, 2):
         raise ConfigurationError("theorem must be 1 (dissipative) or 2 (non-negative potential)")
-    constants = bnd.BoundConstants.from_dict(resolved["constants"])
+    given = resolved["constants"]
+    constants = bnd.BoundConstants.from_dict({key: config_float(given, key) for key in given})
 
-    T = float(resolved.get("horizon", 1.0))
+    T = config_float(resolved, "horizon", 1.0)
     d = config_int(resolved, "dim", 1)
     terms_of = bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
 
@@ -684,7 +747,7 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
 
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
     if "eta" in resolved:
-        eta = float(resolved["eta"])
+        eta = config_float(resolved, "eta")
         terms = evaluator(eta)
         fields.update({"eta": eta, "terms": terms, "value": terms["total"]})
         claims = [{
@@ -694,12 +757,12 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
     elif "eta_grid" in resolved:
         pairs = []
         sweep = []
-        for eta in resolved["eta_grid"]:
-            terms = evaluator(float(eta))
-            pairs.append((float(eta), terms["total"]))
-            sweep.append({"eta": float(eta), "value": terms["total"]})
+        for eta in config_floats(resolved, "eta_grid"):
+            terms = evaluator(eta)
+            pairs.append((eta, terms["total"]))
+            sweep.append({"eta": eta, "value": terms["total"]})
         fit = est.rate_fit(pairs)
-        lo, hi = {**DEFAULT_BANDS, **resolved.get("bands", {})}["sweep_slope"]
+        lo, hi = config_bands(resolved)["sweep_slope"]
         fields.update({"sweep": sweep, "fit": fit.to_dict()})
         claims = [{
             "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),

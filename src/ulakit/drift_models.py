@@ -296,10 +296,21 @@ def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0
     A_ro.setflags(write=False)
     c_ro = c.copy()
     c_ro.setflags(write=False)
+    if dim == 1:
+        # x @ A.T + c is (0.0 + x a) + c, which is bitwise x a + (c + 0.0):
+        # the scalar form, without the matmul and the broadcast add over a
+        # length-1 axis.
+        a, c0 = float(A[0, 0]), float(c[0]) + 0.0
+
+        def drift(x):
+            return np.asarray(x, dtype=float) * a + c0
+    else:
+        def drift(x):
+            return np.asarray(x, dtype=float) @ A_ro.T + c_ro
     return DriftModel(
         name="ou",
         dim=dim,
-        drift=lambda x: np.asarray(x, dtype=float) @ A_ro.T + c_ro,
+        drift=drift,
         jacobian=lambda x: A_ro.copy(),
         constants=SmoothnessCert(
             L1=float(-lam.min()),

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .drift_models import DriftModel
 from .errors import InputError, UnsupportedError
 # perfbench's tracer wraps estimators.noise_block and estimators._guard by name; keep both importable.
-from .samplers import MAX_QUAD_POINTS, SUB_QUAD_BASE, InitDensity, _guard, em_chain, noise_block  # noqa: F401
+from .samplers import MAX_QUAD_POINTS, InitDensity, _guard, em_chain, noise_block  # noqa: F401
 
 KNN_JITTER = 1e-12
 
@@ -167,24 +167,21 @@ def girsanov_pathwise_kl(
 
     Estimated by Monte Carlo over the chains of samplers.em_chain, which
     steps the grid in lockstep, with a midpoint rule inside each step;
-    within-step states come from the frozen-drift bridge, its noise drawn on
-    substream SUB_QUAD_BASE + j for quadrature point j.  The block of step k
-    and point j is drawn once and shared by every eta still stepping at k,
-    so each value is bitwise the one a one-element grid gives.  Scales as
-    O(eta) on linear drifts, which is the first-order benchmark the exact
-    marginal KL is measured against.
+    within-step states come from the frozen-drift bridge, its noise drawn by
+    the chain on substream SUB_QUAD_BASE + j for quadrature point j.  The
+    block of step k and point j is drawn once and shared by every eta still
+    stepping at k, so each value is bitwise the one a one-element grid gives.
+    Scales as O(eta) on linear drifts, which is the first-order benchmark the
+    exact marginal KL is measured against.
     """
     m = quad_points_per_step
     if not 1 <= m <= MAX_QUAD_POINTS:
         raise InputError(f"quad_points_per_step must be in [1, {MAX_QUAD_POINTS}]")
     etas = list(etas)
     totals = [0.0] * len(etas)
-    for k, states in em_chain(model, init, etas, T, n, master_seed):
+    for k, states, bridge in em_chain(model, init, etas, T, n, master_seed, bridge_points=m):
         live = [(i, x, bx) for i, x, bx in states if bx is not None]
-        if not live:
-            break
-        for j in range(m):
-            xi = noise_block(master_seed, k, SUB_QUAD_BASE + j, n, model.dim)
+        for j, xi in enumerate(bridge):
             for i, x, bx in live:
                 tau = (j + 0.5) * etas[i] / m
                 xt = x + tau * bx + math.sqrt(tau) * xi

@@ -7,15 +7,18 @@ a pure function of (master_seed, i, k, j): each (step, substream) pair owns a
 disjoint 2^120-block slice of the counter space, uniforms consume exactly one
 64-bit word per value, and normals come from the inverse CDF.  Results are
 therefore bitwise reproducible and independent of chain count, scheduling,
-or execution order.
+or execution order, which is what lets em_chain draw a step's noise ahead of
+time on a helper thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +73,9 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
         "state": {"counter": [(offset >> s) & _WORD for s in (0, 64, 128, 192)], "key": [seed, 0]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    u = gen.random((n, dim)) + 2.0**-54
-    return ndtri(u)
+    u = gen.random((n, dim))
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
 def _check_seed(master_seed) -> int:
@@ -188,6 +192,22 @@ def grid_steps(t: float, eta: float, what: str = "horizon") -> int:
     return k
 
 
+# Normals one step draws (chains x dimension x blocks) from which em_chain
+# draws the next step's blocks on a helper thread while it computes this
+# step.  On a 2-CPU machine the hand-off cost more than the overlap saved
+# below about 2e4 normals per step and won above about 3e4.
+PREFETCH_VALUES = 1 << 15
+
+
+def _prefetch_pool(values: int) -> ThreadPoolExecutor | None:
+    """A one-worker pool for a step of `values` normals, or None when the step
+    is too small or this process may run on only one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if values < PREFETCH_VALUES or cpus < 2:
+        return None
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ulakit-noise")
+
+
 def em_chain(
     model: DriftModel,
     init: InitDensity,
@@ -196,6 +216,7 @@ def em_chain(
     n: int,
     master_seed: int,
     enforce_window: bool = True,
+    bridge_points: int = 0,
 ):
     """The forward-Euler chains X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
     n independent chains over floor(T/eta) steps, for every step size eta of
@@ -205,6 +226,14 @@ def em_chain(
     takes the same block at step k: it is drawn once on SUB_EM and applied to
     each eta with k < steps(eta).  Each eta keeps its own state, drift, guard
     and step count, so its chain is bitwise the one it would run alone.
+    Step k also draws bridge_points blocks on substreams SUB_QUAD_BASE + j
+    for the pathwise comparator's within-step bridge.
+
+    When a step draws at least PREFETCH_VALUES normals and the process may
+    run on two CPUs, step k+1's blocks are drawn on a helper thread while
+    step k computes; a block the helper has not started when the chain needs
+    it is drawn inline instead.  The blocks are the same either way, and the
+    helper thread ends with the iterator (exhausted, closed or raising).
 
     Checks every step (against bounds.step_window unless enforce_window is
     False), dimensions, chain count, seed and horizon, and draws the initial
@@ -212,9 +241,10 @@ def em_chain(
     stepping.  An initial state beyond the divergence limit is an InputError
     naming init; a later one a DivergenceError naming the step size, chain
     and step, raised at the first step, in grid order within a step, where
-    any eta diverges.  Returns an iterator over (k, states) for k = 0 ..
-    max steps(eta), states listing (i, x_k, b(x_k)) in grid order for each
-    eta_i with k <= steps(eta_i), with b(x_k) None at k = steps(eta_i).
+    any eta diverges.  Returns an iterator over (k, states, bridge) for
+    k = 0 .. max steps(eta): states lists (i, x_k, b(x_k)) in grid order for
+    each eta_i with k <= steps(eta_i), with b(x_k) None at k = steps(eta_i),
+    and bridge holds step k's bridge blocks, none at k = max steps(eta).
     """
     etas = list(etas)
     if not etas:
@@ -225,6 +255,8 @@ def em_chain(
         raise InputError("init dimension does not match model")
     if n < 1:
         raise InputError("need at least one chain")
+    if not 0 <= bridge_points <= MAX_QUAD_POINTS:
+        raise InputError(f"bridge_points must be in [0, {MAX_QUAD_POINTS}]")
     seed = _check_seed(master_seed)
     if not T > 0:
         raise ConfigurationError("horizon must be positive")
@@ -238,17 +270,50 @@ def em_chain(
             f"init draws chain {exc.chain} at {exc.state.tolist()}, beyond the divergence "
             f"limit {DIVERGENCE_LIMIT:g}: check its mean and sigma0"
         ) from None
+    dim = model.dim
+    # A step's blocks in the order the chain takes them.  The helper draws
+    # them in reverse, so a chain that catches up with it draws the first
+    # blocks it needs itself while the helper draws the last.
+    subs = [SUB_QUAD_BASE + j for j in range(bridge_points)] + [SUB_EM]
 
     def run(xs):
-        for k in range(last):
-            bxs = [model.drift(x) if k < s else None for x, s in zip(xs, steps)]
-            yield k, [(i, xs[i], bxs[i]) for i, s in enumerate(steps) if k <= s]
-            xi = noise_block(seed, k, SUB_EM, n, model.dim)
-            for i, (eta, bx) in enumerate(zip(etas, bxs)):
-                if bx is not None:
-                    xs[i] = xs[i] + eta * bx + math.sqrt(eta) * xi
-                    _guard(xs[i], step=k + 1, time=(k + 1) * eta, eta=eta)
-        yield last, [(i, xs[i], None) for i, s in enumerate(steps) if s == last]
+        pool = _prefetch_pool(n * dim * len(subs))
+
+        def submit(k):
+            """substream -> the helper's draw of step k's block; {} when
+            there is no helper or no step k."""
+            if pool is None or k >= last:
+                return {}
+            return {sub: pool.submit(noise_block, seed, k, sub, n, dim) for sub in reversed(subs)}
+
+        def block(drawn, k, sub):
+            """Step k's block on sub: the helper's draw, or drawn here when
+            the helper has not started it (cancel() succeeds) or there is none."""
+            future = drawn.pop(sub, None)
+            if future is None or future.cancel():
+                return noise_block(seed, k, sub, n, dim)
+            return future.result()
+
+        drawn = {}
+        try:
+            for k in range(last):
+                upcoming = submit(k + 1)
+                bxs = [model.drift(x) if k < s else None for x, s in zip(xs, steps)]
+                bridge = [block(drawn, k, sub) for sub in subs[:-1]]
+                yield k, [(i, xs[i], bxs[i]) for i, s in enumerate(steps) if k <= s], bridge
+                xi = block(drawn, k, SUB_EM)
+                for i, (eta, bx) in enumerate(zip(etas, bxs)):
+                    if bx is not None:
+                        xs[i] = xs[i] + eta * bx + math.sqrt(eta) * xi
+                        _guard(xs[i], step=k + 1, time=(k + 1) * eta, eta=eta)
+                # Drop this step's blocks before the next step's drift, while
+                # the helper holds the next step's and draws the one after.
+                del xi, bridge
+                drawn = upcoming
+            yield last, [(i, xs[i], None) for i, s in enumerate(steps) if s == last], []
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     return run([x] * len(etas))
 
@@ -280,7 +345,7 @@ def simulate_ensemble(
         snap_steps.add(grid_steps(t_req, eta, "snapshot time"))
 
     snapshots = []
-    for k, [(_, x, _)] in chain:
+    for k, [(_, x, _)], _ in chain:
         if k in snap_steps:
             snapshots.append(SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed))
     final = SampleEnsemble(time=k * eta, eta=eta, points=x, master_seed=seed)

@@ -729,6 +729,66 @@ def test_non_boolean_flag_exits_2_before_any_output(tmp_path, capsys, command, c
     assert not out.exists() or not any(out.iterdir())
 
 
+# (command, a valid config, the path of a float field in it)
+FLOAT_FIELDS = [
+    ("rate-scan", RATE_CFG, ("horizon",)),
+    ("rate-scan", RATE_CFG, ("eta_grid", 1)),
+    ("rate-scan", RATE_CFG, ("init", "sigma0")),
+    ("rate-scan", RATE_CFG, ("init", "mean", 0)),
+    ("rate-scan", dict(RATE_CFG, bands={"girsanov_slope": [0.5, 1.5]}), ("bands", "girsanov_slope", 0)),
+    ("rate-scan", dict(RATE_CFG, bands={"exact_r2_min": 0.9}), ("bands", "exact_r2_min")),
+    ("mixing-scan", MIX_CFG, ("rho",)),
+    ("mixing-scan", MIX_CFG, ("eps_grid", 2)),
+    ("mixing-scan", MIX_CFG, ("target", "mean", 0)),
+    ("mixing-scan", MIX_CFG, ("target", "cov", 0, 0)),
+    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slope": {"KL": [-0.75, -0.4]}}), ("bands", "mixing_slope", "KL", 1)),
+    ("verify", VERIFY_CFG, ("init", "sigma0")),
+    ("sample", SAMPLE_CFG, ("eta",)),
+    ("sample", SAMPLE_CFG, ("horizon",)),
+    ("sample", SAMPLE_CFG, ("init", "mean")),
+    ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5]), ("snapshot_times", 0)),
+    ("estimate", GIRSANOV_CFG, ("eta",)),
+    ("estimate", GIRSANOV_CFG, ("horizon",)),
+    ("estimate", RATE_FIT_CFG, ("points", 1, 1)),
+    ("bound-eval", BOUND_CFG, ("horizon",)),
+    ("bound-eval", BOUND_CFG, ("eta_grid", 0)),
+    ("bound-eval", {"theorem": 1, "eta": 0.1, "constants": ALL_ONES_CONSTANTS}, ("eta",)),
+    ("bound-eval", BOUND_CFG, ("constants", "L1")),
+    ("bound-eval", BOUND_CFG, ("constants", "mu")),
+]
+NON_FLOATS = [True, False, "0.1", "abc", None, math.nan, math.inf, -math.inf, 10**400]
+
+
+@pytest.mark.parametrize("value", NON_FLOATS, ids=repr)
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    FLOAT_FIELDS,
+    ids=[f"{command}-{'.'.join(map(str, path))}" for command, _, path in FLOAT_FIELDS],
+)
+def test_non_float_float_field_exits_2_naming_the_key(tmp_path, capsys, command, cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path
+    entry = cfg
+    for step in parents:
+        entry = entry[step]
+    entry[last] = value
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    key = [step for step in path if isinstance(step, str)][-1]
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_float_fields_take_any_json_number(tmp_path):
+    # An integer is the same float; a 1-D Gaussian target may be scalars.
+    code_a, out_a = run(tmp_path, "sample", dict(SAMPLE_CFG, horizon=1, init={"mean": 0, "sigma0": 1}), out="a")
+    code_b, out_b = run(tmp_path, "sample", SAMPLE_CFG, out="b")
+    assert code_a == code_b == 0
+    assert (out_a / "ensemble.csv").read_bytes() == (out_b / "ensemble.csv").read_bytes()
+    code, _ = run(tmp_path, "mixing-scan", dict(MIX_CFG, target={"mean": 0.0, "cov": 0.5}))
+    assert code == 0
+
+
 def test_integral_float_is_an_integer(tmp_path):
     code, out = run(tmp_path, "sample", dict(SAMPLE_CFG, chains=10.0, seed=7.0))
     assert code == 0

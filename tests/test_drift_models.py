@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulakit import (
@@ -33,6 +33,41 @@ def builtin_instances(dim=2):
 def test_ou_drift_value():
     m = make_model("ou", dim=1)
     assert drift_eval(m, [1.0]) == pytest.approx([-1.0])
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
+COORDS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+OFFSETS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300)
+@given(
+    xs=st.lists(COORDS, min_size=1, max_size=40),
+    rate=st.one_of(st.sampled_from([1.0, 1e-30, 1e30]), st.floats(1e-6, 1e6)),
+    offset=OFFSETS,
+    shape=st.sampled_from(["column", "point"]),
+)
+def test_ou_1d_drift_is_bitwise_the_matmul(xs, rate, offset, shape):
+    # The 1-D OU drift is a scalar multiply; it must give the bits of
+    # x @ A.T + c, signed zeros, subnormals and overflow included.
+    m = make_model("ou", dim=1, rate=rate, offset=[offset])
+    A, c = m.linear.A, m.linear.c
+    x = np.array(xs)[:, None] if shape == "column" else np.array(xs[:1])
+    with np.errstate(over="ignore"):
+        want = x @ A.T + c
+        got = m.drift(x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ou_drift_in_higher_dimension_is_the_matmul(dim):
+    rng = np.random.default_rng(dim)
+    B = rng.standard_normal((dim, dim))
+    A = -(B @ B.T) - np.eye(dim)
+    c = np.array([-0.0] + [0.5] * (dim - 1))
+    m = make_model("ou", matrix=A, offset=c)
+    x = np.vstack([rng.standard_normal((20, dim)), np.zeros((1, dim)), [[-0.0] * dim]])
+    assert m.drift(x).tobytes() == (x @ m.linear.A.T + m.linear.c).tobytes()
 
 
 @pytest.mark.parametrize("name", BUILTINS)

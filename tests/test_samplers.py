@@ -1,6 +1,10 @@
+import dataclasses
 import math
+import sys
 import tempfile
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +45,7 @@ from slow_paths import (
 
 OU1 = make_model("ou", dim=1)
 STD_INIT = InitDensity(mean=[0.0], sigma0=1.0)
+STD_INIT_2 = InitDensity(mean=[0.0, 0.0], sigma0=1.0)
 
 
 def moments_close(points, target: GaussianMoments, n):
@@ -65,7 +70,7 @@ def one_step(model, x0, eta, noise):
     (the init's and the step's) replaced by `noise`."""
     init = InitDensity(mean=x0 - np.asarray(noise, float), sigma0=1.0)
     with mock.patch.object(sp, "noise_block", lambda *a: np.array([noise], float)):
-        (_, [(_, x, _)]), (_, [(_, x1, _)]) = sp.em_chain(model, init, [eta], eta, 1, master_seed=0)
+        (_, [(_, x, _)], _), (_, [(_, x1, _)], _) = sp.em_chain(model, init, [eta], eta, 1, master_seed=0)
     assert np.array_equal(x[0], x0)
     return x1[0]
 
@@ -279,13 +284,21 @@ CHAIN_MODELS = [(name, dim) for name in ("ou", "double-well", "gauss-mix") for d
 def final_states(model, init, etas, T, n, seed):
     """Each eta's final states from one lockstep em_chain over the grid."""
     finals = {}
-    for _, states in sp.em_chain(model, init, etas, T, n, seed):
+    for _, states, _ in sp.em_chain(model, init, etas, T, n, seed):
         finals.update((i, x) for i, x, bx in states if bx is None)
     return [finals[i] for i in range(len(etas))]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+@contextmanager
+def prefetched(cpus=2):
+    """em_chain on its helper-thread path whatever the step's size, on a
+    process that may run on `cpus` CPUs."""
+    with mock.patch.object(sp, "PREFETCH_VALUES", 1), \
+            mock.patch.object(sp.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        yield
+
+
+CHAIN_CASES = dict(
     case=st.sampled_from(CHAIN_MODELS),
     fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
     duplicate=st.booleans(),
@@ -298,9 +311,9 @@ def final_states(model, init, etas, T, n, seed):
     center=st.floats(-1.0, 1.0),
     sigma0=st.floats(0.1, 2.0),
 )
-def test_chain_and_comparator_match_loop_oracles(
-    case, fracs, duplicate, steps, off_grid, n, seed, snap_fracs, quad, center, sigma0
-):
+
+
+def check_chain_and_comparator(case, fracs, duplicate, steps, off_grid, n, seed, snap_fracs, quad, center, sigma0):
     name, dim = case
     model = make_model(name, dim=dim)
     init = InitDensity(mean=[center] * dim, sigma0=sigma0)
@@ -328,25 +341,152 @@ def test_chain_and_comparator_match_loop_oracles(
         assert np.array_equal(snap.points, snaps_ref[k])
 
 
+@settings(max_examples=40, deadline=None)
+@given(**CHAIN_CASES)
+def test_chain_and_comparator_match_loop_oracles(**case):
+    check_chain_and_comparator(**case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CHAIN_CASES)
+def test_chain_and_comparator_match_loop_oracles_prefetched(**case):
+    # n <= 40 never reaches PREFETCH_VALUES, so the helper is forced on.
+    with prefetched():
+        check_chain_and_comparator(**case)
+
+
 def test_grid_draws_each_noise_block_once():
     # Steps: 20 (0.05, twice), 5 (0.2), 10 (0.1); the grid draws the init
     # once and, for each step below the longest, one SUB_EM block and one
-    # block per quadrature point.
+    # block per quadrature point, on either path: nothing is drawn past the
+    # last step, and a draw the helper does not start is drawn inline once.
     etas, quad = [0.05, 0.2, 0.1, 0.05], 3
-    drawn = []
+    want = [girsanov_pathwise_kl_loop(OU1, STD_INIT, eta, 1.0, 10, 5, quad_points_per_step=quad) for eta in etas]
+    for path in (nullcontext, prefetched):
+        drawn = []
 
-    def counting(master_seed, step, substream, n, dim):
-        drawn.append((step, substream))
+        def counting(master_seed, step, substream, n, dim):
+            drawn.append((step, substream))
+            return noise_block(master_seed, step, substream, n, dim)
+
+        with path(), mock.patch.object(sp, "noise_block", counting), \
+                mock.patch("ulakit.estimators.noise_block", counting):
+            values = girsanov_pathwise_kl(OU1, STD_INIT, etas, 1.0, 10, master_seed=5, quad_points_per_step=quad)
+        assert len(drawn) == 20 * (1 + quad) + 1
+        assert len(set(drawn)) == len(drawn)
+        assert values == want
+
+
+# --- the helper thread that draws the next step's noise -----------------------------
+
+
+def test_prefetch_thread_ends_with_a_full_run():
+    baseline = threading.active_count()
+    with prefetched():
+        chain = sp.em_chain(OU1, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2)
+        next(chain)
+        assert threading.active_count() == baseline + 1
+        list(chain)
+    assert threading.active_count() == baseline
+
+
+def test_prefetch_thread_ends_with_a_divergence():
+    m = make_model("expansive", dim=1)
+    baseline = threading.active_count()
+    with prefetched(), pytest.raises(DivergenceError):
+        girsanov_pathwise_kl(m, STD_INIT, [0.05], 48.0, 200, master_seed=23)
+    assert threading.active_count() == baseline
+
+
+def test_prefetch_thread_ends_with_a_chain_closed_early():
+    baseline = threading.active_count()
+    with prefetched():
+        chain = sp.em_chain(OU1, STD_INIT, [0.1, 0.05], 1.0, 5, master_seed=3, bridge_points=3)
+        for k, _, _ in chain:
+            if k == 4:
+                break
+        assert threading.active_count() == baseline + 1
+        chain.close()
+    assert threading.active_count() == baseline
+
+
+def test_noise_error_raised_in_the_helper_is_the_same_error_at_the_same_step():
+    failed = threading.Event()
+    raised_on = []
+
+    def failing(master_seed, step, substream, n, dim):
+        if (step, substream) == (6, sp.SUB_QUAD_BASE + 1):
+            raised_on.append(threading.current_thread())
+            failed.set()
+            raise RuntimeError(f"no noise for step {step}")
         return noise_block(master_seed, step, substream, n, dim)
 
-    with mock.patch.object(sp, "noise_block", counting), \
-            mock.patch("ulakit.estimators.noise_block", counting):
-        values = girsanov_pathwise_kl(OU1, STD_INIT, etas, 1.0, 10, master_seed=5, quad_points_per_step=quad)
-    assert len(drawn) == 20 * (1 + quad) + 1
-    assert len(set(drawn)) == len(drawn)
-    assert values == [
-        girsanov_pathwise_kl_loop(OU1, STD_INIT, eta, 1.0, 10, 5, quad_points_per_step=quad) for eta in etas
-    ]
+    drifts = []
+
+    def waiting_drift(x):
+        # Step 6 starts once the helper, given its blocks during step 5,
+        # has failed to draw one.
+        drifts.append(x)
+        if len(drifts) == 7:
+            assert failed.wait(timeout=30)
+        return OU1.drift(x)
+
+    models = {nullcontext: OU1, prefetched: dataclasses.replace(OU1, drift=waiting_drift)}
+    seen = {}
+    for path, model in models.items():
+        failed.clear()
+        baseline = threading.active_count()
+        steps = []
+        with path(), mock.patch.object(sp, "noise_block", failing), \
+                pytest.raises(RuntimeError, match="no noise for step 6"):
+            for k, _, _ in sp.em_chain(model, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2):
+                steps.append(k)
+        assert threading.active_count() == baseline
+        seen[path] = steps
+    assert seen[nullcontext] == seen[prefetched] == [0, 1, 2, 3, 4, 5]
+    # Inline on the caller's thread, then on the helper.
+    assert raised_on[0] is threading.main_thread() and raised_on[1] is not threading.main_thread()
+
+
+def test_concurrent_prefetched_chains_are_bitwise_the_serial_ones():
+    # Each thread, helpers included, rekeys its own Philox generator; with
+    # more threads than cores and a short switch interval, a shared one
+    # would hand some block another's counter.
+    model = make_model("ou", dim=2)
+    seeds = list(range(6))
+    want = {s: girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], 0.4, 30, s, 3) for s in seeds}
+    got, errors = {}, []
+
+    def work(seed):
+        try:
+            got[seed] = girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], 0.4, 30, seed, 3)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with prefetched():
+            threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert got == want
+
+
+def test_one_cpu_starts_no_helper_thread():
+    baseline = threading.active_count()
+    started = mock.Mock(wraps=sp.ThreadPoolExecutor)
+    with prefetched(cpus=1), mock.patch.object(sp, "ThreadPoolExecutor", started):
+        chain = sp.em_chain(OU1, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2)
+        next(chain)
+        assert threading.active_count() == baseline
+        list(chain)
+    started.assert_not_called()
 
 
 def test_grid_divergence_names_the_first_diverging_eta_chain_and_step():
@@ -385,7 +525,7 @@ def test_init_out_of_range_is_input_error(mean, sigma0):
 
 def test_em_chain_yields_each_state_with_its_drift():
     chain = sp.em_chain(OU1, STD_INIT, [0.1], 0.3, 5, master_seed=37)
-    seen = [(k, x, bx) for k, [(_, x, bx)] in chain]
+    seen = [(k, x, bx) for k, [(_, x, bx)], _ in chain]
     assert [k for k, _, _ in seen] == [0, 1, 2, 3]
     for _, x, bx in seen[:-1]:
         assert np.array_equal(bx, OU1.drift(x))
@@ -395,10 +535,10 @@ def test_em_chain_yields_each_state_with_its_drift():
 def test_em_chain_grid_yields_each_eta_up_to_its_own_steps():
     # T = 0.3 is 3 steps of 0.1 and 2 of 0.15.
     seen = list(sp.em_chain(OU1, STD_INIT, [0.1, 0.15], 0.3, 5, master_seed=37))
-    assert [(k, [i for i, _, _ in states]) for k, states in seen] == [
+    assert [(k, [i for i, _, _ in states]) for k, states, _ in seen] == [
         (0, [0, 1]), (1, [0, 1]), (2, [0, 1]), (3, [0])
     ]
-    for k, states in seen:
+    for k, states, _ in seen:
         for i, x, bx in states:
             if k == (3, 2)[i]:
                 assert bx is None
