@@ -14,7 +14,7 @@ step-size / mixing-time scalings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,17 +77,6 @@ class BoundConstants:
         missing = [n for n in names if getattr(self, n) is None]
         if missing:
             raise ConfigurationError("missing constants: " + ", ".join(missing))
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundConstants":
-        unknown = set(d) - {f.name for f in fields(BoundConstants)}
-        if unknown:
-            raise ConfigurationError("unknown constants: " + ", ".join(sorted(unknown)))
-        required = ["L1", "L2", "A0", "sigma0", "h0", "entropy0"]
-        missing = [k for k in required if k not in d]
-        if missing:
-            raise ConfigurationError("missing constants: " + ", ".join(missing))
-        return BoundConstants(**{k: float(v) for k, v in d.items()})
 
 
 def finite_square(value: float, name: str) -> float:

@@ -9,10 +9,11 @@ in force, and a claim-check verdict.  Exit status: 0 when all claim checks
 pass, 1 when any fails, 2 on configuration errors.  Reruns from the recorded
 config reproduce artifacts byte for byte.
 
-One skeleton (run_command) loads, checks and records the config and emits
-the report; each cmd_* function only computes, returning an Outcome.
-Config keys are declared per command, nested maps included (CONFIG_KEYS,
-ESTIMATOR_KEYS, BAND_KEYS, NESTED_KEYS); an undeclared key exits 2.
+One skeleton (run_command) reads, records and reports; each cmd_* function
+only computes from the typed config, returning an Outcome.  COMMANDS (and
+ESTIMATORS, one table per estimator) declares every config key once, nested
+maps included, with the reader that types it and its default; a missing,
+undeclared or wrongly typed key exits 2 before any output.
 
 The exact oracles are closed forms: rate-scan takes the chain's moments from
 gaussian_analytics.em_moments_linear, and mixing-scan, whose chain stays
@@ -40,102 +41,61 @@ from . import gaussian_analytics as ga
 from . import samplers as sp
 from .errors import ConfigurationError, DivergenceError, InputError
 
-DEFAULT_BANDS = {
-    "exact_slope": (1.85, 2.15),
-    "exact_r2_min": 0.999,
-    "girsanov_slope": (0.85, 1.15),
-    "slope_gap_min": 0.7,
-    "mixing_slope": {"KL": (-0.75, -0.40), "TV": (-1.3, -0.8), "W2": (-1.3, -0.8)},
-    "sweep_slope": (1.9, 2.1),
-}
-
-# Top-level config keys of each command: (required, optional).  "seed" is
-# always allowed; estimate also requires the keys of its estimator.
-CONFIG_KEYS = {
-    "rate-scan": (
-        {"model", "init", "eta_grid", "horizon"},
-        {"exact", "girsanov_chains", "quad_points_per_step", "bands"},
-    ),
-    "mixing-scan": (
-        {"target", "rho", "init", "eps_grid"},
-        {"metric", "max_steps", "bands"},
-    ),
-    "verify": ({"model"}, {"init"}),
-    "sample": (
-        {"model", "init", "eta", "horizon", "chains"},
-        {"snapshot_times", "allow_outside_window"},
-    ),
-    "estimate": ({"estimator"}, {"inputs", "params"}),
-    "bound-eval": ({"constants"}, {"theorem", "eta", "eta_grid", "horizon", "dim", "bands"}),
-}
-# Per estimator: (the top-level keys it requires, the keys of its "params").
-ESTIMATOR_KEYS = {
-    "knn_kl": (set(), {"k"}),
-    "w2_empirical_1d": (set(), set()),
-    "tv_histogram": (set(), {"bins_per_dim"}),
-    "moment_estimate": (set(), {"p"}),
-    "girsanov_pathwise_kl": ({"model", "init", "eta", "horizon", "chains"}, {"quad_points_per_step"}),
-    "rate_fit": ({"points"}, set()),
-}
-# The DEFAULT_BANDS entries each command reads from its "bands", and the keys
-# of the other nested maps.
-BAND_KEYS = {
-    "rate-scan": {"exact_slope", "exact_r2_min", "girsanov_slope", "slope_gap_min"},
-    "mixing-scan": {"mixing_slope"},
-    "bound-eval": {"sweep_slope"},
-}
-NESTED_KEYS = {
-    "model": {"name", "params"},
-    "init": {"mean", "sigma0"},
-    "target": {"mean", "cov"},
-    "constants": {f.name for f in dataclasses.fields(bnd.BoundConstants)},
-}
+# The default of a key the config must give.
+REQUIRED = object()
 
 
 def load_config(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
-
-
-def _check_keys(where: str, entry, allowed) -> None:
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = sorted(entry.keys() - allowed)
-    if unknown:
-        raise ConfigurationError(f"{where} has unknown keys: {', '.join(unknown)}")
-
-
-def check_config_keys(command: str, cfg) -> None:
-    """Reject a config that lacks a required key of the command or carries a
-    key the command does not read, at the top level or in a nested map."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config must be a JSON object")
-    required, optional = CONFIG_KEYS[command]
-    nested = {key: NESTED_KEYS[key] for key in NESTED_KEYS.keys() & cfg.keys()}
-    if command in BAND_KEYS and "bands" in cfg:
-        nested["bands"] = BAND_KEYS[command]
-    if command == "estimate" and str(cfg.get("estimator")) in ESTIMATOR_KEYS:
-        extra, nested["params"] = ESTIMATOR_KEYS[str(cfg["estimator"])]
-        required = required | extra
-    missing = sorted(required - cfg.keys())
+    return cfg
+
+
+def read_config(command: str, cfg: dict) -> dict:
+    """cfg typed through the table of command, or for estimate through the
+    table of its estimator."""
+    table = COMMANDS[command]
+    if command == "estimate" and "estimator" in cfg:
+        table = ESTIMATORS[read_estimator(cfg["estimator"], "estimator")]
+    return read_table(table, cfg)
+
+
+def read_table(table: dict, entry, path: str = "") -> dict:
+    """entry typed through table, which maps each key to (reader, default),
+    or to (reader,) for a key without a default, which then stays absent.
+
+    A reader is a function (value, key) -> typed value, or the table of a
+    nested map.  A default is read like a given value; REQUIRED marks a key
+    entry must hold.  A missing or undeclared key, or a value its reader
+    rejects, is a ConfigurationError naming its dotted path.
+    """
+    where = path or "config"
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    missing = sorted(key for key, (_, *default) in table.items() if default == [REQUIRED] and key not in entry)
     if missing:
-        raise ConfigurationError(f"{command} config lacks required keys: {', '.join(missing)}")
-    _check_keys(f"{command} config", cfg, required | optional | {"seed"})
-    for key in sorted(nested.keys() & cfg.keys()):
-        _check_keys(f"{command} config {key!r}", cfg[key], nested[key])
-    slopes = cfg.get("bands", {}).get("mixing_slope", {})
-    _check_keys(f"{command} config bands 'mixing_slope'", slopes, MIXING_METRICS.keys())
+        raise ConfigurationError(f"{where} lacks required keys: {', '.join(missing)}")
+    unknown = sorted(entry.keys() - table.keys())
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys: {', '.join(unknown)}")
+    typed = {}
+    for key, (reader, *default) in table.items():
+        if key in entry or default:
+            value = entry[key] if key in entry else default[0]
+            key_path = f"{path}.{key}" if path else key
+            typed[key] = read_table(reader, value, key_path) if isinstance(reader, dict) else reader(value, key_path)
+    return typed
 
 
-def config_int(entry: dict, key: str, default=None) -> int:
-    """entry[key], or default when it is absent, as an int.  A boolean, a
-    non-number or a number with a fractional part is a ConfigurationError
-    naming the key, never truncated."""
-    value = entry.get(key, default)
+def read_int(value, key: str) -> int:
+    """value as an int.  A boolean, a non-number or a number with a
+    fractional part is rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
     ):
@@ -143,46 +103,22 @@ def config_int(entry: dict, key: str, default=None) -> int:
     return int(value)
 
 
-def config_bool(entry: dict, key: str, default: bool) -> bool:
-    """entry[key], or default when it is absent.  Anything but a JSON boolean
-    (the string "false" included) is a ConfigurationError naming the key."""
-    value = entry.get(key, default)
+def read_seed(value, key: str) -> int:
+    """value as a master seed, in the range samplers.check_seed accepts."""
+    return sp.check_seed(read_int(value, key))
+
+
+def read_bool(value, key: str) -> bool:
+    """value, a JSON boolean; anything else, "false" included, is rejected."""
     if not isinstance(value, bool):
         raise ConfigurationError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-def config_float(entry: dict, key: str, default=None) -> float:
-    """entry[key], or default when it is absent, as a float.  A boolean, a
-    string or another non-number, or a value that is not finite as a float,
-    is a ConfigurationError naming the key."""
-    return _number(entry.get(key, default), key)
-
-
-def config_floats(entry: dict, key: str, default=None, positive: bool = False) -> list[float]:
-    """entry[key], or default when it is absent, as a list of floats, each
-    checked as by config_float and, with positive, above zero."""
-    value = entry.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
-    return [_number(v, key, positive) for v in value]
-
-
-def config_array(entry: dict, key: str) -> np.ndarray:
-    """entry[key], a number or nested lists of numbers, as a float array,
-    each number checked as by config_float."""
-
-    def numbers(value):
-        return [numbers(v) for v in value] if isinstance(value, list) else _number(value, key)
-
-    checked = numbers(entry[key])
-    try:
-        return np.array(checked, dtype=float)
-    except ValueError:
-        raise ConfigurationError(f"{key} has rows of different lengths") from None
-
-
-def _number(value, key: str, positive: bool = False) -> float:
+def read_number(value, key: str, positive: bool = False) -> float:
+    """value as a float.  A boolean, a string or another non-number, a value
+    that is not finite as a float, or with positive one not above zero, is
+    rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{key} must be a number, got {value!r}")
     try:
@@ -194,26 +130,72 @@ def _number(value, key: str, positive: bool = False) -> float:
     return number
 
 
-def config_bands(resolved: dict) -> dict:
-    """DEFAULT_BANDS overridden by the config's "bands": each a number or a
-    [low, high] pair, and mixing_slope a map of such pairs per metric."""
-    given = resolved.get("bands", {})
-    bands = dict(DEFAULT_BANDS)
-    for key in given:
-        if isinstance(DEFAULT_BANDS[key], dict):
-            bands[key] = {metric: _band(given[key], metric) for metric in given[key]}
-        elif isinstance(DEFAULT_BANDS[key], tuple):
-            bands[key] = _band(given, key)
-        else:
-            bands[key] = config_float(given, key)
-    return bands
+def read_floats(value, key: str, positive: bool = False) -> list[float]:
+    """value, a list, as floats each read by read_number."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+    return [read_number(v, key, positive) for v in value]
 
 
-def _band(entry: dict, key: str) -> tuple[float, float]:
-    band = config_floats(entry, key)
+def read_positive_floats(value, key: str) -> list[float]:
+    return read_floats(value, key, positive=True)
+
+
+def read_band(value, key: str) -> tuple[float, float]:
+    """value, a [low, high] pair of numbers."""
+    band = read_floats(value, key)
     if len(band) != 2:
-        raise ConfigurationError(f"{key} must be a [low, high] pair, got {entry[key]!r}")
+        raise ConfigurationError(f"{key} must be a [low, high] pair, got {value!r}")
     return tuple(band)
+
+
+def read_array(value, key: str) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array, each
+    number read by read_number."""
+
+    def numbers(value):
+        return [numbers(v) for v in value] if isinstance(value, list) else read_number(value, key)
+
+    checked = numbers(value)
+    try:
+        return np.array(checked, dtype=float)
+    except ValueError:
+        raise ConfigurationError(f"{key} has rows of different lengths") from None
+
+
+def read_model_name(value, key: str) -> str:
+    if value not in dm.registered_models():
+        raise ConfigurationError(
+            f"{key} must be a registered model ({', '.join(dm.registered_models())}), got {value!r}"
+        )
+    return value
+
+
+def read_metric(value, key: str) -> str:
+    """value, upper-cased, a key of MIXING_METRICS."""
+    metric = str(value).upper()
+    if metric not in MIXING_METRICS:
+        raise ConfigurationError(f"{key} must be one of KL, TV, W2, got {value!r}")
+    return metric
+
+
+def read_theorem(value, key: str) -> int:
+    theorem = read_int(value, key)
+    if theorem not in (1, 2):
+        raise ConfigurationError(f"{key} must be 1 (dissipative) or 2 (non-negative potential), got {value!r}")
+    return theorem
+
+
+def read_estimator(value, key: str) -> str:
+    if not isinstance(value, str) or value not in ESTIMATORS:
+        raise ConfigurationError(f"unknown {key} {value!r}; known: {', '.join(ESTIMATORS)}")
+    return value
+
+
+def read_inputs(value, key: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(p, str) for p in value.values()):
+        raise ConfigurationError(f"{key} must map input names to CSV paths, got {value!r}")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -222,23 +204,19 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_model(entry: dict) -> dm.DriftModel:
-    if not isinstance(entry, dict) or "name" not in entry:
-        raise ConfigurationError('model config must be {"name": ..., "params": {...}}')
     try:
-        return dm.make_model(entry["name"], **entry.get("params", {}))
+        return dm.make_model(entry["name"], **entry["params"])
     except TypeError as exc:
         raise ConfigurationError(f"bad model parameters: {exc}") from exc
 
 
 def build_init(entry: dict, dim: int) -> sp.InitDensity:
-    if not isinstance(entry, dict) or "sigma0" not in entry:
-        raise ConfigurationError('init config must be {"mean": [...], "sigma0": s}')
-    mean = config_array(entry, "mean") if "mean" in entry else np.zeros(dim)
+    mean = entry.get("mean", np.zeros(dim))
     if mean.ndim == 0:
         mean = np.full(dim, mean)
     if mean.shape != (dim,):
         raise ConfigurationError(f"init mean must have dimension {dim}")
-    return sp.InitDensity(mean=mean, sigma0=config_float(entry, "sigma0"))
+    return sp.InitDensity(mean=mean, sigma0=entry["sigma0"])
 
 
 class Outcome(NamedTuple):
@@ -251,21 +229,25 @@ class Outcome(NamedTuple):
 
 
 def run_command(args) -> int:
-    """Load and check the config, resolve the seed, create the output
-    directory, run the command, record the config it ran with, write the
-    report, print the c0/c1 and verdict lines, and return the exit status."""
-    cfg = load_config(args.config)
-    check_config_keys(args.command, cfg)
-    resolved = dict(cfg)
+    """Read the config through its command's table, resolve the seed and the
+    input paths, create the output directory, run the command on the typed
+    config, record the config it ran with, write the report, print the c0/c1
+    and verdict lines, and return the exit status."""
+    resolved = load_config(args.config)
     if args.seed is not None:
         resolved["seed"] = args.seed
-    resolved["seed"] = config_int(resolved, "seed", 0)
+    cfg = read_config(args.command, resolved)
+    resolved["seed"] = cfg["seed"]
+    if "inputs" in resolved:
+        # Input paths resolve against the config's directory; they are
+        # recorded as the absolute paths read, so a rerun from the recorded
+        # config (which sits in the output directory) reads the same files.
+        base = Path(args.config).parent
+        resolved["inputs"] = cfg["inputs"] = {k: str((base / p).resolve()) for k, p in cfg["inputs"].items()}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # estimate resolves its input paths in the config, so it is hashed and
-    # recorded after the command runs.
-    outcome = args.func(resolved, out_dir, args)
+    outcome = args.func(cfg, out_dir, resolved)
     claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
     report = {
@@ -296,20 +278,15 @@ def run_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
-    model = build_model(resolved["model"])
-    init = build_init(resolved["init"], model.dim)
-    etas = config_floats(resolved, "eta_grid")
+def cmd_rate_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+    model = build_model(cfg["model"])
+    init = build_init(cfg["init"], model.dim)
+    etas = cfg["eta_grid"]
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
-    T = config_float(resolved, "horizon")
-    use_exact = config_bool(resolved, "exact", True)
-    n_chains = config_int(resolved, "girsanov_chains", 0)
-    quad = config_int(resolved, "quad_points_per_step", 4)
-    seed = resolved["seed"]
-    bands = config_bands(resolved)
+    T, n_chains, bands = cfg["horizon"], cfg["girsanov_chains"], cfg["bands"]
 
-    if use_exact and model.linear is None:
+    if cfg["exact"] and model.linear is None:
         raise ConfigurationError(
             f"model {model.name!r} has no linear drift: the exact-KL column is unavailable; "
             "set exact=false and compare against a fine-step reference ensemble instead"
@@ -320,7 +297,7 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         bnd.check_step(eta, model.constants.L1)
         steps = sp.grid_steps(T, eta)
         rec = {"eta": eta, "steps": steps}
-        if use_exact:
+        if cfg["exact"]:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
             ref = ga.continuous_moments_linear(model.linear, init.moments(), steps * eta)
             rec["kl_exact"] = ga.kl_gaussian(hat, ref)
@@ -329,7 +306,9 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
         records.append(rec)
     if n_chains > 0:
         # One comparator call steps the whole grid on the shared noise.
-        kl_girs = est.girsanov_pathwise_kl(model, init, etas, T, n_chains, seed, quad_points_per_step=quad)
+        kl_girs = est.girsanov_pathwise_kl(
+            model, init, etas, T, n_chains, cfg["seed"], quad_points_per_step=cfg["quad_points_per_step"]
+        )
         for rec, value in zip(records, kl_girs):
             rec["kl_girsanov"] = value
     exact_pairs = [(rec["eta"], rec["kl_exact"]) for rec in records if "kl_exact" in rec]
@@ -346,7 +325,7 @@ def cmd_rate_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     fit_girs = _fit(girs_pairs)
 
     claims = []
-    if use_exact:
+    if cfg["exact"]:
         if fit_exact is None:
             claims.append({
                 "name": "exact_slope", "pass": True,
@@ -444,12 +423,9 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
     return None
 
 
-def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
-    rho = config_float(resolved, "rho")
-    tgt_cfg = resolved["target"]
-    if not isinstance(tgt_cfg, dict) or not {"mean", "cov"} <= tgt_cfg.keys():
-        raise ConfigurationError('mixing-scan needs a Gaussian "target": {"mean": [...], "cov": [[...]]}')
-    target = ga.GaussianMoments(config_array(tgt_cfg, "mean"), config_array(tgt_cfg, "cov"))
+def cmd_mixing_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+    rho = cfg["rho"]
+    target = ga.GaussianMoments(cfg["target"]["mean"], cfg["target"]["cov"])
     d = target.dim
     # ULA drift for the target: b = -grad(U)/2 with U the Gaussian potential,
     # so A = -cov^-1 / 2 shares the target's eigenbasis.  The start is
@@ -457,17 +433,13 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     s, Q = np.linalg.eigh(target.cov)
     w = -0.5 / s
     L1 = float(np.max(np.abs(w)))
-    start = build_init(resolved["init"], d)
+    start = build_init(cfg["init"], d)
     gap = Q.T @ (start.mean - target.mean)
     var0 = np.square(start.sigma0)  # inf, not OverflowError, for a huge sigma0
-    metric = str(resolved.get("metric", "KL")).upper()
-    if metric not in MIXING_METRICS:
-        raise ConfigurationError(f"mixing metric must be one of KL, TV, W2 (got {metric!r})")
+    metric = cfg["metric"]
     distance, kl_tolerance = MIXING_METRICS[metric]
-    eps_grid = config_floats(resolved, "eps_grid", positive=True)
+    eps_grid, max_steps = cfg["eps_grid"], cfg["max_steps"]
     tolerances = [mixing_kl_tolerance(kl_tolerance, eps, rho) for eps in eps_grid]
-    max_steps = config_int(resolved, "max_steps", 10**6)
-    bands = config_bands(resolved)
 
     rows, records, fit_pairs = [], [], []
     for eps, tolerance in zip(eps_grid, tolerances):
@@ -493,7 +465,7 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
     sp.write_csv(out_dir / "mixing_scan.csv", ["eps", "eta_used", "N_measured", "N_predicted"], rows)
 
     fit = est.rate_fit(fit_pairs) if len(fit_pairs) >= 3 else None
-    band = bands["mixing_slope"].get(metric)
+    band = cfg["bands"]["mixing_slope"].get(metric)
     if fit is not None and band is not None:
         lo, hi = band
         claims = [{
@@ -518,19 +490,16 @@ def cmd_mixing_scan(resolved: dict, out_dir: Path, args) -> Outcome:
 
 # Sampled point pairs for the Lipschitz checks, points for the Jacobian
 # finite-difference check, and the shell radii of the dissipativity fit
-# (16 directions per radius); the ball is CERT_RADIUS.
+# (dm.FIT_DIRECTIONS directions per radius); the ball is CERT_RADIUS.
 VERIFY_PAIRS = 100
 VERIFY_GRAD_POINTS = 20
 VERIFY_RADIUS_GRID = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
-def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
-    model = build_model(resolved["model"])
-    init = build_init(resolved["init"], model.dim) if "init" in resolved else sp.InitDensity(
-        mean=np.zeros(model.dim), sigma0=1.0
-    )
-    seed = resolved["seed"]
-    rng = np.random.default_rng(seed)
+def cmd_verify(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+    model = build_model(cfg["model"])
+    init = build_init(cfg["init"], model.dim)
+    rng = np.random.default_rng(cfg["seed"])
     cert = model.constants
     report_sections = {}
 
@@ -569,7 +538,7 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
     }
 
     # Distant dissipativity.
-    fit = dm.dissipativity_fit(model, VERIFY_RADIUS_GRID, seed=seed)
+    fit = dm.dissipativity_fit(model, VERIFY_RADIUS_GRID, seed=cfg["seed"])
     diss = {"declared": list(cert.dissipativity) if cert.dissipativity else None}
     if fit is not None:
         diss.update({"pass": True, "witnessed_mu": fit[0], "witnessed_beta": fit[1]})
@@ -609,24 +578,21 @@ def cmd_verify(resolved: dict, out_dir: Path, args) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
+def cmd_sample(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
     """Writes ensemble.csv, snapshot CSVs each with its lineage sidecar, and
     the ensemble.json sidecar, which carries the report; a divergence leaves
     only the report, in sample.json."""
-    model = build_model(resolved["model"])
-    init = build_init(resolved["init"], model.dim)
-    eta = config_float(resolved, "eta")
-    T = config_float(resolved, "horizon")
-    n = config_int(resolved, "chains")
-    seed = resolved["seed"]
-    snaps = config_floats(resolved, "snapshot_times") if "snapshot_times" in resolved else None
-    enforce = not config_bool(resolved, "allow_outside_window", False)
+    model = build_model(cfg["model"])
+    init = build_init(cfg["init"], model.dim)
+    eta, seed = cfg["eta"], cfg["seed"]
+    snaps = cfg.get("snapshot_times")
 
     lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
     try:
         result = sp.simulate_ensemble(
-            model, init, eta, T, n, seed, snapshot_times=snaps, enforce_window=enforce
+            model, init, eta, cfg["horizon"], cfg["chains"], seed,
+            snapshot_times=snaps, enforce_window=not cfg["allow_outside_window"],
         )
     except DivergenceError as exc:
         return Outcome({}, [{
@@ -665,18 +631,10 @@ def cmd_sample(resolved: dict, out_dir: Path, args) -> Outcome:
 LINEAGE_FIELDS = ("master_seed", "eta", "time", "label", "chain_count")
 
 
-def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
-    name = resolved["estimator"]
-    params = dict(resolved.get("params", {}))
-    # Input paths resolve against the config's directory; they are recorded
-    # as the absolute paths read, so a rerun from the recorded config (which
-    # sits in the output directory) reads the same files.
-    if "inputs" in resolved:
-        if not isinstance(resolved["inputs"], dict):
-            raise ConfigurationError('estimate "inputs" must map input names to CSV paths')
-        base = Path(args.config).parent
-        resolved["inputs"] = {k: str((base / p).resolve()) for k, p in resolved["inputs"].items()}
-    inputs = resolved.get("inputs", {})
+def cmd_estimate(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+    name, params, inputs = cfg["estimator"], cfg["params"], cfg.get("inputs", {})
+    # The report's parameters are those the config gives.
+    parameters = dict(recorded.get("params", {}))
     lineage = {}
 
     def load(key):
@@ -689,33 +647,25 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
         lineage[key] = {f: meta.get(f) for f in LINEAGE_FIELDS}
         return sp.read_ensemble_csv(inputs[key])
 
-    if name == "knn_kl":
-        value = est.knn_kl(load("p"), load("q"), k=config_int(params, "k", 5))
-    elif name == "w2_empirical_1d":
-        value = est.w2_empirical_1d(load("p"), load("q"))
-    elif name == "tv_histogram":
-        value = est.tv_histogram(load("p"), load("q"), bins_per_dim=config_int(params, "bins_per_dim", 64))
+    # The typed params are the estimator's keyword arguments.
+    if name in ("knn_kl", "w2_empirical_1d", "tv_histogram"):
+        value = getattr(est, name)(load("p"), load("q"), **params)
     elif name == "moment_estimate":
-        value = est.moment_estimate(load("samples"), p=config_int(params, "p", 2))
+        value = est.moment_estimate(load("samples"), **params)
     elif name == "girsanov_pathwise_kl":
-        model = build_model(resolved["model"])
-        init = build_init(resolved["init"], model.dim)
+        model = build_model(cfg["model"])
+        init = build_init(cfg["init"], model.dim)
         [value] = est.girsanov_pathwise_kl(
-            model, init,
-            etas=[config_float(resolved, "eta")], T=config_float(resolved, "horizon"),
-            n=config_int(resolved, "chains"), master_seed=resolved["seed"],
-            quad_points_per_step=config_int(params, "quad_points_per_step", 4),
+            model, init, [cfg["eta"]], cfg["horizon"], cfg["chains"], cfg["seed"], **params
         )
-    elif name == "rate_fit":
-        fit = est.rate_fit(config_array(resolved, "points"))
+    else:  # rate_fit
+        fit = est.rate_fit(cfg["points"])
         value = fit.slope
-        params["fit"] = fit.to_dict()
-    else:
-        raise ConfigurationError(f"unknown estimator {name!r}")
+        parameters["fit"] = fit.to_dict()
 
     claims = [{"name": "estimate", "pass": bool(np.isfinite(value)), "detail": f"{name}={value:.6g}"}]
     return Outcome(
-        {"estimator": name, "parameters": params, "value": value, "inputs_lineage": lineage}, claims
+        {"estimator": name, "parameters": parameters, "value": value, "inputs_lineage": lineage}, claims
     )
 
 
@@ -724,15 +674,10 @@ def cmd_estimate(resolved: dict, out_dir: Path, args) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
-    theorem = config_int(resolved, "theorem", 1)
-    if theorem not in (1, 2):
-        raise ConfigurationError("theorem must be 1 (dissipative) or 2 (non-negative potential)")
-    given = resolved["constants"]
-    constants = bnd.BoundConstants.from_dict({key: config_float(given, key) for key in given})
-
-    T = config_float(resolved, "horizon", 1.0)
-    d = config_int(resolved, "dim", 1)
+def cmd_bound_eval(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+    theorem = cfg["theorem"]
+    constants = bnd.BoundConstants(**cfg["constants"])
+    T, d = cfg["horizon"], cfg["dim"]
     terms_of = bnd.kl_bound_dissipative_terms if theorem == 1 else bnd.kl_bound_nonneg_potential_terms
 
     def evaluator(eta):
@@ -746,23 +691,22 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
             ) from None
 
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
-    if "eta" in resolved:
-        eta = config_float(resolved, "eta")
-        terms = evaluator(eta)
-        fields.update({"eta": eta, "terms": terms, "value": terms["total"]})
+    if "eta" in cfg:
+        terms = evaluator(cfg["eta"])
+        fields.update({"eta": cfg["eta"], "terms": terms, "value": terms["total"]})
         claims = [{
             "name": "bound_finite", "pass": bool(np.isfinite(terms["total"])),
             "detail": f"value={terms['total']:.6g}",
         }]
-    elif "eta_grid" in resolved:
+    elif "eta_grid" in cfg:
         pairs = []
         sweep = []
-        for eta in config_floats(resolved, "eta_grid"):
+        for eta in cfg["eta_grid"]:
             terms = evaluator(eta)
             pairs.append((eta, terms["total"]))
             sweep.append({"eta": eta, "value": terms["total"]})
         fit = est.rate_fit(pairs)
-        lo, hi = config_bands(resolved)["sweep_slope"]
+        lo, hi = cfg["bands"]["sweep_slope"]
         fields.update({"sweep": sweep, "fit": fit.to_dict()})
         claims = [{
             "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),
@@ -771,6 +715,73 @@ def cmd_bound_eval(resolved: dict, out_dir: Path, args) -> Outcome:
     else:
         raise ConfigurationError("bound-eval needs an eta or an eta_grid in the config")
     return Outcome(fields, claims)
+
+
+# ---------------------------------------------------------------------------
+# config tables: key -> (reader, default), or (reader,) without a default
+# ---------------------------------------------------------------------------
+
+
+SEED = (read_seed, 0)
+# The builders' own defaults apply to the params a config leaves out, as the
+# estimators' do to theirs.
+MODEL = {"name": (read_model_name, REQUIRED), "params": ({
+    "dim": (read_int,), "rate": (read_number,), "separation": (read_number,),
+    "matrix": (read_array,), "offset": (read_array,),
+}, {})}
+INIT = {"mean": (read_array,), "sigma0": (read_number, REQUIRED)}
+CHAIN = {
+    "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
+    "eta": (read_number, REQUIRED), "horizon": (read_number, REQUIRED), "chains": (read_int, REQUIRED),
+}
+
+COMMANDS = {
+    "rate-scan": {
+        "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
+        "eta_grid": (read_floats, REQUIRED), "horizon": (read_number, REQUIRED),
+        "exact": (read_bool, True), "girsanov_chains": (read_int, 0), "quad_points_per_step": (read_int, 4),
+        "bands": ({
+            "exact_slope": (read_band, [1.85, 2.15]), "exact_r2_min": (read_number, 0.999),
+            "girsanov_slope": (read_band, [0.85, 1.15]), "slope_gap_min": (read_number, 0.7),
+        }, {}),
+        "seed": SEED,
+    },
+    "mixing-scan": {
+        "target": ({"mean": (read_array, REQUIRED), "cov": (read_array, REQUIRED)}, REQUIRED),
+        "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED), "eps_grid": (read_positive_floats, REQUIRED),
+        "metric": (read_metric, "KL"), "max_steps": (read_int, 10**6),
+        # A given mixing_slope replaces the default map whole.
+        "bands": ({"mixing_slope": (
+            {metric: (read_band,) for metric in MIXING_METRICS},
+            {"KL": [-0.75, -0.40], "TV": [-1.3, -0.8], "W2": [-1.3, -0.8]},
+        )}, {}),
+        "seed": SEED,
+    },
+    "verify": {"model": (MODEL, REQUIRED), "init": (INIT, {"sigma0": 1.0}), "seed": SEED},
+    "sample": {**CHAIN, "snapshot_times": (read_floats,), "allow_outside_window": (read_bool, False), "seed": SEED},
+    "estimate": {"estimator": (read_estimator, REQUIRED), "inputs": (read_inputs,), "params": ({}, {}), "seed": SEED},
+    "bound-eval": {
+        "constants": ({
+            f.name: (read_number, REQUIRED) if f.default is dataclasses.MISSING else (read_number,)
+            for f in dataclasses.fields(bnd.BoundConstants)
+        }, REQUIRED),
+        "theorem": (read_theorem, 1), "eta": (read_number,), "eta_grid": (read_floats,),
+        "horizon": (read_number, 1.0), "dim": (read_int, 1),
+        "bands": ({"sweep_slope": (read_band, [1.9, 2.1])}, {}),
+        "seed": SEED,
+    },
+}
+
+# estimate's table per estimator (read_config picks it): its keys and its params.
+ESTIMATE = COMMANDS["estimate"]
+ESTIMATORS = {
+    "knn_kl": {**ESTIMATE, "params": ({"k": (read_int,)}, {})},
+    "w2_empirical_1d": ESTIMATE,
+    "tv_histogram": {**ESTIMATE, "params": ({"bins_per_dim": (read_int,)}, {})},
+    "moment_estimate": {**ESTIMATE, "params": ({"p": (read_int, 2)}, {})},
+    "girsanov_pathwise_kl": {**ESTIMATE, **CHAIN, "params": ({"quad_points_per_step": (read_int,)}, {})},
+    "rate_fit": {**ESTIMATE, "points": (read_array, REQUIRED)},
+}
 
 
 # ---------------------------------------------------------------------------

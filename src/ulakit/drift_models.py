@@ -27,8 +27,10 @@ Array = np.ndarray
 # verification is run).
 CERT_RADIUS = 10.0
 
-# Candidate dissipativity rates tried by dissipativity_fit.
+# Candidate dissipativity rates tried by dissipativity_fit, and the random
+# directions it samples on each shell.
 MU_LADDER = tuple(2.0**k for k in range(-10, 4))
+FIT_DIRECTIONS = 16
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,9 @@ def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> f
     return best
 
 
-def dissipativity_fit(
-    model: DriftModel,
-    radius_grid,
-    directions_per_radius: int = 16,
-    seed: int = 0,
-) -> Optional[tuple[float, float]]:
-    """Fit (mu, beta) with <b(x), x> <= -mu ||x||^2 + beta on sampled shells.
+def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[tuple[float, float]]:
+    """Fit (mu, beta) with <b(x), x> <= -mu ||x||^2 + beta on sampled shells
+    of FIT_DIRECTIONS random directions each.
 
     On a finite sample any mu admits some beta, so candidate rates are
     screened by a tail test: the per-radius maximum of
@@ -184,10 +182,8 @@ def dissipativity_fit(
     radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
     if radii.size == 0 or radii.min() <= 0:
         raise InputError("radius grid must be nonempty with positive radii")
-    if directions_per_radius < 1:
-        raise InputError("need at least one direction per radius")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((radii.size, directions_per_radius, model.dim))
+    raw = rng.standard_normal((radii.size, FIT_DIRECTIONS, model.dim))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     points = radii[:, None, None] * raw
     inner = np.sum(model.drift(points) * points, axis=-1)

@@ -59,7 +59,7 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
     Entry (i, j) is a pure function of (master_seed, step, substream, i, j);
     in particular it does not depend on n.
     """
-    seed = _check_seed(master_seed)
+    seed = check_seed(master_seed)
     if step < -1:
         raise InputError("step index must be >= -1")
     if not 0 <= substream < NUM_SUBSTREAMS:
@@ -78,7 +78,8 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
     return ndtri(u, out=u)
 
 
-def _check_seed(master_seed) -> int:
+def check_seed(master_seed) -> int:
+    """master_seed as an int; InputError unless it is an integer in [0, 2^64)."""
     seed = int(master_seed)
     if seed != master_seed or not 0 <= seed < 2**64:
         raise InputError("master_seed must be an integer in [0, 2^64)")
@@ -257,7 +258,7 @@ def em_chain(
         raise InputError("need at least one chain")
     if not 0 <= bridge_points <= MAX_QUAD_POINTS:
         raise InputError(f"bridge_points must be in [0, {MAX_QUAD_POINTS}]")
-    seed = _check_seed(master_seed)
+    seed = check_seed(master_seed)
     if not T > 0:
         raise ConfigurationError("horizon must be positive")
     steps = [grid_steps(T, eta) for eta in etas]
@@ -431,10 +432,10 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
     write_json(path, payload)
 
 
-def read_ensemble_sidecar(path, sidecar_path=None) -> dict:
-    """The JSON sidecar of an ensemble CSV (default: the same path with suffix
-    .json); {} when there is none, InputError when it is not a JSON object."""
-    sidecar = Path(sidecar_path) if sidecar_path else Path(path).with_suffix(".json")
+def read_ensemble_sidecar(path) -> dict:
+    """The JSON sidecar of an ensemble CSV, the same path with suffix .json;
+    {} when there is none, InputError when it is not a JSON object."""
+    sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
         return {}
     try:
@@ -446,7 +447,7 @@ def read_ensemble_sidecar(path, sidecar_path=None) -> dict:
     return meta
 
 
-def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
+def read_ensemble_csv(path) -> SampleEnsemble:
     """Read an ensemble CSV and its JSON sidecar; without a sidecar the seed
     and step size are None.
 
@@ -472,7 +473,7 @@ def read_ensemble_csv(path, sidecar_path=None) -> SampleEnsemble:
             f"{path}: {lines} data lines under a {d + 2}-column header, "
             f"but {data.shape[0]} rows of {data.shape[1]} fields parsed"
         )
-    meta = read_ensemble_sidecar(path, sidecar_path)
+    meta = read_ensemble_sidecar(path)
     return SampleEnsemble(
         time=meta.get("time", float(data[0, -1])),
         eta=meta.get("eta"),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -346,21 +345,6 @@ def test_moment_bound_monotonicities():
 
 
 # --- constants container -------------------------------------------------------------
-
-
-def test_constants_from_dict_roundtrip():
-    d = {"L1": 1.0, "L2": 0.5, "A0": 0.0, "sigma0": 1.0, "h0": 0.9, "entropy0": 1.4, "mu": 1.0, "beta": 0.5}
-    c = BoundConstants.from_dict(d)
-    assert c.c0 == 1.0 and c.c1 == 1.0
-    given = {k: v for k, v in dataclasses.asdict(c).items() if v is not None}
-    assert BoundConstants.from_dict(given) == c
-
-
-def test_constants_from_dict_rejects_unknown_and_missing():
-    with pytest.raises(ConfigurationError, match="sigma0"):
-        BoundConstants.from_dict({"L1": 1.0, "L2": 0.5, "A0": 0.0, "h0": 0.9, "entropy0": 1.4})
-    with pytest.raises(ConfigurationError, match="unknown"):
-        BoundConstants.from_dict({"L1": 1, "L2": 1, "A0": 1, "sigma0": 1, "h0": 1, "entropy0": 1, "zeta": 3})
 
 
 def test_constants_validation():

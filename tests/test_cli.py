@@ -1,6 +1,9 @@
+import dataclasses
+import importlib.util
 import json
 import math
 import resource
+import sys
 import tempfile
 import time
 import warnings
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulakit import (
+    BoundConstants,
     ConfigurationError,
     InputError,
     SampleEnsemble,
@@ -19,7 +23,7 @@ from ulakit import (
     read_ensemble_csv,
     write_ensemble_csv,
 )
-from ulakit.cli import check_config_keys, main
+from ulakit.cli import COMMANDS, ESTIMATORS, main, read_bool, read_config
 
 from slow_paths import mixing_scan_by_recursion
 
@@ -536,6 +540,14 @@ def test_bound_eval_all_ones(tmp_path):
     assert rep["c0"] == 1.0 and rep["c1"] == 1.0
 
 
+def test_bound_eval_takes_every_constants_field(tmp_path):
+    constants = dict(ALL_ONES_CONSTANTS, rho=0.5, c0=1.0, c1=1.0)
+    assert constants.keys() == {f.name for f in dataclasses.fields(BoundConstants)}
+    code, out = run(tmp_path, "bound-eval", {"theorem": 1, "eta": 0.1, "constants": constants})
+    assert code == 0
+    assert json.loads((out / "bound_eval.json").read_text())["value"] == pytest.approx(0.1007, abs=1e-12)
+
+
 def test_bound_eval_missing_f0_names_it(tmp_path, capsys):
     constants = {k: v for k, v in ALL_ONES_CONSTANTS.items() if k != "f0"}
     code, _ = run(tmp_path, "bound-eval", {"theorem": 2, "eta": 0.1, "constants": constants})
@@ -681,7 +693,18 @@ def test_non_finite_report_value_is_strict_json_null(tmp_path):
 
 # The estimators' inputs, relative to the config: written by sample into "ens".
 ENS_PQ = {"p": "ens/ensemble.csv", "q": "ens/ensemble.csv"}
-# (command, a valid config, an integer field: a top-level key or params.<key>)
+def with_value(cfg, path, value):
+    """A copy of cfg holding value at the key path, its missing maps made."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = path
+    entry = cfg
+    for step in parents:
+        entry = entry.setdefault(step, {})
+    entry[key] = value
+    return cfg
+
+
+# (command, a valid config, an integer field: a dotted key path)
 INTEGER_FIELDS = [
     ("sample", SAMPLE_CFG, "chains"),
     ("sample", SAMPLE_CFG, "seed"),
@@ -695,6 +718,7 @@ INTEGER_FIELDS = [
     ("estimate", {"estimator": "knn_kl", "inputs": ENS_PQ}, "params.k"),
     ("estimate", {"estimator": "tv_histogram", "inputs": ENS_PQ}, "params.bins_per_dim"),
     ("estimate", ESTIMATE_CFG, "params.p"),
+    ("sample", SAMPLE_CFG, "model.params.dim"),
 ]
 
 
@@ -706,13 +730,10 @@ INTEGER_FIELDS = [
 def test_non_integer_integer_field_exits_2_before_any_output(tmp_path, capsys, command, cfg, field, value):
     if command == "estimate":
         assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
-    cfg = json.loads(json.dumps(cfg))
-    *params, key = field.split(".")
-    (cfg.setdefault("params", {}) if params else cfg)[key] = value
-    code, out = run(tmp_path, command, cfg)
+    code, out = run(tmp_path, command, with_value(cfg, field.split("."), value))
     assert code == 2
-    assert f"{key} must be an integer" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert f"{field.split('.')[-1]} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (command, a valid config, a boolean flag)
@@ -726,7 +747,7 @@ def test_non_boolean_flag_exits_2_before_any_output(tmp_path, capsys, command, c
     code, out = run(tmp_path, command, dict(cfg, **{key: value}))
     assert code == 2
     assert f"{key} must be true or false" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 # (command, a valid config, the path of a float field in it)
@@ -755,6 +776,9 @@ FLOAT_FIELDS = [
     ("bound-eval", {"theorem": 1, "eta": 0.1, "constants": ALL_ONES_CONSTANTS}, ("eta",)),
     ("bound-eval", BOUND_CFG, ("constants", "L1")),
     ("bound-eval", BOUND_CFG, ("constants", "mu")),
+    ("rate-scan", dict(RATE_CFG, model={"name": "ou", "params": {"dim": 1, "rate": 1.0}}), ("model", "params", "rate")),
+    ("sample", dict(SAMPLE_CFG, model={"name": "gauss-mix", "params": {"separation": 1.5}}),
+     ("model", "params", "separation")),
 ]
 NON_FLOATS = [True, False, "0.1", "abc", None, math.nan, math.inf, -math.inf, 10**400]
 
@@ -776,7 +800,7 @@ def test_non_float_float_field_exits_2_naming_the_key(tmp_path, capsys, command,
     assert code == 2
     key = [step for step in path if isinstance(step, str)][-1]
     assert f"{key} must be" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_float_fields_take_any_json_number(tmp_path):
@@ -862,6 +886,9 @@ BAD_CONFIGS = [
         ("verify", VERIFY_CFG, "directions_per_radius", 16),
         ("mixing-scan", MIX_CFG, "scale_constant", 1.0),
     ]
+] + [
+    pytest.param("bound-eval", dict(BOUND_CFG, constants={k: v for k, v in ALL_ONES_CONSTANTS.items() if k != "sigma0"}),
+                 "sigma0", id="bound-eval-constants-without-sigma0"),
 ]
 
 
@@ -883,6 +910,7 @@ MISSPELLED_NESTED = [
     ("sample", dict(SAMPLE_CFG, model={"name": "ou", "param": {"dim": 1}}), "param"),
     ("bound-eval", dict(BOUND_CFG, bands={"sweep_slop": [0, 1]}), "sweep_slop"),
     ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, LI=1.0)), "LI"),
+    ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, zeta=3.0)), "zeta"),
     ("estimate", {"estimator": "knn_kl", "inputs": INPUTS_PQ, "params": {"kk": 1}}, "kk"),
     ("estimate", {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ, "params": {"k": 5}}, "k"),
     ("estimate", {"estimator": "tv_histogram", "inputs": INPUTS_PQ, "params": {"bins": 16}}, "bins"),
@@ -903,6 +931,101 @@ def test_misspelled_nested_key_exits_2_before_any_output(tmp_path, capsys, comma
     assert not out.exists()
 
 
+# A wrongly typed model param used to reach the builder: "rate": true ran an
+# OU model at rate 1 and passed, and "separation": "2" exited 2 naming no key.
+@pytest.mark.parametrize("command, cfg, key", [
+    ("rate-scan", dict(RATE_CFG, model={"name": "ou", "params": {"dim": 1, "rate": True}}), "model.params.rate"),
+    ("sample", dict(SAMPLE_CFG, model={"name": "gauss-mix", "params": {"dim": 1, "separation": "2"}}),
+     "model.params.separation"),
+], ids=["ou-rate-true", "gauss-mix-separation-string"])
+def test_wrongly_typed_model_param_exits_2_naming_it(tmp_path, capsys, command, cfg, key):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("bound-eval", BOUND_CFG, ("--seed=-1",)),
+    ("rate-scan", dict(RATE_CFG, girsanov_chains=0, seed=-1), ()),
+    ("sample", dict(SAMPLE_CFG, seed=2**64), ()),
+    ("verify", VERIFY_CFG, ("--seed", str(2**64))),
+], ids=["bound-eval-flag", "rate-scan-config", "sample-config", "verify-flag"])
+def test_seed_outside_range_exits_2_before_any_output(tmp_path, capsys, command, cfg, extra):
+    code, out = run(tmp_path, command, cfg, extra=extra)
+    assert code == 2
+    assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_is_recorded(tmp_path):
+    code, out = run(tmp_path, "bound-eval", BOUND_CFG, extra=(f"--seed={2**64 - 1}",))
+    assert code == 0
+    assert json.loads((out / "bound_eval.json").read_text())["master_seed"] == 2**64 - 1
+
+
+# --- the config tables: every declared leaf is typed before any output ---------------
+
+
+# A valid config per command, and per estimator.
+TABLE_CONFIGS = [(command, COMMANDS[command], cfg) for command, cfg in [
+    ("rate-scan", RATE_CFG), ("mixing-scan", MIX_CFG), ("verify", VERIFY_CFG),
+    ("sample", SAMPLE_CFG), ("bound-eval", BOUND_CFG),
+]] + [("estimate", ESTIMATORS[name], cfg) for name, cfg in {
+    "knn_kl": {"estimator": "knn_kl", "inputs": INPUTS_PQ},
+    "w2_empirical_1d": {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ},
+    "tv_histogram": {"estimator": "tv_histogram", "inputs": INPUTS_PQ},
+    "moment_estimate": ESTIMATE_CFG,
+    "girsanov_pathwise_kl": GIRSANOV_CFG,
+    "rate_fit": RATE_FIT_CFG,
+}.items()]
+
+
+def table_leaves(table, path=()):
+    """(key path, reader) for every key of table that is not a nested map."""
+    for key, (reader, *_default) in table.items():
+        if isinstance(reader, dict):
+            yield from table_leaves(reader, path + (key,))
+        else:
+            yield path + (key,), reader
+
+
+def test_every_estimator_has_a_table_config():
+    assert sorted(cfg["estimator"] for command, _, cfg in TABLE_CONFIGS if command == "estimate") == sorted(ESTIMATORS)
+
+
+@pytest.mark.parametrize("command, cfg, path, value", [
+    pytest.param(command, cfg, path, value, id=f"{cfg.get('estimator', command)}-{'.'.join(path)}-{value!r}")
+    for command, table, cfg in TABLE_CONFIGS
+    for path, reader in table_leaves(table)
+    for value in ([1, "x", None] if reader is read_bool else [True, "x", None])
+])
+def test_wrongly_typed_leaf_exits_2_naming_it_before_any_output(tmp_path, capsys, command, cfg, path, value):
+    code, out = run(tmp_path, command, with_value(cfg, path, value))
+    assert code == 2
+    assert ".".join(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The benchmark's generated configs must pass the tables, or a schema change
+# would show only as a failed benchmark run.
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_benchmark_configs_pass_the_config_tables(monkeypatch):
+    # Imported from its file, registered as dataclasses require, and without
+    # writing bytecode next to it.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    assert sorted(workloads.WORKLOADS) == ["oracle-scan", "rate-scan-ou1d", "sample-estimate"]
+    for workload in workloads.WORKLOADS.values():
+        for inv in workload.build(0):
+            read_config(inv.command, json.loads(json.dumps(inv.config)))
+
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 # verify fails dissipativity, by design, on the drifts without inward pull.
 CONFIG_EXIT = {"verify.zero.json": 1, "verify.expansive.json": 1}
@@ -918,7 +1041,7 @@ def test_checked_in_configs_cover_the_experiments():
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_checked_in_config_keys_are_declared(path):
-    check_config_keys(_command(path), json.loads(path.read_text()))
+    read_config(_command(path), json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize(

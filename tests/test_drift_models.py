@@ -166,7 +166,7 @@ def test_lipschitz_constants_on_cert_ball(name):
 
 
 def test_dissipativity_fit_ou():
-    fit = dissipativity_fit(make_model("ou", dim=1), DISS_GRID, 16, seed=0)
+    fit = dissipativity_fit(make_model("ou", dim=1), DISS_GRID, seed=0)
     assert fit is not None
     mu, beta = fit
     assert mu == pytest.approx(1.0)
@@ -176,18 +176,18 @@ def test_dissipativity_fit_ou():
 def test_dissipativity_fit_double_well_balanced_pair():
     # analytic optimum: sup of <b(x),x> + mu ||x||^2 is (mu + 1/2)^2 / 2,
     # equal to mu exactly at mu = 1/2 (contact on the unit sphere)
-    fit = dissipativity_fit(make_model("double-well", dim=1), DISS_GRID, 16, seed=0)
+    fit = dissipativity_fit(make_model("double-well", dim=1), DISS_GRID, seed=0)
     assert fit == pytest.approx((0.5, 0.5))
 
 
 def test_dissipativity_fit_expansive_fails():
-    assert dissipativity_fit(make_model("expansive", dim=1), DISS_GRID, 16, seed=0) is None
+    assert dissipativity_fit(make_model("expansive", dim=1), DISS_GRID, seed=0) is None
 
 
 @pytest.mark.parametrize("name", ["ou", "double-well", "gauss-mix"])
 def test_dissipativity_fit_holds_on_fresh_points(name):
     m = make_model(name, dim=2)
-    fit = dissipativity_fit(m, DISS_GRID, 16, seed=0)
+    fit = dissipativity_fit(m, DISS_GRID, seed=0)
     assert fit is not None
     mu, beta = fit
     rng = np.random.default_rng(99)
