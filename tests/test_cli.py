@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -85,16 +86,18 @@ def test_sample_gauss_mix_smoke(tmp_path):
     assert data.shape == (10_000, 4)
 
 
+DIVERGING_SAMPLE_CFG = {
+    "model": {"name": "expansive", "params": {"dim": 1}},
+    "init": {"mean": [0.0], "sigma0": 1.0},
+    "eta": 0.05,
+    "horizon": 50.0,
+    "chains": 100,
+    "seed": 5,
+}
+
+
 def test_sample_divergence_reports_failure(tmp_path):
-    cfg = {
-        "model": {"name": "expansive", "params": {"dim": 1}},
-        "init": {"mean": [0.0], "sigma0": 1.0},
-        "eta": 0.05,
-        "horizon": 50.0,
-        "chains": 100,
-        "seed": 5,
-    }
-    code, out = run(tmp_path, "sample", cfg)
+    code, out = run(tmp_path, "sample", DIVERGING_SAMPLE_CFG)
     assert code == 1
     report = json.loads((out / "sample.json").read_text())
     assert not report["all_pass"]
@@ -847,6 +850,40 @@ def test_rerun_from_recorded_config_is_byte_identical(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+# The runs whose every output file is hashed: the rerun cases, two more
+# samples, and the checked-in configs cheap enough for tier 1.  estimate is
+# left out, since its recorded config holds the absolute paths of its inputs.
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+GOLDEN_RUNS = {
+    **{command: (command, cfg) for command, cfg in RERUN_CASES.items() if command != "estimate"},
+    "sample-snapshots": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 1.0])),
+    "sample-divergence": ("sample", DIVERGING_SAMPLE_CFG),
+    **{
+        path.stem: (path.name.split(".")[0], json.loads(path.read_text()))
+        for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+        if not path.name.startswith("rate-scan.")
+    },
+}
+
+
+def golden_digests(tmp_path: Path) -> dict:
+    """{run/file: sha256 of its bytes} over every output file of GOLDEN_RUNS."""
+    digests = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for case, (command, cfg) in GOLDEN_RUNS.items():
+            _, out = run(tmp_path, command, cfg, out=case)
+            for path in sorted(out.iterdir()):
+                digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# A change that alters output bits on purpose re-records the digests with
+# PYTHONPATH=src python tests/test_cli.py
+def test_output_files_match_golden_digests(tmp_path):
+    assert golden_digests(tmp_path) == json.loads(GOLDEN_DIGESTS.read_text())
+
+
 def test_estimate_records_absolute_input_paths(tmp_path):
     assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
     code, out = run(tmp_path, "estimate", ESTIMATE_CFG, out="est")
@@ -1160,3 +1197,8 @@ def test_mutated_configs_exit_0_1_or_2(data):
     assert code in (0, 1, 2)
     if key in BOOLEAN_KEYS and key in entry and not isinstance(entry[key], bool):
         assert code == 2  # a flag is never read by truthiness
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
