@@ -9,11 +9,13 @@ in force, and a claim-check verdict.  Exit status: 0 when all claim checks
 pass, 1 when any fails, 2 on configuration errors.  Reruns from the recorded
 config reproduce artifacts byte for byte.
 
-One skeleton (run_command) reads, records and reports; each cmd_* function
-only computes from the typed config, returning an Outcome.  COMMANDS (and
-ESTIMATORS, one table per estimator) declares every config key once, nested
-maps included, with the reader that types it and its default; a missing,
-undeclared or wrongly typed key exits 2 before any output.
+One skeleton (run_command) reads, records and writes; each cmd_* function
+only computes from the typed config, returning an Outcome with its files'
+writers, so the output directory appears only once a command has returned.
+COMMANDS (and ESTIMATORS, one table per estimator) declares every config
+key once, nested maps included, with the reader that types it and its
+default; a missing, undeclared or wrongly typed key exits 2 before any
+output.
 
 The exact oracles are closed forms: rate-scan takes the chain's moments from
 gaussian_analytics.em_moments_linear, and mixing-scan, whose chain stays
@@ -29,8 +31,9 @@ import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,10 +140,6 @@ def read_floats(value, key: str, positive: bool = False) -> list[float]:
     return [read_number(v, key, positive) for v in value]
 
 
-def read_positive_floats(value, key: str) -> list[float]:
-    return read_floats(value, key, positive=True)
-
-
 def read_band(value, key: str) -> tuple[float, float]:
     """value, a [low, high] pair of numbers."""
     band = read_floats(value, key)
@@ -221,18 +220,20 @@ def build_init(entry: dict, dim: int) -> sp.InitDensity:
 
 class Outcome(NamedTuple):
     """What a command computed: report fields (they may override c0/c1), claim
-    checks, and the report's writer when it does not go to <command>.json."""
+    checks, its files as (name, writer) pairs, each writer called with the
+    file's path, and the report's file name when it is not <command>.json."""
 
     fields: dict
     claims: list[dict]
-    write_report: Callable[[dict], None] | None = None
+    files: Sequence = ()
+    report_file: str | None = None
 
 
 def run_command(args) -> int:
     """Read the config through its command's table, resolve the seed and the
-    input paths, create the output directory, run the command on the typed
-    config, record the config it ran with, write the report, print the c0/c1
-    and verdict lines, and return the exit status."""
+    input paths, run the command on the typed config; then create the output
+    directory, write the command's files, the config it ran with and the
+    report, print the c0/c1 and verdict lines, and return the exit status."""
     resolved = load_config(args.config)
     if args.seed is not None:
         resolved["seed"] = args.seed
@@ -244,10 +245,8 @@ def run_command(args) -> int:
         # config (which sits in the output directory) reads the same files.
         base = Path(args.config).parent
         resolved["inputs"] = cfg["inputs"] = {k: str((base / p).resolve()) for k, p in cfg["inputs"].items()}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    outcome = args.func(cfg, out_dir, resolved)
+    outcome = args.func(cfg, resolved)
     claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
     report = {
@@ -263,11 +262,12 @@ def run_command(args) -> int:
         ),
     }
     name = args.command.replace("-", "_")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for file_name, write in outcome.files:
+        write(out_dir / file_name)
     sp.write_json(out_dir / f"{name}_config.json", resolved)
-    if outcome.write_report is None:
-        sp.write_json(out_dir / f"{name}.json", report)
-    else:
-        outcome.write_report(report)
+    sp.write_json(out_dir / (outcome.report_file or f"{name}.json"), report)
     print(f"c0={report['c0']} c1={report['c1']}")
     print(report["verdict_line"])
     return 0 if all_pass else 1
@@ -278,13 +278,15 @@ def run_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rate_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     etas = cfg["eta_grid"]
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
     T, n_chains, bands = cfg["horizon"], cfg["girsanov_chains"], cfg["bands"]
+    if n_chains < 0:
+        raise ConfigurationError(f"girsanov_chains must be non-negative, got {n_chains}")
 
     if cfg["exact"] and model.linear is None:
         raise ConfigurationError(
@@ -296,6 +298,8 @@ def cmd_rate_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
     for eta in etas:
         bnd.check_step(eta, model.constants.L1)
         steps = sp.grid_steps(T, eta)
+        if steps < 1:
+            raise ConfigurationError(f"eta_grid value {eta} takes no step within horizon={T}")
         rec = {"eta": eta, "steps": steps}
         if cfg["exact"]:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
@@ -314,7 +318,7 @@ def cmd_rate_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
     exact_pairs = [(rec["eta"], rec["kl_exact"]) for rec in records if "kl_exact" in rec]
     girs_pairs = [(rec["eta"], rec["kl_girsanov"]) for rec in records if "kl_girsanov" in rec]
     rows = [[rec["eta"], rec.get("kl_exact", ""), rec.get("kl_girsanov", "")] for rec in records]
-    sp.write_csv(out_dir / "rate_scan.csv", ["eta", "kl_exact", "kl_girsanov"], rows)
+    csv = ("rate_scan.csv", lambda path: sp.write_csv(path, ["eta", "kl_exact", "kl_girsanov"], rows))
 
     def _fit(pairs):
         if len(pairs) >= 3 and all(v > 0 for _, v in pairs):
@@ -357,7 +361,7 @@ def cmd_rate_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
         "records": records,
         "fit_exact": fit_exact.to_dict() if fit_exact else None,
         "fit_girsanov": fit_girs.to_dict() if fit_girs else None,
-    }, claims)
+    }, claims, [csv])
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,7 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
     return None
 
 
-def cmd_mixing_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+def cmd_mixing_scan(cfg: dict, recorded: dict) -> Outcome:
     rho = cfg["rho"]
     target = ga.GaussianMoments(cfg["target"]["mean"], cfg["target"]["cov"])
     d = target.dim
@@ -441,7 +445,7 @@ def cmd_mixing_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
     eps_grid, max_steps = cfg["eps_grid"], cfg["max_steps"]
     tolerances = [mixing_kl_tolerance(kl_tolerance, eps, rho) for eps in eps_grid]
 
-    rows, records, fit_pairs = [], [], []
+    records, fit_pairs = [], []
     for eps, tolerance in zip(eps_grid, tolerances):
         eta = bnd.step_size_rule(tolerance, rho, d)
         if distance(gap, var0, s) <= eps:
@@ -455,14 +459,14 @@ def cmd_mixing_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
                 "the discretization bias floor may exceed eps"
             )
         pred = bnd.mixing_time_predict(eps, rho, d, metric)
-        rows.append([eps, eta, n_measured, pred.steps])
         records.append({
             "eps": eps, "eta": eta, "n_measured": n_measured,
             "n_predicted": pred.steps, "note": pred.note,
         })
         if n_measured > 0:
             fit_pairs.append((eps, float(n_measured)))
-    sp.write_csv(out_dir / "mixing_scan.csv", ["eps", "eta_used", "N_measured", "N_predicted"], rows)
+    rows = [[rec["eps"], rec["eta"], rec["n_measured"], rec["n_predicted"]] for rec in records]
+    csv = ("mixing_scan.csv", lambda path: sp.write_csv(path, ["eps", "eta_used", "N_measured", "N_predicted"], rows))
 
     fit = est.rate_fit(fit_pairs) if len(fit_pairs) >= 3 else None
     band = cfg["bands"]["mixing_slope"].get(metric)
@@ -480,7 +484,7 @@ def cmd_mixing_scan(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
         "records": records,
         "fit": fit.to_dict() if fit else None,
         "log_factor_note": bnd.LOG_FACTOR_NOTE,
-    }, claims)
+    }, claims, [csv])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +500,7 @@ VERIFY_GRAD_POINTS = 20
 VERIFY_RADIUS_GRID = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
-def cmd_verify(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+def cmd_verify(cfg: dict, recorded: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     rng = np.random.default_rng(cfg["seed"])
@@ -578,10 +582,10 @@ def cmd_verify(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
-    """Writes ensemble.csv, snapshot CSVs each with its lineage sidecar, and
-    the ensemble.json sidecar, which carries the report; a divergence leaves
-    only the report, in sample.json."""
+def cmd_sample(cfg: dict, recorded: dict) -> Outcome:
+    """The final ensemble as ensemble.csv, and each snapshot as a CSV with its
+    lineage sidecar; the report is ensemble.csv's sidecar, ensemble.json.  A
+    divergence gives only the report, sample.json."""
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     eta, seed = cfg["eta"], cfg["seed"]
@@ -601,25 +605,19 @@ def cmd_sample(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
         }])
 
     final, snapshots = (result, []) if snaps is None else result
-    sp.write_ensemble_csv(final, out_dir / "ensemble.csv")
+    files = [("ensemble.csv", partial(sp.write_ensemble_csv, final))]
     snap_files = []
     for i, snap in enumerate(snapshots):
         name = f"snapshot_{i:03d}"
-        sp.write_ensemble_csv(snap, out_dir / f"{name}.csv")
-        sp.write_ensemble_sidecar(snap, out_dir / f"{name}.json", model=model)
+        files.append((f"{name}.csv", partial(sp.write_ensemble_csv, snap)))
+        files.append((f"{name}.json", partial(sp.write_ensemble_sidecar, snap, model=model)))
         snap_files.append({"file": f"{name}.csv", "time": snap.time})
     claims = [{
         "name": "window_check", "pass": True,
         "detail": f"eta={eta} inside ({lo:g}, {hi:g})" if eta < hi else "window check overridden",
     }]
-
-    def write_sidecar(report):
-        sp.write_ensemble_sidecar(
-            final, out_dir / "ensemble.json", model=model,
-            extra={**report, "snapshots": snap_files},
-        )
-
-    return Outcome({}, claims, write_sidecar)
+    fields = {**sp.ensemble_sidecar(final, model), "snapshots": snap_files}
+    return Outcome(fields, claims, files, "ensemble.json")
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +629,7 @@ def cmd_sample(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
 LINEAGE_FIELDS = ("master_seed", "eta", "time", "label", "chain_count")
 
 
-def cmd_estimate(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+def cmd_estimate(cfg: dict, recorded: dict) -> Outcome:
     name, params, inputs = cfg["estimator"], cfg["params"], cfg.get("inputs", {})
     # The report's parameters are those the config gives.
     parameters = dict(recorded.get("params", {}))
@@ -645,7 +643,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
         # Lineage comes from the input's sidecar alone: null where it has none.
         meta = sp.read_ensemble_sidecar(inputs[key])
         lineage[key] = {f: meta.get(f) for f in LINEAGE_FIELDS}
-        return sp.read_ensemble_csv(inputs[key])
+        return sp.read_ensemble_csv(inputs[key], meta)
 
     # The typed params are the estimator's keyword arguments.
     if name in ("knn_kl", "w2_empirical_1d", "tv_histogram"):
@@ -674,7 +672,7 @@ def cmd_estimate(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound_eval(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
+def cmd_bound_eval(cfg: dict, recorded: dict) -> Outcome:
     theorem = cfg["theorem"]
     constants = bnd.BoundConstants(**cfg["constants"])
     T, d = cfg["horizon"], cfg["dim"]
@@ -690,6 +688,8 @@ def cmd_bound_eval(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
                 f"the theorem {theorem} bound leaves the float range for these constants"
             ) from None
 
+    if ("eta" in cfg) == ("eta_grid" in cfg):
+        raise ConfigurationError("bound-eval needs exactly one of eta and eta_grid in the config")
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
     if "eta" in cfg:
         terms = evaluator(cfg["eta"])
@@ -698,22 +698,15 @@ def cmd_bound_eval(cfg: dict, out_dir: Path, recorded: dict) -> Outcome:
             "name": "bound_finite", "pass": bool(np.isfinite(terms["total"])),
             "detail": f"value={terms['total']:.6g}",
         }]
-    elif "eta_grid" in cfg:
-        pairs = []
-        sweep = []
-        for eta in cfg["eta_grid"]:
-            terms = evaluator(eta)
-            pairs.append((eta, terms["total"]))
-            sweep.append({"eta": eta, "value": terms["total"]})
-        fit = est.rate_fit(pairs)
+    else:
+        sweep = [{"eta": eta, "value": evaluator(eta)["total"]} for eta in cfg["eta_grid"]]
+        fit = est.rate_fit([(rec["eta"], rec["value"]) for rec in sweep])
         lo, hi = cfg["bands"]["sweep_slope"]
         fields.update({"sweep": sweep, "fit": fit.to_dict()})
         claims = [{
             "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),
             "detail": f"slope={fit.slope:.6f} band=[{lo},{hi}]",
         }]
-    else:
-        raise ConfigurationError("bound-eval needs an eta or an eta_grid in the config")
     return Outcome(fields, claims)
 
 
@@ -738,7 +731,7 @@ CHAIN = {
 COMMANDS = {
     "rate-scan": {
         "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
-        "eta_grid": (read_floats, REQUIRED), "horizon": (read_number, REQUIRED),
+        "eta_grid": (read_floats, REQUIRED), "horizon": (partial(read_number, positive=True), REQUIRED),
         "exact": (read_bool, True), "girsanov_chains": (read_int, 0), "quad_points_per_step": (read_int, 4),
         "bands": ({
             "exact_slope": (read_band, [1.85, 2.15]), "exact_r2_min": (read_number, 0.999),
@@ -748,7 +741,8 @@ COMMANDS = {
     },
     "mixing-scan": {
         "target": ({"mean": (read_array, REQUIRED), "cov": (read_array, REQUIRED)}, REQUIRED),
-        "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED), "eps_grid": (read_positive_floats, REQUIRED),
+        "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED),
+        "eps_grid": (partial(read_floats, positive=True), REQUIRED),
         "metric": (read_metric, "KL"), "max_steps": (read_int, 10**6),
         # A given mixing_slope replaces the default map whole.
         "bands": ({"mixing_slope": (

@@ -416,7 +416,8 @@ def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
             fh.write((row * rows) % tuple(args))
 
 
-def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | None = None, extra: dict | None = None) -> None:
+def ensemble_sidecar(ensemble: SampleEnsemble, model: DriftModel | None = None) -> dict:
+    """ensemble's seed lineage, shape and label, and the model's identity."""
     payload = {
         "master_seed": ensemble.master_seed,
         "eta": ensemble.eta,
@@ -427,9 +428,11 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
     }
     if model is not None:
         payload["model"] = {"name": model.name, "params": model.params}
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+    return payload
+
+
+def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | None = None) -> None:
+    write_json(path, ensemble_sidecar(ensemble, model))
 
 
 def read_ensemble_sidecar(path) -> dict:
@@ -447,9 +450,9 @@ def read_ensemble_sidecar(path) -> dict:
     return meta
 
 
-def read_ensemble_csv(path) -> SampleEnsemble:
-    """Read an ensemble CSV and its JSON sidecar; without a sidecar the seed
-    and step size are None.
+def read_ensemble_csv(path, sidecar: dict | None = None) -> SampleEnsemble:
+    """Read an ensemble CSV and its JSON sidecar, unless the sidecar is given;
+    without a sidecar the seed and step size are None.
 
     A file that is not an ensemble CSV, has no data rows, or has a blank,
     ragged, commented or non-numeric row raises InputError naming it.
@@ -473,7 +476,7 @@ def read_ensemble_csv(path) -> SampleEnsemble:
             f"{path}: {lines} data lines under a {d + 2}-column header, "
             f"but {data.shape[0]} rows of {data.shape[1]} fields parsed"
         )
-    meta = read_ensemble_sidecar(path)
+    meta = read_ensemble_sidecar(path) if sidecar is None else sidecar
     return SampleEnsemble(
         time=meta.get("time", float(data[0, -1])),
         eta=meta.get("eta"),

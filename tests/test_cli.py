@@ -251,7 +251,7 @@ def test_rate_scan_comparator_divergence_exits_1_naming_eta_chain_and_step(tmp_p
     assert code == 1
     err = capsys.readouterr().err
     assert "diverged at step" in err and "(eta=0.05, t=" in err
-    assert not (out / "rate_scan.csv").exists()
+    assert not out.exists()
 
 
 # --- mixing-scan ----------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_mixing_scan_bad_eps_exits_2_before_any_output(tmp_path, capsys, metric,
     code, out = run(tmp_path, "mixing-scan", dict(MIX_CFG, metric=metric, eps_grid=[0.1, eps]))
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_mixing_scan_non_finite_moments_exit_2(tmp_path, capsys):
@@ -651,7 +651,7 @@ def test_init_out_of_range_exits_2_without_output(tmp_path, capsys, command, cfg
     assert code == 2
     err = capsys.readouterr().err
     assert "init" in err and "diverged" not in err
-    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
+    assert not out.exists()
 
 
 # A bound that overflows in a power exits 2 naming its theorem; a sweep whose
@@ -670,7 +670,7 @@ def test_bound_outside_float_range_exits_2(tmp_path, capsys, cfg, named):
     code, out = run(tmp_path, "bound-eval", cfg)
     assert code == 2
     assert named in capsys.readouterr().err
-    assert not list(out.glob("*.json"))
+    assert not out.exists()
 
 
 def test_bound_sum_overflow_fails_bound_finite(tmp_path):
@@ -890,6 +890,57 @@ def test_estimate_records_absolute_input_paths(tmp_path):
     assert code == 0
     recorded = json.loads((out / "estimate_config.json").read_text())
     assert recorded["inputs"] == {"samples": str((tmp_path / "ens" / "ensemble.csv").resolve())}
+
+
+# Configs a command rejects, as (command, config, a fragment of the message);
+# each exits 2 before --out exists.  "s.csv" is an ensemble CSV next to the
+# config.
+REJECTED_CONFIGS = {
+    "rate-scan-empty-grid": ("rate-scan", dict(RATE_CFG, eta_grid=[]), "eta_grid"),
+    "rate-scan-eta-outside-window": ("rate-scan", dict(RATE_CFG, eta_grid=[0.2, 0.1, 0.6]), "step size 0.6"),
+    "rate-scan-exact-nonlinear": (
+        "rate-scan", dict(RATE_CFG, model={"name": "double-well", "params": {"dim": 1}}), "exact=false",
+    ),
+    "rate-scan-negative-rate": (
+        "rate-scan", dict(RATE_CFG, model={"name": "ou", "params": {"dim": 1, "rate": -1}}), "rate",
+    ),
+    "rate-scan-init-mean-dimension": (
+        "rate-scan", dict(RATE_CFG, init={"mean": [1.0, 2.0], "sigma0": 1.0}), "init mean",
+    ),
+    # An eta above the horizon would take no step and report KL 0, which
+    # turned a failing slope claim into a pass.
+    "rate-scan-eta-above-horizon": (
+        "rate-scan",
+        dict(RATE_CFG, model={"name": "ou", "params": {"dim": 1, "rate": 0.2}}, eta_grid=[2.0, 0.4, 0.2, 0.1]),
+        "eta_grid value 2.0",
+    ),
+    "rate-scan-negative-horizon": ("rate-scan", dict(RATE_CFG, horizon=-1.0, exact=False), "horizon"),
+    "rate-scan-negative-chains": ("rate-scan", dict(RATE_CFG, girsanov_chains=-5), "girsanov_chains"),
+    "sample-snapshot-past-horizon": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 2.0]), "snapshot time 2.0"),
+    "sample-negative-horizon": ("sample", dict(SAMPLE_CFG, horizon=-1.0), "horizon"),
+    "estimate-missing-input-name": ("estimate", {"estimator": "knn_kl", "inputs": {"p": "s.csv"}}, "'q'"),
+    "estimate-missing-input-file": (
+        "estimate", {"estimator": "moment_estimate", "inputs": {"samples": "nope.csv"}}, "nope.csv",
+    ),
+    "bound-eval-no-eta": ("bound-eval", {"constants": ALL_ONES_CONSTANTS}, "eta_grid"),
+    "bound-eval-eta-and-grid": ("bound-eval", dict(BOUND_CFG, eta=1e-4), "eta_grid"),
+    "bound-eval-missing-mu-beta": (
+        "bound-eval",
+        dict(BOUND_CFG, constants={k: v for k, v in ALL_ONES_CONSTANTS.items() if k not in ("mu", "beta")}),
+        "mu, beta",
+    ),
+    "mixing-scan-rho-above-1": ("mixing-scan", dict(MIX_CFG, rho=2.0), "rho"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_CONFIGS))
+def test_rejected_config_exits_2_without_output_directory(tmp_path, capsys, case):
+    command, cfg, named = REJECTED_CONFIGS[case]
+    write_ensemble_csv(SampleEnsemble(1.0, 0.1, np.linspace(-1.0, 1.0, 20), 0), tmp_path / "s.csv")
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (command, a valid config, the top-level keys it must not run without)
