@@ -850,14 +850,38 @@ def test_rerun_from_recorded_config_is_byte_identical(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-# The runs whose every output file is hashed: the rerun cases, two more
-# samples, and the checked-in configs cheap enough for tier 1.  estimate is
-# left out, since its recorded config holds the absolute paths of its inputs.
+# The runs whose every output file is hashed: the rerun cases, more samples,
+# a non-diagonal ou with an offset through rate-scan, sample and verify,
+# bound-eval on both theorems with non-unit constants, and the checked-in
+# configs cheap enough for tier 1.  estimate is left out, since its recorded
+# config holds the absolute paths of its inputs.
 GOLDEN_DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+OU_OFFSET_MODEL = {"name": "ou", "params": {"matrix": [[-1.0, 0.3], [0.3, -0.6]], "offset": [0.2, -0.1]}}
+D2_INIT = {"mean": [0.5, -0.25], "sigma0": 0.8}
+NON_UNIT_CONSTANTS = {
+    "L1": 1.5, "L2": 0.3, "A0": 0.7, "sigma0": 1.2,
+    "h0": 0.9, "entropy0": 2.1, "mu": 0.6, "beta": 1.7, "f0": 0.4, "c0": 2.0, "c1": 0.5,
+}
 GOLDEN_RUNS = {
     **{command: (command, cfg) for command, cfg in RERUN_CASES.items() if command != "estimate"},
     "sample-snapshots": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 1.0])),
     "sample-divergence": ("sample", DIVERGING_SAMPLE_CFG),
+    "rate-scan-ou-offset": (
+        "rate-scan", dict(RATE_CFG, model=OU_OFFSET_MODEL, init=D2_INIT, girsanov_chains=200),
+    ),
+    "sample-ou-offset": ("sample", dict(SAMPLE_CFG, model=OU_OFFSET_MODEL, init=D2_INIT, chains=200)),
+    "verify-ou-offset": ("verify", dict(VERIFY_CFG, model=OU_OFFSET_MODEL, init=D2_INIT)),
+    "sample-zero-d2": ("sample", dict(SAMPLE_CFG, model={"name": "zero", "params": {"dim": 2}}, init=D2_INIT)),
+    "sample-expansive-d2": (
+        "sample", dict(SAMPLE_CFG, model={"name": "expansive", "params": {"dim": 2, "rate": 0.7}}, init=D2_INIT),
+    ),
+    "bound-eval-theorem-2-sweep": (
+        "bound-eval", {"theorem": 2, "eta_grid": [1e-3, 5e-4, 2.5e-4], "horizon": 2.5, "dim": 3,
+                       "constants": NON_UNIT_CONSTANTS},
+    ),
+    "bound-eval-theorem-1-eta": (
+        "bound-eval", {"theorem": 1, "eta": 0.05, "horizon": 2.5, "dim": 3, "constants": NON_UNIT_CONSTANTS},
+    ),
     **{
         path.stem: (path.name.split(".")[0], json.loads(path.read_text()))
         for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
