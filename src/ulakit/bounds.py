@@ -112,6 +112,31 @@ def _check_horizon_dim(T: float, d: int) -> None:
         raise ConfigurationError("dimension must be a positive integer")
 
 
+def _bound_terms(c: BoundConstants, eta: float, T: float, d: int, extra: dict,
+                 moment_factor: float, fourth_moment_proxy: float) -> dict:
+    """The term dict both bounds share, from a variant's extra order-2 terms
+    (summed first, in order), moment factor and fourth-moment proxy."""
+    time_factor = c.sigma0**-2 + T * c.L1**2
+    smooth_tail = T * c.L2**2 * d**2
+    order2_coeff = sum(extra.values()) + c.A0**2 + moment_factor * time_factor + smooth_tail
+    order4_coeff = c.L2**2 * (c.A0**4 + c.L1**4 * fourth_moment_proxy)
+    order2 = c.c0 * eta**2 * order2_coeff
+    order4 = c.c1 * eta**4 * order4_coeff
+    return {
+        **extra,
+        "A0_sq": c.A0**2,
+        "moment_factor": moment_factor,
+        "time_factor": time_factor,
+        "smooth_tail": smooth_tail,
+        "order2_coefficient": order2_coeff,
+        "order2_term": order2,
+        "fourth_moment_proxy": fourth_moment_proxy,
+        "order4_coefficient": order4_coeff,
+        "order4_term": order4,
+        "total": order2 + order4,
+    }
+
+
 def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
     """KL(hat_pi_T || pi_T) bound for dissipative drifts (variant 1), term
     by term; "total" is
@@ -124,28 +149,11 @@ def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) 
     check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("mu", "beta")
-    moment_factor = c.sigma0**2 * d + (c.beta + d) / c.mu
-    time_factor = c.sigma0**-2 + T * c.L1**2
-    smooth_tail = T * c.L2**2 * d**2
-    order2_coeff = c.h0 + c.entropy0 + c.A0**2 + moment_factor * time_factor + smooth_tail
-    fourth_moment_proxy = c.sigma0**2 * d + (c.beta + d) ** 2 / c.mu + d**2
-    order4_coeff = c.L2**2 * (c.A0**4 + c.L1**4 * fourth_moment_proxy)
-    order2 = c.c0 * eta**2 * order2_coeff
-    order4 = c.c1 * eta**4 * order4_coeff
-    return {
-        "h0": c.h0,
-        "entropy0": c.entropy0,
-        "A0_sq": c.A0**2,
-        "moment_factor": moment_factor,
-        "time_factor": time_factor,
-        "smooth_tail": smooth_tail,
-        "order2_coefficient": order2_coeff,
-        "order2_term": order2,
-        "fourth_moment_proxy": fourth_moment_proxy,
-        "order4_coefficient": order4_coeff,
-        "order4_term": order4,
-        "total": order2 + order4,
-    }
+    return _bound_terms(
+        c, eta, T, d, {"h0": c.h0, "entropy0": c.entropy0},
+        moment_factor=c.sigma0**2 * d + (c.beta + d) / c.mu,
+        fourth_moment_proxy=c.sigma0**2 * d + (c.beta + d) ** 2 / c.mu + d**2,
+    )
 
 
 def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
@@ -162,28 +170,11 @@ def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: 
     check_step(eta, c.L1)
     _check_horizon_dim(T, d)
     c.require("f0")
-    moment_factor = c.sigma0**2 * d + c.f0 + c.L1 * T * c.sigma0**2 * (c.h0 + c.entropy0 + d)
-    time_factor = c.sigma0**-2 + T * c.L1**2
-    smooth_tail = T * c.L2**2 * d**2
-    order2_coeff = c.A0**2 + moment_factor * time_factor + smooth_tail
-    fourth_moment_proxy = (
-        c.f0**2 + c.L1**2 * T**2 * c.sigma0**4 * (c.h0 + d) ** 2 + c.L1**2 * T**4 * d**2
+    return _bound_terms(
+        c, eta, T, d, {},
+        moment_factor=c.sigma0**2 * d + c.f0 + c.L1 * T * c.sigma0**2 * (c.h0 + c.entropy0 + d),
+        fourth_moment_proxy=c.f0**2 + c.L1**2 * T**2 * c.sigma0**4 * (c.h0 + d) ** 2 + c.L1**2 * T**4 * d**2,
     )
-    order4_coeff = c.L2**2 * (c.A0**4 + c.L1**4 * fourth_moment_proxy)
-    order2 = c.c0 * eta**2 * order2_coeff
-    order4 = c.c1 * eta**4 * order4_coeff
-    return {
-        "A0_sq": c.A0**2,
-        "moment_factor": moment_factor,
-        "time_factor": time_factor,
-        "smooth_tail": smooth_tail,
-        "order2_coefficient": order2_coeff,
-        "order2_term": order2,
-        "fourth_moment_proxy": fourth_moment_proxy,
-        "order4_coefficient": order4_coeff,
-        "order4_term": order4,
-        "total": order2 + order4,
-    }
 
 
 def kl_derivative_bound(

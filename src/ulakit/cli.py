@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -191,9 +192,10 @@ def read_estimator(value, key: str) -> str:
     return value
 
 
-def read_inputs(value, key: str) -> dict[str, str]:
-    if not isinstance(value, dict) or not all(isinstance(p, str) for p in value.values()):
-        raise ConfigurationError(f"{key} must map input names to CSV paths, got {value!r}")
+def read_inputs(value, key: str, names: tuple[str, ...] = ()) -> dict[str, str]:
+    """value, a map from exactly the input names an estimator reads to CSV paths."""
+    if not (isinstance(value, dict) and value.keys() == set(names) and all(isinstance(p, str) for p in value.values())):
+        raise ConfigurationError(f"{key} must map exactly {list(names)} to CSV paths, got {value!r}")
     return value
 
 
@@ -207,6 +209,16 @@ def build_model(entry: dict) -> dm.DriftModel:
         return dm.make_model(entry["name"], **entry["params"])
     except TypeError as exc:
         raise ConfigurationError(f"bad model parameters: {exc}") from exc
+
+
+def chain_steps(eta: float, T: float, L1: float, key: str, enforce_window: bool = True) -> int:
+    """The steps of size eta within horizon T, after bounds.check_step; a
+    ConfigurationError naming key when eta takes no step."""
+    bnd.check_step(eta, L1, enforce_window)
+    steps = sp.grid_steps(T, eta)
+    if steps < 1:
+        raise ConfigurationError(f"{key} value {eta} takes no step within horizon={T}")
+    return steps
 
 
 def build_init(entry: dict, dim: int) -> sp.InitDensity:
@@ -296,10 +308,7 @@ def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
 
     records = []
     for eta in etas:
-        bnd.check_step(eta, model.constants.L1)
-        steps = sp.grid_steps(T, eta)
-        if steps < 1:
-            raise ConfigurationError(f"eta_grid value {eta} takes no step within horizon={T}")
+        steps = chain_steps(eta, T, model.constants.L1, "eta_grid")
         rec = {"eta": eta, "steps": steps}
         if cfg["exact"]:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
@@ -512,28 +521,22 @@ def cmd_verify(cfg: dict, recorded: dict) -> Outcome:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         return pts * (dm.CERT_RADIUS * rng.random((count, 1)))
 
-    # Drift Lipschitz constant.
-    xs, ys = sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS)
-    worst_l1 = 0.0
-    for x, y in zip(xs, ys):
+    # Lipschitz constants of the drift and its Jacobian, on the same pairs.
+    worst_l1 = worst_l2 = 0.0
+    for x, y in zip(sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS)):
         gap = float(np.linalg.norm(x - y))
         if gap == 0.0:
             continue
-        ratio = float(np.linalg.norm(dm.drift_eval(model, x) - dm.drift_eval(model, y))) / gap
-        worst_l1 = max(worst_l1, ratio)
+        db = dm.drift_eval(model, x) - dm.drift_eval(model, y)
+        dj = dm.drift_jacobian(model, x) - dm.drift_jacobian(model, y)
+        worst_l1 = max(worst_l1, float(np.linalg.norm(db)) / gap)
+        worst_l2 = max(worst_l2, float(np.linalg.norm(dj, 2)) / gap)
     ok_l1 = worst_l1 <= cert.L1 * (1 + 1e-9) + 1e-12
     report_sections["lipschitz_drift"] = {
         "pass": bool(ok_l1), "declared_L1": cert.L1, "witnessed_ratio": worst_l1,
     }
 
-    # Jacobian Lipschitz constant plus finite-difference agreement.
-    worst_l2 = 0.0
-    for x, y in zip(xs, ys):
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            continue
-        dj = dm.drift_jacobian(model, x) - dm.drift_jacobian(model, y)
-        worst_l2 = max(worst_l2, float(np.linalg.norm(dj, 2)) / gap)
+    # The Jacobian's Lipschitz ratio, with finite-difference agreement.
     worst_fd = max(dm.grad_check(model, x, h=1e-5) for x in sample_ball(VERIFY_GRAD_POINTS))
     ok_l2 = worst_l2 <= cert.L2 * (1 + 1e-9) + 1e-12 and worst_fd < 1e-5
     report_sections["smooth_drift"] = {
@@ -591,6 +594,12 @@ def cmd_sample(cfg: dict, recorded: dict) -> Outcome:
     eta, seed = cfg["eta"], cfg["seed"]
     snaps = cfg.get("snapshot_times")
 
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # simulate_ensemble warns of off-grid times itself
+        chain_steps(eta, cfg["horizon"], model.constants.L1, "eta", not cfg["allow_outside_window"])
+        snap_steps = [sp.grid_steps(t, eta) for t in snaps or ()]
+    if len(set(snap_steps)) < len(snap_steps):
+        raise ConfigurationError(f"snapshot_times {snaps} name one grid step of eta={eta} twice")
     lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
     try:
@@ -630,14 +639,12 @@ LINEAGE_FIELDS = ("master_seed", "eta", "time", "label", "chain_count")
 
 
 def cmd_estimate(cfg: dict, recorded: dict) -> Outcome:
-    name, params, inputs = cfg["estimator"], cfg["params"], cfg.get("inputs", {})
+    name, params, inputs = cfg["estimator"], cfg["params"], cfg.get("inputs")
     # The report's parameters are those the config gives.
     parameters = dict(recorded.get("params", {}))
     lineage = {}
 
     def load(key):
-        if key not in inputs:
-            raise ConfigurationError(f"estimator {name!r} needs input {key!r}")
         if not Path(inputs[key]).is_file():
             raise ConfigurationError(f"estimator input {key!r} not found: {inputs[key]}")
         # Lineage comes from the input's sidecar alone: null where it has none.
@@ -653,6 +660,9 @@ def cmd_estimate(cfg: dict, recorded: dict) -> Outcome:
     elif name == "girsanov_pathwise_kl":
         model = build_model(cfg["model"])
         init = build_init(cfg["init"], model.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the comparator warns of an off-grid horizon itself
+            chain_steps(cfg["eta"], cfg["horizon"], model.constants.L1, "eta")
         [value] = est.girsanov_pathwise_kl(
             model, init, [cfg["eta"]], cfg["horizon"], cfg["chains"], cfg["seed"], **params
         )
@@ -724,8 +734,8 @@ MODEL = {"name": (read_model_name, REQUIRED), "params": ({
 }, {})}
 INIT = {"mean": (read_array,), "sigma0": (read_number, REQUIRED)}
 CHAIN = {
-    "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
-    "eta": (read_number, REQUIRED), "horizon": (read_number, REQUIRED), "chains": (read_int, REQUIRED),
+    "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED), "eta": (read_number, REQUIRED),
+    "horizon": (partial(read_number, positive=True), REQUIRED), "chains": (read_int, REQUIRED),
 }
 
 COMMANDS = {
@@ -766,13 +776,16 @@ COMMANDS = {
     },
 }
 
-# estimate's table per estimator (read_config picks it): its keys and its params.
+# estimate's table per estimator (read_config picks it): its keys, the names
+# of the CSV inputs it reads (none unless given) and its params.
 ESTIMATE = COMMANDS["estimate"]
+PQ = {**ESTIMATE, "inputs": (partial(read_inputs, names=("p", "q")), REQUIRED)}
+SAMPLES = {**ESTIMATE, "inputs": (partial(read_inputs, names=("samples",)), REQUIRED)}
 ESTIMATORS = {
-    "knn_kl": {**ESTIMATE, "params": ({"k": (read_int,)}, {})},
-    "w2_empirical_1d": ESTIMATE,
-    "tv_histogram": {**ESTIMATE, "params": ({"bins_per_dim": (read_int,)}, {})},
-    "moment_estimate": {**ESTIMATE, "params": ({"p": (read_int, 2)}, {})},
+    "knn_kl": {**PQ, "params": ({"k": (read_int,)}, {})},
+    "w2_empirical_1d": PQ,
+    "tv_histogram": {**PQ, "params": ({"bins_per_dim": (read_int,)}, {})},
+    "moment_estimate": {**SAMPLES, "params": ({"p": (read_int, 2)}, {})},
     "girsanov_pathwise_kl": {**ESTIMATE, **CHAIN, "params": ({"quad_points_per_step": (read_int,)}, {})},
     "rate_fit": {**ESTIMATE, "points": (read_array, REQUIRED)},
 }

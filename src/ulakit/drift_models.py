@@ -5,8 +5,9 @@ Lipschitz bound L1 on b, a Lipschitz bound L2 on the Jacobian, the drift
 magnitude A0 = ||b(0)||, and optionally distant-dissipativity constants
 (mu, beta) certifying <b(x), x> <= -mu ||x||^2 + beta.
 
-Built-in models ship analytic constants.  The polynomially growing drifts
-are not globally Lipschitz, so their L1/L2 are certified on the ball
+Built-in models ship analytic constants; the linear ones (zero, ou,
+expansive) derive theirs from the spectrum of A.  The polynomially growing
+drifts are not globally Lipschitz, so their L1/L2 are certified on the ball
 ||x|| <= CERT_RADIUS; dissipativity constants are global where declared.
 """
 
@@ -239,19 +240,39 @@ def verify_init(density) -> InitCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _linear_model(name: str, linear: LinearDrift, params: dict) -> DriftModel:
+    """The registry model of the linear drift b(x) = A x + c.
+
+    Its certificate comes from the spectrum w of A: L1 = max |w|, L2 = 0,
+    A0 = ||c||, and, when A is negative definite with s = -max w, the pair
+    (mu, beta) = (s, 0) without an offset, (s/2, ||c||^2/(2 s)) with one.
+    """
+    A, c = linear.A, linear.c
+    w = np.linalg.eigvalsh(A)
+    a0 = float(np.linalg.norm(c))
+    pair = {}
+    if w.max() < 0:
+        slow = float(-w.max())
+        pair = {"mu": slow, "beta": 0.0} if a0 == 0.0 else {"mu": slow / 2.0, "beta": a0**2 / (2.0 * slow)}
+    if linear.dim == 1:
+        # x @ A.T + c is (0.0 + x a) + c, which is bitwise x a + (c + 0.0):
+        # the scalar form, without the matmul and the broadcast add over a
+        # length-1 axis.
+        a, c0 = float(A[0, 0]), float(c[0]) + 0.0
+
+        def drift(x):
+            return np.asarray(x, dtype=float) * a + c0
+    else:
+        def drift(x):
+            return np.asarray(x, dtype=float) @ A.T + c
+    cert = SmoothnessCert(L1=float(np.max(np.abs(w))), L2=0.0, A0=a0, **pair)
+    return DriftModel(name, linear.dim, drift, lambda x: A.copy(), cert, params, linear)
+
+
 def zero_drift(dim: int = 1) -> DriftModel:
     """b(x) = 0: pure Brownian motion, discretized exactly by forward Euler."""
     dim = _check_dim(dim)
-    eye = np.zeros((dim, dim))
-    return DriftModel(
-        name="zero",
-        dim=dim,
-        drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        jacobian=lambda x: eye.copy(),
-        constants=SmoothnessCert(L1=0.0, L2=0.0, A0=0.0),
-        params={"dim": dim},
-        linear=LinearDrift(np.zeros((dim, dim)), np.zeros(dim)),
-    )
+    return _linear_model("zero", LinearDrift(np.zeros((dim, dim)), np.zeros(dim)), {"dim": dim})
 
 
 def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0) -> DriftModel:
@@ -267,57 +288,14 @@ def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0
         dim = _check_dim(dim)
         if rate <= 0:
             raise InputError("rate must be positive")
-        A = -float(rate) * np.eye(dim)
-    else:
-        A = np.atleast_2d(np.asarray(matrix, dtype=float))
-        dim = A.shape[0]
-        if A.shape != (dim, dim):
-            raise InputError("matrix must be square")
-        if float(np.max(np.abs(A - A.T))) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
-            raise InputError("ou matrix must be symmetric")
-        A = 0.5 * (A + A.T)
-    lam = np.linalg.eigvalsh(A)
-    if lam.max() >= 0:
+        matrix = -float(rate) * np.eye(dim)
+    A = np.atleast_2d(np.asarray(matrix, dtype=float))
+    linear = LinearDrift(A, np.zeros(len(A)) if offset is None else offset)
+    params = {"dim": linear.dim, "matrix": linear.A.tolist(), "offset": linear.c.tolist()}
+    model = _linear_model("ou", linear, params)
+    if model.constants.dissipativity is None:
         raise InputError("ou matrix must be negative definite")
-    c = np.zeros(dim) if offset is None else np.atleast_1d(np.asarray(offset, dtype=float))
-    if c.shape != (dim,):
-        raise InputError("offset dimension mismatch")
-    a0 = float(np.linalg.norm(c))
-    slow = float(-lam.max())
-    if a0 == 0.0:
-        mu, beta = slow, 0.0
-    else:
-        mu, beta = slow / 2.0, a0**2 / (2.0 * slow)
-    A_ro = A.copy()
-    A_ro.setflags(write=False)
-    c_ro = c.copy()
-    c_ro.setflags(write=False)
-    if dim == 1:
-        # x @ A.T + c is (0.0 + x a) + c, which is bitwise x a + (c + 0.0):
-        # the scalar form, without the matmul and the broadcast add over a
-        # length-1 axis.
-        a, c0 = float(A[0, 0]), float(c[0]) + 0.0
-
-        def drift(x):
-            return np.asarray(x, dtype=float) * a + c0
-    else:
-        def drift(x):
-            return np.asarray(x, dtype=float) @ A_ro.T + c_ro
-    return DriftModel(
-        name="ou",
-        dim=dim,
-        drift=drift,
-        jacobian=lambda x: A_ro.copy(),
-        constants=SmoothnessCert(
-            L1=float(-lam.min()),
-            L2=0.0,
-            A0=a0,
-            mu=mu,
-            beta=beta,
-        ),
-        params={"dim": dim, "matrix": A_ro.tolist(), "offset": c_ro.tolist()},
-        linear=LinearDrift(A_ro, c_ro),
-    )
+    return model
 
 
 def double_well_drift(dim: int = 1) -> DriftModel:
@@ -407,15 +385,7 @@ def expansive_drift(dim: int = 1, rate: float = 1.0) -> DriftModel:
     if rate <= 0:
         raise InputError("rate must be positive")
     r = float(rate)
-    return DriftModel(
-        name="expansive",
-        dim=dim,
-        drift=lambda x: r * np.asarray(x, dtype=float),
-        jacobian=lambda x: r * np.eye(dim),
-        constants=SmoothnessCert(L1=r, L2=0.0, A0=0.0),
-        params={"dim": dim, "rate": r},
-        linear=LinearDrift(r * np.eye(dim), np.zeros(dim)),
-    )
+    return _linear_model("expansive", LinearDrift(r * np.eye(dim), np.zeros(dim)), {"dim": dim, "rate": r})
 
 
 def _check_dim(dim) -> int:

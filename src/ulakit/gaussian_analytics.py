@@ -113,6 +113,19 @@ def _phi(a: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
+def _eigenbasis_map(drift: LinearDrift, init: GaussianMoments, modes) -> GaussianMoments:
+    """The Gaussian map m -> s m + g c, S -> P * S + diag(v) in the
+    eigenbasis of A, where modes(w) gives (s, g, P, v) for A's eigenvalues w."""
+    if drift.dim != init.dim:
+        raise InputError("drift and init dimensions differ")
+    w, Q = np.linalg.eigh(drift.A)
+    scale, gain, cov_scale, noise = modes(w)
+    mean_q = scale * (Q.T @ init.mean) + gain * (Q.T @ drift.c)
+    S_q = cov_scale * (Q.T @ init.cov @ Q) + np.diag(noise)
+    cov = Q @ S_q @ Q.T
+    return GaussianMoments(Q @ mean_q, 0.5 * (cov + cov.T))
+
+
 def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: float) -> GaussianMoments:
     """Exact marginal moments of the diffusion at time t >= 0.
 
@@ -124,21 +137,11 @@ def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: floa
 
     with the obvious limits for zero eigenvalues (heat flow adds t I).
     """
-    if drift.dim != init.dim:
-        raise InputError("drift and init dimensions differ")
     if t < 0:
         raise InputError("time must be nonnegative")
-    w, Q = np.linalg.eigh(drift.A)
-    m_q = Q.T @ init.mean
-    c_q = Q.T @ drift.c
-    S_q = Q.T @ init.cov @ Q
-    e_wt = np.exp(w * t)
-    mean_q = e_wt * m_q + _phi(w, t) * c_q
-    pair = w[:, None] + w[None, :]
-    S_t = np.exp(pair * t) * S_q + np.diag(_phi(2.0 * w, t))
-    mean = Q @ mean_q
-    cov = Q @ S_t @ Q.T
-    return GaussianMoments(mean, 0.5 * (cov + cov.T))
+    return _eigenbasis_map(drift, init, lambda w: (
+        np.exp(w * t), _phi(w, t), np.exp((w[:, None] + w[None, :]) * t), _phi(2.0 * w, t)
+    ))
 
 
 def em_mode_sums(eta_w, k):
@@ -178,18 +181,16 @@ def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: 
     size tau (k = 1) is the law of the frozen-drift bridge X + tau b(X) +
     sqrt(tau) xi at offset tau inside a step.
     """
-    if drift.dim != init.dim:
-        raise InputError("drift and init dimensions differ")
     if eta <= 0:
         raise InputError("step size must be positive")
     if k < 0 or int(k) != k:
         raise InputError("step count must be a nonnegative integer")
-    w, Q = np.linalg.eigh(drift.A)
-    power, mean_sum, var_sum = em_mode_sums(eta * w, int(k))
-    mean_q = power * (Q.T @ init.mean) + eta * mean_sum * (Q.T @ drift.c)
-    S_q = np.outer(power, power) * (Q.T @ init.cov @ Q) + np.diag(eta * var_sum)
-    cov = Q @ S_q @ Q.T
-    return GaussianMoments(Q @ mean_q, 0.5 * (cov + cov.T))
+
+    def modes(w):
+        power, mean_sum, var_sum = em_mode_sums(eta * w, int(k))
+        return power, eta * mean_sum, np.outer(power, power), eta * var_sum
+
+    return _eigenbasis_map(drift, init, modes)
 
 
 def _kl_terms(r, quad) -> np.ndarray:

@@ -954,6 +954,18 @@ REJECTED_CONFIGS = {
         "mu, beta",
     ),
     "mixing-scan-rho-above-1": ("mixing-scan", dict(MIX_CFG, rho=2.0), "rho"),
+    # An eta above the horizon would take no step: sample would write the
+    # initial draw, and the pathwise estimate would read 0 and pass.
+    "sample-eta-above-horizon": ("sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
+    "estimate-girsanov-eta-above-horizon": ("estimate", dict(GIRSANOV_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
+    # An input name the estimator never reads.
+    "estimate-unread-input": (
+        "estimate", {"estimator": "knn_kl", "inputs": {"p": "s.csv", "q": "s.csv", "samples": "nope.csv"}}, "inputs",
+    ),
+    "estimate-rate-fit-inputs": ("estimate", dict(RATE_FIT_CFG, inputs={"samples": "s.csv"}), "inputs"),
+    "estimate-girsanov-inputs": ("estimate", dict(GIRSANOV_CFG, inputs={"p": "s.csv"}), "inputs"),
+    # Two snapshot times on one grid step of eta = 0.1 (0.55 rounds down to 0.5).
+    "sample-snapshots-on-one-step": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 0.5, 0.55]), "snapshot_times"),
 }
 
 

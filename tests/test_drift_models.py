@@ -269,6 +269,41 @@ def test_ou_with_matrix_and_offset():
     assert beta == pytest.approx(0.09 / (2 * lam))
 
 
+def ou_offset_params(dim):
+    B = np.random.default_rng(dim).standard_normal((dim, dim))
+    return {"matrix": -(B @ B.T) - np.eye(dim), "offset": np.linspace(0.3, -0.2, dim)}
+
+
+def hand_typed_ou_cert(matrix, offset):
+    # The ou certificate written out: L1 = -lambda_min and, with
+    # s = -lambda_max, (mu, beta) = (s, 0), or (s/2, ||c||^2/(2 s)) with an offset.
+    lam = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    a0, slow = float(np.linalg.norm(offset)), float(-lam.max())
+    mu, beta = (slow, 0.0) if a0 == 0.0 else (slow / 2.0, a0**2 / (2.0 * slow))
+    return (float(-lam.min()), 0.0, a0, mu, beta)
+
+
+# (name, its params at dimension dim, its certificate written out by hand)
+LINEAR_CERTS = {
+    "zero": ("zero", lambda dim: {"dim": dim}, lambda dim: (0.0, 0.0, 0.0, None, None)),
+    "expansive": ("expansive", lambda dim: {"dim": dim, "rate": 0.7}, lambda dim: (0.7, 0.0, 0.0, None, None)),
+    "ou-rate": ("ou", lambda dim: {"dim": dim, "rate": 0.7}, lambda dim: (0.7, 0.0, 0.0, 0.7, 0.0)),
+    "ou-matrix-offset": ("ou", ou_offset_params, lambda dim: hand_typed_ou_cert(**ou_offset_params(dim))),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("case", list(LINEAR_CERTS))
+def test_linear_certificate_from_the_spectrum_is_the_hand_typed_one(case, dim):
+    name, params, expected = LINEAR_CERTS[case]
+    cert = make_model(name, **params(dim)).constants
+
+    def bits(values):
+        return [None if v is None else float(v).hex() for v in values]
+
+    assert bits((cert.L1, cert.L2, cert.A0, cert.mu, cert.beta)) == bits(expected(dim))
+
+
 def test_ou_rejects_non_negative_definite():
     with pytest.raises(InputError):
         make_model("ou", matrix=[[1.0]])
