@@ -97,13 +97,14 @@ def read_table(table: dict, entry, path: str = "") -> dict:
     return typed
 
 
-def read_int(value, key: str) -> int:
-    """value as an int.  A boolean, a non-number or a number with a
-    fractional part is rejected, never truncated."""
+def read_int(value, key: str, minimum: int | None = None) -> int:
+    """value as an int.  A boolean, a non-number, a number with a fractional
+    part, or one below minimum, is rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    ) or (minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{key} must be an integer{at_least}, got {value!r}")
     return int(value)
 
 
@@ -193,10 +194,11 @@ def read_estimator(value, key: str) -> str:
 
 
 def read_inputs(value, key: str, names: tuple[str, ...] = ()) -> dict[str, str]:
-    """value, a map from exactly the input names an estimator reads to CSV paths."""
+    """value, a map from exactly the input names an estimator reads to CSV
+    paths, in the order of names."""
     if not (isinstance(value, dict) and value.keys() == set(names) and all(isinstance(p, str) for p in value.values())):
         raise ConfigurationError(f"{key} must map exactly {list(names)} to CSV paths, got {value!r}")
-    return value
+    return {name: value[name] for name in names}
 
 
 def config_hash(cfg: dict) -> str:
@@ -258,7 +260,7 @@ def run_command(args) -> int:
         base = Path(args.config).parent
         resolved["inputs"] = cfg["inputs"] = {k: str((base / p).resolve()) for k, p in cfg["inputs"].items()}
 
-    outcome = args.func(cfg, resolved)
+    outcome = args.func(cfg)
     claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
     report = {
@@ -290,15 +292,13 @@ def run_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
+def cmd_rate_scan(cfg: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     etas = cfg["eta_grid"]
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
     T, n_chains, bands = cfg["horizon"], cfg["girsanov_chains"], cfg["bands"]
-    if n_chains < 0:
-        raise ConfigurationError(f"girsanov_chains must be non-negative, got {n_chains}")
 
     if cfg["exact"] and model.linear is None:
         raise ConfigurationError(
@@ -306,9 +306,12 @@ def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
             "set exact=false and compare against a fine-step reference ensemble instead"
         )
 
+    with warnings.catch_warnings():
+        if n_chains > 0:
+            warnings.simplefilter("ignore")  # the comparator warns of an off-grid horizon itself
+        step_counts = [chain_steps(eta, T, model.constants.L1, "eta_grid") for eta in etas]
     records = []
-    for eta in etas:
-        steps = chain_steps(eta, T, model.constants.L1, "eta_grid")
+    for eta, steps in zip(etas, step_counts):
         rec = {"eta": eta, "steps": steps}
         if cfg["exact"]:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
@@ -339,12 +342,12 @@ def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
 
     claims = []
     if cfg["exact"]:
-        if fit_exact is None:
+        if all(v == 0.0 for _, v in exact_pairs):
             claims.append({
                 "name": "exact_slope", "pass": True,
                 "detail": "degenerate scan (zero KL: discretization is exact)",
             })
-        else:
+        elif fit_exact is not None:
             lo, hi = bands["exact_slope"]
             ok = lo <= fit_exact.slope <= hi and fit_exact.r_squared >= bands["exact_r2_min"]
             claims.append({
@@ -364,7 +367,7 @@ def cmd_rate_scan(cfg: dict, recorded: dict) -> Outcome:
             "detail": f"slope(exact)-slope(girsanov)={gap:.4f} >= {bands['slope_gap_min']}",
         })
     if not claims:
-        claims.append({"name": "completed", "pass": True, "detail": "no claim checks requested"})
+        claims.append({"name": "completed", "pass": True, "detail": "no slope claim applies"})
 
     return Outcome({
         "records": records,
@@ -436,7 +439,7 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
     return None
 
 
-def cmd_mixing_scan(cfg: dict, recorded: dict) -> Outcome:
+def cmd_mixing_scan(cfg: dict) -> Outcome:
     rho = cfg["rho"]
     target = ga.GaussianMoments(cfg["target"]["mean"], cfg["target"]["cov"])
     d = target.dim
@@ -509,7 +512,7 @@ VERIFY_GRAD_POINTS = 20
 VERIFY_RADIUS_GRID = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
-def cmd_verify(cfg: dict, recorded: dict) -> Outcome:
+def cmd_verify(cfg: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     rng = np.random.default_rng(cfg["seed"])
@@ -585,7 +588,7 @@ def cmd_verify(cfg: dict, recorded: dict) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(cfg: dict, recorded: dict) -> Outcome:
+def cmd_sample(cfg: dict) -> Outcome:
     """The final ensemble as ensemble.csv, and each snapshot as a CSV with its
     lineage sidecar; the report is ensemble.csv's sidecar, ensemble.json.  A
     divergence gives only the report, sample.json."""
@@ -638,38 +641,28 @@ def cmd_sample(cfg: dict, recorded: dict) -> Outcome:
 LINEAGE_FIELDS = ("master_seed", "eta", "time", "label", "chain_count")
 
 
-def cmd_estimate(cfg: dict, recorded: dict) -> Outcome:
-    name, params, inputs = cfg["estimator"], cfg["params"], cfg.get("inputs")
-    # The report's parameters are those the config gives.
-    parameters = dict(recorded.get("params", {}))
+def cmd_estimate(cfg: dict) -> Outcome:
+    name, params = cfg["estimator"], cfg["params"]
+    parameters = dict(params)
     lineage = {}
 
     def load(key):
-        if not Path(inputs[key]).is_file():
-            raise ConfigurationError(f"estimator input {key!r} not found: {inputs[key]}")
+        path = cfg["inputs"][key]
+        if not Path(path).is_file():
+            raise ConfigurationError(f"estimator input {key!r} not found: {path}")
         # Lineage comes from the input's sidecar alone: null where it has none.
-        meta = sp.read_ensemble_sidecar(inputs[key])
+        meta = sp.read_ensemble_sidecar(path)
         lineage[key] = {f: meta.get(f) for f in LINEAGE_FIELDS}
-        return sp.read_ensemble_csv(inputs[key], meta)
+        return sp.read_ensemble_csv(path, meta)
 
-    # The typed params are the estimator's keyword arguments.
-    if name in ("knn_kl", "w2_empirical_1d", "tv_histogram"):
-        value = getattr(est, name)(load("p"), load("q"), **params)
-    elif name == "moment_estimate":
-        value = est.moment_estimate(load("samples"), **params)
-    elif name == "girsanov_pathwise_kl":
-        model = build_model(cfg["model"])
-        init = build_init(cfg["init"], model.dim)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the comparator warns of an off-grid horizon itself
-            chain_steps(cfg["eta"], cfg["horizon"], model.constants.L1, "eta")
-        [value] = est.girsanov_pathwise_kl(
-            model, init, [cfg["eta"]], cfg["horizon"], cfg["chains"], cfg["seed"], **params
-        )
-    else:  # rate_fit
+    if name == "rate_fit":
         fit = est.rate_fit(cfg["points"])
         value = fit.slope
         parameters["fit"] = fit.to_dict()
+    else:
+        # An input estimator takes its inputs in the order its table declares
+        # them, then its typed params as keyword arguments.
+        value = getattr(est, name)(*map(load, cfg["inputs"]), **params)
 
     claims = [{"name": "estimate", "pass": bool(np.isfinite(value)), "detail": f"{name}={value:.6g}"}]
     return Outcome(
@@ -682,7 +675,7 @@ def cmd_estimate(cfg: dict, recorded: dict) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound_eval(cfg: dict, recorded: dict) -> Outcome:
+def cmd_bound_eval(cfg: dict) -> Outcome:
     theorem = cfg["theorem"]
     constants = bnd.BoundConstants(**cfg["constants"])
     T, d = cfg["horizon"], cfg["dim"]
@@ -733,16 +726,13 @@ MODEL = {"name": (read_model_name, REQUIRED), "params": ({
     "matrix": (read_array,), "offset": (read_array,),
 }, {})}
 INIT = {"mean": (read_array,), "sigma0": (read_number, REQUIRED)}
-CHAIN = {
-    "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED), "eta": (read_number, REQUIRED),
-    "horizon": (partial(read_number, positive=True), REQUIRED), "chains": (read_int, REQUIRED),
-}
 
 COMMANDS = {
     "rate-scan": {
         "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
         "eta_grid": (read_floats, REQUIRED), "horizon": (partial(read_number, positive=True), REQUIRED),
-        "exact": (read_bool, True), "girsanov_chains": (read_int, 0), "quad_points_per_step": (read_int, 4),
+        "exact": (read_bool, True), "girsanov_chains": (partial(read_int, minimum=0), 0),
+        "quad_points_per_step": (read_int, 4),
         "bands": ({
             "exact_slope": (read_band, [1.85, 2.15]), "exact_r2_min": (read_number, 0.999),
             "girsanov_slope": (read_band, [0.85, 1.15]), "slope_gap_min": (read_number, 0.7),
@@ -753,7 +743,7 @@ COMMANDS = {
         "target": ({"mean": (read_array, REQUIRED), "cov": (read_array, REQUIRED)}, REQUIRED),
         "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED),
         "eps_grid": (partial(read_floats, positive=True), REQUIRED),
-        "metric": (read_metric, "KL"), "max_steps": (read_int, 10**6),
+        "metric": (read_metric, "KL"), "max_steps": (partial(read_int, minimum=1), 10**6),
         # A given mixing_slope replaces the default map whole.
         "bands": ({"mixing_slope": (
             {metric: (read_band,) for metric in MIXING_METRICS},
@@ -762,7 +752,11 @@ COMMANDS = {
         "seed": SEED,
     },
     "verify": {"model": (MODEL, REQUIRED), "init": (INIT, {"sigma0": 1.0}), "seed": SEED},
-    "sample": {**CHAIN, "snapshot_times": (read_floats,), "allow_outside_window": (read_bool, False), "seed": SEED},
+    "sample": {
+        "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED), "eta": (read_number, REQUIRED),
+        "horizon": (partial(read_number, positive=True), REQUIRED), "chains": (partial(read_int, minimum=1), REQUIRED),
+        "snapshot_times": (read_floats,), "allow_outside_window": (read_bool, False), "seed": SEED,
+    },
     "estimate": {"estimator": (read_estimator, REQUIRED), "inputs": (read_inputs,), "params": ({}, {}), "seed": SEED},
     "bound-eval": {
         "constants": ({
@@ -770,14 +764,15 @@ COMMANDS = {
             for f in dataclasses.fields(bnd.BoundConstants)
         }, REQUIRED),
         "theorem": (read_theorem, 1), "eta": (read_number,), "eta_grid": (read_floats,),
-        "horizon": (read_number, 1.0), "dim": (read_int, 1),
+        "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
         "bands": ({"sweep_slope": (read_band, [1.9, 2.1])}, {}),
         "seed": SEED,
     },
 }
 
 # estimate's table per estimator (read_config picks it): its keys, the names
-# of the CSV inputs it reads (none unless given) and its params.
+# of the CSV inputs it reads, in the order it takes them (none unless given),
+# and its params.
 ESTIMATE = COMMANDS["estimate"]
 PQ = {**ESTIMATE, "inputs": (partial(read_inputs, names=("p", "q")), REQUIRED)}
 SAMPLES = {**ESTIMATE, "inputs": (partial(read_inputs, names=("samples",)), REQUIRED)}
@@ -786,7 +781,6 @@ ESTIMATORS = {
     "w2_empirical_1d": PQ,
     "tv_histogram": {**PQ, "params": ({"bins_per_dim": (read_int,)}, {})},
     "moment_estimate": {**SAMPLES, "params": ({"p": (read_int, 2)}, {})},
-    "girsanov_pathwise_kl": {**ESTIMATE, **CHAIN, "params": ({"quad_points_per_step": (read_int,)}, {})},
     "rate_fit": {**ESTIMATE, "points": (read_array, REQUIRED)},
 }
 

@@ -90,8 +90,8 @@ def check_seed(master_seed) -> int:
 class InitDensity:
     """Isotropic Gaussian initialization N(m0, sigma0^2 I).
 
-    Carries its quadratic-tail certificate h0 and closed-form entropy, the
-    two initialization quantities the bound evaluators consume.
+    Carries its quadratic-tail certificate h0; its entropy is
+    gaussian_analytics.entropy_gaussian of its moments().
     """
 
     mean: np.ndarray
@@ -121,10 +121,6 @@ class InitDensity:
     def h0(self) -> float:
         s2 = self.variance
         return 0.5 * self.dim * math.log(2.0 * math.pi * s2) + float(self.mean @ self.mean) / s2
-
-    @property
-    def entropy(self) -> float:
-        return 0.5 * self.dim * (1.0 + math.log(2.0 * math.pi * self.variance))
 
     def moments(self) -> GaussianMoments:
         return GaussianMoments(self.mean, self.variance * np.eye(self.dim))

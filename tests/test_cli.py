@@ -18,9 +18,13 @@ from hypothesis import strategies as st
 from ulakit import (
     BoundConstants,
     ConfigurationError,
+    InitDensity,
     InputError,
     SampleEnsemble,
     UnsupportedError,
+    girsanov_pathwise_kl,
+    knn_kl,
+    make_model,
     read_ensemble_csv,
     write_ensemble_csv,
 )
@@ -179,6 +183,7 @@ def test_rate_scan_zero_drift_exact_zero(tmp_path):
     rep = json.loads((out / "rate_scan.json").read_text())
     assert rep["fit_exact"] is None
     assert rep["all_pass"]
+    assert [c["name"] for c in rep["claims"]] == ["exact_slope"]
 
 
 def test_rate_scan_ou_small(tmp_path):
@@ -252,6 +257,50 @@ def test_rate_scan_comparator_divergence_exits_1_naming_eta_chain_and_step(tmp_p
     err = capsys.readouterr().err
     assert "diverged at step" in err and "(eta=0.05, t=" in err
     assert not out.exists()
+
+
+def test_one_eta_rate_scan_writes_the_library_comparator_value(tmp_path):
+    cfg = {
+        "model": {"name": "ou", "params": {"dim": 1}},
+        "init": {"mean": [1.0], "sigma0": 1.0},
+        "horizon": 1.0,
+        "eta_grid": [0.1],
+        "girsanov_chains": 200,
+        "seed": 21,
+    }
+    code, out = run(tmp_path, "rate-scan", cfg)
+    assert code == 0
+    [want] = girsanov_pathwise_kl(make_model("ou", dim=1), InitDensity([1.0], 1.0), [0.1], 1.0, 200, 21)
+    rep = json.loads((out / "rate_scan.json").read_text())
+    assert rep["records"][0]["kl_girsanov"] == want
+    rows = (out / "rate_scan.csv").read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[2]) for r in rows] == [want]
+    # One step size fits no slope: no claim is made about one.
+    assert [c["name"] for c in rep["claims"]] == ["completed"]
+
+
+# A scan too short for a slope fit makes no exact_slope claim; only an exact
+# KL of 0 everywhere (test_rate_scan_zero_drift_exact_zero) makes one.
+@pytest.mark.parametrize("eta_grid", [[0.1], [0.2, 0.1]])
+def test_rate_scan_short_grid_makes_no_exact_slope_claim(tmp_path, eta_grid):
+    cfg = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [1.0], "sigma0": 1.0},
+           "horizon": 1.0, "eta_grid": eta_grid}
+    code, out = run(tmp_path, "rate-scan", cfg)
+    assert code == 0
+    assert [c["name"] for c in json.loads((out / "rate_scan.json").read_text())["claims"]] == ["completed"]
+
+
+def test_rate_scan_warns_once_per_off_grid_eta(tmp_path):
+    # The horizon 1.05 is off the grids of 0.2 and 0.1, on that of 0.05.
+    cfg = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [1.0], "sigma0": 1.0},
+           "horizon": 1.05, "eta_grid": [0.2, 0.1, 0.05], "girsanov_chains": 50}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, "rate-scan", cfg)
+    assert code == 0
+    off_grid = sorted(str(w.message) for w in caught if "is not a multiple of eta" in str(w.message))
+    assert len(off_grid) == 2
+    assert "eta=0.1;" in off_grid[0] and "eta=0.2;" in off_grid[1]
 
 
 # --- mixing-scan ----------------------------------------------------------------
@@ -439,21 +488,23 @@ def test_estimate_w2_empirical(tmp_path):
     assert 0.0 <= rep["value"] < 0.2
 
 
-def test_estimate_girsanov_runs_simulation(tmp_path):
-    est_cfg = {
-        "estimator": "girsanov_pathwise_kl",
-        "model": {"name": "ou", "params": {"dim": 1}},
-        "init": {"mean": [1.0], "sigma0": 1.0},
-        "eta": 0.1,
-        "horizon": 1.0,
-        "chains": 2000,
-        "seed": 21,
-        "inputs": {},
-    }
-    code, est_out = run(tmp_path, "estimate", est_cfg, out="est_g")
-    assert code == 0
-    rep = json.loads((est_out / "estimate.json").read_text())
-    assert rep["value"] > 0
+def test_estimate_reports_typed_params_and_takes_inputs_in_declared_order(tmp_path):
+    assert run(tmp_path, "sample", dict(SAMPLE_CFG, chains=300), out="p")[0] == 0
+    assert run(tmp_path, "sample", dict(SAMPLE_CFG, chains=300, eta=0.05, seed=8), out="q")[0] == 0
+    p, q = (read_ensemble_csv(tmp_path / name / "ensemble.csv") for name in "pq")
+    # moment_estimate's p defaults to 2; knn_kl's k is left to the estimator.
+    # knn_kl is not symmetric: a config that lists q first still passes p first.
+    for i, (cfg, want_params, want_value) in enumerate([
+        ({"estimator": "moment_estimate", "inputs": {"samples": "p/ensemble.csv"}}, {"p": 2}, None),
+        ({"estimator": "moment_estimate", "inputs": {"samples": "p/ensemble.csv"}, "params": {"p": 4.0}},
+         {"p": 4}, None),
+        ({"estimator": "knn_kl", "inputs": {"q": "q/ensemble.csv", "p": "p/ensemble.csv"}}, {}, knn_kl(p, q)),
+    ]):
+        code, out = run(tmp_path, "estimate", cfg, out=f"est{i}")
+        assert code == 0
+        report = json.loads((out / "estimate.json").read_text())
+        assert report["parameters"] == want_params
+        assert want_value is None or report["value"] == want_value
 
 
 def test_estimate_missing_input_file_is_config_error(tmp_path, capsys):
@@ -612,15 +663,6 @@ RATE_CFG = {
 VERIFY_CFG = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [0.0], "sigma0": 1.0}, "seed": 1}
 BOUND_CFG = {"theorem": 1, "eta_grid": [1e-4, 5e-5, 2.5e-5], "horizon": 1.0, "dim": 1,
              "constants": ALL_ONES_CONSTANTS}
-GIRSANOV_CFG = {
-    "estimator": "girsanov_pathwise_kl",
-    "model": {"name": "ou", "params": {"dim": 1}},
-    "init": {"mean": [1.0], "sigma0": 1.0},
-    "eta": 0.1,
-    "horizon": 1.0,
-    "chains": 200,
-    "seed": 21,
-}
 RATE_FIT_CFG = {"estimator": "rate_fit", "points": [[0.1, 0.01], [0.05, 0.0025], [0.025, 0.000625]]}
 # The estimate config sits in tmp_path; its input path is relative to it.
 ESTIMATE_CFG = {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensemble.csv"}, "params": {"p": 2}}
@@ -644,7 +686,6 @@ def test_init_variance_outside_float_range_exits_2(tmp_path, capsys, command, cf
 @pytest.mark.parametrize("command, cfg", [
     ("sample", dict(SAMPLE_CFG, init={"mean": [0.0], "sigma0": 1e200})),
     ("sample", dict(SAMPLE_CFG, init={"mean": [1e13], "sigma0": 1.0})),
-    ("estimate", dict(GIRSANOV_CFG, init={"mean": [1.0], "sigma0": 1e200})),
 ])
 def test_init_out_of_range_exits_2_without_output(tmp_path, capsys, command, cfg):
     code, out = run(tmp_path, command, cfg)
@@ -716,8 +757,6 @@ INTEGER_FIELDS = [
     ("mixing-scan", MIX_CFG, "max_steps"),
     ("bound-eval", BOUND_CFG, "theorem"),
     ("bound-eval", BOUND_CFG, "dim"),
-    ("estimate", GIRSANOV_CFG, "chains"),
-    ("estimate", GIRSANOV_CFG, "params.quad_points_per_step"),
     ("estimate", {"estimator": "knn_kl", "inputs": ENS_PQ}, "params.k"),
     ("estimate", {"estimator": "tv_histogram", "inputs": ENS_PQ}, "params.bins_per_dim"),
     ("estimate", ESTIMATE_CFG, "params.p"),
@@ -771,8 +810,6 @@ FLOAT_FIELDS = [
     ("sample", SAMPLE_CFG, ("horizon",)),
     ("sample", SAMPLE_CFG, ("init", "mean")),
     ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5]), ("snapshot_times", 0)),
-    ("estimate", GIRSANOV_CFG, ("eta",)),
-    ("estimate", GIRSANOV_CFG, ("horizon",)),
     ("estimate", RATE_FIT_CFG, ("points", 1, 1)),
     ("bound-eval", BOUND_CFG, ("horizon",)),
     ("bound-eval", BOUND_CFG, ("eta_grid", 0)),
@@ -939,7 +976,19 @@ REJECTED_CONFIGS = {
         "eta_grid value 2.0",
     ),
     "rate-scan-negative-horizon": ("rate-scan", dict(RATE_CFG, horizon=-1.0, exact=False), "horizon"),
-    "rate-scan-negative-chains": ("rate-scan", dict(RATE_CFG, girsanov_chains=-5), "girsanov_chains"),
+    "rate-scan-negative-chains": (
+        "rate-scan", dict(RATE_CFG, girsanov_chains=-5), "girsanov_chains must be an integer >= 0",
+    ),
+    "sample-no-chains": ("sample", dict(SAMPLE_CFG, chains=0), "chains must be an integer >= 1"),
+    "mixing-scan-no-steps": ("mixing-scan", dict(MIX_CFG, max_steps=0), "max_steps must be an integer >= 1"),
+    "bound-eval-dim-0": ("bound-eval", dict(BOUND_CFG, dim=0), "dim must be an integer >= 1"),
+    # The pathwise comparator runs from rate-scan alone.
+    "estimate-girsanov": (
+        "estimate",
+        {"estimator": "girsanov_pathwise_kl", "model": {"name": "ou", "params": {"dim": 1}},
+         "init": {"mean": [1.0], "sigma0": 1.0}, "eta": 0.1, "horizon": 1.0, "chains": 200},
+        "known: knn_kl, w2_empirical_1d, tv_histogram, moment_estimate, rate_fit",
+    ),
     "sample-snapshot-past-horizon": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 2.0]), "snapshot time 2.0"),
     "sample-negative-horizon": ("sample", dict(SAMPLE_CFG, horizon=-1.0), "horizon"),
     "estimate-missing-input-name": ("estimate", {"estimator": "knn_kl", "inputs": {"p": "s.csv"}}, "'q'"),
@@ -955,15 +1004,13 @@ REJECTED_CONFIGS = {
     ),
     "mixing-scan-rho-above-1": ("mixing-scan", dict(MIX_CFG, rho=2.0), "rho"),
     # An eta above the horizon would take no step: sample would write the
-    # initial draw, and the pathwise estimate would read 0 and pass.
+    # initial draw.
     "sample-eta-above-horizon": ("sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
-    "estimate-girsanov-eta-above-horizon": ("estimate", dict(GIRSANOV_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
     # An input name the estimator never reads.
     "estimate-unread-input": (
         "estimate", {"estimator": "knn_kl", "inputs": {"p": "s.csv", "q": "s.csv", "samples": "nope.csv"}}, "inputs",
     ),
     "estimate-rate-fit-inputs": ("estimate", dict(RATE_FIT_CFG, inputs={"samples": "s.csv"}), "inputs"),
-    "estimate-girsanov-inputs": ("estimate", dict(GIRSANOV_CFG, inputs={"p": "s.csv"}), "inputs"),
     # Two snapshot times on one grid step of eta = 0.1 (0.55 rounds down to 0.5).
     "sample-snapshots-on-one-step": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 0.5, 0.55]), "snapshot_times"),
 }
@@ -985,7 +1032,6 @@ REQUIRED_KEYS = [
     ("mixing-scan", MIX_CFG, ["target", "rho", "init", "eps_grid"]),
     ("verify", VERIFY_CFG, ["model"]),
     ("sample", SAMPLE_CFG, ["model", "init", "eta", "horizon", "chains"]),
-    ("estimate", GIRSANOV_CFG, ["estimator", "model", "init", "eta", "horizon", "chains"]),
     ("estimate", RATE_FIT_CFG, ["points"]),
     ("estimate", ESTIMATE_CFG, ["estimator"]),
     ("bound-eval", BOUND_CFG, ["constants"]),
@@ -1039,7 +1085,6 @@ MISSPELLED_NESTED = [
     ("estimate", {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ, "params": {"k": 5}}, "k"),
     ("estimate", {"estimator": "tv_histogram", "inputs": INPUTS_PQ, "params": {"bins": 16}}, "bins"),
     ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"q": 2}}, "q"),
-    ("estimate", dict(GIRSANOV_CFG, params={"quad_points": 4}), "quad_points"),
     ("estimate", dict(RATE_FIT_CFG, params={"slope": 2}), "slope"),
 ]
 
@@ -1100,7 +1145,6 @@ TABLE_CONFIGS = [(command, COMMANDS[command], cfg) for command, cfg in [
     "w2_empirical_1d": {"estimator": "w2_empirical_1d", "inputs": INPUTS_PQ},
     "tv_histogram": {"estimator": "tv_histogram", "inputs": INPUTS_PQ},
     "moment_estimate": ESTIMATE_CFG,
-    "girsanov_pathwise_kl": GIRSANOV_CFG,
     "rate_fit": RATE_FIT_CFG,
 }.items()]
 
@@ -1233,7 +1277,6 @@ TINY_CONFIGS = [
     ("mixing-scan", dict(MIX_CFG, max_steps=5000, bands={"mixing_slope": {"KL": [-0.75, -0.4]}})),
     ("verify", VERIFY_CFG),
     ("sample", dict(SAMPLE_CFG, chains=20, horizon=0.3, snapshot_times=[0.1], allow_outside_window=False)),
-    ("estimate", dict(GIRSANOV_CFG, chains=20, params={"quad_points_per_step": 2})),
     ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"p": 2}}),
     ("estimate", RATE_FIT_CFG),
     ("bound-eval", BOUND_CFG),

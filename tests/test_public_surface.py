@@ -52,8 +52,6 @@ RUNS = [
     ("estimate", {"estimator": "w2_empirical_1d", "inputs": PQ}, "w2", True),
     ("estimate", {"estimator": "tv_histogram", "inputs": PQ}, "tv", True),
     ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": PQ["p"]}}, "moment", True),
-    ("estimate", {"estimator": "girsanov_pathwise_kl", "model": model("gauss-mix"), "init": INIT,
-                  "eta": 0.1, "horizon": 0.3, "chains": 20}, "girsanov", True),
     ("estimate", {"estimator": "rate_fit", "points": [[0.1, 0.01], [0.05, 0.0025], [0.025, 0.000625]]},
      "fit", True),
     ("rate-scan", {"model": model("ou"), "init": INIT, "eta_grid": [0.2, 0.1, 0.05], "horizon": 0.4,
