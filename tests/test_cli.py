@@ -259,24 +259,75 @@ def test_rate_scan_comparator_divergence_exits_1_naming_eta_chain_and_step(tmp_p
     assert not out.exists()
 
 
-def test_one_eta_rate_scan_writes_the_library_comparator_value(tmp_path):
-    cfg = {
-        "model": {"name": "ou", "params": {"dim": 1}},
-        "init": {"mean": [1.0], "sigma0": 1.0},
-        "horizon": 1.0,
-        "eta_grid": [0.1],
-        "girsanov_chains": 200,
-        "seed": 21,
-    }
-    code, out = run(tmp_path, "rate-scan", cfg)
+# The pathwise comparator's one CLI path: a rate-scan with a one-element eta_grid.
+COMPARATOR_CFG = {
+    "model": {"name": "ou", "params": {"dim": 1}},
+    "init": {"mean": [1.0], "sigma0": 1.0},
+    "horizon": 1.0,
+    "eta_grid": [0.1],
+    "girsanov_chains": 200,
+    "seed": 21,
+}
+# Keys over COMPARATOR_CFG's: every registry model, an off-grid horizon, the
+# ends of the quadrature range and of the seed range, one chain, a fine step.
+COMPARATOR_CASES = {
+    "ou": {},
+    "ou-rate": {"model": {"name": "ou", "params": {"dim": 1, "rate": 2.5}}},
+    "ou-2d-offset": {"model": {"name": "ou", "params": {"matrix": [[-1.0, 0.3], [0.3, -0.6]], "offset": [0.2, -0.1]}},
+                     "init": {"mean": [0.5, -0.5], "sigma0": 0.7}},
+    "zero-2d": {"model": {"name": "zero", "params": {"dim": 2}}, "init": {"mean": [0.0, 1.0], "sigma0": 1.0}},
+    "expansive": {"model": {"name": "expansive", "params": {"dim": 1, "rate": 0.5}}},
+    "double-well": {"model": {"name": "double-well", "params": {"dim": 1}}, "exact": False,
+                    "eta_grid": [0.002], "horizon": 0.02},
+    "gauss-mix-2d": {"model": {"name": "gauss-mix", "params": {"dim": 2, "separation": 2.0}}, "exact": False,
+                     "init": {"mean": [0.5, 0.5], "sigma0": 1.0}},
+    "off-grid-horizon": {"horizon": 1.05},
+    "quad-1": {"quad_points_per_step": 1},
+    "quad-14": {"quad_points_per_step": 14},
+    "seed-0": {"seed": 0},
+    "seed-max": {"seed": 2**64 - 1},
+    "one-chain": {"girsanov_chains": 1},
+    "fine-step": {"eta_grid": [0.01], "horizon": 0.2},
+}
+
+
+@pytest.mark.parametrize("case", list(COMPARATOR_CASES))
+def test_one_eta_rate_scan_writes_the_library_comparator_value(tmp_path, case):
+    cfg = dict(COMPARATOR_CFG, **COMPARATOR_CASES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the off-grid horizon is warned of
+        code, out = run(tmp_path, "rate-scan", cfg)
+        [want] = girsanov_pathwise_kl(
+            make_model(cfg["model"]["name"], **cfg["model"]["params"]),
+            InitDensity(cfg["init"]["mean"], cfg["init"]["sigma0"]),
+            cfg["eta_grid"], cfg["horizon"], cfg["girsanov_chains"], cfg["seed"],
+            quad_points_per_step=cfg.get("quad_points_per_step", 4),
+        )
     assert code == 0
-    [want] = girsanov_pathwise_kl(make_model("ou", dim=1), InitDensity([1.0], 1.0), [0.1], 1.0, 200, 21)
     rep = json.loads((out / "rate_scan.json").read_text())
-    assert rep["records"][0]["kl_girsanov"] == want
+    [record] = rep["records"]
+    assert record["kl_girsanov"] == want
     rows = (out / "rate_scan.csv").read_text().strip().split("\n")[1:]
     assert [float(r.split(",")[2]) for r in rows] == [want]
-    # One step size fits no slope: no claim is made about one.
-    assert [c["name"] for c in rep["claims"]] == ["completed"]
+    # One step size fits no slope: no claim is made about one, unless the
+    # exact KL is 0 (the degenerate scan of test_rate_scan_zero_drift_exact_zero).
+    claims = ["exact_slope"] if record.get("kl_exact") == 0.0 else ["completed"]
+    assert [c["name"] for c in rep["claims"]] == claims
+
+
+# The comparator draws one noise block per step and quadrature point for the
+# whole grid, so each step size's value is the one its one-eta scan writes.
+RATE_GRID = [0.2, 0.1, 0.05]
+
+
+@pytest.mark.parametrize("eta", RATE_GRID)
+def test_grid_rate_scan_value_is_the_one_eta_scan_value(tmp_path, eta):
+    code_grid, out_grid = run(tmp_path, "rate-scan", dict(COMPARATOR_CFG, eta_grid=RATE_GRID), out="grid")
+    code_one, out_one = run(tmp_path, "rate-scan", dict(COMPARATOR_CFG, eta_grid=[eta]), out="one")
+    assert code_grid == code_one == 0
+    grid = json.loads((out_grid / "rate_scan.json").read_text())["records"]
+    [one] = json.loads((out_one / "rate_scan.json").read_text())["records"]
+    assert grid[RATE_GRID.index(eta)]["kl_girsanov"] == one["kl_girsanov"]
 
 
 # A scan too short for a slope fit makes no exact_slope claim; only an exact
@@ -686,6 +737,7 @@ def test_init_variance_outside_float_range_exits_2(tmp_path, capsys, command, cf
 @pytest.mark.parametrize("command, cfg", [
     ("sample", dict(SAMPLE_CFG, init={"mean": [0.0], "sigma0": 1e200})),
     ("sample", dict(SAMPLE_CFG, init={"mean": [1e13], "sigma0": 1.0})),
+    ("rate-scan", dict(COMPARATOR_CFG, init={"mean": [1e13], "sigma0": 1.0})),
 ])
 def test_init_out_of_range_exits_2_without_output(tmp_path, capsys, command, cfg):
     code, out = run(tmp_path, command, cfg)
@@ -748,12 +800,19 @@ def with_value(cfg, path, value):
     return cfg
 
 
+def command_id(command, cfg):
+    """A test id's command part: the one-eta comparator scan is told apart."""
+    return "one-eta-rate-scan" if cfg is COMPARATOR_CFG else command
+
+
 # (command, a valid config, an integer field: a dotted key path)
 INTEGER_FIELDS = [
     ("sample", SAMPLE_CFG, "chains"),
     ("sample", SAMPLE_CFG, "seed"),
     ("rate-scan", RATE_CFG, "girsanov_chains"),
     ("rate-scan", RATE_CFG, "quad_points_per_step"),
+    ("rate-scan", COMPARATOR_CFG, "girsanov_chains"),
+    ("rate-scan", COMPARATOR_CFG, "quad_points_per_step"),
     ("mixing-scan", MIX_CFG, "max_steps"),
     ("bound-eval", BOUND_CFG, "theorem"),
     ("bound-eval", BOUND_CFG, "dim"),
@@ -767,7 +826,7 @@ INTEGER_FIELDS = [
 @pytest.mark.parametrize("value", [2.5, True])
 @pytest.mark.parametrize(
     "command, cfg, field",
-    [pytest.param(*case, id=f"{case[1].get('estimator', case[0])}-{case[2]}") for case in INTEGER_FIELDS],
+    [pytest.param(*case, id=f"{case[1].get('estimator', command_id(*case[:2]))}-{case[2]}") for case in INTEGER_FIELDS],
 )
 def test_non_integer_integer_field_exits_2_before_any_output(tmp_path, capsys, command, cfg, field, value):
     if command == "estimate":
@@ -798,6 +857,8 @@ FLOAT_FIELDS = [
     ("rate-scan", RATE_CFG, ("eta_grid", 1)),
     ("rate-scan", RATE_CFG, ("init", "sigma0")),
     ("rate-scan", RATE_CFG, ("init", "mean", 0)),
+    ("rate-scan", COMPARATOR_CFG, ("eta_grid", 0)),
+    ("rate-scan", COMPARATOR_CFG, ("horizon",)),
     ("rate-scan", dict(RATE_CFG, bands={"girsanov_slope": [0.5, 1.5]}), ("bands", "girsanov_slope", 0)),
     ("rate-scan", dict(RATE_CFG, bands={"exact_r2_min": 0.9}), ("bands", "exact_r2_min")),
     ("mixing-scan", MIX_CFG, ("rho",)),
@@ -827,7 +888,7 @@ NON_FLOATS = [True, False, "0.1", "abc", None, math.nan, math.inf, -math.inf, 10
 @pytest.mark.parametrize(
     "command, cfg, path",
     FLOAT_FIELDS,
-    ids=[f"{command}-{'.'.join(map(str, path))}" for command, _, path in FLOAT_FIELDS],
+    ids=[f"{command_id(command, cfg)}-{'.'.join(map(str, path))}" for command, cfg, path in FLOAT_FIELDS],
 )
 def test_non_float_float_field_exits_2_naming_the_key(tmp_path, capsys, command, cfg, path, value):
     cfg = json.loads(json.dumps(cfg))
@@ -1029,6 +1090,7 @@ def test_rejected_config_exits_2_without_output_directory(tmp_path, capsys, case
 # (command, a valid config, the top-level keys it must not run without)
 REQUIRED_KEYS = [
     ("rate-scan", RATE_CFG, ["model", "init", "eta_grid", "horizon"]),
+    ("rate-scan", COMPARATOR_CFG, ["model", "init", "eta_grid", "horizon"]),
     ("mixing-scan", MIX_CFG, ["target", "rho", "init", "eps_grid"]),
     ("verify", VERIFY_CFG, ["model"]),
     ("sample", SAMPLE_CFG, ["model", "init", "eta", "horizon", "chains"]),
@@ -1038,12 +1100,12 @@ REQUIRED_KEYS = [
 ]
 BAD_CONFIGS = [
     pytest.param(command, {k: v for k, v in cfg.items() if k != key}, key,
-                 id=f"{cfg.get('estimator', command)}-without-{key}")
+                 id=f"{cfg.get('estimator', command_id(command, cfg))}-without-{key}")
     for command, cfg, keys in REQUIRED_KEYS
     for key in keys
 ] + [
     pytest.param(command, dict(cfg, girsanov_chain=1000), "girsanov_chain",
-                 id=f"{cfg.get('estimator', command)}-unknown-key")
+                 id=f"{cfg.get('estimator', command_id(command, cfg))}-unknown-key")
     for command, cfg, _keys in REQUIRED_KEYS
 ] + [
     # Keys that verify and mixing-scan no longer read.
@@ -1074,6 +1136,7 @@ INPUTS_PQ = {"p": "p.csv", "q": "q.csv"}
 # (command, a config with one misspelled nested key, that key)
 MISSPELLED_NESTED = [
     ("rate-scan", dict(RATE_CFG, bands={"exact_slop": [5, 6]}), "exact_slop"),
+    ("rate-scan", dict(COMPARATOR_CFG, model={"name": "ou", "params": {"dims": 1}}), "dims"),
     ("mixing-scan", dict(MIX_CFG, bands={"mixing_slop": [-1, 0]}), "mixing_slop"),
     ("mixing-scan", dict(MIX_CFG, bands={"mixing_slope": {"kl": [-1, 0]}}), "kl"),
     ("verify", dict(VERIFY_CFG, init={"means": [0.0], "sigma0": 1.0}), "means"),
@@ -1136,9 +1199,9 @@ def test_largest_seed_is_recorded(tmp_path):
 # --- the config tables: every declared leaf is typed before any output ---------------
 
 
-# A valid config per command, and per estimator.
+# A valid config per command, the one-eta comparator scan beside rate-scan, and per estimator.
 TABLE_CONFIGS = [(command, COMMANDS[command], cfg) for command, cfg in [
-    ("rate-scan", RATE_CFG), ("mixing-scan", MIX_CFG), ("verify", VERIFY_CFG),
+    ("rate-scan", RATE_CFG), ("rate-scan", COMPARATOR_CFG), ("mixing-scan", MIX_CFG), ("verify", VERIFY_CFG),
     ("sample", SAMPLE_CFG), ("bound-eval", BOUND_CFG),
 ]] + [("estimate", ESTIMATORS[name], cfg) for name, cfg in {
     "knn_kl": {"estimator": "knn_kl", "inputs": INPUTS_PQ},
@@ -1163,7 +1226,8 @@ def test_every_estimator_has_a_table_config():
 
 
 @pytest.mark.parametrize("command, cfg, path, value", [
-    pytest.param(command, cfg, path, value, id=f"{cfg.get('estimator', command)}-{'.'.join(path)}-{value!r}")
+    pytest.param(command, cfg, path, value,
+                 id=f"{cfg.get('estimator', command_id(command, cfg))}-{'.'.join(path)}-{value!r}")
     for command, table, cfg in TABLE_CONFIGS
     for path, reader in table_leaves(table)
     for value in ([1, "x", None] if reader is read_bool else [True, "x", None])
