@@ -32,9 +32,10 @@ class BoundConstants:
 
     L1/L2/A0 describe the drift, (mu, beta) its dissipativity, sigma0/h0 the
     initialization tail certificate, entropy0 the initialization entropy,
-    rho a log-Sobolev constant for mixing rules, f0 the potential value at
-    the origin for the non-negative-potential bound, and c0/c1 the
-    user-configurable universal constants (default 1: shape-only).
+    f0 the potential value at the origin for the non-negative-potential
+    bound, and c0/c1 the user-configurable universal constants (default 1:
+    shape-only).  The mixing rules take their log-Sobolev constant rho as
+    an argument of their own.
     """
 
     L1: float
@@ -45,7 +46,6 @@ class BoundConstants:
     entropy0: float
     mu: Optional[float] = None
     beta: Optional[float] = None
-    rho: Optional[float] = None
     f0: Optional[float] = None
     c0: float = 1.0
     c1: float = 1.0
@@ -65,8 +65,6 @@ class BoundConstants:
             raise InputError("mu must be positive")
         if self.beta is not None and not (np.isfinite(self.beta) and self.beta >= 0):
             raise InputError("beta must be nonnegative")
-        if self.rho is not None and not (np.isfinite(self.rho) and self.rho > 0):
-            raise InputError("rho must be positive")
         if self.f0 is not None and not (np.isfinite(self.f0) and self.f0 >= 0):
             raise InputError("f0 must be nonnegative")
         for name in ("c0", "c1"):

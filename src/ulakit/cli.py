@@ -97,14 +97,14 @@ def read_table(table: dict, entry, path: str = "") -> dict:
     return typed
 
 
-def read_int(value, key: str, minimum: int | None = None) -> int:
+def read_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """value as an int.  A boolean, a non-number, a number with a fractional
-    part, or one below minimum, is rejected, never truncated."""
+    part, or one below minimum or above maximum, is rejected, never truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         isinstance(value, float) and not value.is_integer()
-    ) or (minimum is not None and value < minimum):
-        at_least = "" if minimum is None else f" >= {minimum}"
-        raise ConfigurationError(f"{key} must be an integer{at_least}, got {value!r}")
+    ) or (minimum is not None and value < minimum) or (maximum is not None and value > maximum):
+        bounds = "" if minimum is None else f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
+        raise ConfigurationError(f"{key} must be an integer{bounds}, got {value!r}")
     return int(value)
 
 
@@ -140,14 +140,6 @@ def read_floats(value, key: str, positive: bool = False) -> list[float]:
     if not isinstance(value, list):
         raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
     return [read_number(v, key, positive) for v in value]
-
-
-def read_band(value, key: str) -> tuple[float, float]:
-    """value, a [low, high] pair of numbers."""
-    band = read_floats(value, key)
-    if len(band) != 2:
-        raise ConfigurationError(f"{key} must be a [low, high] pair, got {value!r}")
-    return tuple(band)
 
 
 def read_array(value, key: str) -> np.ndarray:
@@ -232,6 +224,12 @@ def build_init(entry: dict, dim: int) -> sp.InitDensity:
     return sp.InitDensity(mean=mean, sigma0=entry["sigma0"])
 
 
+def slope_fit(pairs) -> est.RateFit | None:
+    """The rate fit of (step, value) pairs; None for a scan too short to fit
+    (see estimators.fits_rate) or with a value that is not positive."""
+    return est.rate_fit(pairs) if est.fits_rate(pairs) and all(v > 0 for _, v in pairs) else None
+
+
 class Outcome(NamedTuple):
     """What a command computed: report fields (they may override c0/c1), claim
     checks, its files as (name, writer) pairs, each writer called with the
@@ -292,13 +290,21 @@ def run_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The paper's orders as claim bands no config changes: slope 2 (with a least
+# r^2) for the exact KL, slope 1 for the pathwise comparator, and their least gap.
+EXACT_SLOPE = (1.85, 2.15)
+EXACT_R2_MIN = 0.999
+GIRSANOV_SLOPE = (0.85, 1.15)
+SLOPE_GAP_MIN = 0.7
+
+
 def cmd_rate_scan(cfg: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     etas = cfg["eta_grid"]
     if not etas:
         raise ConfigurationError("eta_grid must be nonempty")
-    T, n_chains, bands = cfg["horizon"], cfg["girsanov_chains"], cfg["bands"]
+    T, n_chains = cfg["horizon"], cfg["girsanov_chains"]
 
     if cfg["exact"] and model.linear is None:
         raise ConfigurationError(
@@ -331,14 +337,8 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     girs_pairs = [(rec["eta"], rec["kl_girsanov"]) for rec in records if "kl_girsanov" in rec]
     rows = [[rec["eta"], rec.get("kl_exact", ""), rec.get("kl_girsanov", "")] for rec in records]
     csv = ("rate_scan.csv", lambda path: sp.write_csv(path, ["eta", "kl_exact", "kl_girsanov"], rows))
-
-    def _fit(pairs):
-        if len(pairs) >= 3 and all(v > 0 for _, v in pairs):
-            return est.rate_fit(pairs)
-        return None
-
-    fit_exact = _fit(exact_pairs)
-    fit_girs = _fit(girs_pairs)
+    fit_exact = slope_fit(exact_pairs)
+    fit_girs = slope_fit(girs_pairs)
 
     claims = []
     if cfg["exact"]:
@@ -348,14 +348,14 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
                 "detail": "degenerate scan (zero KL: discretization is exact)",
             })
         elif fit_exact is not None:
-            lo, hi = bands["exact_slope"]
-            ok = lo <= fit_exact.slope <= hi and fit_exact.r_squared >= bands["exact_r2_min"]
+            lo, hi = EXACT_SLOPE
+            ok = lo <= fit_exact.slope <= hi and fit_exact.r_squared >= EXACT_R2_MIN
             claims.append({
                 "name": "exact_slope", "pass": bool(ok),
                 "detail": f"slope={fit_exact.slope:.4f} r2={fit_exact.r_squared:.6f} band=[{lo},{hi}]",
             })
     if n_chains > 0 and fit_girs is not None:
-        lo, hi = bands["girsanov_slope"]
+        lo, hi = GIRSANOV_SLOPE
         claims.append({
             "name": "girsanov_slope", "pass": bool(lo <= fit_girs.slope <= hi),
             "detail": f"slope={fit_girs.slope:.4f} band=[{lo},{hi}]",
@@ -363,8 +363,8 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     if fit_exact is not None and fit_girs is not None:
         gap = fit_exact.slope - fit_girs.slope
         claims.append({
-            "name": "slope_gap", "pass": bool(gap >= bands["slope_gap_min"]),
-            "detail": f"slope(exact)-slope(girsanov)={gap:.4f} >= {bands['slope_gap_min']}",
+            "name": "slope_gap", "pass": bool(gap >= SLOPE_GAP_MIN),
+            "detail": f"slope(exact)-slope(girsanov)={gap:.4f} >= {SLOPE_GAP_MIN}",
         })
     if not claims:
         claims.append({"name": "completed", "pass": True, "detail": "no slope claim applies"})
@@ -382,17 +382,18 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
 
 
 # Per metric: the distance to the target of a Gaussian that is diagonal in the
-# target's eigenbasis, from its mean gap and variances there, and the KL
+# target's eigenbasis, from its mean gap and variances there; the KL
 # tolerance the step-size rule (stated for KL) is given for tolerance eps,
-# through Pinsker (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)).
+# through Pinsker (TV <= sqrt(KL/2)) or Talagrand (W2 <= sqrt(2 KL/rho)); and
+# the band of the slope of log N against log eps, which no config changes.
 MIXING_METRICS = {
-    "KL": (ga.kl_gaussian_diag, lambda eps, rho: eps),
-    "TV": (ga.tv_gaussian_diag, lambda eps, rho: 2.0 * eps**2),
-    "W2": (ga.w2_gaussian_diag, lambda eps, rho: rho * eps**2 / 2.0),
+    "KL": (ga.kl_gaussian_diag, lambda eps, rho: eps, (-0.75, -0.40)),
+    "TV": (ga.tv_gaussian_diag, lambda eps, rho: 2.0 * eps**2, (-1.3, -0.8)),
+    "W2": (ga.w2_gaussian_diag, lambda eps, rho: rho * eps**2 / 2.0, (-1.3, -0.8)),
 }
-# Rows (step counts) of the first search block, and the most array elements
-# (rows times dimension) one block may hold.
-FIRST_BLOCK_ROWS = 64
+# The fewest rows (step counts) of a search block, and the most array
+# elements (rows times dimension) a block holds beyond that.
+MIN_BLOCK_ROWS = 64
 BLOCK_ELEMENTS = 1 << 12
 
 
@@ -414,15 +415,14 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
     in the eigenbasis of the target N(0, diag s), is within eps of the
     target; None when there is none.
 
-    Blocks of consecutive k are evaluated at once, growing geometrically up
-    to BLOCK_ELEMENTS entries, so memory is bounded whatever max_steps is.
-    Every k is evaluated in order, so the first crossing is exact without
-    assuming the distance decreases.  The target is the fixed point of the
-    chain's mean, so the mean gap after k steps is lam^k gap.
+    Blocks of max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // d) consecutive k are
+    evaluated at once, so memory is bounded whatever max_steps is.  Every k
+    is evaluated in order, so the first crossing is exact without assuming
+    the distance decreases.  The target is the fixed point of the chain's
+    mean, so the mean gap after k steps is lam^k gap.
     """
-    cap = max(FIRST_BLOCK_ROWS, BLOCK_ELEMENTS // w.size)
-    start, rows = 1, FIRST_BLOCK_ROWS
-    while start <= max_steps:
+    rows = max(MIN_BLOCK_ROWS, BLOCK_ELEMENTS // w.size)
+    for start in range(1, max_steps + 1, rows):
         k = np.arange(start, min(start + rows, max_steps + 1))[:, None]
         power, _, var_sum = ga.em_mode_sums(eta * w, k)
         var = power * power * var0 + eta * var_sum
@@ -434,8 +434,6 @@ def first_crossing(distance, gap, var0, eta, w, s, eps, max_steps):
             if bad[i]:
                 raise InputError(f"chain moments are not finite positive-definite at step {k[i, 0]}")
             return int(k[i, 0])
-        start += k.size
-        rows = min(2 * rows, cap)
     return None
 
 
@@ -453,11 +451,11 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
     gap = Q.T @ (start.mean - target.mean)
     var0 = np.square(start.sigma0)  # inf, not OverflowError, for a huge sigma0
     metric = cfg["metric"]
-    distance, kl_tolerance = MIXING_METRICS[metric]
+    distance, kl_tolerance, (lo, hi) = MIXING_METRICS[metric]
     eps_grid, max_steps = cfg["eps_grid"], cfg["max_steps"]
     tolerances = [mixing_kl_tolerance(kl_tolerance, eps, rho) for eps in eps_grid]
 
-    records, fit_pairs = [], []
+    records = []
     for eps, tolerance in zip(eps_grid, tolerances):
         eta = bnd.step_size_rule(tolerance, rho, d)
         if distance(gap, var0, s) <= eps:
@@ -475,21 +473,15 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
             "eps": eps, "eta": eta, "n_measured": n_measured,
             "n_predicted": pred.steps, "note": pred.note,
         })
-        if n_measured > 0:
-            fit_pairs.append((eps, float(n_measured)))
     rows = [[rec["eps"], rec["eta"], rec["n_measured"], rec["n_predicted"]] for rec in records]
     csv = ("mixing_scan.csv", lambda path: sp.write_csv(path, ["eps", "eta_used", "N_measured", "N_predicted"], rows))
 
-    fit = est.rate_fit(fit_pairs) if len(fit_pairs) >= 3 else None
-    band = cfg["bands"]["mixing_slope"].get(metric)
-    if fit is not None and band is not None:
-        lo, hi = band
-        claims = [{
-            "name": "mixing_slope", "pass": bool(lo <= fit.slope <= hi),
-            "detail": f"slope(log N vs log eps)={fit.slope:.4f} band=[{lo},{hi}]",
-        }]
-    else:
-        claims = [{"name": "completed", "pass": True, "detail": "scan completed (no slope fit)"}]
+    # An eps already mixed at k = 0 is left out of the fit.
+    fit = slope_fit([(rec["eps"], float(rec["n_measured"])) for rec in records if rec["n_measured"] > 0])
+    claims = [{
+        "name": "mixing_slope", "pass": bool(lo <= fit.slope <= hi),
+        "detail": f"slope(log N vs log eps)={fit.slope:.4f} band=[{lo},{hi}]",
+    }] if fit is not None else [{"name": "completed", "pass": True, "detail": "scan completed (no slope fit)"}]
 
     return Outcome({
         "metric": metric,
@@ -675,6 +667,9 @@ def cmd_estimate(cfg: dict) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+SWEEP_SLOPE = (1.9, 2.1)  # a bound sweep's slope band: the bounds are second order in eta
+
+
 def cmd_bound_eval(cfg: dict) -> Outcome:
     theorem = cfg["theorem"]
     constants = bnd.BoundConstants(**cfg["constants"])
@@ -704,7 +699,7 @@ def cmd_bound_eval(cfg: dict) -> Outcome:
     else:
         sweep = [{"eta": eta, "value": evaluator(eta)["total"]} for eta in cfg["eta_grid"]]
         fit = est.rate_fit([(rec["eta"], rec["value"]) for rec in sweep])
-        lo, hi = cfg["bands"]["sweep_slope"]
+        lo, hi = SWEEP_SLOPE
         fields.update({"sweep": sweep, "fit": fit.to_dict()})
         claims = [{
             "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),
@@ -732,11 +727,7 @@ COMMANDS = {
         "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
         "eta_grid": (read_floats, REQUIRED), "horizon": (partial(read_number, positive=True), REQUIRED),
         "exact": (read_bool, True), "girsanov_chains": (partial(read_int, minimum=0), 0),
-        "quad_points_per_step": (read_int, 4),
-        "bands": ({
-            "exact_slope": (read_band, [1.85, 2.15]), "exact_r2_min": (read_number, 0.999),
-            "girsanov_slope": (read_band, [0.85, 1.15]), "slope_gap_min": (read_number, 0.7),
-        }, {}),
+        "quad_points_per_step": (partial(read_int, minimum=1, maximum=sp.MAX_QUAD_POINTS), 4),
         "seed": SEED,
     },
     "mixing-scan": {
@@ -744,11 +735,6 @@ COMMANDS = {
         "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED),
         "eps_grid": (partial(read_floats, positive=True), REQUIRED),
         "metric": (read_metric, "KL"), "max_steps": (partial(read_int, minimum=1), 10**6),
-        # A given mixing_slope replaces the default map whole.
-        "bands": ({"mixing_slope": (
-            {metric: (read_band,) for metric in MIXING_METRICS},
-            {"KL": [-0.75, -0.40], "TV": [-1.3, -0.8], "W2": [-1.3, -0.8]},
-        )}, {}),
         "seed": SEED,
     },
     "verify": {"model": (MODEL, REQUIRED), "init": (INIT, {"sigma0": 1.0}), "seed": SEED},
@@ -765,7 +751,6 @@ COMMANDS = {
         }, REQUIRED),
         "theorem": (read_theorem, 1), "eta": (read_number,), "eta_grid": (read_floats,),
         "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
-        "bands": ({"sweep_slope": (read_band, [1.9, 2.1])}, {}),
         "seed": SEED,
     },
 }

@@ -50,11 +50,16 @@ class RateFit:
         }
 
 
+def fits_rate(points) -> bool:
+    """Whether (eta, value) points span the 3 distinct step sizes a rate fit needs."""
+    return len({float(e) for e, _ in points}) >= 3
+
+
 def rate_fit(points) -> RateFit:
     """Fit value ~ C * eta^slope by least squares in log-log coordinates."""
     pts = [(float(e), float(v)) for e, v in points]
-    if len(pts) < 3:
-        raise InputError("rate fit needs at least 3 points")
+    if not fits_rate(pts):
+        raise InputError("rate fit needs at least 3 distinct step sizes")
     if not all(0 < e < math.inf and 0 < v < math.inf for e, v in pts):
         raise InputError("rate fit needs finite, strictly positive steps and values")
     x = np.log([e for e, _ in pts])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ulakit
 from ulakit import (
     BoundConstants,
     ConfigurationError,
@@ -217,7 +218,6 @@ def test_rate_scan_girsanov_only_for_nonlinear_model(tmp_path):
         "exact": False,
         "girsanov_chains": 2000,
         "seed": 2,
-        "bands": {"girsanov_slope": [0.5, 1.5]},
     }
     code, out = run(tmp_path, "rate-scan", cfg)
     assert code == 0
@@ -330,9 +330,11 @@ def test_grid_rate_scan_value_is_the_one_eta_scan_value(tmp_path, eta):
     assert grid[RATE_GRID.index(eta)]["kl_girsanov"] == one["kl_girsanov"]
 
 
-# A scan too short for a slope fit makes no exact_slope claim; only an exact
-# KL of 0 everywhere (test_rate_scan_zero_drift_exact_zero) makes one.
-@pytest.mark.parametrize("eta_grid", [[0.1], [0.2, 0.1]])
+# A scan too short for a slope fit, with fewer than 3 distinct step sizes,
+# makes no exact_slope claim; only an exact KL of 0 everywhere
+# (test_rate_scan_zero_drift_exact_zero) makes one.  A least-squares fit to
+# one step size, repeated, reads noise: slope 2.76, a failed claim.
+@pytest.mark.parametrize("eta_grid", [[0.1], [0.2, 0.1], [0.1, 0.1, 0.1]])
 def test_rate_scan_short_grid_makes_no_exact_slope_claim(tmp_path, eta_grid):
     cfg = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [1.0], "sigma0": 1.0},
            "horizon": 1.0, "eta_grid": eta_grid}
@@ -415,6 +417,13 @@ def test_mixing_scan_tv_metric(tmp_path):
     ns = [r["n_measured"] for r in rep["records"]]
     assert ns == sorted(ns) and ns[-1] > ns[0]
     assert -1.3 <= rep["fit"]["slope"] <= -0.8
+
+
+def test_mixing_scan_repeated_eps_makes_no_slope_claim(tmp_path):
+    # One eps, repeated, spans no slope: a least-squares fit read -0.76, a failed claim.
+    code, out = run(tmp_path, "mixing-scan", dict(MIX_CFG, eps_grid=[0.01, 0.01, 0.01]))
+    assert code == 0
+    assert [c["name"] for c in json.loads((out / "mixing_scan.json").read_text())["claims"]] == ["completed"]
 
 
 def test_mixing_scan_missing_rho_is_config_error(tmp_path):
@@ -646,7 +655,7 @@ def test_bound_eval_all_ones(tmp_path):
 
 
 def test_bound_eval_takes_every_constants_field(tmp_path):
-    constants = dict(ALL_ONES_CONSTANTS, rho=0.5, c0=1.0, c1=1.0)
+    constants = dict(ALL_ONES_CONSTANTS, c0=1.0, c1=1.0)
     assert constants.keys() == {f.name for f in dataclasses.fields(BoundConstants)}
     code, out = run(tmp_path, "bound-eval", {"theorem": 1, "eta": 0.1, "constants": constants})
     assert code == 0
@@ -859,13 +868,10 @@ FLOAT_FIELDS = [
     ("rate-scan", RATE_CFG, ("init", "mean", 0)),
     ("rate-scan", COMPARATOR_CFG, ("eta_grid", 0)),
     ("rate-scan", COMPARATOR_CFG, ("horizon",)),
-    ("rate-scan", dict(RATE_CFG, bands={"girsanov_slope": [0.5, 1.5]}), ("bands", "girsanov_slope", 0)),
-    ("rate-scan", dict(RATE_CFG, bands={"exact_r2_min": 0.9}), ("bands", "exact_r2_min")),
     ("mixing-scan", MIX_CFG, ("rho",)),
     ("mixing-scan", MIX_CFG, ("eps_grid", 2)),
     ("mixing-scan", MIX_CFG, ("target", "mean", 0)),
     ("mixing-scan", MIX_CFG, ("target", "cov", 0, 0)),
-    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slope": {"KL": [-0.75, -0.4]}}), ("bands", "mixing_slope", "KL", 1)),
     ("verify", VERIFY_CFG, ("init", "sigma0")),
     ("sample", SAMPLE_CFG, ("eta",)),
     ("sample", SAMPLE_CFG, ("horizon",)),
@@ -1074,6 +1080,20 @@ REJECTED_CONFIGS = {
     "estimate-rate-fit-inputs": ("estimate", dict(RATE_FIT_CFG, inputs={"samples": "s.csv"}), "inputs"),
     # Two snapshot times on one grid step of eta = 0.1 (0.55 rounds down to 0.5).
     "sample-snapshots-on-one-step": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 0.5, 0.55]), "snapshot_times"),
+    # Read by the table, so rejected also when the comparator does not run.
+    "rate-scan-no-quad-points": (
+        "rate-scan", dict(RATE_CFG, girsanov_chains=0, quad_points_per_step=0),
+        "quad_points_per_step must be an integer in [1, 14]",
+    ),
+    "rate-scan-too-many-quad-points": (
+        "rate-scan", dict(RATE_CFG, girsanov_chains=0, quad_points_per_step=15),
+        "quad_points_per_step must be an integer in [1, 14]",
+    ),
+    # One step size, repeated, spans no slope.
+    "bound-eval-repeated-eta": ("bound-eval", dict(BOUND_CFG, eta_grid=[0.1, 0.1, 0.1]), "3 distinct step sizes"),
+    "estimate-rate-fit-repeated-eta": (
+        "estimate", dict(RATE_FIT_CFG, points=[[0.1, 0.01], [0.1, 0.011], [0.1, 0.012]]), "3 distinct step sizes",
+    ),
 }
 
 
@@ -1108,9 +1128,12 @@ BAD_CONFIGS = [
                  id=f"{cfg.get('estimator', command_id(command, cfg))}-unknown-key")
     for command, cfg, _keys in REQUIRED_KEYS
 ] + [
-    # Keys that verify and mixing-scan no longer read.
+    # Keys the commands no longer read; a claim band is fixed, not configured.
     pytest.param(command, dict(cfg, **{key: value}), key, id=f"{command}-removed-{key}")
     for command, cfg, key, value in [
+        ("rate-scan", RATE_CFG, "bands", {"exact_slope": [1.85, 2.15]}),
+        ("mixing-scan", MIX_CFG, "bands", {"mixing_slope": {"KL": [-0.75, -0.40]}}),
+        ("bound-eval", BOUND_CFG, "bands", {"sweep_slope": [1.9, 2.1]}),
         ("verify", VERIFY_CFG, "ball_radius", 10.0),
         ("verify", VERIFY_CFG, "pair_count", 100),
         ("verify", VERIFY_CFG, "grad_points", 20),
@@ -1121,6 +1144,9 @@ BAD_CONFIGS = [
 ] + [
     pytest.param("bound-eval", dict(BOUND_CFG, constants={k: v for k, v in ALL_ONES_CONSTANTS.items() if k != "sigma0"}),
                  "sigma0", id="bound-eval-constants-without-sigma0"),
+    # No bound reads a log-Sobolev constant; the mixing rules take mixing-scan's rho.
+    pytest.param("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, rho=0.5)), "rho",
+                 id="bound-eval-removed-constants.rho"),
 ]
 
 
@@ -1135,13 +1161,9 @@ def test_bad_config_keys_exit_2_before_any_output(tmp_path, capsys, command, cfg
 INPUTS_PQ = {"p": "p.csv", "q": "q.csv"}
 # (command, a config with one misspelled nested key, that key)
 MISSPELLED_NESTED = [
-    ("rate-scan", dict(RATE_CFG, bands={"exact_slop": [5, 6]}), "exact_slop"),
     ("rate-scan", dict(COMPARATOR_CFG, model={"name": "ou", "params": {"dims": 1}}), "dims"),
-    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slop": [-1, 0]}), "mixing_slop"),
-    ("mixing-scan", dict(MIX_CFG, bands={"mixing_slope": {"kl": [-1, 0]}}), "kl"),
     ("verify", dict(VERIFY_CFG, init={"means": [0.0], "sigma0": 1.0}), "means"),
     ("sample", dict(SAMPLE_CFG, model={"name": "ou", "param": {"dim": 1}}), "param"),
-    ("bound-eval", dict(BOUND_CFG, bands={"sweep_slop": [0, 1]}), "sweep_slop"),
     ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, LI=1.0)), "LI"),
     ("bound-eval", dict(BOUND_CFG, constants=dict(ALL_ONES_CONSTANTS, zeta=3.0)), "zeta"),
     ("estimate", {"estimator": "knn_kl", "inputs": INPUTS_PQ, "params": {"kk": 1}}, "kk"),
@@ -1239,23 +1261,38 @@ def test_wrongly_typed_leaf_exits_2_naming_it_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
-# The benchmark's generated configs must pass the tables, or a schema change
-# would show only as a failed benchmark run.
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+# The benchmark's generated configs must pass the tables, and its tracer find
+# every name it wraps, or a change would show only as a failed benchmark run.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py imported from its file, registered as dataclasses
+    require, and without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_configs_pass_the_config_tables(monkeypatch):
-    # Imported from its file, registered as dataclasses require, and without
-    # writing bytecode next to it.
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench(monkeypatch, "workloads")
     assert sorted(workloads.WORKLOADS) == ["oracle-scan", "rate-scan-ou1d", "sample-estimate"]
     for workload in workloads.WORKLOADS.values():
         for inv in workload.build(0):
             read_config(inv.command, json.loads(json.dumps(inv.config)))
+
+
+def test_benchmark_tracer_wraps_existing_names_and_restores_them(monkeypatch):
+    tracer = load_perfbench(monkeypatch, "tracer")
+    targets = [(obj, attr) for obj, attr, *_ in tracer._targets(ulakit)]
+    assert [f"{obj.__name__}.{attr}" for obj, attr in targets if not hasattr(obj, attr)] == []
+    originals = [getattr(obj, attr) for obj, attr in targets]
+    with tracer.traced(ulakit, tracer.Tracer()):
+        assert all(getattr(obj, attr) is not fn for (obj, attr), fn in zip(targets, originals))
+    assert all(getattr(obj, attr) is fn for (obj, attr), fn in zip(targets, originals))
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -1338,7 +1375,7 @@ def test_mixing_scan_matches_per_step_recursion_on_drawn_targets(seed, d, metric
 # A tiny config per command, and per kind of estimate; "s.csv" sits next to it.
 TINY_CONFIGS = [
     ("rate-scan", dict(RATE_CFG, girsanov_chains=20, quad_points_per_step=2, exact=True)),
-    ("mixing-scan", dict(MIX_CFG, max_steps=5000, bands={"mixing_slope": {"KL": [-0.75, -0.4]}})),
+    ("mixing-scan", dict(MIX_CFG, max_steps=5000)),
     ("verify", VERIFY_CFG),
     ("sample", dict(SAMPLE_CFG, chains=20, horizon=0.3, snapshot_times=[0.1], allow_outside_window=False)),
     ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "s.csv"}, "params": {"p": 2}}),

@@ -50,6 +50,9 @@ def test_rate_fit_exact_linear():
 def test_rate_fit_rejects_bad_input():
     with pytest.raises(InputError):
         rate_fit([(0.1, 0.01), (0.2, 0.04)])
+    # Three points on one step size span no slope.
+    with pytest.raises(InputError, match="3 distinct step sizes"):
+        rate_fit([(0.1, 2e-4), (0.1, 2.1e-4), (0.1, 2.2e-4)])
     with pytest.raises(InputError):
         rate_fit([(0.1, 0.0), (0.2, 0.04), (0.4, 0.16)])
     with pytest.raises(InputError):
