@@ -21,6 +21,7 @@ from ulakit import (
     ConfigurationError,
     InitDensity,
     InputError,
+    RateFit,
     SampleEnsemble,
     UnsupportedError,
     girsanov_pathwise_kl,
@@ -29,6 +30,7 @@ from ulakit import (
     read_ensemble_csv,
     write_ensemble_csv,
 )
+from ulakit import cli
 from ulakit.cli import COMMANDS, ESTIMATORS, main, read_bool, read_config
 
 from slow_paths import mixing_scan_by_recursion
@@ -343,6 +345,17 @@ def test_rate_scan_short_grid_makes_no_exact_slope_claim(tmp_path, eta_grid):
     assert [c["name"] for c in json.loads((out / "rate_scan.json").read_text())["claims"]] == ["completed"]
 
 
+# Nor is a fit made of a scan with a value that is not positive.
+@pytest.mark.parametrize("values, fits", [
+    ([0.04, 0.01, 0.0025], True),
+    ([0.04, 0.0, 0.0025], False),
+    ([0.04, -0.01, 0.0025], False),
+])
+def test_slope_fit_needs_positive_values(values, fits):
+    fit = cli.slope_fit(list(zip([0.2, 0.1, 0.05], values)))
+    assert (fit is not None) is fits
+
+
 def test_rate_scan_warns_once_per_off_grid_eta(tmp_path):
     # The horizon 1.05 is off the grids of 0.2 and 0.1, on that of 0.05.
     cfg = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [1.0], "sigma0": 1.0},
@@ -481,6 +494,30 @@ def test_mixing_scan_below_bias_floor_exits_2_in_bounded_memory(tmp_path, capsys
     assert elapsed < 2.0
     # One array over all 10^6 steps would take 64 MB.
     assert grown_mb < 16.0
+
+
+# (d, first crossing step) at the seams of first_crossing's blocks of
+# max(64, 4096 // d) rows.
+BLOCK_SEAMS = [(1, 1), (1, 4096), (1, 4097), (2, 2048), (2, 2049), (32, 128), (32, 129),
+               (65, 64), (65, 65), (100, 128), (100, 129)]
+
+
+@pytest.mark.parametrize("d, step", BLOCK_SEAMS)
+def test_first_crossing_is_exact_at_block_seams(d, step):
+    # The mean gap shrinks by lam = 0.999 a step, and eps lies half a step
+    # past the gap at step - 1, so step is the first crossing.
+    lam, eta = 0.999, 0.002
+    w = np.full(d, (lam - 1.0) / eta)
+    gap = np.zeros(d)
+    gap[-1] = 1.0
+
+    def largest_gap(mean_gap, var, s):
+        return np.max(np.abs(mean_gap), axis=-1)
+
+    args = (largest_gap, gap, 1.0, eta, w, np.ones(d), lam ** (step - 0.5))
+    assert cli.first_crossing(*args, max_steps=step + 5000) == step
+    assert cli.first_crossing(*args, max_steps=step) == step
+    assert cli.first_crossing(*args, max_steps=step - 1) is None
 
 
 def test_mixing_scan_tv_rejected_beyond_1d(tmp_path):
@@ -699,6 +736,74 @@ def test_bound_eval_constants_path_exits_2(tmp_path, capsys):
     assert code == 2
     assert "constants" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- claim bands: fixed, their edges inside -----------------------------------------
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+def fit_with(slope, r_squared=1.0):
+    return RateFit(slope=slope, intercept=0.0, r_squared=r_squared, points=())
+
+
+def claim_passes(claims, name):
+    (verdict,) = [claim["pass"] for claim in claims if claim["name"] == name]
+    return verdict
+
+
+# (exact KL fit, comparator fit, claim, whether it passes): each band's edge
+# passes and the next float outside it fails.
+RATE_BAND_CASES = {
+    "exact-slope-at-low-edge": (fit_with(1.85), fit_with(1.0), "exact_slope", True),
+    "exact-slope-below-band": (fit_with(below(1.85)), fit_with(1.0), "exact_slope", False),
+    "exact-slope-at-high-edge": (fit_with(2.15), fit_with(1.0), "exact_slope", True),
+    "exact-slope-above-band": (fit_with(above(2.15)), fit_with(1.0), "exact_slope", False),
+    "exact-r2-at-least": (fit_with(2.0, 0.999), fit_with(1.0), "exact_slope", True),
+    "exact-r2-below-least": (fit_with(2.0, below(0.999)), fit_with(1.0), "exact_slope", False),
+    "girsanov-slope-at-low-edge": (fit_with(2.0), fit_with(0.85), "girsanov_slope", True),
+    "girsanov-slope-below-band": (fit_with(2.0), fit_with(below(0.85)), "girsanov_slope", False),
+    "girsanov-slope-at-high-edge": (fit_with(2.0), fit_with(1.15), "girsanov_slope", True),
+    "girsanov-slope-above-band": (fit_with(2.0), fit_with(above(1.15)), "girsanov_slope", False),
+    # 1.7 - 1.0 is 0.7 exactly.
+    "slope-gap-at-least": (fit_with(1.7), fit_with(1.0), "slope_gap", True),
+    "slope-gap-below-least": (fit_with(1.7), fit_with(above(1.0)), "slope_gap", False),
+}
+
+
+@pytest.mark.parametrize("case", list(RATE_BAND_CASES))
+def test_rate_scan_claim_bands_are_fixed(monkeypatch, case):
+    exact, girsanov, name, passes = RATE_BAND_CASES[case]
+    # The comparator gives 1.0 per step size, and each slope fit is replaced.
+    monkeypatch.setattr(cli.est, "girsanov_pathwise_kl", lambda model, init, etas, *args, **kwargs: [1.0] * len(etas))
+    monkeypatch.setattr(cli, "slope_fit", lambda pairs: girsanov if pairs[0][1] == 1.0 else exact)
+    outcome = cli.cmd_rate_scan(read_config("rate-scan", RATE_CFG))
+    assert claim_passes(outcome.claims, name) is passes
+
+
+@pytest.mark.parametrize("metric, slope, passes", [
+    (metric, slope, passes)
+    for metric, (lo, hi) in [("KL", (-0.75, -0.40)), ("TV", (-1.3, -0.8)), ("W2", (-1.3, -0.8))]
+    for slope, passes in [(lo, True), (below(lo), False), (hi, True), (above(hi), False)]
+])
+def test_mixing_scan_slope_band_is_fixed(monkeypatch, metric, slope, passes):
+    monkeypatch.setattr(cli, "slope_fit", lambda pairs: fit_with(slope))
+    cfg = {"KL": MIX_CFG, "TV": MIX_CASES["tv"], "W2": MIX_CASES["w2"]}[metric]
+    outcome = cli.cmd_mixing_scan(read_config("mixing-scan", cfg))
+    assert claim_passes(outcome.claims, "mixing_slope") is passes
+
+
+@pytest.mark.parametrize("slope, passes", [(1.9, True), (below(1.9), False), (2.1, True), (above(2.1), False)])
+def test_bound_eval_sweep_band_is_fixed(monkeypatch, slope, passes):
+    monkeypatch.setattr(cli.est, "rate_fit", lambda points: fit_with(slope))
+    outcome = cli.cmd_bound_eval(read_config("bound-eval", BOUND_CFG))
+    assert claim_passes(outcome.claims, "sweep_slope") is passes
 
 
 # --- misc -----------------------------------------------------------------------
@@ -1155,6 +1260,36 @@ def test_bad_config_keys_exit_2_before_any_output(tmp_path, capsys, command, cfg
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each claim-band leaf the tables once declared, and bound-eval's rho, at its
+# old default or a valid value: (command, config, key path, value, the
+# unknown key named).  A band is fixed, so each exits 2 before any output.
+BOUND_ONE_ETA_CFG = {"theorem": 1, "eta": 0.1, "constants": ALL_ONES_CONSTANTS}
+REMOVED_LEAVES = [
+    pytest.param(command, cfg, path, value, named,
+                 id=f"{'one-eta-bound-eval' if cfg is BOUND_ONE_ETA_CFG else command_id(command, cfg)}-{'.'.join(path)}")
+    for command, cfg, path, value, named in [
+        *[(command, cfg, ("bands", leaf), value, "bands")
+          for command, cfg in [("rate-scan", RATE_CFG), ("rate-scan", COMPARATOR_CFG)]
+          for leaf, value in [("exact_slope", [1.85, 2.15]), ("exact_r2_min", 0.999),
+                              ("girsanov_slope", [0.85, 1.15]), ("slope_gap_min", 0.7)]],
+        *[("mixing-scan", MIX_CFG, ("bands", "mixing_slope", metric), band, "bands")
+          for metric, band in [("KL", [-0.75, -0.40]), ("TV", [-1.3, -0.8]), ("W2", [-1.3, -0.8])]],
+        *[("bound-eval", cfg, path, value, named)
+          for cfg in [BOUND_CFG, BOUND_ONE_ETA_CFG]
+          for path, value, named in [(("bands", "sweep_slope"), [1.9, 2.1], "bands"),
+                                     (("constants", "rho"), 0.5, "rho")]],
+    ]
+]
+
+
+@pytest.mark.parametrize("command, cfg, path, value, named", REMOVED_LEAVES)
+def test_removed_band_or_rho_leaf_exits_2_before_any_output(tmp_path, capsys, command, cfg, path, value, named):
+    code, out = run(tmp_path, command, with_value(cfg, path, value))
+    assert code == 2
+    assert f"unknown keys: {named}" in capsys.readouterr().err
     assert not out.exists()
 
 

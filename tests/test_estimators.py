@@ -23,6 +23,7 @@ from ulakit import (
     w2_empirical_1d,
     w2_gaussian,
 )
+from ulakit.estimators import fits_rate
 
 OU1 = make_model("ou", dim=1)
 
@@ -57,6 +58,33 @@ def test_rate_fit_rejects_bad_input():
         rate_fit([(0.1, 0.0), (0.2, 0.04), (0.4, 0.16)])
     with pytest.raises(InputError):
         rate_fit([(-0.1, 0.01), (0.2, 0.04), (0.4, 0.16)])
+
+
+# (step sizes, whether they span a rate fit): 3 distinct step sizes, however
+# many points repeat one.
+STEP_GRIDS = [
+    ([], False),
+    ([0.1], False),
+    ([0.2, 0.1], False),
+    ([0.1, 0.1, 0.1], False),
+    ([0.2, 0.1, 0.2], False),
+    ([0.2, 0.2, 0.1, 0.1], False),
+    ([0.4, 0.2, 0.1], True),
+    ([0.4, 0.2, 0.2, 0.1], True),
+    ([0.1, 0.1, 0.1, 0.2, 0.3], True),
+    ([0.1, math.nextafter(0.1, 1.0), 0.2], True),
+]
+
+
+@pytest.mark.parametrize("etas, fits", STEP_GRIDS, ids=lambda v: repr(v) if isinstance(v, list) else None)
+def test_rate_fit_needs_3_distinct_step_sizes(etas, fits):
+    points = [(eta, eta * eta) for eta in etas]
+    assert fits_rate(points) is fits
+    if fits:
+        assert rate_fit(points).slope == pytest.approx(2.0, abs=1e-6)
+    else:
+        with pytest.raises(InputError, match="3 distinct step sizes"):
+            rate_fit(points)
 
 
 @given(
