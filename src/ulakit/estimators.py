@@ -29,6 +29,8 @@ def _points(samples) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise InputError("samples must be an (n, d) array or SampleEnsemble")
+    if not np.all(np.isfinite(pts)):
+        raise InputError("samples must be finite")
     return pts
 
 
@@ -72,6 +74,50 @@ def rate_fit(points) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=min(max(r2, 0.0), 1.0), points=tuple(pts))
 
 
+def _kth_of_union(left, right, k: int) -> np.ndarray:
+    """Per point, the k-th smallest of the union of the gaps left(1..k) and
+    right(1..k), each ascending in j: min over j = 0..k of
+    max(left(j), right(k - j)), a side's gap 0 being -inf."""
+    kth = np.minimum(left(k), right(k))
+    for j in range(1, k):
+        kth = np.minimum(kth, np.maximum(left(j), right(k - j)))
+    return kth
+
+
+def _knn_distances(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of p, in p's order: (rho, nu), the k-th neighbour distance
+    within p (self excluded) and into q.
+
+    In dimension 1 they come from sorted arrays: the k nearest points on
+    either side of x are the k sorted neighbours on that side, so the k-th
+    distance is the k-th smallest of k left and k right gaps (+inf past an
+    end).  A gap is |fl(x - y)|; cKDTree's distance sqrt(fl((x - y)^2))
+    equals it exactly while the square is a normal float (gaps from about
+    1.5e-154 to 1.3e154), so there the two agree bitwise, ties and
+    duplicates included.  Below that (|x - y| < 1e-154, say) the tree's
+    square underflows and loses bits or becomes 0, while this path keeps the
+    exact gap.  Other dimensions query cKDTree.
+    """
+    if p.shape[1] > 1:
+        rho = cKDTree(p).query(p, k=k + 1)[0][:, k]
+        nu = cKDTree(q).query(p, k=k)[0]
+        return rho, nu[:, k - 1] if nu.ndim == 2 else nu
+    order = np.argsort(p[:, 0])
+    x = p[order, 0]
+    n = x.size
+    pad = np.full(k, np.inf)
+    # Padded so that a neighbour past either end is at distance +inf.
+    xs = np.concatenate([-pad, x, pad])
+    qs = np.concatenate([-pad, np.sort(q[:, 0]), pad])
+    # qs[at] is the first q point >= x, qs[at - 1] the last one below it.
+    at = np.searchsorted(qs, x, side="left")
+    rho_sorted = _kth_of_union(lambda j: x - xs[k - j : k - j + n], lambda j: xs[k + j : k + j + n] - x, k)
+    nu_sorted = _kth_of_union(lambda j: x - qs[at - j], lambda j: qs[at + j - 1] - x, k)
+    rho, nu = np.empty(n), np.empty(n)
+    rho[order], nu[order] = rho_sorted, nu_sorted
+    return rho, nu
+
+
 def knn_kl(samples_p, samples_q, k: int = 5) -> float:
     """k-nearest-neighbor two-sample KL estimate.
 
@@ -81,7 +127,9 @@ def knn_kl(samples_p, samples_q, k: int = 5) -> float:
         KL ~ (d/n) sum_i log(nu_k(i) / rho_k(i)) + log(m / (n - 1)).
 
     Mildly negative values are expected for nearby distributions.  Duplicate
-    points that give zero distances are jittered (with a warning).
+    points that give zero distances are jittered (with a warning).  The
+    distances come from a sorted-array search in dimension 1 and from cKDTree
+    otherwise (see _knn_distances).
     """
     p = _points(samples_p)
     q = _points(samples_q)
@@ -93,9 +141,7 @@ def knn_kl(samples_p, samples_q, k: int = 5) -> float:
         raise InputError("need at least 100 samples on each side")
     if not 1 <= k < n or k > m:
         raise InputError("neighbor count must satisfy 1 <= k < n and k <= m")
-    rho = cKDTree(p).query(p, k=k + 1)[0][:, k]
-    nu = cKDTree(q).query(p, k=k)[0]
-    nu = nu[:, k - 1] if nu.ndim == 2 else nu
+    rho, nu = _knn_distances(p, q, k)
     if float(rho.min()) == 0.0 or float(nu.min()) == 0.0:
         warnings.warn("duplicate points produced zero k-NN distances; jittering", stacklevel=2)
         rho = rho + KNN_JITTER
@@ -190,6 +236,7 @@ def girsanov_pathwise_kl(
             for i, x, bx in live:
                 tau = (j + 0.5) * etas[i] / m
                 xt = x + tau * bx + math.sqrt(tau) * xi
-                diff = bx - model.drift(xt)
-                totals[i] += (etas[i] / m) * float(np.mean(np.sum(diff * diff, axis=1)))
+                sq = np.square(bx - model.drift(xt))
+                # At d = 1 the row sum is the identity; the mean is bitwise the same without it.
+                totals[i] += (etas[i] / m) * float(np.mean(sq if model.dim == 1 else np.sum(sq, axis=1)))
     return [0.5 * total for total in totals]

@@ -4,8 +4,9 @@ The forward-Euler moment recursion, stepped one matrix product at a time;
 the mixing-scan first-crossing search done one step at a time on full
 moment matrices with the general-purpose distances; the noise block drawn
 from a freshly built Philox generator; the ensemble CSV written and read
-one value at a time; and the forward-Euler ensemble and the pathwise
-comparator each stepped by its own hand-written loop.
+one value at a time; the forward-Euler ensemble and the pathwise
+comparator each stepped by its own hand-written loop; and the k-NN
+distances queried from cKDTree in every dimension.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from ulakit import bounds as bnd
@@ -147,3 +149,10 @@ def girsanov_pathwise_kl_loop(model, init, eta, T, n, master_seed, quad_points_p
         x = x + eta * bx + math.sqrt(eta) * noise_block(master_seed, k, SUB_EM, n, d)
         _in_range(x)
     return 0.5 * total
+
+
+def knn_distances_ckdtree(p, q, k):
+    """(rho, nu) of estimators._knn_distances, queried from cKDTree in any dimension."""
+    rho = cKDTree(p).query(p, k=k + 1)[0][:, k]
+    nu = cKDTree(q).query(p, k=k)[0]
+    return rho, nu[:, k - 1] if nu.ndim == 2 else nu

@@ -1127,7 +1127,7 @@ def test_estimate_records_absolute_input_paths(tmp_path):
 
 # Configs a command rejects, as (command, config, a fragment of the message);
 # each exits 2 before --out exists.  "s.csv" is an ensemble CSV next to the
-# config.
+# config, and "nan.csv" one whose last point is nan.
 REJECTED_CONFIGS = {
     "rate-scan-empty-grid": ("rate-scan", dict(RATE_CFG, eta_grid=[]), "eta_grid"),
     "rate-scan-eta-outside-window": ("rate-scan", dict(RATE_CFG, eta_grid=[0.2, 0.1, 0.6]), "step size 0.6"),
@@ -1199,6 +1199,10 @@ REJECTED_CONFIGS = {
     "estimate-rate-fit-repeated-eta": (
         "estimate", dict(RATE_FIT_CFG, points=[[0.1, 0.01], [0.1, 0.011], [0.1, 0.012]]), "3 distinct step sizes",
     ),
+    # The histogram binned the nan nowhere and reported TV 0.
+    "estimate-tv-histogram-nan": (
+        "estimate", {"estimator": "tv_histogram", "inputs": {"p": "nan.csv", "q": "nan.csv"}}, "samples must be finite",
+    ),
 }
 
 
@@ -1206,6 +1210,8 @@ REJECTED_CONFIGS = {
 def test_rejected_config_exits_2_without_output_directory(tmp_path, capsys, case):
     command, cfg, named = REJECTED_CONFIGS[case]
     write_ensemble_csv(SampleEnsemble(1.0, 0.1, np.linspace(-1.0, 1.0, 20), 0), tmp_path / "s.csv")
+    nan_points = np.append(np.linspace(-1.0, 1.0, 19), np.nan)[:, None]
+    write_ensemble_csv(SampleEnsemble(1.0, 0.1, nan_points, 0), tmp_path / "nan.csv")
     code, out = run(tmp_path, command, cfg)
     assert code == 2
     assert named in capsys.readouterr().err

@@ -1,10 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from slow_paths import knn_distances_ckdtree
 
 from ulakit import (
     GaussianMoments,
@@ -23,6 +26,7 @@ from ulakit import (
     w2_empirical_1d,
     w2_gaussian,
 )
+from ulakit import estimators as est
 from ulakit.estimators import fits_rate
 
 OU1 = make_model("ou", dim=1)
@@ -147,11 +151,87 @@ def test_knn_kl_input_validation():
         knn_kl(big, big, k=0)
 
 
+@st.composite
+def knn_1d_cases(draw):
+    """(p, q, k) of 1-D samples near the 100-point minimum, k one of 1, m and
+    n - 1, unsorted, optionally rounded so that ties and duplicates
+    occur, with q inside, across, above or below p's range."""
+    kind = draw(st.sampled_from(["1", "m", "n-1"]))
+    size = draw(st.integers(100, 130))
+    extra = draw(st.integers(0, 30))
+    if kind == "m":
+        m, n = size, size + 1 + extra
+    elif kind == "n-1":
+        n, m = size + 1, size + extra
+    else:
+        n, m = size, draw(st.integers(100, 130))
+    k = {"1": 1, "m": m, "n-1": n - 1}[kind]
+    scale, shift = draw(st.sampled_from([(0.3, 0.0), (1.0, 1.5), (1.0, 10.0), (1.0, -10.0)]))
+    decimals = draw(st.sampled_from([None, 2, 1, 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.standard_normal((n, 1))
+    q = scale * rng.standard_normal((m, 1)) + shift
+    if decimals is not None:
+        p, q = np.round(p, decimals), np.round(q, decimals)
+    return p, q, k
+
+
+@settings(deadline=None)
+@given(knn_1d_cases())
+def test_knn_distances_1d_equal_ckdtree_bitwise(case):
+    p, q, k = case
+    rho, nu = est._knn_distances(p, q, k)
+    tree_rho, tree_nu = knn_distances_ckdtree(p, q, k)
+    assert np.array_equal(rho, tree_rho)
+    assert np.array_equal(nu, tree_nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rounded draws repeat points
+        value = knn_kl(p, q, k=k)
+        with mock.patch.object(est, "_knn_distances", knn_distances_ckdtree):
+            tree_value = knn_kl(p, q, k=k)
+    assert value == tree_value
+
+
+def test_knn_distances_1d_exact_where_tree_square_underflows():
+    # Gaps of 1e-160 and 2e-160 square to subnormals, which the tree's
+    # sqrt(fl(r^2)) does not invert; the sorted path gives |fl(x - y)|.
+    tiny = np.array([0.0, 1e-160])
+    p = np.concatenate([tiny, 10.0 + np.arange(98.0)])[:, None]
+    q = np.concatenate([[3e-160], -10.0 - np.arange(99.0)])[:, None]
+    assert 2e-160**2 < np.finfo(float).tiny
+    rho, nu = est._knn_distances(p, q, 1)
+    assert rho[0] == rho[1] == 1e-160
+    assert nu[0] == 3e-160 and nu[1] == 3e-160 - 1e-160
+    tree_rho, tree_nu = knn_distances_ckdtree(p, q, 1)
+    assert np.array_equal(rho[2:], tree_rho[2:]) and np.array_equal(nu[2:], tree_nu[2:])
+
+
 def test_knn_kl_accepts_ensembles():
     rng = np.random.default_rng(113)
     p = SampleEnsemble(time=0.0, eta=0.1, points=rng.standard_normal((500, 1)), master_seed=0)
     q = SampleEnsemble(time=0.0, eta=0.1, points=rng.standard_normal((500, 1)), master_seed=1)
     assert np.isfinite(knn_kl(p, q))
+
+
+# --- non-finite samples -----------------------------------------------------------
+
+SAMPLE_ESTIMATORS = {
+    "knn_kl": lambda p, q: knn_kl(p, q),
+    "w2_empirical_1d": w2_empirical_1d,
+    "tv_histogram": tv_histogram,
+    "moment_estimate": lambda p, q: moment_estimate(p, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(SAMPLE_ESTIMATORS))
+def test_estimators_reject_non_finite_samples(name, bad):
+    # The parent gave TV 0.0 and W2 and moments of nan for one nan point.
+    rng = np.random.default_rng(191)
+    p = rng.standard_normal((200, 1))
+    p[17, 0] = bad
+    with pytest.raises(InputError, match="samples must be finite"):
+        SAMPLE_ESTIMATORS[name](p, rng.standard_normal((200, 1)))
 
 
 # --- w2_empirical_1d ---------------------------------------------------------------
