@@ -8,7 +8,6 @@ and mixing-time rules.
 
 from .bounds import (
     BoundConstants,
-    MixingPrediction,
     avg_fisher_bound,
     kl_bound_dissipative_terms,
     kl_bound_nonneg_potential_terms,

@@ -103,11 +103,15 @@ def check_step(eta: float, L1: float, enforce_window: bool = True) -> None:
         )
 
 
+def _check_dim(d: int) -> None:
+    if d < 1 or int(d) != d:
+        raise ConfigurationError("dimension must be a positive integer")
+
+
 def _check_horizon_dim(T: float, d: int) -> None:
     if not (np.isfinite(T) and T > 0):
         raise ConfigurationError("horizon must be positive")
-    if d < 1 or int(d) != d:
-        raise ConfigurationError("dimension must be a positive integer")
+    _check_dim(d)
 
 
 def _bound_terms(c: BoundConstants, eta: float, T: float, d: int, extra: dict,
@@ -248,8 +252,7 @@ def step_size_rule(eps: float, rho: float, d: int) -> float:
     """
     if eps <= 0:
         raise ConfigurationError("accuracy eps must be positive")
-    if d < 1 or int(d) != d:
-        raise ConfigurationError("dimension must be a positive integer")
+    _check_dim(d)
     if not 0.0 < rho < 1.0:
         raise ConfigurationError(
             "step-size rule requires rho in (0, 1); for rho >= 1 supply eta directly"
@@ -257,35 +260,26 @@ def step_size_rule(eps: float, rho: float, d: int) -> float:
     return math.sqrt(eps * rho) / (d * math.log(1.0 / rho))
 
 
-@dataclass(frozen=True)
-class MixingPrediction:
-    steps: float
-    metric: str
-    note: str = LOG_FACTOR_NOTE
-
-
-def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> MixingPrediction:
-    """Order prediction for the first grid index with dist(hat_pi, target) <= eps:
+def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> float:
+    """Order prediction of the steps to the first grid index with
+    dist(hat_pi, target) <= eps:
 
         KL: eps^-1/2 d rho^-3/2        TV: d eps^-1 rho^-3/2
         W2: d eps^-1 rho^-5/2
 
-    Polylog factors are reported in the note, not folded in.
+    Polylog factors are not folded in; LOG_FACTOR_NOTE names them.
     """
     if eps <= 0 or rho <= 0:
         raise ConfigurationError("eps and rho must be positive")
-    if d < 1 or int(d) != d:
-        raise ConfigurationError("dimension must be a positive integer")
+    _check_dim(d)
     key = metric.upper()
     if key == "KL":
-        val = eps**-0.5 * d * rho**-1.5
-    elif key == "TV":
-        val = d * eps**-1.0 * rho**-1.5
-    elif key == "W2":
-        val = d * eps**-1.0 * rho**-2.5
-    else:
-        raise InputError(f"unknown metric {metric!r}; choose from KL, TV, W2")
-    return MixingPrediction(steps=val, metric=key)
+        return eps**-0.5 * d * rho**-1.5
+    if key == "TV":
+        return d * eps**-1.0 * rho**-1.5
+    if key == "W2":
+        return d * eps**-1.0 * rho**-2.5
+    raise InputError(f"unknown metric {metric!r}; choose from KL, TV, W2")
 
 
 def moment_bound_dissipative(

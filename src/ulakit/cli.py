@@ -66,7 +66,7 @@ def read_config(command: str, cfg: dict) -> dict:
     table of its estimator."""
     table = COMMANDS[command]
     if command == "estimate" and "estimator" in cfg:
-        table = ESTIMATORS[read_estimator(cfg["estimator"], "estimator")]
+        table = ESTIMATORS[read_choice(cfg["estimator"], "estimator", ESTIMATORS)]
     return read_table(table, cfg)
 
 
@@ -156,32 +156,11 @@ def read_array(value, key: str) -> np.ndarray:
         raise ConfigurationError(f"{key} has rows of different lengths") from None
 
 
-def read_model_name(value, key: str) -> str:
-    if value not in dm.registered_models():
-        raise ConfigurationError(
-            f"{key} must be a registered model ({', '.join(dm.registered_models())}), got {value!r}"
-        )
-    return value
-
-
-def read_metric(value, key: str) -> str:
-    """value, upper-cased, a key of MIXING_METRICS."""
-    metric = str(value).upper()
-    if metric not in MIXING_METRICS:
-        raise ConfigurationError(f"{key} must be one of KL, TV, W2, got {value!r}")
-    return metric
-
-
-def read_theorem(value, key: str) -> int:
-    theorem = read_int(value, key)
-    if theorem not in (1, 2):
-        raise ConfigurationError(f"{key} must be 1 (dissipative) or 2 (non-negative potential), got {value!r}")
-    return theorem
-
-
-def read_estimator(value, key: str) -> str:
-    if not isinstance(value, str) or value not in ESTIMATORS:
-        raise ConfigurationError(f"unknown {key} {value!r}; known: {', '.join(ESTIMATORS)}")
+def read_choice(value, key: str, choices) -> str:
+    """value, a string spelled exactly as one of choices; anything else,
+    another case or type included, is rejected."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigurationError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -468,10 +447,9 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
                 f"no crossing within max_steps={max_steps} for eps={eps}; "
                 "the discretization bias floor may exceed eps"
             )
-        pred = bnd.mixing_time_predict(eps, rho, d, metric)
         records.append({
             "eps": eps, "eta": eta, "n_measured": n_measured,
-            "n_predicted": pred.steps, "note": pred.note,
+            "n_predicted": bnd.mixing_time_predict(eps, rho, d, metric), "note": bnd.LOG_FACTOR_NOTE,
         })
     rows = [[rec["eps"], rec["eta"], rec["n_measured"], rec["n_predicted"]] for rec in records]
     csv = ("mixing_scan.csv", lambda path: sp.write_csv(path, ["eps", "eta_used", "N_measured", "N_predicted"], rows))
@@ -715,8 +693,9 @@ def cmd_bound_eval(cfg: dict) -> Outcome:
 
 SEED = (read_seed, 0)
 # The builders' own defaults apply to the params a config leaves out, as the
-# estimators' do to theirs.
-MODEL = {"name": (read_model_name, REQUIRED), "params": ({
+# estimators' do to theirs.  The model registry and ESTIMATORS (defined
+# below) are looked up when a config is read.
+MODEL = {"name": (lambda value, key: read_choice(value, key, dm.registered_models()), REQUIRED), "params": ({
     "dim": (read_int,), "rate": (read_number,), "separation": (read_number,),
     "matrix": (read_array,), "offset": (read_array,),
 }, {})}
@@ -734,7 +713,8 @@ COMMANDS = {
         "target": ({"mean": (read_array, REQUIRED), "cov": (read_array, REQUIRED)}, REQUIRED),
         "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED),
         "eps_grid": (partial(read_floats, positive=True), REQUIRED),
-        "metric": (read_metric, "KL"), "max_steps": (partial(read_int, minimum=1), 10**6),
+        "metric": (partial(read_choice, choices=MIXING_METRICS), "KL"),
+        "max_steps": (partial(read_int, minimum=1), 10**6),
         "seed": SEED,
     },
     "verify": {"model": (MODEL, REQUIRED), "init": (INIT, {"sigma0": 1.0}), "seed": SEED},
@@ -743,13 +723,14 @@ COMMANDS = {
         "horizon": (partial(read_number, positive=True), REQUIRED), "chains": (partial(read_int, minimum=1), REQUIRED),
         "snapshot_times": (read_floats,), "allow_outside_window": (read_bool, False), "seed": SEED,
     },
-    "estimate": {"estimator": (read_estimator, REQUIRED), "inputs": (read_inputs,), "params": ({}, {}), "seed": SEED},
+    "estimate": {"estimator": (lambda value, key: read_choice(value, key, ESTIMATORS), REQUIRED),
+                 "inputs": (read_inputs,), "params": ({}, {}), "seed": SEED},
     "bound-eval": {
         "constants": ({
             f.name: (read_number, REQUIRED) if f.default is dataclasses.MISSING else (read_number,)
             for f in dataclasses.fields(bnd.BoundConstants)
         }, REQUIRED),
-        "theorem": (read_theorem, 1), "eta": (read_number,), "eta_grid": (read_floats,),
+        "theorem": (partial(read_int, minimum=1, maximum=2), 1), "eta": (read_number,), "eta_grid": (read_floats,),
         "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
         "seed": SEED,
     },

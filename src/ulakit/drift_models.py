@@ -275,22 +275,29 @@ def zero_drift(dim: int = 1) -> DriftModel:
     return _linear_model("zero", LinearDrift(np.zeros((dim, dim)), np.zeros(dim)), {"dim": dim})
 
 
-def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float = 1.0) -> DriftModel:
+def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float | None = None) -> DriftModel:
     """Linear drift b(x) = A x + c with A symmetric negative definite.
 
-    Defaults to A = -rate I.  This is the drift -grad(U)/2 of the Gaussian
-    target with potential U(x) = x^T (-A) x - 2 c^T x (up to constants), and
-    the one model family on which every quantity here has a closed form.
+    Defaults to A = -rate I (rate 1); a given matrix takes no rate, and a
+    dim given with it must be its size.  This is the drift -grad(U)/2 of the
+    Gaussian target with potential U(x) = x^T (-A) x - 2 c^T x (up to
+    constants), and the one model family on which every quantity here has a
+    closed form.
     """
     if matrix is None:
         if dim is None:
             raise InputError("ou model needs either dim or an explicit matrix")
         dim = _check_dim(dim)
+        rate = 1.0 if rate is None else rate
         if rate <= 0:
             raise InputError("rate must be positive")
         matrix = -float(rate) * np.eye(dim)
+    elif rate is not None:
+        raise InputError("ou model takes rate or matrix, not both")
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     linear = LinearDrift(A, np.zeros(len(A)) if offset is None else offset)
+    if dim is not None and dim != linear.dim:
+        raise InputError(f"ou dim {dim} differs from the matrix size {linear.dim}")
     params = {"dim": linear.dim, "matrix": linear.A.tolist(), "offset": linear.c.tolist()}
     model = _linear_model("ou", linear, params)
     if model.constants.dissipativity is None:

@@ -1,8 +1,9 @@
 """Sample-based divergences, moments, log-log rate fits, and the pathwise
 Girsanov comparator.
 
-Estimators act on ensembles (or raw (n, d) arrays) and reduce in a fixed
-deterministic order, so repeated runs on the same inputs agree bitwise.
+Estimators act on ensembles or raw arrays, both shaped by sample_points (a
+1-D array is n points of dimension 1), and reduce in a fixed deterministic
+order, so repeated runs on the same inputs agree bitwise.
 """
 
 from __future__ import annotations
@@ -12,26 +13,29 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .drift_models import DriftModel
 from .errors import InputError, UnsupportedError
 # perfbench's tracer wraps estimators.noise_block and estimators._guard by name; keep both importable.
-from .samplers import MAX_QUAD_POINTS, InitDensity, _guard, em_chain, noise_block  # noqa: F401
+from .samplers import MAX_QUAD_POINTS, InitDensity, _guard, em_chain, noise_block, sample_points  # noqa: F401
 
 KNN_JITTER = 1e-12
 
 
 def _points(samples) -> np.ndarray:
-    pts = getattr(samples, "points", samples)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2:
-        raise InputError("samples must be an (n, d) array or SampleEnsemble")
+    """The finite points of an ensemble or array, shaped by sample_points."""
+    pts = sample_points(getattr(samples, "points", samples))
     if not np.all(np.isfinite(pts)):
         raise InputError("samples must be finite")
     return pts
+
+
+def _pair(samples_p, samples_q) -> tuple[np.ndarray, np.ndarray]:
+    """The points of two samples of one dimension."""
+    p, q = _points(samples_p), _points(samples_q)
+    if p.shape[1] != q.shape[1]:
+        raise InputError("sample dimensions differ")
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ def _knn_distances(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     exact gap.  Other dimensions query cKDTree.
     """
     if p.shape[1] > 1:
+        from scipy.spatial import cKDTree  # imported here: no other path needs it
         rho = cKDTree(p).query(p, k=k + 1)[0][:, k]
         nu = cKDTree(q).query(p, k=k)[0]
         return rho, nu[:, k - 1] if nu.ndim == 2 else nu
@@ -131,10 +136,7 @@ def knn_kl(samples_p, samples_q, k: int = 5) -> float:
     distances come from a sorted-array search in dimension 1 and from cKDTree
     otherwise (see _knn_distances).
     """
-    p = _points(samples_p)
-    q = _points(samples_q)
-    if p.shape[1] != q.shape[1]:
-        raise InputError("sample dimensions differ")
+    p, q = _pair(samples_p, samples_q)
     n, d = p.shape
     m = q.shape[0]
     if n < 100 or m < 100:
@@ -169,10 +171,7 @@ def tv_histogram(samples_p, samples_q, bins_per_dim: int = 64) -> float:
     Bin range per axis is the pooled [min, max] intersected with the pooled
     mean +- 6 standard deviations; outliers are clipped into the edge bins.
     """
-    p = _points(samples_p)
-    q = _points(samples_q)
-    if p.shape[1] != q.shape[1]:
-        raise InputError("sample dimensions differ")
+    p, q = _pair(samples_p, samples_q)
     d = p.shape[1]
     if d > 2:
         raise UnsupportedError("histogram TV is implemented for dim <= 2 only")

@@ -31,6 +31,15 @@ _SYM_TOL = 1e-12
 _EIG_FLOOR = 1e-14
 
 
+def _symmetrized(M: np.ndarray, error: type, message: str) -> np.ndarray:
+    """0.5 (M + M^T), once M is symmetric within _SYM_TOL times its largest
+    entry (at least 1); error(message) when it is not."""
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if float(np.max(np.abs(M - M.T))) > _SYM_TOL * scale:
+        raise error(message)
+    return 0.5 * (M + M.T)
+
+
 @dataclass(frozen=True)
 class GaussianMoments:
     """Mean vector and symmetric positive-definite covariance matrix."""
@@ -49,10 +58,7 @@ class GaussianMoments:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InputError("moments must be finite")
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if float(np.max(np.abs(cov - cov.T))) > _SYM_TOL * scale:
-            raise InputError("covariance must be symmetric within 1e-12")
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetrized(cov, InputError, "covariance must be symmetric within 1e-12")
         if float(np.linalg.eigvalsh(cov).min()) <= 0.0:
             raise InputError("covariance must be positive definite")
         mean = mean.copy()
@@ -84,15 +90,12 @@ class LinearDrift:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("A must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(A))))
-        if float(np.max(np.abs(A - A.T))) > _SYM_TOL * scale:
-            raise UnsupportedError("closed forms require symmetric A")
+        A = _symmetrized(A, UnsupportedError, "closed forms require symmetric A")
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.shape != (A.shape[0],):
             raise InputError("offset dimension does not match A")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(c))):
             raise InputError("drift coefficients must be finite")
-        A = 0.5 * (A + A.T)
         A.setflags(write=False)
         c = c.copy()
         c.setflags(write=False)

@@ -135,10 +135,22 @@ class InitDensity:
         return self.mean + self.sigma0 * noise_block(master_seed, -1, SUB_INIT, n, self.dim)
 
 
+def sample_points(points) -> np.ndarray:
+    """points as a float (n, d) array of n points: a 1-D array is n points
+    of dimension 1, and any rank other than 1 or 2 is an InputError."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        return pts[:, None]
+    if pts.ndim != 2:
+        raise InputError("samples must be an (n, d) array or SampleEnsemble")
+    return pts
+
+
 @dataclass(frozen=True)
 class SampleEnsemble:
     """n i.i.d. chain states at a fixed time, with seed lineage (None for
-    an ensemble read back without its sidecar)."""
+    an ensemble read back without its sidecar).  points are read by
+    sample_points, so a 1-D array is n chains of dimension 1."""
 
     time: float
     eta: float | None
@@ -147,8 +159,7 @@ class SampleEnsemble:
     label: str = "em"
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        pts = pts.copy()
+        pts = sample_points(self.points).copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

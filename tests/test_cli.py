@@ -1127,7 +1127,8 @@ def test_estimate_records_absolute_input_paths(tmp_path):
 
 # Configs a command rejects, as (command, config, a fragment of the message);
 # each exits 2 before --out exists.  "s.csv" is an ensemble CSV next to the
-# config, and "nan.csv" one whose last point is nan.
+# config, built from a 1-D array and so 20 chains of dimension 1, and
+# "nan.csv" one whose last point is nan.
 REJECTED_CONFIGS = {
     "rate-scan-empty-grid": ("rate-scan", dict(RATE_CFG, eta_grid=[]), "eta_grid"),
     "rate-scan-eta-outside-window": ("rate-scan", dict(RATE_CFG, eta_grid=[0.2, 0.1, 0.6]), "step size 0.6"),
@@ -1159,7 +1160,7 @@ REJECTED_CONFIGS = {
         "estimate",
         {"estimator": "girsanov_pathwise_kl", "model": {"name": "ou", "params": {"dim": 1}},
          "init": {"mean": [1.0], "sigma0": 1.0}, "eta": 0.1, "horizon": 1.0, "chains": 200},
-        "known: knn_kl, w2_empirical_1d, tv_histogram, moment_estimate, rate_fit",
+        "estimator must be one of knn_kl, w2_empirical_1d, tv_histogram, moment_estimate, rate_fit",
     ),
     "sample-snapshot-past-horizon": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 2.0]), "snapshot time 2.0"),
     "sample-negative-horizon": ("sample", dict(SAMPLE_CFG, horizon=-1.0), "horizon"),
@@ -1202,6 +1203,21 @@ REJECTED_CONFIGS = {
     # The histogram binned the nan nowhere and reported TV 0.
     "estimate-tv-histogram-nan": (
         "estimate", {"estimator": "tv_histogram", "inputs": {"p": "nan.csv", "q": "nan.csv"}}, "samples must be finite",
+    ),
+    # A choice is spelled exactly: "kl" once ran as KL.
+    "mixing-scan-lowercase-metric": ("mixing-scan", dict(MIX_CFG, metric="kl"), "metric must be one of KL, TV, W2"),
+    "estimate-list-estimator": (
+        "estimate", {"estimator": ["knn_kl"], "inputs": {"p": "s.csv", "q": "s.csv"}}, "estimator must be one of",
+    ),
+    "bound-eval-theorem-3": ("bound-eval", dict(BOUND_CFG, theorem=3), "theorem must be an integer in [1, 2]"),
+    # ou with a matrix once dropped dim and rate, running at d=1 and rate 1.
+    "rate-scan-ou-dim-and-matrix": (
+        "rate-scan", dict(RATE_CFG, model={"name": "ou", "params": {"dim": 3, "matrix": [[-1.0]]}}),
+        "ou dim 3 differs from the matrix size 1",
+    ),
+    "rate-scan-ou-rate-and-matrix": (
+        "rate-scan", dict(RATE_CFG, model={"name": "ou", "params": {"rate": 5.0, "matrix": [[-1.0]]}}),
+        "rate or matrix",
     ),
 }
 

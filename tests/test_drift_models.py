@@ -309,6 +309,15 @@ def test_ou_rejects_non_negative_definite():
         make_model("ou", matrix=[[1.0]])
 
 
+def test_ou_with_a_matrix_rejects_the_parameters_it_would_ignore():
+    A = [[-2.0, 0.5], [0.5, -1.0]]
+    assert make_model("ou", dim=2, matrix=A).params == make_model("ou", matrix=A).params
+    with pytest.raises(InputError, match="ou dim 3 differs from the matrix size 2"):
+        make_model("ou", dim=3, matrix=A)
+    with pytest.raises(InputError, match="rate or matrix"):
+        make_model("ou", rate=1.0, matrix=A)
+
+
 @given(st.floats(min_value=-5, max_value=5), st.floats(min_value=-5, max_value=5))
 def test_double_well_drift_is_odd(a, b):
     m = make_model("double-well", dim=2)
