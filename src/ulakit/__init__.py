@@ -33,13 +33,7 @@ from .drift_models import (
     verify_init,
     zero_drift,
 )
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    InputError,
-    ModelError,
-    UnsupportedError,
-)
+from .errors import DivergenceError, InputError, ModelError
 from .estimators import (
     RateFit,
     girsanov_pathwise_kl,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 
 # The order predictions hide polylogarithmic factors; they are reported as an
 # annotation, never multiplied in.
@@ -51,30 +51,28 @@ class BoundConstants:
     c1: float = 1.0
 
     def __post_init__(self):
-        for name in ("L1", "L2", "A0"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise InputError(f"{name} must be finite and nonnegative")
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise InputError("sigma0 must be positive")
+        check_fields(self, "nonnegative", "L1", "L2", "A0", "beta", "f0")
+        check_fields(self, "positive", "sigma0", "mu", "c0", "c1")
+        check_fields(self, "finite", "h0", "entropy0")
         finite_square(self.sigma0, "sigma0")
-        for name in ("h0", "entropy0"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite")
-        if self.mu is not None and not (np.isfinite(self.mu) and self.mu > 0):
-            raise InputError("mu must be positive")
-        if self.beta is not None and not (np.isfinite(self.beta) and self.beta >= 0):
-            raise InputError("beta must be nonnegative")
-        if self.f0 is not None and not (np.isfinite(self.f0) and self.f0 >= 0):
-            raise InputError("f0 must be nonnegative")
-        for name in ("c0", "c1"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise InputError(f"{name} must be positive")
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if getattr(self, n) is None]
         if missing:
-            raise ConfigurationError("missing constants: " + ", ".join(missing))
+            raise InputError("missing constants: " + ", ".join(missing))
+
+
+def check_fields(constants, rule: str, *names: str) -> None:
+    """InputError naming the first of the named fields of the dataclass
+    constants that is not finite or breaks rule: "finite" asks nothing
+    more, "nonnegative" asks >= 0 and "positive" > 0.  A field left at its
+    default None passes."""
+    for name in names:
+        value = getattr(constants, name)
+        if value is None and constants.__dataclass_fields__[name].default is None:
+            continue
+        if not (np.isfinite(value) and {"finite": True, "nonnegative": value >= 0, "positive": value > 0}[rule]):
+            raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
 
 
 def finite_square(value: float, name: str) -> float:
@@ -95,23 +93,25 @@ def step_window(L1: float) -> tuple[float, float]:
 def check_step(eta: float, L1: float, enforce_window: bool = True) -> None:
     """Reject a nonpositive step, and (when enforced) one outside step_window."""
     if not (np.isfinite(eta) and eta > 0):
-        raise ConfigurationError("step size must be positive")
+        raise InputError("step size must be positive")
     hi = step_window(L1)[1]
     if enforce_window and eta >= hi:
-        raise ConfigurationError(
+        raise InputError(
             f"step size {eta} outside the admissible window (0, {hi}) for L1={L1}"
         )
 
 
-def _check_dim(d: int) -> None:
-    if d < 1 or int(d) != d:
-        raise ConfigurationError("dimension must be a positive integer")
+def check_dim(d) -> int:
+    """d as an int; InputError unless it is a positive integer."""
+    if not (np.isfinite(d) and d >= 1 and int(d) == d):
+        raise InputError("dimension must be a positive integer")
+    return int(d)
 
 
-def _check_horizon_dim(T: float, d: int) -> None:
+def check_horizon(T: float) -> None:
+    """InputError unless the horizon T is finite and positive."""
     if not (np.isfinite(T) and T > 0):
-        raise ConfigurationError("horizon must be positive")
-    _check_dim(d)
+        raise InputError("horizon must be finite and positive")
 
 
 def _bound_terms(c: BoundConstants, eta: float, T: float, d: int, extra: dict,
@@ -149,7 +149,8 @@ def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) 
         + c1 eta^4 L2^2 [ A0^4 + L1^4 (sigma0^2 d + (beta + d)^2/mu + d^2) ].
     """
     check_step(eta, c.L1)
-    _check_horizon_dim(T, d)
+    check_horizon(T)
+    check_dim(d)
     c.require("mu", "beta")
     return _bound_terms(
         c, eta, T, d, {"h0": c.h0, "entropy0": c.entropy0},
@@ -170,7 +171,8 @@ def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: 
                                         + L1^2 T^4 d^2) ].
     """
     check_step(eta, c.L1)
-    _check_horizon_dim(T, d)
+    check_horizon(T)
+    check_dim(d)
     c.require("f0")
     return _bound_terms(
         c, eta, T, d, {},
@@ -199,8 +201,7 @@ def kl_derivative_bound(
     tau = float(t_offset)
     if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
         raise InputError("t_offset must lie in [0, eta]")
-    if d < 1:
-        raise InputError("dimension must be positive")
+    check_dim(d)
     if fisher_prev < 0 or fourth_moment_prev < 0:
         raise InputError("moment inputs must be nonnegative")
     return (
@@ -225,7 +226,8 @@ def avg_fisher_bound(
         (32 h0 + 128 A0^2 T + H0) + 32 sigma0^-2 sup_t E||X_t||^2
         + 128 L1^2 int_0^T E||X_t||^2 dt + 32 eta^2 d^2 L2^2 T.
     """
-    _check_horizon_dim(T, d)
+    check_horizon(T)
+    check_dim(d)
     if eta <= 0:
         raise InputError("step size must be positive")
     ratio = T / eta
@@ -251,10 +253,10 @@ def step_size_rule(eps: float, rho: float, d: int) -> float:
     undefined; supply the step size directly in that regime.
     """
     if eps <= 0:
-        raise ConfigurationError("accuracy eps must be positive")
-    _check_dim(d)
+        raise InputError("accuracy eps must be positive")
+    check_dim(d)
     if not 0.0 < rho < 1.0:
-        raise ConfigurationError(
+        raise InputError(
             "step-size rule requires rho in (0, 1); for rho >= 1 supply eta directly"
         )
     return math.sqrt(eps * rho) / (d * math.log(1.0 / rho))
@@ -262,7 +264,7 @@ def step_size_rule(eps: float, rho: float, d: int) -> float:
 
 def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> float:
     """Order prediction of the steps to the first grid index with
-    dist(hat_pi, target) <= eps:
+    dist(hat_pi, target) <= eps, for metric spelled exactly KL, TV or W2:
 
         KL: eps^-1/2 d rho^-3/2        TV: d eps^-1 rho^-3/2
         W2: d eps^-1 rho^-5/2
@@ -270,14 +272,13 @@ def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> float:
     Polylog factors are not folded in; LOG_FACTOR_NOTE names them.
     """
     if eps <= 0 or rho <= 0:
-        raise ConfigurationError("eps and rho must be positive")
-    _check_dim(d)
-    key = metric.upper()
-    if key == "KL":
+        raise InputError("eps and rho must be positive")
+    check_dim(d)
+    if metric == "KL":
         return eps**-0.5 * d * rho**-1.5
-    if key == "TV":
+    if metric == "TV":
         return d * eps**-1.0 * rho**-1.5
-    if key == "W2":
+    if metric == "W2":
         return d * eps**-1.0 * rho**-2.5
     raise InputError(f"unknown metric {metric!r}; choose from KL, TV, W2")
 
@@ -291,8 +292,9 @@ def moment_bound_dissipative(
         raise InputError("moment order must be >= 1")
     if mu <= 0 or beta < 0:
         raise InputError("need mu > 0 and beta >= 0")
-    if sigma0 <= 0 or d < 1:
-        raise InputError("need sigma0 > 0 and d >= 1")
+    if sigma0 <= 0:
+        raise InputError("sigma0 must be positive")
+    check_dim(d)
     if scale_constant <= 0:
         raise InputError("scale_constant must be positive")
     return scale_constant * (sigma0 * math.sqrt(p * d) + math.sqrt((p + beta + d) / mu))

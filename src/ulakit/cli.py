@@ -43,7 +43,7 @@ from . import drift_models as dm
 from . import estimators as est
 from . import gaussian_analytics as ga
 from . import samplers as sp
-from .errors import ConfigurationError, DivergenceError, InputError
+from .errors import DivergenceError, InputError
 
 # The default of a key the config must give.
 REQUIRED = object()
@@ -53,11 +53,11 @@ def load_config(path) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
+        raise InputError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        raise InputError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigurationError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     return cfg
 
 
@@ -77,17 +77,17 @@ def read_table(table: dict, entry, path: str = "") -> dict:
     A reader is a function (value, key) -> typed value, or the table of a
     nested map.  A default is read like a given value; REQUIRED marks a key
     entry must hold.  A missing or undeclared key, or a value its reader
-    rejects, is a ConfigurationError naming its dotted path.
+    rejects, is an InputError naming its dotted path.
     """
     where = path or "config"
     if not isinstance(entry, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
+        raise InputError(f"{where} must be a JSON object")
     missing = sorted(key for key, (_, *default) in table.items() if default == [REQUIRED] and key not in entry)
     if missing:
-        raise ConfigurationError(f"{where} lacks required keys: {', '.join(missing)}")
+        raise InputError(f"{where} lacks required keys: {', '.join(missing)}")
     unknown = sorted(entry.keys() - table.keys())
     if unknown:
-        raise ConfigurationError(f"{where} has unknown keys: {', '.join(unknown)}")
+        raise InputError(f"{where} has unknown keys: {', '.join(unknown)}")
     typed = {}
     for key, (reader, *default) in table.items():
         if key in entry or default:
@@ -104,7 +104,7 @@ def read_int(value, key: str, minimum: int | None = None, maximum: int | None = 
         isinstance(value, float) and not value.is_integer()
     ) or (minimum is not None and value < minimum) or (maximum is not None and value > maximum):
         bounds = "" if minimum is None else f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
-        raise ConfigurationError(f"{key} must be an integer{bounds}, got {value!r}")
+        raise InputError(f"{key} must be an integer{bounds}, got {value!r}")
     return int(value)
 
 
@@ -116,7 +116,7 @@ def read_seed(value, key: str) -> int:
 def read_bool(value, key: str) -> bool:
     """value, a JSON boolean; anything else, "false" included, is rejected."""
     if not isinstance(value, bool):
-        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
+        raise InputError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -125,20 +125,20 @@ def read_number(value, key: str, positive: bool = False) -> float:
     that is not finite as a float, or with positive one not above zero, is
     rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+        raise InputError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number) or (positive and not number > 0.0):
-        raise ConfigurationError(f"{key} must be finite{' and positive' * positive}, got {value!r}")
+        raise InputError(f"{key} must be finite{' and positive' * positive}, got {value!r}")
     return number
 
 
 def read_floats(value, key: str, positive: bool = False) -> list[float]:
     """value, a list, as floats each read by read_number."""
     if not isinstance(value, list):
-        raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+        raise InputError(f"{key} must be a list of numbers, got {value!r}")
     return [read_number(v, key, positive) for v in value]
 
 
@@ -153,14 +153,14 @@ def read_array(value, key: str) -> np.ndarray:
     try:
         return np.array(checked, dtype=float)
     except ValueError:
-        raise ConfigurationError(f"{key} has rows of different lengths") from None
+        raise InputError(f"{key} has rows of different lengths") from None
 
 
 def read_choice(value, key: str, choices) -> str:
     """value, a string spelled exactly as one of choices; anything else,
     another case or type included, is rejected."""
     if not (isinstance(value, str) and value in choices):
-        raise ConfigurationError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        raise InputError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -168,7 +168,7 @@ def read_inputs(value, key: str, names: tuple[str, ...] = ()) -> dict[str, str]:
     """value, a map from exactly the input names an estimator reads to CSV
     paths, in the order of names."""
     if not (isinstance(value, dict) and value.keys() == set(names) and all(isinstance(p, str) for p in value.values())):
-        raise ConfigurationError(f"{key} must map exactly {list(names)} to CSV paths, got {value!r}")
+        raise InputError(f"{key} must map exactly {list(names)} to CSV paths, got {value!r}")
     return {name: value[name] for name in names}
 
 
@@ -181,16 +181,16 @@ def build_model(entry: dict) -> dm.DriftModel:
     try:
         return dm.make_model(entry["name"], **entry["params"])
     except TypeError as exc:
-        raise ConfigurationError(f"bad model parameters: {exc}") from exc
+        raise InputError(f"bad model parameters: {exc}") from exc
 
 
 def chain_steps(eta: float, T: float, L1: float, key: str, enforce_window: bool = True) -> int:
-    """The steps of size eta within horizon T, after bounds.check_step; a
-    ConfigurationError naming key when eta takes no step."""
+    """The steps of size eta within horizon T, after bounds.check_step; an
+    InputError naming key when eta takes no step."""
     bnd.check_step(eta, L1, enforce_window)
     steps = sp.grid_steps(T, eta)
     if steps < 1:
-        raise ConfigurationError(f"{key} value {eta} takes no step within horizon={T}")
+        raise InputError(f"{key} value {eta} takes no step within horizon={T}")
     return steps
 
 
@@ -199,7 +199,7 @@ def build_init(entry: dict, dim: int) -> sp.InitDensity:
     if mean.ndim == 0:
         mean = np.full(dim, mean)
     if mean.shape != (dim,):
-        raise ConfigurationError(f"init mean must have dimension {dim}")
+        raise InputError(f"init mean must have dimension {dim}")
     return sp.InitDensity(mean=mean, sigma0=entry["sigma0"])
 
 
@@ -282,11 +282,11 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     init = build_init(cfg["init"], model.dim)
     etas = cfg["eta_grid"]
     if not etas:
-        raise ConfigurationError("eta_grid must be nonempty")
+        raise InputError("eta_grid must be nonempty")
     T, n_chains = cfg["horizon"], cfg["girsanov_chains"]
 
     if cfg["exact"] and model.linear is None:
-        raise ConfigurationError(
+        raise InputError(
             f"model {model.name!r} has no linear drift: the exact-KL column is unavailable; "
             "set exact=false and compare against a fine-step reference ensemble instead"
         )
@@ -377,14 +377,14 @@ BLOCK_ELEMENTS = 1 << 12
 
 
 def mixing_kl_tolerance(kl_tolerance, eps: float, rho: float) -> float:
-    """The KL tolerance of accuracy eps; a ConfigurationError when it
+    """The KL tolerance of accuracy eps; an InputError when it
     overflows."""
     try:
         tolerance = kl_tolerance(eps, rho)
     except OverflowError:
         tolerance = math.inf
     if tolerance == math.inf:
-        raise ConfigurationError(f"the KL tolerance of eps={eps} leaves the float range")
+        raise InputError(f"the KL tolerance of eps={eps} leaves the float range")
     return tolerance
 
 
@@ -443,7 +443,7 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
             bnd.check_step(eta, L1)
             n_measured = first_crossing(distance, gap, var0, eta, w, s, eps, max_steps)
         if n_measured is None:
-            raise ConfigurationError(
+            raise InputError(
                 f"no crossing within max_steps={max_steps} for eps={eps}; "
                 "the discretization bias floor may exceed eps"
             )
@@ -568,11 +568,8 @@ def cmd_sample(cfg: dict) -> Outcome:
     snaps = cfg.get("snapshot_times")
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # simulate_ensemble warns of off-grid times itself
+        warnings.simplefilter("ignore")  # simulate_ensemble warns of an off-grid horizon itself
         chain_steps(eta, cfg["horizon"], model.constants.L1, "eta", not cfg["allow_outside_window"])
-        snap_steps = [sp.grid_steps(t, eta) for t in snaps or ()]
-    if len(set(snap_steps)) < len(snap_steps):
-        raise ConfigurationError(f"snapshot_times {snaps} name one grid step of eta={eta} twice")
     lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
     try:
@@ -619,7 +616,7 @@ def cmd_estimate(cfg: dict) -> Outcome:
     def load(key):
         path = cfg["inputs"][key]
         if not Path(path).is_file():
-            raise ConfigurationError(f"estimator input {key!r} not found: {path}")
+            raise InputError(f"estimator input {key!r} not found: {path}")
         # Lineage comes from the input's sidecar alone: null where it has none.
         meta = sp.read_ensemble_sidecar(path)
         lineage[key] = {f: meta.get(f) for f in LINEAGE_FIELDS}
@@ -665,7 +662,7 @@ def cmd_bound_eval(cfg: dict) -> Outcome:
             ) from None
 
     if ("eta" in cfg) == ("eta_grid" in cfg):
-        raise ConfigurationError("bound-eval needs exactly one of eta and eta_grid in the config")
+        raise InputError("bound-eval needs exactly one of eta and eta_grid in the config")
     fields = {"c0": constants.c0, "c1": constants.c1, "theorem": theorem, "horizon": T, "dim": d}
     if "eta" in cfg:
         terms = evaluator(cfg["eta"])
@@ -786,9 +783,8 @@ def main(argv=None) -> int:
     try:
         return run_command(args)
     except (TypeError, ValueError) as exc:
-        # The library's input errors (ConfigurationError, InputError,
-        # UnsupportedError) are ValueErrors; float() and numpy raise a
-        # ValueError or TypeError for a config value of the wrong type.
+        # The library's InputError is a ValueError; float() and numpy raise
+        # a ValueError or TypeError for a config value of the wrong type.
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

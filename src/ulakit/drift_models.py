@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InputError, ModelError, UnsupportedError
+from .bounds import check_dim, check_fields
+from .errors import InputError, ModelError
 from .gaussian_analytics import LinearDrift
 
 Array = np.ndarray
@@ -50,17 +51,10 @@ class SmoothnessCert:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L1", "L2", "A0"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise InputError(f"{name} must be a finite nonnegative real")
+        check_fields(self, "nonnegative", "L1", "L2", "A0", "beta")
+        check_fields(self, "positive", "mu")
         if (self.mu is None) != (self.beta is None):
             raise InputError("mu and beta must be declared together")
-        if self.mu is not None:
-            if not (self.mu > 0 and np.isfinite(self.mu)):
-                raise InputError("mu must be positive")
-            if not (self.beta >= 0 and np.isfinite(self.beta)):
-                raise InputError("beta must be nonnegative")
 
     @property
     def dissipativity(self) -> Optional[tuple[float, float]]:
@@ -229,7 +223,7 @@ def verify_init(density) -> InitCertificate:
     # InputError when sigma0^2 leaves the float range).
     h0 = getattr(density, "h0", None)
     if h0 is None:
-        raise UnsupportedError("only isotropic Gaussian initializations are supported")
+        raise InputError("only isotropic Gaussian initializations are supported")
     s = density.sigma0
     sigma = s * math.sqrt(2.0) if not np.any(density.mean != 0.0) else s
     return InitCertificate(h0=h0, sigma=sigma)
@@ -271,7 +265,7 @@ def _linear_model(name: str, linear: LinearDrift, params: dict) -> DriftModel:
 
 def zero_drift(dim: int = 1) -> DriftModel:
     """b(x) = 0: pure Brownian motion, discretized exactly by forward Euler."""
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     return _linear_model("zero", LinearDrift(np.zeros((dim, dim)), np.zeros(dim)), {"dim": dim})
 
 
@@ -287,7 +281,7 @@ def ou_drift(dim: int | None = None, matrix=None, offset=None, rate: float | Non
     if matrix is None:
         if dim is None:
             raise InputError("ou model needs either dim or an explicit matrix")
-        dim = _check_dim(dim)
+        dim = check_dim(dim)
         rate = 1.0 if rate is None else rate
         if rate <= 0:
             raise InputError("rate must be positive")
@@ -312,7 +306,7 @@ def double_well_drift(dim: int = 1) -> DriftModel:
     with (mu, beta) = (1/2, 1/2) (equality on the unit sphere); L1/L2 are
     ball-certified since the drift grows cubically.
     """
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
 
     def drift(x):
         x = np.asarray(x, dtype=float)
@@ -349,7 +343,7 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
     globally Lipschitz, non-log-concave between the modes, dissipative with
     (mu, beta) = (1/4, ||a||^2/4).
     """
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     if separation <= 0:
         raise InputError("separation must be positive")
     a = float(separation) * np.ones(dim)
@@ -388,17 +382,11 @@ def expansive_drift(dim: int = 1, rate: float = 1.0) -> DriftModel:
     Counterexample model: chains blow up like e^{rate * t} and trip the
     divergence guard; kept in the registry so failure paths are exercisable.
     """
-    dim = _check_dim(dim)
+    dim = check_dim(dim)
     if rate <= 0:
         raise InputError("rate must be positive")
     r = float(rate)
     return _linear_model("expansive", LinearDrift(r * np.eye(dim), np.zeros(dim)), {"dim": dim, "rate": r})
-
-
-def _check_dim(dim) -> int:
-    if int(dim) != dim or dim < 1:
-        raise InputError("dim must be a positive integer")
-    return int(dim)
 
 
 _BUILDERS = {

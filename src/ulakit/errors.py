@@ -2,19 +2,12 @@
 
 
 class InputError(ValueError):
-    """Caller supplied an argument with a bad shape, type, or value."""
+    """Caller or config supplied an argument with a bad shape, type, or
+    value.  The CLI maps this to exit code 2."""
 
 
 class ModelError(RuntimeError):
     """A drift model produced invalid (wrong-shape or non-finite) output."""
-
-
-class UnsupportedError(ValueError):
-    """Requested operation is outside the supported domain."""
-
-
-class ConfigurationError(ValueError):
-    """Invalid run configuration.  The CLI maps this to exit code 2."""
 
 
 class DivergenceError(RuntimeError):

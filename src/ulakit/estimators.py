@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift_models import DriftModel
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 # perfbench's tracer wraps estimators.noise_block and estimators._guard by name; keep both importable.
 from .samplers import MAX_QUAD_POINTS, InitDensity, _guard, em_chain, noise_block, sample_points  # noqa: F401
 
@@ -157,7 +157,7 @@ def w2_empirical_1d(samples_p, samples_q) -> float:
     p = _points(samples_p)
     q = _points(samples_q)
     if p.shape[1] != 1 or q.shape[1] != 1:
-        raise UnsupportedError("empirical W2 is implemented for dim 1 only")
+        raise InputError("empirical W2 is implemented for dim 1 only")
     if p.shape[0] != q.shape[0]:
         raise InputError("equal sample counts required")
     ps = np.sort(p[:, 0])
@@ -174,7 +174,7 @@ def tv_histogram(samples_p, samples_q, bins_per_dim: int = 64) -> float:
     p, q = _pair(samples_p, samples_q)
     d = p.shape[1]
     if d > 2:
-        raise UnsupportedError("histogram TV is implemented for dim <= 2 only")
+        raise InputError("histogram TV is implemented for dim <= 2 only")
     if bins_per_dim < 2:
         raise InputError("need at least 2 bins per dim")
     pooled = np.vstack([p, q])

@@ -25,18 +25,18 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 
 _SYM_TOL = 1e-12
 _EIG_FLOOR = 1e-14
 
 
-def _symmetrized(M: np.ndarray, error: type, message: str) -> np.ndarray:
+def _symmetrized(M: np.ndarray, message: str) -> np.ndarray:
     """0.5 (M + M^T), once M is symmetric within _SYM_TOL times its largest
-    entry (at least 1); error(message) when it is not."""
+    entry (at least 1); InputError(message) when it is not."""
     scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > _SYM_TOL * scale:
-        raise error(message)
+        raise InputError(message)
     return 0.5 * (M + M.T)
 
 
@@ -58,7 +58,7 @@ class GaussianMoments:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise InputError("moments must be finite")
-        cov = _symmetrized(cov, InputError, "covariance must be symmetric within 1e-12")
+        cov = _symmetrized(cov, "covariance must be symmetric within 1e-12")
         if float(np.linalg.eigvalsh(cov).min()) <= 0.0:
             raise InputError("covariance must be positive definite")
         mean = mean.copy()
@@ -90,7 +90,7 @@ class LinearDrift:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError("A must be a square matrix")
-        A = _symmetrized(A, UnsupportedError, "closed forms require symmetric A")
+        A = _symmetrized(A, "closed forms require symmetric A")
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.shape != (A.shape[0],):
             raise InputError("offset dimension does not match A")
@@ -245,7 +245,7 @@ def tv_gaussian_diag(dm, var_p, var_q) -> np.ndarray:
         np.asarray(dm, float), np.asarray(var_p, float), np.asarray(var_q, float)
     )
     if dm.shape[-1:] != (1,):
-        raise UnsupportedError("closed-form TV implemented for 1D only")
+        raise InputError("closed-form TV implemented for 1D only")
     dm, var_p, var_q = dm[..., 0], var_p[..., 0], var_q[..., 0]
     a = 0.5 / var_q - 0.5 / var_p
     b = dm / var_p
@@ -305,5 +305,5 @@ def entropy_gaussian(p: GaussianMoments) -> float:
 def tv_gaussian_1d(p: GaussianMoments, q: GaussianMoments) -> float:
     """Exact total variation between two 1D Gaussians (see tv_gaussian_diag)."""
     if p.dim != 1 or q.dim != 1:
-        raise UnsupportedError("closed-form TV implemented for 1D only")
+        raise InputError("closed-form TV implemented for 1D only")
     return float(tv_gaussian_diag(p.mean - q.mean, p.cov[0], q.cov[0]))

@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .bounds import check_step, finite_square
+from .bounds import check_horizon, check_step, finite_square
 from .drift_models import DriftModel
-from .errors import ConfigurationError, DivergenceError, InputError
+from .errors import DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
 
 DIVERGENCE_LIMIT = 1e12
@@ -266,8 +266,7 @@ def em_chain(
     if not 0 <= bridge_points <= MAX_QUAD_POINTS:
         raise InputError(f"bridge_points must be in [0, {MAX_QUAD_POINTS}]")
     seed = check_seed(master_seed)
-    if not T > 0:
-        raise ConfigurationError("horizon must be positive")
+    check_horizon(T)
     steps = [grid_steps(T, eta) for eta in etas]
     last = max(steps)
     x = init.sample(n, seed)
@@ -342,15 +341,20 @@ def simulate_ensemble(
     Returns the final SampleEnsemble, or (final, snapshots) when
     snapshot_times is given.  Snapshots land on grid times only (requested
     times are rounded down, with a warning when off-grid); times outside
-    [0, T] are rejected.
+    [0, T], and two times on one grid step, are rejected before the initial
+    states are drawn.
     """
-    chain = em_chain(model, init, [eta], T, n, master_seed, enforce_window)
-    seed = int(master_seed)
+    check_step(eta, model.constants.L1, enforce_window)
     snap_steps = set()
     for t_req in snapshot_times or ():
         if not 0 <= t_req <= T:
-            raise ConfigurationError(f"snapshot time {t_req} outside [0, horizon={T}]")
-        snap_steps.add(grid_steps(t_req, eta, "snapshot time"))
+            raise InputError(f"snapshot time {t_req} outside [0, horizon={T}]")
+        k = grid_steps(t_req, eta, "snapshot time")
+        if k in snap_steps:
+            raise InputError(f"snapshot_times {snapshot_times} name one grid step of eta={eta} twice")
+        snap_steps.add(k)
+    chain = em_chain(model, init, [eta], T, n, master_seed, enforce_window)
+    seed = int(master_seed)
 
     snapshots = []
     for k, [(_, x, _)], _ in chain:

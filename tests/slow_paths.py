@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from ulakit import bounds as bnd
 from ulakit import gaussian_analytics as ga
-from ulakit.errors import ConfigurationError
+from ulakit.errors import InputError
 from ulakit.samplers import DIVERGENCE_LIMIT, NUM_SUBSTREAMS, SUB_EM, SUB_QUAD_BASE, noise_block
 
 
@@ -81,7 +81,7 @@ def mixing_scan_by_recursion(cfg: dict) -> list[int]:
                 found.append(k)
                 break
         else:
-            raise ConfigurationError(f"no crossing within max_steps={max_steps} for eps={eps}")
+            raise InputError(f"no crossing within max_steps={max_steps} for eps={eps}")
     return found
 
 

@@ -7,23 +7,29 @@ from hypothesis import strategies as st
 
 from ulakit import (
     BoundConstants,
-    ConfigurationError,
     GaussianMoments,
     InputError,
     LinearDrift,
+    SmoothnessCert,
     avg_fisher_bound,
     continuous_moments_linear,
+    double_well_drift,
     em_moments_linear,
+    expansive_drift,
     fisher_info_gaussian,
+    gaussian_mixture_drift,
     kl_bound_dissipative_terms,
     kl_bound_nonneg_potential_terms,
     kl_derivative_bound,
     kl_gaussian,
     mixing_time_predict,
     moment_bound_dissipative,
+    ou_drift,
     step_size_rule,
+    zero_drift,
 )
 from ulakit.bounds import LOG_FACTOR_NOTE
+from ulakit.cli import MIXING_METRICS
 
 ALL_ONES = BoundConstants(
     L1=1.0, L2=1.0, A0=1.0, sigma0=1.0, h0=1.0, entropy0=1.0, mu=1.0, beta=1.0, f0=1.0
@@ -126,13 +132,13 @@ def test_nonneg_bound_superlinear_in_horizon():
 
 
 def test_bounds_require_window_and_constants():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size 0.5 outside the admissible window"):
         kl_bound_dissipative_terms(ALL_ONES, 0.5, 1.0, 1)
     no_diss = BoundConstants(L1=1, L2=1, A0=1, sigma0=1, h0=1, entropy0=1, f0=1)
-    with pytest.raises(ConfigurationError, match="mu"):
+    with pytest.raises(InputError, match="mu"):
         kl_bound_dissipative_terms(no_diss, 0.1, 1.0, 1)
     no_f0 = BoundConstants(L1=1, L2=1, A0=1, sigma0=1, h0=1, entropy0=1, mu=1, beta=1)
-    with pytest.raises(ConfigurationError, match="f0"):
+    with pytest.raises(InputError, match="f0"):
         kl_bound_nonneg_potential_terms(no_f0, 0.1, 1.0, 1)
 
 
@@ -295,12 +301,19 @@ def test_step_size_scalings():
 
 
 def test_step_size_rejects_rho_outside_unit_interval():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match=r"requires rho in \(0, 1\)"):
         step_size_rule(0.01, 1.0, 1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match=r"requires rho in \(0, 1\)"):
         step_size_rule(0.01, 1.5, 1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="accuracy eps must be positive"):
         step_size_rule(-0.01, 0.5, 1)
+
+
+def test_mixing_time_predict_takes_exact_metric_spellings():
+    for metric in MIXING_METRICS:
+        assert mixing_time_predict(0.01, 0.5, 1, metric) > 0
+    with pytest.raises(InputError, match="unknown metric 'kl'; choose from KL, TV, W2"):
+        mixing_time_predict(0.01, 0.5, 1, "kl")
 
 
 def test_mixing_time_scalings():
@@ -354,3 +367,46 @@ def test_constants_validation():
         BoundConstants(L1=1, L2=1, A0=1, sigma0=0.0, h0=1, entropy0=1)
     with pytest.raises(InputError):
         BoundConstants(L1=1, L2=1, A0=1, sigma0=1, h0=1, entropy0=1, mu=-0.1, beta=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("L1", -1.0, "L1 must be finite and nonnegative"),
+    ("A0", math.nan, "A0 must be finite and nonnegative"),
+    ("mu", 0.0, "mu must be finite and positive"),
+    ("beta", math.inf, "beta must be finite and nonnegative"),
+])
+def test_cert_and_constants_share_field_rules(field, value, message):
+    drift = {"L1": 1.0, "L2": 1.0, "A0": 1.0, "mu": 1.0, "beta": 1.0, field: value}
+    with pytest.raises(InputError, match=f"^{message}$"):
+        SmoothnessCert(**drift)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        BoundConstants(sigma0=1.0, h0=1.0, entropy0=1.0, **drift)
+
+
+# --- one dimension rule ----------------------------------------------------------------
+
+
+# Every public function that takes a dimension d or dim, called with d and
+# otherwise valid arguments.
+DIMENSION_TAKERS = {
+    "kl_bound_dissipative_terms": lambda d: kl_bound_dissipative_terms(ALL_ONES, 0.1, 1.0, d),
+    "kl_bound_nonneg_potential_terms": lambda d: kl_bound_nonneg_potential_terms(ALL_ONES, 0.1, 1.0, d),
+    "kl_derivative_bound": lambda d: kl_derivative_bound(ALL_ONES, 0.01, d, 1.0, 1.0),
+    "avg_fisher_bound": lambda d: avg_fisher_bound(ALL_ONES, 1.0, 1.0, 1.0, 0.1, d),
+    "moment_bound_dissipative": lambda d: moment_bound_dissipative(1.0, 2, d, 1.0, 1.0),
+    "step_size_rule": lambda d: step_size_rule(0.01, 0.5, d),
+    "mixing_time_predict": lambda d: mixing_time_predict(0.01, 0.5, d, "KL"),
+    "zero_drift": zero_drift,
+    "ou_drift": ou_drift,
+    "double_well_drift": double_well_drift,
+    "gaussian_mixture_drift": gaussian_mixture_drift,
+    "expansive_drift": expansive_drift,
+}
+
+
+@pytest.mark.parametrize("name", DIMENSION_TAKERS)
+def test_every_dimension_taker_rejects_zero_and_fractions_alike(name):
+    DIMENSION_TAKERS[name](2)
+    for d in (0, 1.5):
+        with pytest.raises(InputError, match="^dimension must be a positive integer$"):
+            DIMENSION_TAKERS[name](d)

@@ -240,9 +240,7 @@ def test_verify_init_certificate_holds_on_grid(mean, sigma0):
 
 
 def test_verify_init_rejects_non_gaussian():
-    from ulakit import UnsupportedError
-
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="only isotropic Gaussian initializations"):
         verify_init(object())
 
 

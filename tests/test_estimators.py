@@ -18,7 +18,6 @@ from ulakit import (
     InitDensity,
     InputError,
     SampleEnsemble,
-    UnsupportedError,
     em_moments_linear,
     girsanov_pathwise_kl,
     knn_kl,
@@ -297,7 +296,7 @@ def test_w2_empirical_vs_gaussian_oracle():
 
 def test_w2_empirical_dim_and_count_checks():
     rng = np.random.default_rng(1)
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="implemented for dim 1 only"):
         w2_empirical_1d(rng.standard_normal((50, 2)), rng.standard_normal((50, 2)))
     with pytest.raises(InputError):
         w2_empirical_1d(rng.standard_normal((50, 1)), rng.standard_normal((40, 1)))
@@ -354,7 +353,7 @@ def test_tv_histogram_2d_supported_3d_not():
     p = rng.standard_normal((2_000, 2))
     q = rng.standard_normal((2_000, 2))
     assert 0.0 <= tv_histogram(p, q) <= 1.0
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="implemented for dim <= 2 only"):
         tv_histogram(rng.standard_normal((100, 3)), rng.standard_normal((100, 3)))
 
 
@@ -418,9 +417,7 @@ def test_girsanov_ou_matches_per_step_expectation():
 
 def test_girsanov_window_and_quad_validation():
     init = InitDensity([1.0], 1.0)
-    from ulakit import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size 0.6 outside"):
         girsanov_pathwise_kl(OU1, init, [0.6], 1.0, 100, master_seed=1)
     with pytest.raises(InputError):
         girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 100, master_seed=1, quad_points_per_step=0)

@@ -11,7 +11,6 @@ from ulakit import (
     GaussianMoments,
     InputError,
     LinearDrift,
-    UnsupportedError,
     continuous_moments_linear,
     em_moments_linear,
     entropy_gaussian,
@@ -110,7 +109,7 @@ def test_moments_require_symmetric_pd():
 
 
 def test_linear_drift_requires_symmetric():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="closed forms require symmetric A"):
         LinearDrift([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0])
 
 
@@ -389,7 +388,7 @@ def test_diag_kernels_match_full_matrix_distances(seed):
 
 
 def test_tv_diag_rejects_more_than_one_coordinate():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="closed-form TV implemented for 1D only"):
         tv_gaussian_diag(np.zeros(2), np.ones(2), np.ones(2))
 
 

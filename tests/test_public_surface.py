@@ -95,3 +95,15 @@ def test_every_export_is_reached_by_a_command_or_listed(tmp_path):
     reached = {name for name, fn in exported.items() if fn.__code__ in codes}
     assert sorted(exported.keys() - reached - UNREACHED) == [], "unreached and not listed"
     assert sorted(reached & UNREACHED) == [], "listed but reached: drop it from UNREACHED"
+
+
+def test_exported_exceptions_are_exactly_the_three_error_classes():
+    exported = {name: obj for name, obj in vars(ulakit).items()
+                if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert exported == {
+        "InputError": ulakit.InputError, "ModelError": ulakit.ModelError, "DivergenceError": ulakit.DivergenceError,
+    }
+    defined = {name for name, obj in vars(ulakit.errors).items()
+               if isinstance(obj, type) and obj.__module__ == ulakit.errors.__name__}
+    assert defined == exported.keys()
+    assert issubclass(ulakit.InputError, ValueError)

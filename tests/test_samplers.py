@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ulakit import samplers as sp
 from ulakit import (
-    ConfigurationError,
     DivergenceError,
     GaussianMoments,
     InitDensity,
@@ -102,12 +101,12 @@ def test_em_step_divergence_is_the_chain_guard():
 
 
 def test_em_step_rejects_bad_eta():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size must be positive"):
         sp.em_chain(OU1, STD_INIT, [0.0], 1.0, 1, master_seed=0)
 
 
 def test_em_chain_checks_every_eta_before_it_returns():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size 0.6 outside"):
         sp.em_chain(OU1, STD_INIT, [0.1, 0.05, 0.6], 1.0, 1, master_seed=0)
     with pytest.raises(InputError, match="empty"):
         sp.em_chain(OU1, STD_INIT, [], 1.0, 1, master_seed=0)
@@ -117,9 +116,9 @@ def test_em_chain_checks_every_eta_before_it_returns():
 
 
 def test_window_refuses_large_step_before_any_computation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size 0.6 outside"):
         simulate_ensemble(OU1, STD_INIT, eta=0.6, T=1.0, n=10, master_seed=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="step size 0.5 outside"):
         simulate_ensemble(OU1, STD_INIT, eta=0.5, T=1.0, n=10, master_seed=1)
 
 
@@ -266,8 +265,27 @@ def test_snapshots_on_grid():
 
 @pytest.mark.parametrize("times", [[-3, 5, 7], [-0.1], [1.5]])
 def test_snapshot_times_outside_horizon_rejected(times):
-    with pytest.raises(ConfigurationError, match="outside"):
+    with pytest.raises(InputError, match="outside"):
         simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 10, master_seed=29, snapshot_times=times)
+
+
+# 0.55 rounds down to step 5 of eta = 0.1, the step 0.5 names.
+@pytest.mark.parametrize("times, message", [
+    ([0.5, 0.55], r"snapshot_times \[0.5, 0.55\] name one grid step of eta=0.1 twice"),
+    ([0.5, 0.5, 0.55], "twice"),
+    ([0.5, 1.5], "snapshot time 1.5 outside"),
+])
+@pytest.mark.filterwarnings("ignore:snapshot time 0.55 is not a multiple")
+def test_bad_snapshot_times_rejected_before_the_initial_draw(times, message):
+    with mock.patch.object(sp, "noise_block", side_effect=AssertionError("initial states drawn")), \
+            pytest.raises(InputError, match=message):
+        simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 10, master_seed=29, snapshot_times=times)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_horizon_must_be_finite_and_positive(T):
+    with pytest.raises(InputError, match="horizon must be finite and positive"):
+        simulate_ensemble(OU1, STD_INIT, 0.1, T, 10, master_seed=29)
 
 
 def test_off_grid_horizon_warns_and_rounds_down():
@@ -328,6 +346,15 @@ def check_chain_and_comparator(case, fracs, duplicate, steps, off_grid, n, seed,
     times = [f * T for f in snap_fracs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # off-grid horizons and snapshot times
+        # Two times on one grid step are rejected; the rest of the check runs
+        # on the first time of each step.
+        first_per_step = {}
+        for t in times:
+            first_per_step.setdefault(math.floor(t / eta + 1e-9), t)
+        if len(first_per_step) < len(times):
+            with pytest.raises(InputError, match="name one grid step of eta=.* twice"):
+                simulate_ensemble(model, init, eta, T, n, seed, snapshot_times=times)
+            times = list(first_per_step.values())
         final, snaps = simulate_ensemble(model, init, eta, T, n, seed, snapshot_times=times)
         x_ref, snaps_ref = simulate_ensemble_loop(model, init, eta, T, n, seed, times)
         finals = final_states(model, init, etas, T, n, seed)
