@@ -62,17 +62,22 @@ class BoundConstants:
             raise InputError("missing constants: " + ", ".join(missing))
 
 
-def check_fields(constants, rule: str, *names: str) -> None:
-    """InputError naming the first of the named fields of the dataclass
-    constants that is not finite or breaks rule: "finite" asks nothing
-    more, "nonnegative" asks >= 0 and "positive" > 0.  A field left at its
-    default None passes."""
-    for name in names:
-        value = getattr(constants, name)
-        if value is None and constants.__dataclass_fields__[name].default is None:
-            continue
+def check_values(rule: str, **values) -> None:
+    """InputError naming the first of the keyword values that is not finite
+    or breaks rule: "finite" asks nothing more, "nonnegative" asks >= 0 and
+    "positive" > 0."""
+    for name, value in values.items():
         if not (np.isfinite(value) and {"finite": True, "nonnegative": value >= 0, "positive": value > 0}[rule]):
             raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
+
+
+def check_fields(constants, rule: str, *names: str) -> None:
+    """check_values on the named fields of the dataclass constants; a field
+    left at its default None passes."""
+    for name in names:
+        value = getattr(constants, name)
+        if value is not None or constants.__dataclass_fields__[name].default is not None:
+            check_values(rule, **{name: value})
 
 
 def finite_square(value: float, name: str) -> float:
@@ -103,7 +108,7 @@ def check_step(eta: float, L1: float, enforce_window: bool = True) -> None:
 
 def check_dim(d) -> int:
     """d as an int; InputError unless it is a positive integer."""
-    if not (np.isfinite(d) and d >= 1 and int(d) == d):
+    if not (1 <= d < math.inf and int(d) == d):
         raise InputError("dimension must be a positive integer")
     return int(d)
 
@@ -198,6 +203,9 @@ def kl_derivative_bound(
     where F is the score energy of the grid marginal and M4 its fourth
     moment.
     """
+    check_values("finite", t_offset=t_offset, fisher_prev=fisher_prev, fourth_moment_prev=fourth_moment_prev)
+    if eta is not None:
+        check_values("finite", eta=eta)
     tau = float(t_offset)
     if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
         raise InputError("t_offset must lie in [0, eta]")
@@ -226,6 +234,7 @@ def avg_fisher_bound(
         (32 h0 + 128 A0^2 T + H0) + 32 sigma0^-2 sup_t E||X_t||^2
         + 128 L1^2 int_0^T E||X_t||^2 dt + 32 eta^2 d^2 L2^2 T.
     """
+    check_values("finite", second_moment_sup=second_moment_sup, second_moment_integral=second_moment_integral, eta=eta)
     check_horizon(T)
     check_dim(d)
     if eta <= 0:
@@ -288,6 +297,7 @@ def moment_bound_dissipative(
 ) -> float:
     """Root moment bound sup_t (E ||X_t||^p)^(1/p) <= C (sigma0 sqrt(p d)
     + sqrt((p + beta + d)/mu)) under dissipativity, with C = scale_constant."""
+    check_values("finite", sigma0=sigma0, p=p, mu=mu, beta=beta, scale_constant=scale_constant)
     if p < 1:
         raise InputError("moment order must be >= 1")
     if mu <= 0 or beta < 0:

@@ -495,15 +495,7 @@ def cmd_verify(cfg: dict) -> Outcome:
         return pts * (dm.CERT_RADIUS * rng.random((count, 1)))
 
     # Lipschitz constants of the drift and its Jacobian, on the same pairs.
-    worst_l1 = worst_l2 = 0.0
-    for x, y in zip(sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS)):
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            continue
-        db = dm.drift_eval(model, x) - dm.drift_eval(model, y)
-        dj = dm.drift_jacobian(model, x) - dm.drift_jacobian(model, y)
-        worst_l1 = max(worst_l1, float(np.linalg.norm(db)) / gap)
-        worst_l2 = max(worst_l2, float(np.linalg.norm(dj, 2)) / gap)
+    worst_l1, worst_l2 = dm.lipschitz_ratios(model, sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS))
     ok_l1 = worst_l1 <= cert.L1 * (1 + 1e-9) + 1e-12
     report_sections["lipschitz_drift"] = {
         "pass": bool(ok_l1), "declared_L1": cert.L1, "witnessed_ratio": worst_l1,

@@ -88,31 +88,69 @@ def _as_point(x, dim: int) -> Array:
         arr = arr.reshape(1)
     if arr.shape != (dim,):
         raise InputError(f"expected a point of dimension {dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("point must be finite")
     return arr
 
 
-def drift_eval(model: DriftModel, x) -> Array:
-    """Evaluate b(x) at a single point, validating shape and finiteness."""
-    xp = _as_point(x, model.dim)
+def _checked_drift(model: DriftModel, xp: Array) -> Array:
+    """b at the checked point xp, its output checked for shape and finiteness."""
     out = np.asarray(model.drift(xp), dtype=float)
     if out.shape != (model.dim,):
         raise ModelError(f"drift returned shape {out.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ModelError(f"drift returned non-finite values at {xp.tolist()}")
     return out
 
 
-def drift_jacobian(model: DriftModel, x) -> Array:
-    """Evaluate the Jacobian of b at a single point."""
-    xp = _as_point(x, model.dim)
+def _checked_jacobian(model: DriftModel, xp: Array) -> Array:
+    """The Jacobian of b at the checked point xp, its output checked for
+    shape and finiteness."""
     out = np.asarray(model.jacobian(xp), dtype=float)
     if out.shape != (model.dim, model.dim):
         raise ModelError(f"jacobian returned shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ModelError(f"jacobian returned non-finite values at {xp.tolist()}")
     return out
+
+
+def drift_eval(model: DriftModel, x) -> Array:
+    """Evaluate b(x) at a single point, validating shape and finiteness."""
+    return _checked_drift(model, _as_point(x, model.dim))
+
+
+def drift_jacobian(model: DriftModel, x) -> Array:
+    """Evaluate the Jacobian of b at a single point."""
+    return _checked_jacobian(model, _as_point(x, model.dim))
+
+
+def lipschitz_ratios(model: DriftModel, xs, ys) -> tuple[float, float]:
+    """The largest ||b(x) - b(y)|| / ||x - y|| and ||Jb(x) - Jb(y)||_2 / ||x - y||
+    over the pairs of rows (x, y) of xs and ys with x != y; 0 without any.
+
+    The points are checked once, as a batch.  b and its Jacobian are
+    evaluated and checked one point at a time, b(x), b(y), Jb(x), Jb(y)
+    pair by pair, so a ModelError names the first failing point.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != model.dim or xs.shape != ys.shape:
+        raise InputError(f"expected two (n, {model.dim}) point arrays, got shapes {xs.shape} and {ys.shape}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InputError("point must be finite")
+    worst_l1, gaps, jumps = 0.0, [], []
+    for x, y in zip(xs, ys):
+        v = x - y
+        gap = math.sqrt(v.dot(v))
+        if gap == 0.0:
+            continue
+        db = _checked_drift(model, x) - _checked_drift(model, y)
+        worst_l1 = max(worst_l1, math.sqrt(db.dot(db)) / gap)
+        jumps.append(_checked_jacobian(model, x) - _checked_jacobian(model, y))
+        gaps.append(gap)
+    if not gaps:
+        return worst_l1, 0.0
+    # One LAPACK singular-value call per matrix, as np.linalg.norm(dj, 2) makes.
+    return worst_l1, float(np.max(np.linalg.norm(np.array(jumps), 2, axis=(1, 2)) / np.array(gaps)))
 
 
 def grad_check(model: DriftModel, x, h: float) -> float:
@@ -122,35 +160,39 @@ def grad_check(model: DriftModel, x, h: float) -> float:
         raise InputError("finite-difference step must be positive")
     xp = _as_point(x, model.dim)
     J = drift_jacobian(model, xp)
-    worst = 0.0
+    fd = np.empty((model.dim, model.dim))
     for i in range(model.dim):
         e = np.zeros(model.dim)
         e[i] = h
-        fd = (drift_eval(model, xp + e) - drift_eval(model, xp - e)) / (2.0 * h)
-        col = J[:, i]
-        worst = max(worst, float(np.max(np.abs(fd - col) / (1.0 + np.abs(col)))))
-    return worst
+        fd[:, i] = (drift_eval(model, xp + e) - drift_eval(model, xp - e)) / (2.0 * h)
+    return float(np.max(np.abs(fd - J) / (1.0 + np.abs(J))))
+
+
+def _g(model: DriftModel, mu: float, x: Array) -> float:
+    """g(x) = <b(x), x> + mu ||x||^2 at one point."""
+    return float(model.drift(x) @ x + mu * (x @ x))
 
 
 def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> float:
     """Sharpen the sampled beta by gradient ascent on
     g(x) = <b(x), x> + mu ||x||^2 from the best sampled points, projected to
-    the sampled ball.  Uses grad g = b(x) + Jb(x)^T x + 2 mu x."""
+    the sampled ball.  Uses grad g = b(x) + Jb(x)^T x + 2 mu x.  The result
+    is at least g at every start: a step is taken only when it raises g."""
     best = -math.inf
     for start in starts:
         x = np.array(start, dtype=float)
-        val = float(model.drift(x) @ x + mu * (x @ x))
-        step = 0.1 * (1.0 + float(np.linalg.norm(x)))
+        val = _g(model, mu, x)
+        step = 0.1 * (1.0 + math.sqrt(x.dot(x)))
         for _ in range(200):
             grad = model.drift(x) + model.jacobian(x).T @ x + 2.0 * mu * x
-            norm = float(np.linalg.norm(grad))
+            norm = math.sqrt(grad.dot(grad))
             if norm < 1e-13 or step < 1e-13:
                 break
             cand = x + step * grad / norm
-            r = float(np.linalg.norm(cand))
+            r = math.sqrt(cand.dot(cand))
             if r > r_max:
                 cand = cand * (r_max / r)
-            cval = float(model.drift(cand) @ cand + mu * (cand @ cand))
+            cval = _g(model, mu, cand)
             if cval > val:
                 x, val = cand, cval
                 step *= 1.5
@@ -173,6 +215,11 @@ def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional
     mu with beta <= mu is preferred (a balanced certificate); if no rate
     balances, the largest tail-feasible mu is returned with its minimal
     beta.  Returns None when no ladder rate passes (expansive drifts).
+
+    The ascent only raises g from its three starts, so a rate whose best
+    start already lies above the balance line cannot balance, and its ascent
+    is skipped; the largest tail-feasible rate's ascent runs, if it has not
+    yet, only once no rate balances.
     """
     radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
     if radii.size == 0 or radii.min() <= 0:
@@ -183,6 +230,7 @@ def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional
     points = radii[:, None, None] * raw
     inner = np.sum(model.drift(points) * points, axis=-1)
     r2 = radii**2
+    r_max = float(radii[-1])
     flat_pts = points.reshape(-1, model.dim)
     fallback = None
     for mu in sorted(MU_LADDER, reverse=True):
@@ -197,12 +245,19 @@ def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional
         if not tail_ok:
             continue
         top = flat_pts[np.argsort(g.reshape(-1))[-3:]]
-        beta = max(0.0, _polish_beta(model, mu, top, float(radii[-1])))
-        if beta <= mu * (1 + 1e-9) + 1e-12:
-            return (mu, beta)
+        balance = mu * (1 + 1e-9) + 1e-12
+        if max(_g(model, mu, np.array(start, dtype=float)) for start in top) > balance:
+            beta = None
+        else:
+            beta = max(0.0, _polish_beta(model, mu, top, r_max))
+            if beta <= balance:
+                return (mu, beta)
         if fallback is None:
-            fallback = (mu, beta)
-    return fallback
+            fallback = (mu, top, beta)
+    if fallback is None:
+        return None
+    mu, top, beta = fallback
+    return (mu, max(0.0, _polish_beta(model, mu, top, r_max)) if beta is None else beta)
 
 
 class InitCertificate(NamedTuple):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .bounds import check_horizon, check_step, finite_square
+from .bounds import check_dim, check_horizon, check_step, finite_square
 from .drift_models import DriftModel
 from .errors import DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -64,6 +64,9 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
         raise InputError("step index must be >= -1")
     if not 0 <= substream < NUM_SUBSTREAMS:
         raise InputError(f"substream must be in [0, {NUM_SUBSTREAMS})")
+    if not (0 <= n < math.inf and int(n) == n):
+        raise InputError("block row count n must be a nonnegative integer")
+    n, dim = int(n), check_dim(dim)
     offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
     gen = _philox_generator()
     # Key, counter and an emptied output buffer: the state of a fresh

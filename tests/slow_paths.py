@@ -5,8 +5,11 @@ the mixing-scan first-crossing search done one step at a time on full
 moment matrices with the general-purpose distances; the noise block drawn
 from a freshly built Philox generator; the ensemble CSV written and read
 one value at a time; the forward-Euler ensemble and the pathwise
-comparator each stepped by its own hand-written loop; and the k-NN
-distances queried from cKDTree in every dimension.
+comparator each stepped by its own hand-written loop; the k-NN
+distances queried from cKDTree in every dimension; and verify's checks as
+they were first written: the Lipschitz audit one pair and one norm at a
+time, the finite-difference check one column at a time, and the
+dissipativity fit with an ascent at every tail-feasible rate.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 
 from ulakit import bounds as bnd
+from ulakit import drift_models as dm
 from ulakit import gaussian_analytics as ga
 from ulakit.errors import InputError
 from ulakit.samplers import DIVERGENCE_LIMIT, NUM_SUBSTREAMS, SUB_EM, SUB_QUAD_BASE, noise_block
@@ -156,3 +160,94 @@ def knn_distances_ckdtree(p, q, k):
     rho = cKDTree(p).query(p, k=k + 1)[0][:, k]
     nu = cKDTree(q).query(p, k=k)[0]
     return rho, nu[:, k - 1] if nu.ndim == 2 else nu
+
+
+def lipschitz_ratios_per_pair(model, xs, ys):
+    """(worst L1 ratio, worst L2 ratio) of drift_models.lipschitz_ratios, one
+    pair, one checked evaluation and one np.linalg.norm at a time."""
+    worst_l1 = worst_l2 = 0.0
+    for x, y in zip(xs, ys):
+        gap = float(np.linalg.norm(x - y))
+        if gap == 0.0:
+            continue
+        db = dm.drift_eval(model, x) - dm.drift_eval(model, y)
+        dj = dm.drift_jacobian(model, x) - dm.drift_jacobian(model, y)
+        worst_l1 = max(worst_l1, float(np.linalg.norm(db)) / gap)
+        worst_l2 = max(worst_l2, float(np.linalg.norm(dj, 2)) / gap)
+    return worst_l1, worst_l2
+
+
+def grad_check_per_column(model, x, h):
+    """drift_models.grad_check, reduced one Jacobian column at a time."""
+    if h <= 0:
+        raise InputError("finite-difference step must be positive")
+    xp = np.asarray(x, dtype=float)
+    J = dm.drift_jacobian(model, xp)
+    worst = 0.0
+    for i in range(model.dim):
+        e = np.zeros(model.dim)
+        e[i] = h
+        fd = (dm.drift_eval(model, xp + e) - dm.drift_eval(model, xp - e)) / (2.0 * h)
+        col = J[:, i]
+        worst = max(worst, float(np.max(np.abs(fd - col) / (1.0 + np.abs(col)))))
+    return worst
+
+
+def _polish_beta_by_norms(model, mu, starts, r_max):
+    """The ascent of drift_models._polish_beta with np.linalg.norm lengths."""
+    best = -math.inf
+    for start in starts:
+        x = np.array(start, dtype=float)
+        val = float(model.drift(x) @ x + mu * (x @ x))
+        step = 0.1 * (1.0 + float(np.linalg.norm(x)))
+        for _ in range(200):
+            grad = model.drift(x) + model.jacobian(x).T @ x + 2.0 * mu * x
+            norm = float(np.linalg.norm(grad))
+            if norm < 1e-13 or step < 1e-13:
+                break
+            cand = x + step * grad / norm
+            r = float(np.linalg.norm(cand))
+            if r > r_max:
+                cand = cand * (r_max / r)
+            cval = float(model.drift(cand) @ cand + mu * (cand @ cand))
+            if cval > val:
+                x, val = cand, cval
+                step *= 1.5
+            else:
+                step *= 0.5
+        best = max(best, val)
+    return best
+
+
+def dissipativity_fit_every_ascent(model, radius_grid, seed=0):
+    """drift_models.dissipativity_fit running the ascent at every
+    tail-feasible rate down the ladder until one balances."""
+    radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
+    if radii.size == 0 or radii.min() <= 0:
+        raise InputError("radius grid must be nonempty with positive radii")
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((radii.size, dm.FIT_DIRECTIONS, model.dim))
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    points = radii[:, None, None] * raw
+    inner = np.sum(model.drift(points) * points, axis=-1)
+    r2 = radii**2
+    flat_pts = points.reshape(-1, model.dim)
+    fallback = None
+    for mu in sorted(dm.MU_LADDER, reverse=True):
+        g = inner + mu * r2[:, None]
+        per_radius = g.max(axis=1)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(per_radius))))
+        if radii.size >= 2:
+            tail_ok = per_radius[-1] <= per_radius[:-1].max() + tol
+            tail_ok = tail_ok and per_radius[-1] <= per_radius[-2] + tol
+        else:
+            tail_ok = True
+        if not tail_ok:
+            continue
+        top = flat_pts[np.argsort(g.reshape(-1))[-3:]]
+        beta = max(0.0, _polish_beta_by_norms(model, mu, top, float(radii[-1])))
+        if beta <= mu * (1 + 1e-9) + 1e-12:
+            return (mu, beta)
+        if fallback is None:
+            fallback = (mu, beta)
+    return fallback

@@ -24,6 +24,7 @@ from ulakit import (
     kl_gaussian,
     mixing_time_predict,
     moment_bound_dissipative,
+    noise_block,
     ou_drift,
     step_size_rule,
     zero_drift,
@@ -357,6 +358,34 @@ def test_moment_bound_monotonicities():
     assert moment_bound_dissipative(1.0, 2, 2, 2.0, 1.0) < base
 
 
+# --- non-finite lemma inputs ---------------------------------------------------------
+
+
+# Each lemma evaluator with valid arguments, as keywords.
+LEMMA_CALLS = {
+    "kl_derivative_bound": (kl_derivative_bound, dict(
+        c=ALL_ONES, t_offset=0.01, d=1, fisher_prev=1.0, fourth_moment_prev=1.0, eta=0.1)),
+    "avg_fisher_bound": (avg_fisher_bound, dict(
+        c=ALL_ONES, T=1.0, second_moment_sup=1.0, second_moment_integral=1.0, eta=0.1, d=1)),
+    "moment_bound_dissipative": (moment_bound_dissipative, dict(
+        sigma0=1.0, p=2, d=1, mu=1.0, beta=1.0, scale_constant=1.0)),
+}
+# The horizon and the dimension go through their own shared rules.
+OWN_RULE = {"T": "horizon must be finite and positive", "d": "dimension must be a positive integer"}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("function, argument", [
+    (name, arg) for name, (_, kwargs) in LEMMA_CALLS.items() for arg in kwargs if arg != "c"
+])
+def test_lemma_evaluators_reject_a_non_finite_argument_naming_it(function, argument, value):
+    fn, kwargs = LEMMA_CALLS[function]
+    assert math.isfinite(fn(**kwargs))
+    message = OWN_RULE.get(argument, f"{argument} must be finite")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        fn(**{**kwargs, argument: value})
+
+
 # --- constants container -------------------------------------------------------------
 
 
@@ -401,6 +430,7 @@ DIMENSION_TAKERS = {
     "double_well_drift": double_well_drift,
     "gaussian_mixture_drift": gaussian_mixture_drift,
     "expansive_drift": expansive_drift,
+    "noise_block": lambda d: noise_block(0, 0, 0, 5, d),
 }
 
 

@@ -29,9 +29,15 @@ from ulakit import (
     write_ensemble_csv,
 )
 from ulakit import cli
+from ulakit import drift_models as dm
 from ulakit.cli import COMMANDS, ESTIMATORS, main, read_bool, read_config
 
-from slow_paths import mixing_scan_by_recursion
+from slow_paths import (
+    dissipativity_fit_every_ascent,
+    grad_check_per_column,
+    lipschitz_ratios_per_pair,
+    mixing_scan_by_recursion,
+)
 
 
 def run(tmp_path, command, config, out="out", extra=()):
@@ -162,6 +168,93 @@ def test_verify_double_well_witnessed_constants(tmp_path):
     diss = json.loads((out / "verify.json").read_text())["assumptions"]["dissipativity"]
     assert diss["witnessed_mu"] == pytest.approx(0.5)
     assert diss["witnessed_beta"] == pytest.approx(0.5, abs=1e-9)
+
+
+def verify_config(name, dim, seed, **params):
+    return read_config("verify", {"model": {"name": name, "params": {"dim": dim, **params}},
+                                  "init": {"mean": [0.0] * dim, "sigma0": 1.0}, "seed": seed})
+
+
+def verify_by_loops(monkeypatch, cfg):
+    """cmd_verify's outcome with its checks as first written: the Lipschitz
+    audit one pair at a time, finite differences one column at a time and an
+    ascent at every tail-feasible rate."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dm, "lipschitz_ratios", lipschitz_ratios_per_pair)
+        patch.setattr(dm, "grad_check", grad_check_per_column)
+        patch.setattr(dm, "dissipativity_fit", dissipativity_fit_every_ascent)
+        return cli.cmd_verify(cfg)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["zero", "ou", "double-well", "gauss-mix", "expansive"])
+def test_verify_report_is_the_per_pair_loops_report(monkeypatch, name, dim):
+    for seed in (0, 2**64 - 1):
+        cfg = verify_config(name, dim, seed)
+        assert cli.cmd_verify(cfg) == verify_by_loops(monkeypatch, cfg)
+
+
+@given(
+    # (model, its scale parameter or None)
+    case=st.sampled_from([("zero", None), ("ou", "rate"), ("double-well", None),
+                          ("gauss-mix", "separation"), ("expansive", "rate")]),
+    scale=st.floats(0.25, 3.0),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=20)
+def test_verify_report_is_the_per_pair_loops_report_on_drawn_models(case, scale, dim, seed):
+    name, key = case
+    cfg = verify_config(name, dim, seed, **({} if key is None else {key: scale}))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert cli.cmd_verify(cfg) == verify_by_loops(monkeypatch, cfg)
+
+
+def broken_model(drift=None, jacobian=None):
+    """A 2-D OU model with its drift or Jacobian replaced."""
+    ou = make_model("ou", dim=2)
+    return dataclasses.replace(ou, drift=drift or ou.drift, jacobian=jacobian or ou.jacobian)
+
+
+def audit_points(monkeypatch, seed):
+    """The (xs, ys) verify's Lipschitz audit draws for a 2-D model."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dm, "lipschitz_ratios", lambda model, xs, ys: seen.append((xs, ys)) or (0.0, 0.0))
+        cli.cmd_verify(verify_config("ou", 2, seed))
+    return seen[0]
+
+
+def nan_where(mask_of):
+    """-x, with nan at the points mask_of(x) marks."""
+    return lambda x: np.where(mask_of(np.asarray(x))[..., None], np.nan, -np.asarray(x))
+
+
+def outside_9(x):
+    return np.sum(x * x, axis=-1) > 81.0
+
+
+@pytest.mark.parametrize("case", ["drift-nan-at-one-y", "drift-nan-outside-9", "drift-shape",
+                                  "jacobian-nan-outside-9", "jacobian-shape"])
+def test_verify_raises_the_per_pair_loops_model_error(monkeypatch, case):
+    xs, ys = audit_points(monkeypatch, seed=5)
+    one_y = ys[37].copy()
+    model = {
+        "drift-nan-at-one-y": lambda: broken_model(drift=nan_where(lambda x: np.all(x == one_y, axis=-1))),
+        "drift-nan-outside-9": lambda: broken_model(drift=nan_where(outside_9)),
+        "drift-shape": lambda: broken_model(drift=lambda x: np.zeros(3)),
+        "jacobian-nan-outside-9": lambda: broken_model(
+            jacobian=lambda x: np.full((2, 2), np.nan) if outside_9(x) else -np.eye(2)),
+        "jacobian-shape": lambda: broken_model(jacobian=lambda x: np.zeros((2, 3))),
+    }[case]()
+    with pytest.raises(ulakit.ModelError) as want:
+        lipschitz_ratios_per_pair(model, xs, ys)
+    monkeypatch.setattr(cli, "build_model", lambda entry: model)
+    with pytest.raises(ulakit.ModelError) as got:
+        cli.cmd_verify(verify_config("ou", 2, 5))
+    assert str(got.value) == str(want.value)
+    if case == "drift-nan-at-one-y":
+        assert str(got.value) == f"drift returned non-finite values at {one_y.tolist()}"
 
 
 # --- rate-scan ----------------------------------------------------------------

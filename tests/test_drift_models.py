@@ -17,6 +17,10 @@ from ulakit import (
     registered_models,
     verify_init,
 )
+from ulakit import drift_models as dm
+from ulakit.cli import VERIFY_RADIUS_GRID
+
+from slow_paths import dissipativity_fit_every_ascent
 
 BUILTINS = ["zero", "ou", "double-well", "gauss-mix", "expansive"]
 
@@ -203,6 +207,58 @@ def test_dissipativity_fit_rejects_bad_grid():
         dissipativity_fit(make_model("ou", dim=1), [])
     with pytest.raises(InputError):
         dissipativity_fit(make_model("ou", dim=1), [-1.0, 2.0])
+
+
+# The fit skips an ascent only where its starts already decide the rate, so
+# it returns what the ladder with every ascent returns, bit for bit.
+FIT_GRIDS = [VERIFY_RADIUS_GRID, [2.5], [0.5, 1.0, 2.0]]
+EDGE_SEEDS = [0, 2**64 - 1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", BUILTINS)
+def test_dissipativity_fit_is_the_fit_with_every_ascent(name, dim):
+    m = make_model(name, dim=dim)
+    for grid in FIT_GRIDS:
+        for seed in EDGE_SEEDS:
+            assert dissipativity_fit(m, grid, seed=seed) == dissipativity_fit_every_ascent(m, grid, seed=seed)
+
+
+@st.composite
+def registry_models(draw):
+    """A registry model at dimension 1 to 4, with its rate or separation drawn."""
+    name = draw(st.sampled_from(BUILTINS))
+    params = {"dim": draw(st.integers(1, 4))}
+    if name in ("ou", "expansive"):
+        params["rate"] = draw(st.floats(0.25, 3.0))
+    if name == "gauss-mix":
+        params["separation"] = draw(st.floats(0.5, 3.0))
+    return make_model(name, **params)
+
+
+@given(
+    m=registry_models(),
+    grid=st.one_of(
+        st.floats(0.1, 12.0).map(lambda r: [r]),
+        st.lists(st.floats(0.1, 12.0), min_size=2, max_size=8, unique=True),
+    ),
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+)
+@settings(max_examples=40)
+def test_dissipativity_fit_is_the_fit_with_every_ascent_on_drawn_grids(m, grid, seed):
+    assert dissipativity_fit(m, grid, seed=seed) == dissipativity_fit_every_ascent(m, grid, seed=seed)
+
+
+def test_dissipativity_fit_runs_an_ascent_only_where_it_decides(monkeypatch):
+    # The verify grid at d=2: the ladder alone decides zero and expansive;
+    # ou balances at its first feasible rate; double-well and gauss-mix rule
+    # out their higher rates from the ascent's start points.
+    calls = []
+    polish = dm._polish_beta
+    monkeypatch.setattr(dm, "_polish_beta", lambda model, *rest: calls.append(model.name) or polish(model, *rest))
+    for name in BUILTINS:
+        dissipativity_fit(make_model(name, dim=2), VERIFY_RADIUS_GRID, seed=0)
+    assert [calls.count(name) for name in BUILTINS] == [0, 1, 1, 1, 0]
 
 
 # --- verify_init ------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_noise_block_purity():
     assert not np.array_equal(noise_block(9, 3, 1, 25, 2), b)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf])
+def test_noise_block_rejects_a_row_count_that_is_not_a_nonnegative_integer(n):
+    with pytest.raises(InputError, match="^block row count n must be a nonnegative integer$"):
+        noise_block(0, 0, 0, n, 1)
+
+
+def test_noise_block_takes_zero_rows_and_integral_floats():
+    assert noise_block(0, 0, 0, 0, 2).shape == (0, 2)
+    assert noise_block(3, 1, 0, 4.0, 2.0).tobytes() == noise_block(3, 1, 0, 4, 2).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
