@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,6 +69,18 @@ def check_values(rule: str, **values) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and {"finite": True, "nonnegative": value >= 0, "positive": value > 0}[rule]):
             raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
+
+
+def finite_result(evaluator: str, compute: Callable[[], float]) -> float:
+    """compute(), an evaluator's formula on inputs it has checked finite;
+    InputError naming the evaluator when the result leaves the float range."""
+    try:
+        value = compute()
+    except OverflowError:  # a float power out of range raises rather than giving inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"{evaluator} leaves the float range for these inputs")
+    return value
 
 
 def check_fields(constants, rule: str, *names: str) -> None:
@@ -205,19 +217,19 @@ def kl_derivative_bound(
     """
     check_values("finite", t_offset=t_offset, fisher_prev=fisher_prev, fourth_moment_prev=fourth_moment_prev)
     if eta is not None:
-        check_values("finite", eta=eta)
+        check_values("positive", eta=eta)
     tau = float(t_offset)
     if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
         raise InputError("t_offset must lie in [0, eta]")
     check_dim(d)
     if fisher_prev < 0 or fourth_moment_prev < 0:
         raise InputError("moment inputs must be nonnegative")
-    return (
+    return finite_result("kl_derivative_bound", lambda: (
         4.0 * c.L1**2 * tau**2 * fisher_prev
         + 12.0 * c.L1**4 * tau**3 * d
         + 16.0 * tau**4 * c.L2**2 * (c.A0**4 + c.L1**4 * fourth_moment_prev)
         + 48.0 * tau**2 * c.L2**2 * d**2
-    )
+    ))
 
 
 def avg_fisher_bound(
@@ -234,24 +246,23 @@ def avg_fisher_bound(
         (32 h0 + 128 A0^2 T + H0) + 32 sigma0^-2 sup_t E||X_t||^2
         + 128 L1^2 int_0^T E||X_t||^2 dt + 32 eta^2 d^2 L2^2 T.
     """
-    check_values("finite", second_moment_sup=second_moment_sup, second_moment_integral=second_moment_integral, eta=eta)
+    check_values("finite", second_moment_sup=second_moment_sup, second_moment_integral=second_moment_integral)
+    check_values("positive", eta=eta)
     check_horizon(T)
     check_dim(d)
-    if eta <= 0:
-        raise InputError("step size must be positive")
     ratio = T / eta
     if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
         raise InputError("horizon must be a positive integer multiple of eta")
     if second_moment_sup < 0 or second_moment_integral < 0:
         raise InputError("moment inputs must be nonnegative")
-    return (
+    return finite_result("avg_fisher_bound", lambda: (
         32.0 * c.h0
         + 128.0 * c.A0**2 * T
         + c.entropy0
         + 32.0 * c.sigma0**-2 * second_moment_sup
         + 128.0 * c.L1**2 * second_moment_integral
         + 32.0 * eta**2 * d**2 * c.L2**2 * T
-    )
+    ))
 
 
 def step_size_rule(eps: float, rho: float, d: int) -> float:
@@ -307,4 +318,6 @@ def moment_bound_dissipative(
     check_dim(d)
     if scale_constant <= 0:
         raise InputError("scale_constant must be positive")
-    return scale_constant * (sigma0 * math.sqrt(p * d) + math.sqrt((p + beta + d) / mu))
+    return finite_result("moment_bound_dissipative", lambda: (
+        scale_constant * (sigma0 * math.sqrt(p * d) + math.sqrt((p + beta + d) / mu))
+    ))

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr
 
 from .errors import InputError
 
@@ -206,6 +204,8 @@ def _kl_terms(r, quad) -> np.ndarray:
 def kl_gaussian(p: GaussianMoments, q: GaussianMoments) -> float:
     """KL(p || q) = (sum_i (r_i - log1p r_i) + ||L^-1 dm||^2) / 2, where L is
     the Cholesky factor of Sq and r_i the eigenvalues of L^-1 (Sp - Sq) L^-T."""
+    from scipy.linalg import solve_triangular  # imported here: no other path needs it
+
     if p.dim != q.dim:
         raise InputError("dimension mismatch")
     try:
@@ -241,6 +241,8 @@ def tv_gaussian_diag(dm, var_p, var_q) -> np.ndarray:
     The density log-ratio a x^2 + b x + c is quadratic, so |p - q| integrates
     in closed form between its (at most two) zeros x1 <= x2 via the normal CDF.
     """
+    from scipy.special import ndtr  # imported here: no other path needs it
+
     dm, var_p, var_q = np.broadcast_arrays(
         np.asarray(dm, float), np.asarray(var_p, float), np.asarray(var_q, float)
     )

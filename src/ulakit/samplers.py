@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bounds import check_dim, check_horizon, check_step, finite_square
 from .drift_models import DriftModel
@@ -51,6 +50,15 @@ def _philox_generator() -> np.random.Generator:
     if gen is None:
         gen = _philox.gen = np.random.Generator(np.random.Philox())
     return gen
+
+
+def ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The standard-normal inverse CDF of u, written to out; scipy.special
+    is imported on the first call, so a process that draws no noise never
+    loads it."""
+    from scipy.special import ndtri as inverse_cdf
+
+    return inverse_cdf(u, out=out)
 
 
 def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -> np.ndarray:

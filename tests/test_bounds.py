@@ -370,8 +370,13 @@ LEMMA_CALLS = {
     "moment_bound_dissipative": (moment_bound_dissipative, dict(
         sigma0=1.0, p=2, d=1, mu=1.0, beta=1.0, scale_constant=1.0)),
 }
-# The horizon and the dimension go through their own shared rules.
-OWN_RULE = {"T": "horizon must be finite and positive", "d": "dimension must be a positive integer"}
+# The horizon and the dimension go through their own shared rules, and a step
+# size must be positive too.
+OWN_RULE = {
+    "T": "horizon must be finite and positive",
+    "d": "dimension must be a positive integer",
+    "eta": "eta must be finite and positive",
+}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -384,6 +389,34 @@ def test_lemma_evaluators_reject_a_non_finite_argument_naming_it(function, argum
     message = OWN_RULE.get(argument, f"{argument} must be finite")
     with pytest.raises(InputError, match=f"^{message}$"):
         fn(**{**kwargs, argument: value})
+
+
+@pytest.mark.parametrize("function", ["kl_derivative_bound", "avg_fisher_bound"])
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_lemma_evaluators_reject_a_nonpositive_step(function, eta):
+    fn, kwargs = LEMMA_CALLS[function]
+    # A zero offset lies in [0, eta] for eta = 0 too.
+    offset = {"t_offset": 0.0} if "t_offset" in kwargs else {}
+    with pytest.raises(InputError, match="^eta must be finite and positive$"):
+        fn(**{**kwargs, **offset, "eta": eta})
+
+
+# Finite arguments whose result leaves the float range: through a sum that
+# overflows to inf, or through a float power that raises OverflowError.
+HUGE_L1 = BoundConstants(L1=1e100, L2=1.0, A0=1.0, sigma0=1.0, h0=1.0, entropy0=1.0)
+OVERFLOWING_CALLS = {
+    "kl_derivative_bound": lambda: kl_derivative_bound(HUGE_L1, 0.01, 1, 1.0, 1.0),
+    "avg_fisher_bound": lambda: avg_fisher_bound(ALL_ONES, 1.0, 1e308, 1e308, 0.1, 1),
+    "moment_bound_dissipative-sum": lambda: moment_bound_dissipative(1e300, 2, 1, 1e-300, 1e300),
+    "moment_bound_dissipative-scale": lambda: moment_bound_dissipative(1.0, 2, 1, 1.0, 1.0, scale_constant=1e308),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_CALLS)
+def test_lemma_evaluators_reject_a_result_outside_the_float_range(case):
+    evaluator = case.split("-")[0]
+    with pytest.raises(InputError, match=f"^{evaluator} leaves the float range for these inputs$"):
+        OVERFLOWING_CALLS[case]()
 
 
 # --- constants container -------------------------------------------------------------

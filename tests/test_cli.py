@@ -3,7 +3,9 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -1543,6 +1545,21 @@ def test_benchmark_tracer_wraps_existing_names_and_restores_them(monkeypatch):
     assert all(getattr(obj, attr) is fn for (obj, attr), fn in zip(targets, originals))
 
 
+def test_benchmark_tracer_counts_every_normal_a_chain_draws(monkeypatch):
+    # noise_block reaches scipy's ndtri through the module name samplers.ndtri,
+    # which the tracer replaces; a binding it cannot see would count nothing.
+    tracer = load_perfbench(monkeypatch, "tracer")
+    chains, dim, steps, bridge_points = 10, 2, 5, 2
+    with tracer.traced(ulakit, tracer.Tracer()) as spans:
+        model = make_model("ou", dim=dim)
+        for _ in ulakit.samplers.em_chain(model, InitDensity(np.zeros(dim), 1.0), [0.1], steps * 0.1, chains, 4,
+                                          bridge_points=bridge_points):
+            pass
+    # The initial states, then each step's bridge blocks and its own block.
+    blocks = 1 + steps * (bridge_points + 1)
+    assert spans.aggregate()["samplers.ndtri"]["work"] == chains * dim * blocks
+
+
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 # verify fails dissipativity, by design, on the drifts without inward pull.
 CONFIG_EXIT = {"verify.zero.json": 1, "verify.expansive.json": 1}
@@ -1568,6 +1585,54 @@ def test_checked_in_config_keys_are_declared(path):
 def test_cheap_checked_in_config_runs(tmp_path, path):
     code = main([_command(path), "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == CONFIG_EXIT.get(path.name, 0)
+
+
+# Runs through cli.main in one fresh interpreter, as (command, config); the
+# estimate inputs are d=1 ensemble CSVs next to the configs.
+SCIPY_FREE_RUNS = [
+    *[("verify", json.loads(p.read_text())) for p in CONFIGS if _command(p) == "verify"],
+    ("bound-eval", BOUND_CFG),
+    ("bound-eval", dict(BOUND_CFG, theorem=2)),
+    ("mixing-scan", MIX_CFG),
+    ("mixing-scan", dict(MIX_CFG, metric="W2")),
+    ("estimate", {"estimator": "knn_kl", "inputs": {"p": "p.csv", "q": "q.csv"}, "params": {"k": 2}}),
+    ("estimate", {"estimator": "w2_empirical_1d", "inputs": {"p": "p.csv", "q": "q.csv"}}),
+    ("estimate", {"estimator": "tv_histogram", "inputs": {"p": "p.csv", "q": "q.csv"}, "params": {"bins_per_dim": 8}}),
+    ("estimate", {"estimator": "moment_estimate", "inputs": {"samples": "p.csv"}}),
+    ("estimate", RATE_FIT_CFG),
+]
+LOADED_PROBE = """
+import json, sys
+from ulakit.cli import main
+after = []
+for command, cfg, out in json.loads(sys.argv[1]):
+    code = main([command, "--config", cfg, "--out", out])
+    after.append([code, sorted(m for m in ("scipy.special", "scipy.linalg") if m in sys.modules)])
+print(json.dumps(after))
+"""
+
+
+def test_commands_that_draw_no_noise_leave_scipy_unloaded(tmp_path):
+    rng = np.random.default_rng(3)
+    for name, shift in (("p", 0.0), ("q", 0.5)):
+        rows = np.column_stack([np.arange(200), rng.standard_normal(200) + shift, np.ones(200)])
+        np.savetxt(tmp_path / f"{name}.csv", rows, delimiter=",", header="chain,coord0,time", comments="")
+    runs = []
+    for i, (command, cfg) in enumerate([*SCIPY_FREE_RUNS, ("sample", SAMPLE_CFG)]):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        runs.append((command, str(path), str(tmp_path / f"out{i}")))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    probe = subprocess.run([sys.executable, "-c", LOADED_PROBE, json.dumps(runs)],
+                           capture_output=True, text=True, env=env, check=True)
+    after = json.loads(probe.stdout.splitlines()[-1])  # main reports on stdout too
+    codes = [CONFIG_EXIT.get(f"verify.{cfg['model']['name']}.json", 0) if command == "verify" else 0
+             for command, cfg in SCIPY_FREE_RUNS]
+    assert after[:-1] == [[code, []] for code in codes]
+    # sample draws noise through scipy.special.ndtri, bit for bit as before.
+    assert after[-1] == [0, ["scipy.special"]]
+    ensemble = (tmp_path / f"out{len(SCIPY_FREE_RUNS)}" / "ensemble.csv").read_bytes()
+    assert hashlib.sha256(ensemble).hexdigest() == json.loads(GOLDEN_DIGESTS.read_text())["sample/ensemble.csv"]
 
 
 # --- mixing-scan against the per-step recursion -------------------------------------

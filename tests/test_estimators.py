@@ -263,10 +263,13 @@ def test_a_0d_or_3d_array_is_rejected_by_ensembles_and_estimators(name, shape):
         SAMPLE_ESTIMATORS[name](points, np.zeros((200, 1)))
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # cKDTree is imported where knn_kl queries it, at d >= 2 only.
+# cKDTree is imported where knn_kl queries it, at d >= 2 only; ndtri where
+# noise is drawn, ndtr where a Gaussian TV is taken and solve_triangular where
+# a Gaussian KL is.
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.special", "scipy.linalg"])
+def test_importing_the_cli_leaves_scipy_unloaded(module):
     src = str(Path(est.__file__).parents[1])
-    probe = "import sys, ulakit.cli; print('scipy.spatial' in sys.modules)"
+    probe = f"import sys, ulakit, ulakit.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
