@@ -1153,7 +1153,8 @@ def test_rerun_from_recorded_config_is_byte_identical(tmp_path, command):
 
 
 # The runs whose every output file is hashed: the rerun cases, more samples,
-# a non-diagonal ou with an offset through rate-scan, sample and verify,
+# a non-diagonal ou with an offset through rate-scan, sample and verify, an
+# exact-only rate-scan of a coupled d=50 ou,
 # bound-eval on both theorems with non-unit constants, and the checked-in
 # configs cheap enough for tier 1.  estimate is left out, since its recorded
 # config holds the absolute paths of its inputs.
@@ -1164,12 +1165,19 @@ NON_UNIT_CONSTANTS = {
     "L1": 1.5, "L2": 0.3, "A0": 0.7, "sigma0": 1.2,
     "h0": 0.9, "entropy0": 2.1, "mu": 0.6, "beta": 1.7, "f0": 0.4, "c0": 2.0, "c1": 0.5,
 }
+# A coupled d=50 ou whose exact-only scan writes long lists of distinct floats.
+OU_D50_MODEL = {"name": "ou", "params": {"matrix": (
+    -np.eye(50) + 0.2 * np.eye(50, k=1) + 0.2 * np.eye(50, k=-1)).tolist()}}
+D50_INIT = {"mean": np.linspace(-1.0, 1.0, 50).tolist(), "sigma0": 0.8}
 GOLDEN_RUNS = {
     **{command: (command, cfg) for command, cfg in RERUN_CASES.items() if command != "estimate"},
     "sample-snapshots": ("sample", dict(SAMPLE_CFG, snapshot_times=[0.5, 1.0])),
     "sample-divergence": ("sample", DIVERGING_SAMPLE_CFG),
     "rate-scan-ou-offset": (
         "rate-scan", dict(RATE_CFG, model=OU_OFFSET_MODEL, init=D2_INIT, girsanov_chains=200),
+    ),
+    "rate-scan-ou-d50": (
+        "rate-scan", dict(RATE_CFG, model=OU_D50_MODEL, init=D50_INIT, exact=True, girsanov_chains=0),
     ),
     "sample-ou-offset": ("sample", dict(SAMPLE_CFG, model=OU_OFFSET_MODEL, init=D2_INIT, chains=200)),
     "verify-ou-offset": ("verify", dict(VERIFY_CFG, model=OU_OFFSET_MODEL, init=D2_INIT)),
