@@ -71,13 +71,20 @@ def check_values(rule: str, **values) -> None:
             raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
 
 
-def finite_result(evaluator: str, compute: Callable[[], float]) -> float:
-    """compute(), an evaluator's formula on inputs it has checked finite;
-    InputError naming the evaluator when the result leaves the float range."""
+def power_in_range(evaluator: str, compute: Callable):
+    """compute(), a formula on inputs checked finite; InputError naming the
+    evaluator when a float power in it leaves the float range, which raises
+    OverflowError rather than giving inf."""
     try:
-        value = compute()
-    except OverflowError:  # a float power out of range raises rather than giving inf
-        value = math.inf
+        return compute()
+    except OverflowError:
+        raise InputError(f"{evaluator} leaves the float range for these inputs") from None
+
+
+def finite_result(evaluator: str, compute: Callable[[], float]) -> float:
+    """power_in_range, and InputError as well when the result overflows to
+    inf through a sum."""
+    value = power_in_range(evaluator, compute)
     if not math.isfinite(value):
         raise InputError(f"{evaluator} leaves the float range for these inputs")
     return value
@@ -169,11 +176,11 @@ def kl_bound_dissipative_terms(c: BoundConstants, eta: float, T: float, d: int) 
     check_horizon(T)
     check_dim(d)
     c.require("mu", "beta")
-    return _bound_terms(
+    return power_in_range("the theorem 1 bound", lambda: _bound_terms(
         c, eta, T, d, {"h0": c.h0, "entropy0": c.entropy0},
         moment_factor=c.sigma0**2 * d + (c.beta + d) / c.mu,
         fourth_moment_proxy=c.sigma0**2 * d + (c.beta + d) ** 2 / c.mu + d**2,
-    )
+    ))
 
 
 def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: int) -> dict:
@@ -191,11 +198,11 @@ def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: 
     check_horizon(T)
     check_dim(d)
     c.require("f0")
-    return _bound_terms(
+    return power_in_range("the theorem 2 bound", lambda: _bound_terms(
         c, eta, T, d, {},
         moment_factor=c.sigma0**2 * d + c.f0 + c.L1 * T * c.sigma0**2 * (c.h0 + c.entropy0 + d),
         fourth_moment_proxy=c.f0**2 + c.L1**2 * T**2 * c.sigma0**4 * (c.h0 + d) ** 2 + c.L1**2 * T**4 * d**2,
-    )
+    ))
 
 
 def kl_derivative_bound(

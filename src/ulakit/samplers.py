@@ -393,22 +393,52 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _strict_json(value):
-    """value with every non-finite float replaced by None, since strict JSON
-    has no Infinity or NaN."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
+# The item types a list may hold for one C-encoder call to write it.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_key(key) -> str:
+    """key as json writes a dict key: a str quoted, an int, float, bool or
+    None first converted to its JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key, allow_nan=False)
+    return json.dumps(key)
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    writes it at a nesting whose lines start with indent, but with every
+    non-finite float written as null.  json's indenting encoder is pure
+    Python, so a list of scalars is written by one call to the C encoder
+    with the newline and indent as its item separator."""
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _SCALAR_TYPES:
+            try:
+                body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
+            except ValueError:  # a non-finite float, written as null below
+                pass
+            else:
+                return f"[\n{inner}{body[1:-1]}\n{indent}]"
+        return f"[\n{inner}" + f",\n{inner}".join(_json_text(v, inner) for v in value) + f"\n{indent}]"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
+    return json.dumps(value)
 
 
 def write_json(path, payload: dict) -> None:
-    """Write payload as strict JSON, a non-finite float as null."""
-    text = json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Write payload as strict JSON: sorted keys, a two-space indent, ASCII
+    escapes, and a non-finite float as null."""
+    Path(path).write_text(_json_text(payload, "") + "\n")
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:

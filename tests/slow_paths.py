@@ -9,12 +9,14 @@ comparator each stepped by its own hand-written loop; the k-NN
 distances queried from cKDTree in every dimension; and verify's checks as
 they were first written: the Lipschitz audit one pair and one norm at a
 time, the finite-difference check one column at a time, and the
-dissipativity fit with an ascent at every tail-feasible rate.
+dissipativity fit with an ascent at every tail-feasible rate; and the JSON
+artifact text as json's pure-Python indenting encoder writes it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -94,6 +96,24 @@ def noise_block_fresh_philox(master_seed, step, substream, n, dim):
     offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
     gen = np.random.Generator(np.random.Philox(key=np.uint64(master_seed), counter=offset))
     return ndtri(gen.random((n, dim)) + 2.0**-54)
+
+
+def _strict_json(value):
+    """value with every non-finite float replaced by None, since strict JSON
+    has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def json_text_indented(value) -> str:
+    """value as strict JSON text from json's indenting encoder, a non-finite
+    float as null."""
+    return json.dumps(_strict_json(value), sort_keys=True, indent=2, allow_nan=False)
 
 
 def write_ensemble_csv_per_value(points, time, path) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -417,6 +418,29 @@ def test_lemma_evaluators_reject_a_result_outside_the_float_range(case):
     evaluator = case.split("-")[0]
     with pytest.raises(InputError, match=f"^{evaluator} leaves the float range for these inputs$"):
         OVERFLOWING_CALLS[case]()
+
+
+# The headline bounds: a float power out of range raises InputError naming
+# the theorem, while a total that overflows through its sum stays inf for the
+# CLI's bound_finite claim to report.
+HEADLINE_BOUNDS = [
+    pytest.param(kl_bound_dissipative_terms, "the theorem 1 bound", id="theorem-1"),
+    pytest.param(kl_bound_nonneg_potential_terms, "the theorem 2 bound", id="theorem-2"),
+]
+
+
+@pytest.mark.parametrize("fn, named", HEADLINE_BOUNDS)
+@pytest.mark.parametrize("field, value, eta", [("A0", 1e300, 0.1), ("L1", 1e200, 1e-201)])
+def test_headline_bounds_reject_a_power_outside_the_float_range(fn, named, field, value, eta):
+    constants = dataclasses.replace(ALL_ONES, **{field: value})
+    with pytest.raises(InputError, match=f"^{named} leaves the float range for these inputs$"):
+        fn(constants, eta, 1.0, 1)
+
+
+@pytest.mark.parametrize("fn", [kl_bound_dissipative_terms, kl_bound_nonneg_potential_terms])
+def test_headline_bound_total_overflowing_in_its_sum_is_inf(fn):
+    constants = dataclasses.replace(ALL_ONES, entropy0=1e308, c0=1e10)
+    assert fn(constants, 0.1, 1.0, 1)["total"] == math.inf
 
 
 # --- constants container -------------------------------------------------------------

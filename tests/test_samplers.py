@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulakit import samplers as sp
@@ -37,6 +37,7 @@ from ulakit.estimators import girsanov_pathwise_kl
 
 from slow_paths import (
     girsanov_pathwise_kl_loop,
+    json_text_indented,
     noise_block_fresh_philox,
     read_ensemble_csv_per_value,
     simulate_ensemble_loop,
@@ -691,3 +692,48 @@ def test_csv_io_matches_per_value_oracle(d, chunk, rows, values, time, seed):
         want_points, want_time = read_ensemble_csv_per_value(old)
     assert back.points.tobytes() == points.tobytes() == want_points.tobytes()
     assert np.float64(back.time).tobytes() == np.float64(time).tobytes() == np.float64(want_time).tobytes()
+
+
+# JSON artifacts: the writer's text is the indenting encoder's, byte for byte.
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1e308])
+JSON_FLOATS = st.floats() | EDGE_FLOATS
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_FLOATS, JSON_FLOATS.map(np.float64),
+    st.text() | st.sampled_from(['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f", "π ≈ 3.14", "\U0001f600"]),
+)
+# The keys of one dict must sort against each other: str keys, or numeric
+# ones (bool is an int).
+NUMERIC_KEYS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+
+
+def json_payloads(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(NUMERIC_KEYS, children, max_size=5),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(JSON_SCALARS, json_payloads, max_leaves=25))
+@example({"records": [{"cov": [[1.0, -0.0], [5e-324, 1e308]], "mean": (math.nan, math.inf, -math.inf)}]})
+@example({"a": {}, "b": [], "c": [[], {}, ()], "d": [{"e": [[]]}]})
+@example([np.float64(0.1), 0.1, np.float64(math.nan), 2, True, None, "x"])
+@example({2: "int", 1.5: "float", True: "bool", 10: [1.0, math.inf]})
+def test_json_text_is_the_indenting_encoders_text(payload):
+    assert sp._json_text(payload, "") == json_text_indented(payload)
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({math.nan: 1}, ValueError),
+    ({1: 1, "1": 2}, TypeError),
+    ({(1, 2): 1}, TypeError),
+    ({"x": object()}, TypeError),
+    ([np.int64(3)], TypeError),
+])
+def test_json_text_raises_what_the_indenting_encoder_raises(payload, error):
+    with pytest.raises(error):
+        json_text_indented(payload)
+    with pytest.raises(error):
+        sp._json_text(payload, "")
