@@ -8,12 +8,9 @@ and mixing-time rules.
 
 from .bounds import (
     BoundConstants,
-    avg_fisher_bound,
     kl_bound_dissipative_terms,
     kl_bound_nonneg_potential_terms,
-    kl_derivative_bound,
     mixing_time_predict,
-    moment_bound_dissipative,
     step_size_rule,
 )
 from .drift_models import (
@@ -48,8 +45,6 @@ from .gaussian_analytics import (
     LinearDrift,
     continuous_moments_linear,
     em_moments_linear,
-    entropy_gaussian,
-    fisher_info_gaussian,
     kl_gaussian,
     tv_gaussian_1d,
     w2_gaussian,

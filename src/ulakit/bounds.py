@@ -5,10 +5,9 @@ Two headline bounds on KL(hat_pi_T || pi_T) are evaluated term for term: the
 second-order bound for dissipative drifts and its variant for non-negative
 potentials.  Both carry unspecified universal constants, housed here as the
 configurable fields c0 and c1 (default 1), so absolute values are shape-only
-and every report echoes c0/c1.  Supporting evaluators cover the within-step
-KL-derivative envelope, the averaged score-energy (Fisher information)
-bound at grid times, the moment bound under dissipativity, and the
-step-size / mixing-time scalings.
+and every report echoes c0/c1.  The step-size / mixing-time scalings and
+the input rules the library shares (dimension, horizon, step window and
+constants fields) live here too.
 """
 
 from __future__ import annotations
@@ -62,15 +61,6 @@ class BoundConstants:
             raise InputError("missing constants: " + ", ".join(missing))
 
 
-def check_values(rule: str, **values) -> None:
-    """InputError naming the first of the keyword values that is not finite
-    or breaks rule: "finite" asks nothing more, "nonnegative" asks >= 0 and
-    "positive" > 0."""
-    for name, value in values.items():
-        if not (np.isfinite(value) and {"finite": True, "nonnegative": value >= 0, "positive": value > 0}[rule]):
-            raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
-
-
 def power_in_range(evaluator: str, compute: Callable):
     """compute(), a formula on inputs checked finite; InputError naming the
     evaluator when a float power in it leaves the float range, which raises
@@ -81,22 +71,17 @@ def power_in_range(evaluator: str, compute: Callable):
         raise InputError(f"{evaluator} leaves the float range for these inputs") from None
 
 
-def finite_result(evaluator: str, compute: Callable[[], float]) -> float:
-    """power_in_range, and InputError as well when the result overflows to
-    inf through a sum."""
-    value = power_in_range(evaluator, compute)
-    if not math.isfinite(value):
-        raise InputError(f"{evaluator} leaves the float range for these inputs")
-    return value
-
-
 def check_fields(constants, rule: str, *names: str) -> None:
-    """check_values on the named fields of the dataclass constants; a field
-    left at its default None passes."""
+    """InputError naming the first of the named fields of the dataclass
+    constants that is not finite or breaks rule: "finite" asks nothing more,
+    "nonnegative" asks >= 0 and "positive" > 0.  A field left at its default
+    None passes."""
     for name in names:
         value = getattr(constants, name)
-        if value is not None or constants.__dataclass_fields__[name].default is not None:
-            check_values(rule, **{name: value})
+        if value is None and constants.__dataclass_fields__[name].default is None:
+            continue
+        if not (np.isfinite(value) and {"finite": True, "nonnegative": value >= 0, "positive": value > 0}[rule]):
+            raise InputError(f"{name} must be finite" + (rule != "finite") * f" and {rule}")
 
 
 def finite_square(value: float, name: str) -> float:
@@ -205,73 +190,6 @@ def kl_bound_nonneg_potential_terms(c: BoundConstants, eta: float, T: float, d: 
     ))
 
 
-def kl_derivative_bound(
-    c: BoundConstants,
-    t_offset: float,
-    d: int,
-    fisher_prev: float,
-    fourth_moment_prev: float,
-    eta: float | None = None,
-) -> float:
-    """Within-step envelope on d/dt KL(hat_pi_t || pi_t) at offset tau from
-    the last grid point:
-
-        4 L1^2 tau^2 F + 12 L1^4 tau^3 d
-        + 16 tau^4 L2^2 (A0^4 + L1^4 M4) + 48 tau^2 L2^2 d^2,
-
-    where F is the score energy of the grid marginal and M4 its fourth
-    moment.
-    """
-    check_values("finite", t_offset=t_offset, fisher_prev=fisher_prev, fourth_moment_prev=fourth_moment_prev)
-    if eta is not None:
-        check_values("positive", eta=eta)
-    tau = float(t_offset)
-    if tau < 0 or (eta is not None and tau > eta * (1 + 1e-12)):
-        raise InputError("t_offset must lie in [0, eta]")
-    check_dim(d)
-    if fisher_prev < 0 or fourth_moment_prev < 0:
-        raise InputError("moment inputs must be nonnegative")
-    return finite_result("kl_derivative_bound", lambda: (
-        4.0 * c.L1**2 * tau**2 * fisher_prev
-        + 12.0 * c.L1**4 * tau**3 * d
-        + 16.0 * tau**4 * c.L2**2 * (c.A0**4 + c.L1**4 * fourth_moment_prev)
-        + 48.0 * tau**2 * c.L2**2 * d**2
-    ))
-
-
-def avg_fisher_bound(
-    c: BoundConstants,
-    T: float,
-    second_moment_sup: float,
-    second_moment_integral: float,
-    eta: float,
-    d: int,
-) -> float:
-    """Bound on the grid-time average of the score energy
-    (1/N) sum_k int hat_pi_{k eta} ||grad log hat_pi_{k eta}||^2:
-
-        (32 h0 + 128 A0^2 T + H0) + 32 sigma0^-2 sup_t E||X_t||^2
-        + 128 L1^2 int_0^T E||X_t||^2 dt + 32 eta^2 d^2 L2^2 T.
-    """
-    check_values("finite", second_moment_sup=second_moment_sup, second_moment_integral=second_moment_integral)
-    check_values("positive", eta=eta)
-    check_horizon(T)
-    check_dim(d)
-    ratio = T / eta
-    if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
-        raise InputError("horizon must be a positive integer multiple of eta")
-    if second_moment_sup < 0 or second_moment_integral < 0:
-        raise InputError("moment inputs must be nonnegative")
-    return finite_result("avg_fisher_bound", lambda: (
-        32.0 * c.h0
-        + 128.0 * c.A0**2 * T
-        + c.entropy0
-        + 32.0 * c.sigma0**-2 * second_moment_sup
-        + 128.0 * c.L1**2 * second_moment_integral
-        + 32.0 * eta**2 * d**2 * c.L2**2 * T
-    ))
-
-
 def step_size_rule(eps: float, rho: float, d: int) -> float:
     """ULA step size sqrt(eps rho) / (d log(1/rho)) for KL accuracy eps under
     a log-Sobolev constant rho in (0, 1).
@@ -308,23 +226,3 @@ def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> float:
     if metric == "W2":
         return d * eps**-1.0 * rho**-2.5
     raise InputError(f"unknown metric {metric!r}; choose from KL, TV, W2")
-
-
-def moment_bound_dissipative(
-    sigma0: float, p: float, d: int, mu: float, beta: float, scale_constant: float = 1.0
-) -> float:
-    """Root moment bound sup_t (E ||X_t||^p)^(1/p) <= C (sigma0 sqrt(p d)
-    + sqrt((p + beta + d)/mu)) under dissipativity, with C = scale_constant."""
-    check_values("finite", sigma0=sigma0, p=p, mu=mu, beta=beta, scale_constant=scale_constant)
-    if p < 1:
-        raise InputError("moment order must be >= 1")
-    if mu <= 0 or beta < 0:
-        raise InputError("need mu > 0 and beta >= 0")
-    if sigma0 <= 0:
-        raise InputError("sigma0 must be positive")
-    check_dim(d)
-    if scale_constant <= 0:
-        raise InputError("scale_constant must be positive")
-    return finite_result("moment_bound_dissipative", lambda: (
-        scale_constant * (sigma0 * math.sqrt(p * d) + math.sqrt((p + beta + d) / mu))
-    ))

@@ -142,6 +142,14 @@ def read_floats(value, key: str, positive: bool = False) -> list[float]:
     return [read_number(v, key, positive) for v in value]
 
 
+def read_grid(value, key: str) -> list[float]:
+    """value, a nonempty list, as positive floats each read by read_number."""
+    grid = read_floats(value, key, positive=True)
+    if not grid:
+        raise InputError(f"{key} must be a nonempty list of numbers, got []")
+    return grid
+
+
 def read_array(value, key: str) -> np.ndarray:
     """value, a number or nested lists of numbers, as a float array, each
     number read by read_number."""
@@ -154,6 +162,15 @@ def read_array(value, key: str) -> np.ndarray:
         return np.array(checked, dtype=float)
     except ValueError:
         raise InputError(f"{key} has rows of different lengths") from None
+
+
+def read_pairs(value, key: str) -> np.ndarray:
+    """value, a list of [step, value] pairs, as a float (n, 2) array, each
+    number read by read_number."""
+    pairs = read_array(value, key)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(f"{key} must be a list of [step, value] pairs, got {value!r}")
+    return pairs
 
 
 def read_choice(value, key: str, choices) -> str:
@@ -281,8 +298,6 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
     etas = cfg["eta_grid"]
-    if not etas:
-        raise InputError("eta_grid must be nonempty")
     T, n_chains = cfg["horizon"], cfg["girsanov_chains"]
 
     if cfg["exact"] and model.linear is None:
@@ -428,7 +443,7 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
     L1 = float(np.max(np.abs(w)))
     start = build_init(cfg["init"], d)
     gap = Q.T @ (start.mean - target.mean)
-    var0 = np.square(start.sigma0)  # inf, not OverflowError, for a huge sigma0
+    var0 = start.variance
     metric = cfg["metric"]
     distance, kl_tolerance, (lo, hi) = MIXING_METRICS[metric]
     eps_grid, max_steps = cfg["eps_grid"], cfg["max_steps"]
@@ -684,15 +699,15 @@ INIT = {"mean": (read_array,), "sigma0": (read_number, REQUIRED)}
 COMMANDS = {
     "rate-scan": {
         "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED),
-        "eta_grid": (read_floats, REQUIRED), "horizon": (partial(read_number, positive=True), REQUIRED),
+        "eta_grid": (read_grid, REQUIRED), "horizon": (partial(read_number, positive=True), REQUIRED),
         "exact": (read_bool, True), "girsanov_chains": (partial(read_int, minimum=0), 0),
         "quad_points_per_step": (partial(read_int, minimum=1, maximum=sp.MAX_QUAD_POINTS), 4),
         "seed": SEED,
     },
     "mixing-scan": {
         "target": ({"mean": (read_array, REQUIRED), "cov": (read_array, REQUIRED)}, REQUIRED),
-        "rho": (read_number, REQUIRED), "init": (INIT, REQUIRED),
-        "eps_grid": (partial(read_floats, positive=True), REQUIRED),
+        "rho": (partial(read_number, positive=True), REQUIRED), "init": (INIT, REQUIRED),
+        "eps_grid": (read_grid, REQUIRED),
         "metric": (partial(read_choice, choices=MIXING_METRICS), "KL"),
         "max_steps": (partial(read_int, minimum=1), 10**6),
         "seed": SEED,
@@ -710,7 +725,7 @@ COMMANDS = {
             f.name: (read_number, REQUIRED) if f.default is dataclasses.MISSING else (read_number,)
             for f in dataclasses.fields(bnd.BoundConstants)
         }, REQUIRED),
-        "theorem": (partial(read_int, minimum=1, maximum=2), 1), "eta": (read_number,), "eta_grid": (read_floats,),
+        "theorem": (partial(read_int, minimum=1, maximum=2), 1), "eta": (read_number,), "eta_grid": (read_grid,),
         "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
         "seed": SEED,
     },
@@ -727,7 +742,7 @@ ESTIMATORS = {
     "w2_empirical_1d": PQ,
     "tv_histogram": {**PQ, "params": ({"bins_per_dim": (read_int,)}, {})},
     "moment_estimate": {**SAMPLES, "params": ({"p": (read_int, 2)}, {})},
-    "rate_fit": {**ESTIMATE, "points": (read_array, REQUIRED)},
+    "rate_fit": {**ESTIMATE, "points": (read_pairs, REQUIRED)},
 }
 
 

@@ -10,10 +10,9 @@ form in the eigenbasis of A.  The chain is closed-form there too: each mode
 is scaled by 1 + eta w per step, so k steps cost O(d^3) whatever k is.
 
 Also provides closed-form KL (through the whitened covariance's eigenvalues,
-free of cancellation), 2-Wasserstein, total variation (1D), entropy, and
-Fisher information for Gaussian measures, and KL / W2 / TV kernels for
-Gaussians with diagonal covariances that evaluate whole arrays of them at
-once.
+free of cancellation), 2-Wasserstein and total variation (1D) for Gaussian
+measures, and KL / W2 / TV kernels for Gaussians with diagonal covariances
+that evaluate whole arrays of them at once.
 """
 
 from __future__ import annotations
@@ -286,22 +285,6 @@ def w2_gaussian(p: GaussianMoments, q: GaussianMoments) -> float:
     trace_term = float(np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(cross))
     dm = p.mean - q.mean
     return math.sqrt(max(float(dm @ dm) + max(trace_term, 0.0), 0.0))
-
-
-def fisher_info_gaussian(p: GaussianMoments) -> float:
-    """Score energy int p ||grad log p||^2 of a Gaussian, which is tr(Sigma^-1)."""
-    w = np.linalg.eigvalsh(p.cov)
-    if w.min() <= 0:
-        raise InputError("singular covariance")
-    return float(np.sum(1.0 / w))
-
-
-def entropy_gaussian(p: GaussianMoments) -> float:
-    """Differential entropy (d/2)(1 + ln 2 pi) + (1/2) ln det Sigma."""
-    sign, logdet = np.linalg.slogdet(p.cov)
-    if sign <= 0:
-        raise InputError("singular covariance")
-    return 0.5 * p.dim * (1.0 + math.log(2.0 * math.pi)) + 0.5 * float(logdet)
 
 
 def tv_gaussian_1d(p: GaussianMoments, q: GaussianMoments) -> float:

@@ -99,11 +99,8 @@ def check_seed(master_seed) -> int:
 
 @dataclass(frozen=True)
 class InitDensity:
-    """Isotropic Gaussian initialization N(m0, sigma0^2 I).
-
-    Carries its quadratic-tail certificate h0; its entropy is
-    gaussian_analytics.entropy_gaussian of its moments().
-    """
+    """Isotropic Gaussian initialization N(m0, sigma0^2 I), with its
+    quadratic-tail certificate h0."""
 
     mean: np.ndarray
     sigma0: float

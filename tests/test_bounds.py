@@ -12,19 +12,15 @@ from ulakit import (
     InputError,
     LinearDrift,
     SmoothnessCert,
-    avg_fisher_bound,
     continuous_moments_linear,
     double_well_drift,
     em_moments_linear,
     expansive_drift,
-    fisher_info_gaussian,
     gaussian_mixture_drift,
     kl_bound_dissipative_terms,
     kl_bound_nonneg_potential_terms,
-    kl_derivative_bound,
     kl_gaussian,
     mixing_time_predict,
-    moment_bound_dissipative,
     noise_block,
     ou_drift,
     step_size_rule,
@@ -189,103 +185,6 @@ def test_exact_kl_to_bound_ratio_bounded_on_ou():
     assert max(ratios) / min(ratios) <= 2.0
 
 
-# --- within-step derivative envelope ---------------------------------------------
-
-
-def test_derivative_bound_zero_offset():
-    assert kl_derivative_bound(ALL_ONES, 0.0, 1, 5.0, 7.0) == 0.0
-
-
-def test_derivative_bound_hand_value():
-    c = BoundConstants(L1=1.0, L2=0.0, A0=1.0, sigma0=1.0, h0=1.0, entropy0=1.0)
-    assert kl_derivative_bound(c, 0.1, 1, 1.0, 0.0) == pytest.approx(0.052, abs=1e-15)
-
-
-def test_derivative_bound_dominates_exact_one_step_increments():
-    # integrate the envelope across each step with exact grid inputs and
-    # compare against the exact KL increment from the oracles
-    ld = LinearDrift([[-1.0]], [0.0])
-    init = GaussianMoments([1.0], [[1.0]])
-    c = BoundConstants(
-        L1=1.0, L2=0.0, A0=0.0, sigma0=1.0,
-        h0=0.5 * math.log(2 * math.pi) + 1.0,
-        entropy0=0.5 * (1 + math.log(2 * math.pi)),
-        mu=1.0, beta=0.0,
-    )
-    for eta in (0.05, 0.025):
-        steps = round(1.0 / eta)
-        for k in range(steps):
-            g = em_moments_linear(ld, init, eta, k)
-            fisher = fisher_info_gaussian(g)
-            m4 = 3 * g.cov[0, 0] ** 2 + 6 * g.cov[0, 0] * g.mean[0] ** 2 + g.mean[0] ** 4
-            # midpoint quadrature of the envelope over the step
-            npts = 64
-            taus = (np.arange(npts) + 0.5) * eta / npts
-            envelope = sum(
-                (eta / npts) * kl_derivative_bound(c, t, 1, fisher, float(m4), eta=eta)
-                for t in taus
-            )
-            kl_now = kl_gaussian(g, continuous_moments_linear(ld, init, k * eta))
-            kl_next = kl_gaussian(
-                em_moments_linear(ld, init, eta, k + 1),
-                continuous_moments_linear(ld, init, (k + 1) * eta),
-            )
-            assert kl_next - kl_now <= envelope + 1e-12
-
-
-def test_derivative_bound_offset_validation():
-    with pytest.raises(InputError):
-        kl_derivative_bound(ALL_ONES, -0.1, 1, 1.0, 1.0)
-    with pytest.raises(InputError):
-        kl_derivative_bound(ALL_ONES, 0.2, 1, 1.0, 1.0, eta=0.1)
-
-
-# --- averaged score-energy bound ---------------------------------------------------
-
-
-def test_avg_fisher_bound_surviving_terms():
-    c = BoundConstants(L1=2.0, L2=0.0, A0=0.0, sigma0=1.0, h0=0.7, entropy0=1.3)
-    assert avg_fisher_bound(c, 1.0, 0.0, 0.0, 0.1, 1) == pytest.approx(32 * 0.7 + 1.3)
-
-
-def test_avg_fisher_bound_dominates_exact_average_on_ou():
-    ld = LinearDrift([[-1.0]], [0.0])
-    init = GaussianMoments([0.0], [[1.0]])
-    c = BoundConstants(
-        L1=1.0, L2=0.0, A0=0.0, sigma0=1.0,
-        h0=0.5 * math.log(2 * math.pi),
-        entropy0=0.5 * (1 + math.log(2 * math.pi)),
-    )
-    for eta, T in ((0.1, 10.0), (0.05, 5.0)):
-        N = round(T / eta)
-        grid = [em_moments_linear(ld, init, eta, k) for k in range(N + 1)]
-        avg_fisher = float(np.mean([fisher_info_gaussian(g) for g in grid[1:]]))
-        second_sup = max(float(g.cov[0, 0] + g.mean[0] ** 2) for g in grid)
-        # within-step moments via the interpolation, midpoint rule
-        integral = 0.0
-        for k in range(N):
-            for j in range(8):
-                tau = (j + 0.5) * eta / 8
-                gm = em_moments_linear(ld, grid[k], tau, 1)
-                integral += (eta / 8) * float(gm.cov[0, 0] + gm.mean[0] ** 2)
-        bound = avg_fisher_bound(c, T, second_sup, integral, eta, 1)
-        assert bound >= avg_fisher
-
-
-def test_avg_fisher_bound_eta_squared_isolation():
-    c = BoundConstants(L1=1.0, L2=1.5, A0=0.5, sigma0=1.0, h0=1.0, entropy0=1.0)
-    d, T = 3, 2.0
-    base = avg_fisher_bound(c, T, 1.0, 1.0, 0.1, d)
-    doubled = avg_fisher_bound(c, T, 1.0, 1.0, 0.2, d)
-    last_term = 32 * 0.1**2 * d**2 * c.L2**2 * T
-    assert doubled - base == pytest.approx(3 * last_term, rel=1e-9)
-
-
-def test_avg_fisher_bound_requires_grid_horizon():
-    with pytest.raises(InputError):
-        avg_fisher_bound(ALL_ONES, 1.05, 1.0, 1.0, 0.1, 1)
-
-
 # --- step-size and mixing-time rules -----------------------------------------------
 
 
@@ -342,82 +241,7 @@ def test_mixing_time_reports_log_annotation():
     assert "log" in LOG_FACTOR_NOTE
 
 
-# --- moment bound under dissipativity ----------------------------------------------
-
-
-def test_moment_bound_worked_example():
-    assert moment_bound_dissipative(1.0, 2, 1, 1.0, 1.0) == pytest.approx(
-        math.sqrt(2) + 2.0, abs=1e-12
-    )
-
-
-def test_moment_bound_monotonicities():
-    base = moment_bound_dissipative(1.0, 2, 2, 1.0, 1.0)
-    assert moment_bound_dissipative(1.0, 4, 2, 1.0, 1.0) > base
-    assert moment_bound_dissipative(1.0, 2, 4, 1.0, 1.0) > base
-    assert moment_bound_dissipative(1.0, 2, 2, 1.0, 2.0) > base
-    assert moment_bound_dissipative(1.0, 2, 2, 2.0, 1.0) < base
-
-
-# --- non-finite lemma inputs ---------------------------------------------------------
-
-
-# Each lemma evaluator with valid arguments, as keywords.
-LEMMA_CALLS = {
-    "kl_derivative_bound": (kl_derivative_bound, dict(
-        c=ALL_ONES, t_offset=0.01, d=1, fisher_prev=1.0, fourth_moment_prev=1.0, eta=0.1)),
-    "avg_fisher_bound": (avg_fisher_bound, dict(
-        c=ALL_ONES, T=1.0, second_moment_sup=1.0, second_moment_integral=1.0, eta=0.1, d=1)),
-    "moment_bound_dissipative": (moment_bound_dissipative, dict(
-        sigma0=1.0, p=2, d=1, mu=1.0, beta=1.0, scale_constant=1.0)),
-}
-# The horizon and the dimension go through their own shared rules, and a step
-# size must be positive too.
-OWN_RULE = {
-    "T": "horizon must be finite and positive",
-    "d": "dimension must be a positive integer",
-    "eta": "eta must be finite and positive",
-}
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("function, argument", [
-    (name, arg) for name, (_, kwargs) in LEMMA_CALLS.items() for arg in kwargs if arg != "c"
-])
-def test_lemma_evaluators_reject_a_non_finite_argument_naming_it(function, argument, value):
-    fn, kwargs = LEMMA_CALLS[function]
-    assert math.isfinite(fn(**kwargs))
-    message = OWN_RULE.get(argument, f"{argument} must be finite")
-    with pytest.raises(InputError, match=f"^{message}$"):
-        fn(**{**kwargs, argument: value})
-
-
-@pytest.mark.parametrize("function", ["kl_derivative_bound", "avg_fisher_bound"])
-@pytest.mark.parametrize("eta", [0.0, -1.0])
-def test_lemma_evaluators_reject_a_nonpositive_step(function, eta):
-    fn, kwargs = LEMMA_CALLS[function]
-    # A zero offset lies in [0, eta] for eta = 0 too.
-    offset = {"t_offset": 0.0} if "t_offset" in kwargs else {}
-    with pytest.raises(InputError, match="^eta must be finite and positive$"):
-        fn(**{**kwargs, **offset, "eta": eta})
-
-
-# Finite arguments whose result leaves the float range: through a sum that
-# overflows to inf, or through a float power that raises OverflowError.
-HUGE_L1 = BoundConstants(L1=1e100, L2=1.0, A0=1.0, sigma0=1.0, h0=1.0, entropy0=1.0)
-OVERFLOWING_CALLS = {
-    "kl_derivative_bound": lambda: kl_derivative_bound(HUGE_L1, 0.01, 1, 1.0, 1.0),
-    "avg_fisher_bound": lambda: avg_fisher_bound(ALL_ONES, 1.0, 1e308, 1e308, 0.1, 1),
-    "moment_bound_dissipative-sum": lambda: moment_bound_dissipative(1e300, 2, 1, 1e-300, 1e300),
-    "moment_bound_dissipative-scale": lambda: moment_bound_dissipative(1.0, 2, 1, 1.0, 1.0, scale_constant=1e308),
-}
-
-
-@pytest.mark.parametrize("case", OVERFLOWING_CALLS)
-def test_lemma_evaluators_reject_a_result_outside_the_float_range(case):
-    evaluator = case.split("-")[0]
-    with pytest.raises(InputError, match=f"^{evaluator} leaves the float range for these inputs$"):
-        OVERFLOWING_CALLS[case]()
+# --- headline bounds outside the float range ------------------------------------------
 
 
 # The headline bounds: a float power out of range raises InputError naming
@@ -477,9 +301,6 @@ def test_cert_and_constants_share_field_rules(field, value, message):
 DIMENSION_TAKERS = {
     "kl_bound_dissipative_terms": lambda d: kl_bound_dissipative_terms(ALL_ONES, 0.1, 1.0, d),
     "kl_bound_nonneg_potential_terms": lambda d: kl_bound_nonneg_potential_terms(ALL_ONES, 0.1, 1.0, d),
-    "kl_derivative_bound": lambda d: kl_derivative_bound(ALL_ONES, 0.01, d, 1.0, 1.0),
-    "avg_fisher_bound": lambda d: avg_fisher_bound(ALL_ONES, 1.0, 1.0, 1.0, 0.1, d),
-    "moment_bound_dissipative": lambda d: moment_bound_dissipative(1.0, 2, d, 1.0, 1.0),
     "step_size_rule": lambda d: step_size_rule(0.01, 0.5, d),
     "mixing_time_predict": lambda d: mixing_time_predict(0.01, 0.5, d, "KL"),
     "zero_drift": zero_drift,

@@ -489,7 +489,7 @@ MIX_CASES = {
     "already-mixed": dict(MIX_CFG, eps_grid=[1000.0], init={"mean": [0.1], "sigma0": 1.0}),
     "w2": dict(MIX_CFG, metric="W2", eps_grid=[0.3, 0.1, 0.03, 0.01]),
     "tv": dict(MIX_CFG, metric="TV", eps_grid=[0.3, 0.1, 0.03, 0.01]),
-    # sigma0^2 overflows: the moments are not finite (exit 2).
+    # sigma0^2 overflows: rejected as rate-scan and verify reject it (exit 2).
     "non-finite-start": dict(MIX_CFG, init={"mean": [6.0], "sigma0": 1e200}),
     "2d-non-isotropic": {
         "target": {"mean": [0.0, 0.5], "cov": [[0.5, 0.1], [0.1, 0.8]]},
@@ -564,7 +564,16 @@ def test_mixing_scan_bad_eps_exits_2_before_any_output(tmp_path, capsys, metric,
 def test_mixing_scan_non_finite_moments_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "mixing-scan", MIX_CASES["non-finite-start"])
     assert code == 2
-    assert "not finite positive-definite at step 1" in capsys.readouterr().err
+    assert "sigma0^2 = 1e+200^2 is not a finite positive number" in capsys.readouterr().err
+
+
+def test_mixing_scan_overflowing_mean_gap_exits_2_at_step_1(tmp_path, capsys):
+    cfg = dict(MIX_CFG, target={"mean": [-1e308], "cov": [[0.5]]}, init={"mean": [1e308], "sigma0": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the mean gap overflows on purpose
+        code, _ = run(tmp_path, "mixing-scan", cfg)
+    assert code == 2
+    assert "chain moments are not finite positive-definite at step 1" in capsys.readouterr().err
 
 
 def test_mixing_scan_below_bias_floor_exits_2_in_bounded_memory(tmp_path, capsys):
@@ -1231,7 +1240,11 @@ def test_estimate_records_absolute_input_paths(tmp_path):
 # config, built from a 1-D array and so 20 chains of dimension 1, and
 # "nan.csv" one whose last point is nan.
 REJECTED_CONFIGS = {
-    "rate-scan-empty-grid": ("rate-scan", dict(RATE_CFG, eta_grid=[]), "eta_grid"),
+    # Every grid is read by one rule: an empty mixing-scan grid once ran and
+    # passed with no record.
+    "rate-scan-empty-grid": ("rate-scan", dict(RATE_CFG, eta_grid=[]), "eta_grid must be a nonempty list"),
+    "mixing-scan-empty-grid": ("mixing-scan", dict(MIX_CFG, eps_grid=[]), "eps_grid must be a nonempty list"),
+    "bound-eval-empty-grid": ("bound-eval", dict(BOUND_CFG, eta_grid=[]), "eta_grid must be a nonempty list"),
     "rate-scan-eta-outside-window": ("rate-scan", dict(RATE_CFG, eta_grid=[0.2, 0.1, 0.6]), "step size 0.6"),
     "rate-scan-exact-nonlinear": (
         "rate-scan", dict(RATE_CFG, model={"name": "double-well", "params": {"dim": 1}}), "exact=false",
@@ -1277,6 +1290,13 @@ REJECTED_CONFIGS = {
         "mu, beta",
     ),
     "mixing-scan-rho-above-1": ("mixing-scan", dict(MIX_CFG, rho=2.0), "rho"),
+    # A negative rho was rejected by the step-size rule, under W2 as a bad eps.
+    "mixing-scan-negative-rho-w2": (
+        "mixing-scan", dict(MIX_CFG, metric="W2", rho=-0.5), "rho must be finite and positive",
+    ),
+    "mixing-scan-negative-rho-kl": (
+        "mixing-scan", dict(MIX_CFG, metric="KL", rho=-0.5), "rho must be finite and positive",
+    ),
     # An eta above the horizon would take no step: sample would write the
     # initial draw.
     "sample-eta-above-horizon": ("sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
@@ -1298,6 +1318,15 @@ REJECTED_CONFIGS = {
     ),
     # One step size, repeated, spans no slope.
     "bound-eval-repeated-eta": ("bound-eval", dict(BOUND_CFG, eta_grid=[0.1, 0.1, 0.1]), "3 distinct step sizes"),
+    # points of another shape failed in unpacking, naming no key.
+    "estimate-rate-fit-scalar-points": ("estimate", dict(RATE_FIT_CFG, points=5), "points must be a list of"),
+    "estimate-rate-fit-one-column-points": (
+        "estimate", dict(RATE_FIT_CFG, points=[[0.1], [0.2], [0.3]]), "points must be a list of",
+    ),
+    "estimate-rate-fit-three-column-points": (
+        "estimate", dict(RATE_FIT_CFG, points=[[0.1, 0.01, 1.0], [0.05, 0.0025, 1.0], [0.025, 0.000625, 1.0]]),
+        "points must be a list of",
+    ),
     "estimate-rate-fit-repeated-eta": (
         "estimate", dict(RATE_FIT_CFG, points=[[0.1, 0.01], [0.1, 0.011], [0.1, 0.012]]), "3 distinct step sizes",
     ),

@@ -13,8 +13,6 @@ from ulakit import (
     LinearDrift,
     continuous_moments_linear,
     em_moments_linear,
-    entropy_gaussian,
-    fisher_info_gaussian,
     kl_gaussian,
     tv_gaussian_1d,
     w2_gaussian,
@@ -445,56 +443,3 @@ def test_w2_1d_scale():
     p = GaussianMoments([0.0], [[1.0]])
     q = GaussianMoments([0.0], [[4.0]])
     assert w2_gaussian(p, q) == pytest.approx(1.0, abs=1e-12)
-
-
-# --- Fisher information and entropy ------------------------------------------
-
-
-def test_fisher_standard_normal():
-    for d in (1, 2, 5):
-        p = GaussianMoments(np.zeros(d), np.eye(d))
-        assert fisher_info_gaussian(p) == pytest.approx(d)
-
-
-def test_fisher_scaled():
-    p = GaussianMoments([3.0, -1.0], 2.0 * np.eye(2))
-    assert fisher_info_gaussian(p) == pytest.approx(1.0)
-
-
-def test_fisher_heat_flow_values():
-    vals = [fisher_info_gaussian(GaussianMoments([0.0], [[1.0 + t]])) for t in (0, 1, 3)]
-    assert vals == pytest.approx([1.0, 0.5, 0.25])
-    assert vals[0] > vals[1] > vals[2]
-
-
-def test_fisher_nonincreasing_under_heat_flow_random():
-    rng = np.random.default_rng(47)
-    for _ in range(20):
-        d = int(rng.integers(1, 6))
-        S = random_spd(rng, d)
-        ts = np.sort(rng.uniform(0, 5, size=8))
-        vals = [fisher_info_gaussian(GaussianMoments(np.zeros(d), S + t * np.eye(d))) for t in ts]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_entropy_standard_normal():
-    p = GaussianMoments([0.0], [[1.0]])
-    expected = 0.5 * (1 + math.log(2 * math.pi))
-    assert entropy_gaussian(p) == pytest.approx(expected, abs=1e-12)
-    # Monte Carlo cross-check of -E log p
-    rng = np.random.default_rng(53)
-    xs = rng.standard_normal(200_000)
-    mc = np.mean(0.5 * math.log(2 * math.pi) + 0.5 * xs**2)
-    assert entropy_gaussian(p) == pytest.approx(mc, abs=0.01)
-
-
-def test_entropy_logdet_shift():
-    base = entropy_gaussian(GaussianMoments([0.0], [[1.0]]))
-    wide = entropy_gaussian(GaussianMoments([0.0], [[math.e**2]]))
-    assert wide == pytest.approx(base + 1.0, abs=1e-12)
-
-
-def test_entropy_additivity():
-    one = entropy_gaussian(GaussianMoments([0.0], [[1.0]]))
-    two = entropy_gaussian(GaussianMoments([0.0, 0.0], np.eye(2)))
-    assert two == pytest.approx(2 * one, abs=1e-12)
