@@ -197,7 +197,7 @@ def step_size_rule(eps: float, rho: float, d: int) -> float:
     rho >= 1 is rejected: log(1/rho) is then nonpositive and the rule is
     undefined; supply the step size directly in that regime.
     """
-    if eps <= 0:
+    if not 0.0 < eps < math.inf:
         raise InputError("accuracy eps must be positive")
     check_dim(d)
     if not 0.0 < rho < 1.0:
@@ -216,7 +216,7 @@ def mixing_time_predict(eps: float, rho: float, d: int, metric: str) -> float:
 
     Polylog factors are not folded in; LOG_FACTOR_NOTE names them.
     """
-    if eps <= 0 or rho <= 0:
+    if not (0.0 < eps < math.inf and 0.0 < rho < math.inf):
         raise InputError("eps and rho must be positive")
     check_dim(d)
     if metric == "KL":

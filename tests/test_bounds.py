@@ -241,6 +241,29 @@ def test_mixing_time_reports_log_annotation():
     assert "log" in LOG_FACTOR_NOTE
 
 
+# A non-finite accuracy or log-Sobolev constant once gave a nan, inf or zero
+# step size or prediction in place of an error.
+RULE_CALLS = {
+    "step_size_rule": lambda eps, rho: step_size_rule(eps, rho, 1),
+    "mixing_time_predict": lambda eps, rho: mixing_time_predict(eps, rho, 1, "TV"),
+}
+RULE_MESSAGES = {
+    ("step_size_rule", "eps"): "accuracy eps must be positive",
+    ("step_size_rule", "rho"): r"requires rho in \(0, 1\)",
+    ("mixing_time_predict", "eps"): "eps and rho must be positive",
+    ("mixing_time_predict", "rho"): "eps and rho must be positive",
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("rule, argument", RULE_MESSAGES)
+def test_rules_reject_a_non_finite_eps_or_rho(rule, argument, value):
+    args = {"eps": 0.01, "rho": 0.5}
+    assert 0 < RULE_CALLS[rule](**args) < math.inf
+    with pytest.raises(InputError, match=RULE_MESSAGES[rule, argument]):
+        RULE_CALLS[rule](**{**args, argument: value})
+
+
 # --- headline bounds outside the float range ------------------------------------------
 
 
@@ -267,6 +290,33 @@ def test_headline_bound_total_overflowing_in_its_sum_is_inf(fn):
     assert fn(constants, 0.1, 1.0, 1)["total"] == math.inf
 
 
+# The step, the horizon and the dimension of a headline bound each go through
+# their shared rule.
+ARGUMENT_RULES = {
+    "eta": "step size must be positive",
+    "T": "horizon must be finite and positive",
+    "d": "dimension must be a positive integer",
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("argument", ARGUMENT_RULES)
+@pytest.mark.parametrize("fn, named", HEADLINE_BOUNDS)
+def test_headline_bounds_reject_a_non_finite_argument(fn, named, argument, value):
+    args = {"eta": 0.1, "T": 1.0, "d": 1}
+    with pytest.raises(InputError, match=f"^{ARGUMENT_RULES[argument]}$"):
+        fn(ALL_ONES, **{**args, argument: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("argument", ["eta", "T"])
+@pytest.mark.parametrize("fn, named", HEADLINE_BOUNDS)
+def test_headline_bounds_reject_a_nonpositive_step_or_horizon(fn, named, argument, value):
+    args = {"eta": 0.1, "T": 1.0, "d": 1}
+    with pytest.raises(InputError, match=f"^{ARGUMENT_RULES[argument]}$"):
+        fn(ALL_ONES, **{**args, argument: value})
+
+
 # --- constants container -------------------------------------------------------------
 
 
@@ -291,6 +341,40 @@ def test_cert_and_constants_share_field_rules(field, value, message):
         SmoothnessCert(**drift)
     with pytest.raises(InputError, match=f"^{message}$"):
         BoundConstants(sigma0=1.0, h0=1.0, entropy0=1.0, **drift)
+
+
+# Each field of BoundConstants with the rule check_fields holds it to.
+FIELD_RULES = {
+    "L1": "nonnegative", "L2": "nonnegative", "A0": "nonnegative", "beta": "nonnegative", "f0": "nonnegative",
+    "sigma0": "positive", "mu": "positive", "c0": "positive", "c1": "positive",
+    "h0": "finite", "entropy0": "finite",
+}
+
+
+def test_field_rules_cover_every_constant():
+    assert set(FIELD_RULES) == {f.name for f in dataclasses.fields(BoundConstants)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", FIELD_RULES)
+def test_constants_reject_a_non_finite_field_naming_it(field, value):
+    rule = FIELD_RULES[field]
+    message = f"{field} must be finite" + (rule != "finite") * f" and {rule}"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        dataclasses.replace(ALL_ONES, **{field: value})
+
+
+@pytest.mark.parametrize("field", [f for f, rule in FIELD_RULES.items() if rule != "finite"])
+def test_constants_reject_a_field_below_its_rule(field):
+    rule = FIELD_RULES[field]
+    dataclasses.replace(ALL_ONES, **{field: 0.0 if rule == "nonnegative" else 1e-3})
+    with pytest.raises(InputError, match=f"^{field} must be finite and {rule}$"):
+        dataclasses.replace(ALL_ONES, **{field: -1.0 if rule == "nonnegative" else 0.0})
+
+
+def test_constants_take_a_negative_finite_entropy_and_leave_optional_fields_unset():
+    c = BoundConstants(L1=1.0, L2=1.0, A0=1.0, sigma0=1.0, h0=-2.0, entropy0=-3.0)
+    assert (c.mu, c.beta, c.f0) == (None, None, None)
 
 
 # --- one dimension rule ----------------------------------------------------------------
