@@ -56,6 +56,7 @@ from .samplers import (
     noise_block,
     read_ensemble_csv,
     simulate_ensemble,
+    step_counts,
     write_ensemble_csv,
     write_ensemble_sidecar,
 )

@@ -6,8 +6,8 @@ second-order bound for dissipative drifts and its variant for non-negative
 potentials.  Both carry unspecified universal constants, housed here as the
 configurable fields c0 and c1 (default 1), so absolute values are shape-only
 and every report echoes c0/c1.  The step-size / mixing-time scalings and
-the input rules the library shares (dimension, horizon, step window and
-constants fields) live here too.
+the input rules the library shares (dimension, count, horizon, step window
+and constants fields) live here too.
 """
 
 from __future__ import annotations
@@ -115,6 +115,13 @@ def check_dim(d) -> int:
     if not (1 <= d < math.inf and int(d) == d):
         raise InputError("dimension must be a positive integer")
     return int(d)
+
+
+def check_count(n, what: str) -> int:
+    """n as an int; InputError naming what unless n is a nonnegative integer."""
+    if not (0 <= n < math.inf and int(n) == n):
+        raise InputError(f"{what} must be a nonnegative integer")
+    return int(n)
 
 
 def check_horizon(T: float) -> None:

@@ -17,10 +17,11 @@ key once, nested maps included, with the reader that types it and its
 default; a missing, undeclared or wrongly typed key exits 2 before any
 output.
 
-The exact oracles are closed forms: rate-scan takes the chain's moments from
-gaussian_analytics.em_moments_linear, and mixing-scan, whose chain stays
-diagonal in the target's eigenbasis, evaluates whole blocks of steps at once
-to find the exact first step within eps.
+The exact oracles are closed forms: rate-scan turns its horizon into step
+counts once (samplers.step_counts) and takes the chain's moments after them
+from gaussian_analytics.em_moments_linear, as the pathwise comparator steps
+them; mixing-scan, whose chain stays diagonal in the target's eigenbasis,
+evaluates whole blocks of steps at once to find the exact first step within eps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -201,16 +201,6 @@ def build_model(entry: dict) -> dm.DriftModel:
         raise InputError(f"bad model parameters: {exc}") from exc
 
 
-def chain_steps(eta: float, T: float, L1: float, key: str, enforce_window: bool = True) -> int:
-    """The steps of size eta within horizon T, after bounds.check_step; an
-    InputError naming key when eta takes no step."""
-    bnd.check_step(eta, L1, enforce_window)
-    steps = sp.grid_steps(T, eta)
-    if steps < 1:
-        raise InputError(f"{key} value {eta} takes no step within horizon={T}")
-    return steps
-
-
 def build_init(entry: dict, dim: int) -> sp.InitDensity:
     mean = entry.get("mean", np.zeros(dim))
     if mean.ndim == 0:
@@ -297,8 +287,7 @@ SLOPE_GAP_MIN = 0.7
 def cmd_rate_scan(cfg: dict) -> Outcome:
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
-    etas = cfg["eta_grid"]
-    T, n_chains = cfg["horizon"], cfg["girsanov_chains"]
+    etas, n_chains = cfg["eta_grid"], cfg["girsanov_chains"]
 
     if cfg["exact"] and model.linear is None:
         raise InputError(
@@ -306,12 +295,9 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
             "set exact=false and compare against a fine-step reference ensemble instead"
         )
 
-    with warnings.catch_warnings():
-        if n_chains > 0:
-            warnings.simplefilter("ignore")  # the comparator warns of an off-grid horizon itself
-        step_counts = [chain_steps(eta, T, model.constants.L1, "eta_grid") for eta in etas]
+    counts = sp.step_counts(etas, cfg["horizon"], model.constants.L1)
     records = []
-    for eta, steps in zip(etas, step_counts):
+    for eta, steps in zip(etas, counts):
         rec = {"eta": eta, "steps": steps}
         if cfg["exact"]:
             hat = ga.em_moments_linear(model.linear, init.moments(), eta, steps)
@@ -323,7 +309,7 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     if n_chains > 0:
         # One comparator call steps the whole grid on the shared noise.
         kl_girs = est.girsanov_pathwise_kl(
-            model, init, etas, T, n_chains, cfg["seed"], quad_points_per_step=cfg["quad_points_per_step"]
+            model, init, etas, counts, n_chains, cfg["seed"], quad_points_per_step=cfg["quad_points_per_step"]
         )
         for rec, value in zip(records, kl_girs):
             rec["kl_girsanov"] = value
@@ -574,9 +560,6 @@ def cmd_sample(cfg: dict) -> Outcome:
     eta, seed = cfg["eta"], cfg["seed"]
     snaps = cfg.get("snapshot_times")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # simulate_ensemble warns of an off-grid horizon itself
-        chain_steps(eta, cfg["horizon"], model.constants.L1, "eta", not cfg["allow_outside_window"])
     lo, hi = bnd.step_window(model.constants.L1)
     print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
     try:
@@ -714,7 +697,7 @@ COMMANDS = {
     },
     "verify": {"model": (MODEL, REQUIRED), "init": (INIT, {"sigma0": 1.0}), "seed": SEED},
     "sample": {
-        "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED), "eta": (read_number, REQUIRED),
+        "model": (MODEL, REQUIRED), "init": (INIT, REQUIRED), "eta": (partial(read_number, positive=True), REQUIRED),
         "horizon": (partial(read_number, positive=True), REQUIRED), "chains": (partial(read_int, minimum=1), REQUIRED),
         "snapshot_times": (read_floats,), "allow_outside_window": (read_bool, False), "seed": SEED,
     },
@@ -725,8 +708,8 @@ COMMANDS = {
             f.name: (read_number, REQUIRED) if f.default is dataclasses.MISSING else (read_number,)
             for f in dataclasses.fields(bnd.BoundConstants)
         }, REQUIRED),
-        "theorem": (partial(read_int, minimum=1, maximum=2), 1), "eta": (read_number,), "eta_grid": (read_grid,),
-        "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
+        "theorem": (partial(read_int, minimum=1, maximum=2), 1), "eta": (partial(read_number, positive=True),),
+        "eta_grid": (read_grid,), "horizon": (read_number, 1.0), "dim": (partial(read_int, minimum=1), 1),
         "seed": SEED,
     },
 }

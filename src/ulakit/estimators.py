@@ -154,9 +154,8 @@ def knn_kl(samples_p, samples_q, k: int = 5) -> float:
 def w2_empirical_1d(samples_p, samples_q) -> float:
     """Exact empirical 2-Wasserstein distance in 1D via the quantile coupling
     (sorted samples matched index by index).  Requires equal sample counts."""
-    p = _points(samples_p)
-    q = _points(samples_q)
-    if p.shape[1] != 1 or q.shape[1] != 1:
+    p, q = _pair(samples_p, samples_q)
+    if p.shape[1] != 1:
         raise InputError("empirical W2 is implemented for dim 1 only")
     if p.shape[0] != q.shape[0]:
         raise InputError("equal sample counts required")
@@ -204,16 +203,16 @@ def girsanov_pathwise_kl(
     model: DriftModel,
     init: InitDensity,
     etas,
-    T: float,
+    steps,
     n: int,
     master_seed: int,
     quad_points_per_step: int = 4,
 ) -> list[float]:
     """Pathwise drift-mismatch KL quantity of the frozen-drift comparison,
 
-        (1/2) * integral_0^T E || b(X_{k eta}) - b(X_t) ||^2 dt,
+        (1/2) * integral_0^{K eta} E || b(X_{k eta}) - b(X_t) ||^2 dt,
 
-    for each step size eta of the grid etas, in grid order.
+    for each step size eta of etas over its count K of steps, in grid order.
 
     Estimated by Monte Carlo over the chains of samplers.em_chain, which
     steps the grid in lockstep, with a midpoint rule inside each step;
@@ -229,7 +228,7 @@ def girsanov_pathwise_kl(
         raise InputError(f"quad_points_per_step must be in [1, {MAX_QUAD_POINTS}]")
     etas = list(etas)
     totals = [0.0] * len(etas)
-    for k, states, bridge in em_chain(model, init, etas, T, n, master_seed, bridge_points=m):
+    for k, states, bridge in em_chain(model, init, etas, steps, n, master_seed, bridge_points=m):
         live = [(i, x, bx) for i, x, bx in states if bx is not None]
         for j, xi in enumerate(bridge):
             for i, x, bx in live:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_count, check_step
 from .errors import InputError
 
 _SYM_TOL = 1e-12
@@ -122,8 +123,7 @@ def _eigenbasis_map(drift: LinearDrift, init: GaussianMoments, modes) -> Gaussia
     scale, gain, cov_scale, noise = modes(w)
     mean_q = scale * (Q.T @ init.mean) + gain * (Q.T @ drift.c)
     S_q = cov_scale * (Q.T @ init.cov @ Q) + np.diag(noise)
-    cov = Q @ S_q @ Q.T
-    return GaussianMoments(Q @ mean_q, 0.5 * (cov + cov.T))
+    return GaussianMoments(Q @ mean_q, Q @ S_q @ Q.T)
 
 
 def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: float) -> GaussianMoments:
@@ -145,7 +145,7 @@ def continuous_moments_linear(drift: LinearDrift, init: GaussianMoments, t: floa
 
 
 def em_mode_sums(eta_w, k):
-    """For the forward-Euler factor lam = 1 + eta_w and step counts k
+    """For the forward-Euler factor lam = 1 + eta_w and step counts k, as floats
     (broadcast against each other): lam^k, sum_{j<k} lam^j and sum_{j<k} lam^(2j).
 
     Powers go through exp(k log|lam|) with log|lam| = log1p(eta_w) for lam > 0,
@@ -154,7 +154,7 @@ def em_mode_sums(eta_w, k):
     from steps outside the stability window, keep the sign of lam^k.
     """
     eta_w = np.asarray(eta_w, dtype=float)
-    k = np.asarray(k)
+    k = np.asarray(k, dtype=float)
     lam = 1.0 + eta_w
     pos = lam > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -177,17 +177,15 @@ def em_moments_linear(drift: LinearDrift, init: GaussianMoments, eta: float, k: 
     In the eigenbasis of A each mode is scaled by lam_i = 1 + eta w_i per step:
     m_k = lam^k m_0 + eta c sum_{j<k} lam^j and
     S_k[i, l] = (lam_i lam_l)^k S_0[i, l] + delta_il eta sum_{j<k} lam_i^(2j)
-    (see em_mode_sums), so the cost is O(d^3) whatever k is.  One step of
-    size tau (k = 1) is the law of the frozen-drift bridge X + tau b(X) +
-    sqrt(tau) xi at offset tau inside a step.
+    (see em_mode_sums), so the cost is O(d^3) whatever k is, 2^70 included.
+    One step of size tau (k = 1) is the law of the frozen-drift bridge
+    X + tau b(X) + sqrt(tau) xi at offset tau inside a step.
     """
-    if eta <= 0:
-        raise InputError("step size must be positive")
-    if k < 0 or int(k) != k:
-        raise InputError("step count must be a nonnegative integer")
+    check_step(eta, 0.0, enforce_window=False)
+    k = check_count(k, "step count k")
 
     def modes(w):
-        power, mean_sum, var_sum = em_mode_sums(eta * w, int(k))
+        power, mean_sum, var_sum = em_mode_sums(eta * w, k)
         return power, eta * mean_sum, np.outer(power, power), eta * var_sum
 
     return _eigenbasis_map(drift, init, modes)

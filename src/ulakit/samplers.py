@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import check_dim, check_horizon, check_step, finite_square
+from .bounds import check_count, check_dim, check_horizon, check_step, finite_square
 from .drift_models import DriftModel
 from .errors import DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -72,9 +72,7 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
         raise InputError("step index must be >= -1")
     if not 0 <= substream < NUM_SUBSTREAMS:
         raise InputError(f"substream must be in [0, {NUM_SUBSTREAMS})")
-    if not (0 <= n < math.inf and int(n) == n):
-        raise InputError("block row count n must be a nonnegative integer")
-    n, dim = int(n), check_dim(dim)
+    n, dim = check_count(n, "block row count n"), check_dim(dim)
     offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
     gen = _philox_generator()
     # Key, counter and an emptied output buffer: the state of a fresh
@@ -208,6 +206,20 @@ def grid_steps(t: float, eta: float, what: str = "horizon") -> int:
     return k
 
 
+def step_counts(etas, T: float, L1: float, enforce_window: bool = True) -> list[int]:
+    """Per step size eta of etas, its steps floor(T/eta + 1e-9) within horizon
+    T, after bounds.check_horizon and check_step, with a warning when T is off
+    eta's grid; an InputError for an eta that takes no step."""
+    check_horizon(T)
+    counts = []
+    for eta in etas:
+        check_step(eta, L1, enforce_window)
+        if T / eta + 1e-9 < 1:  # grid_steps would round down to 0
+            raise InputError(f"step size {eta} takes no step within horizon={T}")
+        counts.append(grid_steps(T, eta))
+    return counts
+
+
 # Normals one step draws (chains x dimension x blocks) from which em_chain
 # draws the next step's blocks on a helper thread while it computes this
 # step.  On a 2-CPU machine the hand-off cost more than the overlap saved
@@ -228,15 +240,15 @@ def em_chain(
     model: DriftModel,
     init: InitDensity,
     etas,
-    T: float,
+    steps,
     n: int,
     master_seed: int,
     enforce_window: bool = True,
     bridge_points: int = 0,
 ):
     """The forward-Euler chains X_{k+1} = X_k + eta b(X_k) + sqrt(eta) xi_k of
-    n independent chains over floor(T/eta) steps, for every step size eta of
-    the grid etas in lockstep.
+    n independent chains, over steps[i] steps of each step size etas[i] of the
+    grid, in lockstep (step_counts turns a horizon into such counts).
 
     xi_k is a pure function of (master_seed, k), so every eta of the grid
     takes the same block at step k: it is drawn once on SUB_EM and applied to
@@ -252,19 +264,20 @@ def em_chain(
     helper thread ends with the iterator (exhausted, closed or raising).
 
     Checks every step (against bounds.step_window unless enforce_window is
-    False), dimensions, chain count, seed and horizon, and draws the initial
-    states once, before it returns, so a bad configuration fails before any
-    stepping.  An initial state beyond the divergence limit is an InputError
-    naming init; a later one a DivergenceError naming the step size, chain
-    and step, raised at the first step, in grid order within a step, where
-    any eta diverges.  Returns an iterator over (k, states, bridge) for
-    k = 0 .. max steps(eta): states lists (i, x_k, b(x_k)) in grid order for
-    each eta_i with k <= steps(eta_i), with b(x_k) None at k = steps(eta_i),
-    and bridge holds step k's bridge blocks, none at k = max steps(eta).
+    False), its count (a positive integer), dimensions, chain count and seed,
+    and draws the initial states once, before it returns, so a bad
+    configuration fails before any stepping.  An initial state beyond the
+    divergence limit is an InputError naming init; a later one a
+    DivergenceError naming the step size, chain and step, raised at the first
+    step, in grid order within a step, where any eta diverges.  Returns an
+    iterator over (k, states, bridge) for k = 0 .. max steps(eta): states lists
+    (i, x_k, b(x_k)) in grid order for each eta_i with k <= steps(eta_i), with
+    b(x_k) None at k = steps(eta_i), and bridge holds step k's bridge blocks,
+    none at k = max steps(eta).
     """
-    etas = list(etas)
-    if not etas:
-        raise InputError("the step-size grid is empty")
+    etas, steps = list(etas), [check_count(s, "step count") for s in steps]
+    if not etas or len(steps) != len(etas) or min(steps) < 1:
+        raise InputError(f"need a nonempty grid with one positive step count per step size, got {steps} for {etas}")
     for eta in etas:
         check_step(eta, model.constants.L1, enforce_window)
     if init.dim != model.dim:
@@ -274,8 +287,6 @@ def em_chain(
     if not 0 <= bridge_points <= MAX_QUAD_POINTS:
         raise InputError(f"bridge_points must be in [0, {MAX_QUAD_POINTS}]")
     seed = check_seed(master_seed)
-    check_horizon(T)
-    steps = [grid_steps(T, eta) for eta in etas]
     last = max(steps)
     x = init.sample(n, seed)
     try:
@@ -344,7 +355,7 @@ def simulate_ensemble(
     enforce_window: bool = True,
 ):
     """Run n independent chains of em_chain, on the one-element grid [eta],
-    for floor(T/eta) steps.
+    for the step_counts count of eta within horizon T.
 
     Returns the final SampleEnsemble, or (final, snapshots) when
     snapshot_times is given.  Snapshots land on grid times only (requested
@@ -352,7 +363,7 @@ def simulate_ensemble(
     [0, T], and two times on one grid step, are rejected before the initial
     states are drawn.
     """
-    check_step(eta, model.constants.L1, enforce_window)
+    steps = step_counts([eta], T, model.constants.L1, enforce_window)
     snap_steps = set()
     for t_req in snapshot_times or ():
         if not 0 <= t_req <= T:
@@ -361,7 +372,7 @@ def simulate_ensemble(
         if k in snap_steps:
             raise InputError(f"snapshot_times {snapshot_times} name one grid step of eta={eta} twice")
         snap_steps.add(k)
-    chain = em_chain(model, init, [eta], T, n, master_seed, enforce_window)
+    chain = em_chain(model, init, [eta], steps, n, master_seed, enforce_window)
     seed = int(master_seed)
 
     snapshots = []

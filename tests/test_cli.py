@@ -28,6 +28,7 @@ from ulakit import (
     knn_kl,
     make_model,
     read_ensemble_csv,
+    step_counts,
     write_ensemble_csv,
 )
 from ulakit import cli
@@ -392,10 +393,12 @@ def test_one_eta_rate_scan_writes_the_library_comparator_value(tmp_path, case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the off-grid horizon is warned of
         code, out = run(tmp_path, "rate-scan", cfg)
+        model = make_model(cfg["model"]["name"], **cfg["model"]["params"])
         [want] = girsanov_pathwise_kl(
-            make_model(cfg["model"]["name"], **cfg["model"]["params"]),
+            model,
             InitDensity(cfg["init"]["mean"], cfg["init"]["sigma0"]),
-            cfg["eta_grid"], cfg["horizon"], cfg["girsanov_chains"], cfg["seed"],
+            cfg["eta_grid"], step_counts(cfg["eta_grid"], cfg["horizon"], model.constants.L1),
+            cfg["girsanov_chains"], cfg["seed"],
             quad_points_per_step=cfg.get("quad_points_per_step", 4),
         )
     assert code == 0
@@ -447,6 +450,18 @@ def test_rate_scan_short_grid_makes_no_exact_slope_claim(tmp_path, eta_grid):
 def test_slope_fit_needs_positive_values(values, fits):
     fit = cli.slope_fit(list(zip([0.2, 0.1, 0.05], values)))
     assert (fit is not None) is fits
+
+
+def test_rate_scan_exact_oracle_takes_step_counts_beyond_2_63(tmp_path):
+    # At rate 1e300 the window is (0, 5e-301), and the horizon 1 is about
+    # 1e301 steps of each step size; the oracle once failed on a count
+    # that numpy could not take as a float.
+    cfg = {"model": {"name": "ou", "params": {"dim": 1, "rate": 1e300}}, "init": {"mean": [1.0], "sigma0": 1.0},
+           "horizon": 1.0, "eta_grid": [1e-301, 5e-302, 2.5e-302]}
+    code, out = run(tmp_path, "rate-scan", cfg)
+    assert code == 0
+    records = json.loads((out / "rate_scan.json").read_text())["records"]
+    assert all(rec["steps"] > 2**63 and 0.0 < rec["kl_exact"] < math.inf for rec in records)
 
 
 def test_rate_scan_warns_once_per_off_grid_eta(tmp_path):
@@ -1260,7 +1275,7 @@ REJECTED_CONFIGS = {
     "rate-scan-eta-above-horizon": (
         "rate-scan",
         dict(RATE_CFG, model={"name": "ou", "params": {"dim": 1, "rate": 0.2}}, eta_grid=[2.0, 0.4, 0.2, 0.1]),
-        "eta_grid value 2.0",
+        "step size 2.0 takes no step within horizon=1.0",
     ),
     "rate-scan-negative-horizon": ("rate-scan", dict(RATE_CFG, horizon=-1.0, exact=False), "horizon"),
     "rate-scan-negative-chains": (
@@ -1299,7 +1314,14 @@ REJECTED_CONFIGS = {
     ),
     # An eta above the horizon would take no step: sample would write the
     # initial draw.
-    "sample-eta-above-horizon": ("sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "eta value 0.4"),
+    "sample-eta-above-horizon": (
+        "sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "step size 0.4 takes no step within horizon=0.1",
+    ),
+    # A negative step size was rejected without naming its key.
+    "sample-negative-eta": ("sample", dict(SAMPLE_CFG, eta=-0.1), "eta must be finite and positive"),
+    "bound-eval-negative-eta": (
+        "bound-eval", {"theorem": 1, "eta": -0.1, "constants": ALL_ONES_CONSTANTS}, "eta must be finite and positive",
+    ),
     # An input name the estimator never reads.
     "estimate-unread-input": (
         "estimate", {"estimator": "knn_kl", "inputs": {"p": "s.csv", "q": "s.csv", "samples": "nope.csv"}}, "inputs",
@@ -1589,7 +1611,7 @@ def test_benchmark_tracer_counts_every_normal_a_chain_draws(monkeypatch):
     chains, dim, steps, bridge_points = 10, 2, 5, 2
     with tracer.traced(ulakit, tracer.Tracer()) as spans:
         model = make_model("ou", dim=dim)
-        for _ in ulakit.samplers.em_chain(model, InitDensity(np.zeros(dim), 1.0), [0.1], steps * 0.1, chains, 4,
+        for _ in ulakit.samplers.em_chain(model, InitDensity(np.zeros(dim), 1.0), [0.1], [steps], chains, 4,
                                           bridge_points=bridge_points):
             pass
     # The initial states, then each step's bridge blocks and its own block.

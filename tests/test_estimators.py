@@ -305,6 +305,12 @@ def test_w2_empirical_dim_and_count_checks():
         w2_empirical_1d(rng.standard_normal((50, 1)), rng.standard_normal((40, 1)))
 
 
+def test_w2_empirical_pair_of_other_dimensions_is_rejected():
+    rng = np.random.default_rng(1)
+    with pytest.raises(InputError, match="sample dimensions differ"):
+        w2_empirical_1d(rng.standard_normal((50, 1)), rng.standard_normal((50, 2)))
+
+
 def test_w2_empirical_metric_properties():
     rng = np.random.default_rng(131)
     for _ in range(20):
@@ -385,14 +391,14 @@ def test_moment_estimate_rejects_other_orders():
 
 def test_girsanov_zero_drift_is_exactly_zero():
     z = make_model("zero", dim=1)
-    [val] = girsanov_pathwise_kl(z, InitDensity([0.0], 1.0), [0.2], 1.0, 500, master_seed=7)
+    [val] = girsanov_pathwise_kl(z, InitDensity([0.0], 1.0), [0.2], [5], 500, master_seed=7)
     assert val == 0.0
 
 
 def test_girsanov_ou_scan_first_order_slope():
     init = InitDensity([1.0], 1.0)
     etas = (0.2, 0.1, 0.05, 0.025)
-    values = girsanov_pathwise_kl(OU1, init, etas, 2.0, 20_000, master_seed=167)
+    values = girsanov_pathwise_kl(OU1, init, etas, [10, 20, 40, 80], 20_000, master_seed=167)
     fit = rate_fit(zip(etas, values))
     assert 0.85 <= fit.slope <= 1.15
 
@@ -403,7 +409,7 @@ def test_girsanov_ou_matches_per_step_expectation():
     # so the midpoint-rule total is computable from the grid moments
     eta, T, n = 0.1, 1.0, 200_000
     init = InitDensity([1.0], 1.0)
-    [mc] = girsanov_pathwise_kl(OU1, init, [eta], T, n, master_seed=173, quad_points_per_step=4)
+    [mc] = girsanov_pathwise_kl(OU1, init, [eta], [round(T / eta)], n, master_seed=173, quad_points_per_step=4)
     A = OU1.linear.A
     c = OU1.linear.c
     total = 0.0
@@ -421,13 +427,13 @@ def test_girsanov_ou_matches_per_step_expectation():
 def test_girsanov_window_and_quad_validation():
     init = InitDensity([1.0], 1.0)
     with pytest.raises(InputError, match="step size 0.6 outside"):
-        girsanov_pathwise_kl(OU1, init, [0.6], 1.0, 100, master_seed=1)
+        girsanov_pathwise_kl(OU1, init, [0.6], [1], 100, master_seed=1)
     with pytest.raises(InputError):
-        girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 100, master_seed=1, quad_points_per_step=0)
+        girsanov_pathwise_kl(OU1, init, [0.1], [10], 100, master_seed=1, quad_points_per_step=0)
 
 
 def test_girsanov_deterministic():
     init = InitDensity([1.0], 1.0)
-    a = girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 1_000, master_seed=181)
-    b = girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 1_000, master_seed=181)
+    a = girsanov_pathwise_kl(OU1, init, [0.1], [10], 1_000, master_seed=181)
+    b = girsanov_pathwise_kl(OU1, init, [0.1], [10], 1_000, master_seed=181)
     assert a == b

@@ -266,6 +266,28 @@ def test_em_step_outside_window_flips_sign():
     assert out.cov[0, 0] == pytest.approx(0.5**6 + 0.5 * (1 + 0.25 + 0.0625), abs=1e-15)
 
 
+# A nan step once failed as "moments must be finite", naming the output.
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.1])
+def test_em_moments_step_must_be_finite_and_positive(eta):
+    with pytest.raises(InputError, match="step size must be positive"):
+        em_moments_linear(LinearDrift([[-1.0]], [0.0]), GaussianMoments([1.0], [[1.0]]), eta, 3)
+
+
+# An infinite count once raised a bare OverflowError.
+@pytest.mark.parametrize("k", [math.inf, math.nan, -1, 2.5])
+def test_em_moments_count_must_be_a_nonnegative_integer(k):
+    with pytest.raises(InputError, match="step count k must be a nonnegative integer"):
+        em_moments_linear(LinearDrift([[-1.0]], [0.0]), GaussianMoments([1.0], [[1.0]]), 0.1, k)
+
+
+def test_em_moments_after_2_70_steps_are_stationary():
+    # lam = 1 - 0.1: the mean has decayed to 0 and the variance is the
+    # chain's stationary eta / (1 - lam^2).
+    out = em_moments_linear(LinearDrift([[-1.0]], [0.0]), GaussianMoments([1.0], [[1.0]]), 0.1, 2**70)
+    assert out.mean[0] == 0.0
+    assert out.cov[0, 0] == pytest.approx(0.1 / (1.0 - 0.9**2), rel=1e-14)
+
+
 # --- within-step interpolation: the bridge at offset tau is one step of size tau
 
 

@@ -70,7 +70,7 @@ def one_step(model, x0, eta, noise):
     (the init's and the step's) replaced by `noise`."""
     init = InitDensity(mean=x0 - np.asarray(noise, float), sigma0=1.0)
     with mock.patch.object(sp, "noise_block", lambda *a: np.array([noise], float)):
-        (_, [(_, x, _)], _), (_, [(_, x1, _)], _) = sp.em_chain(model, init, [eta], eta, 1, master_seed=0)
+        (_, [(_, x, _)], _), (_, [(_, x1, _)], _) = sp.em_chain(model, init, [eta], [1], 1, master_seed=0)
     assert np.array_equal(x[0], x0)
     return x1[0]
 
@@ -95,21 +95,68 @@ def test_em_step_divergence_is_the_chain_guard():
 
     init = InitDensity(mean=[1.0], sigma0=1.0)
     with mock.patch.object(sp, "noise_block", draw), pytest.raises(DivergenceError) as err:
-        list(sp.em_chain(OU1, init, [0.1], 0.1, 1, master_seed=0))
+        list(sp.em_chain(OU1, init, [0.1], [1], 1, master_seed=0))
     assert err.value.chain == 0 and err.value.step == 1 and err.value.eta == 0.1
     assert err.value.state.tolist() == [0.9 + math.sqrt(0.1) * 1e13]
 
 
 def test_em_step_rejects_bad_eta():
     with pytest.raises(InputError, match="step size must be positive"):
-        sp.em_chain(OU1, STD_INIT, [0.0], 1.0, 1, master_seed=0)
+        sp.em_chain(OU1, STD_INIT, [0.0], [1], 1, master_seed=0)
 
 
 def test_em_chain_checks_every_eta_before_it_returns():
     with pytest.raises(InputError, match="step size 0.6 outside"):
-        sp.em_chain(OU1, STD_INIT, [0.1, 0.05, 0.6], 1.0, 1, master_seed=0)
+        sp.em_chain(OU1, STD_INIT, [0.1, 0.05, 0.6], [10, 20, 1], 1, master_seed=0)
     with pytest.raises(InputError, match="empty"):
-        sp.em_chain(OU1, STD_INIT, [], 1.0, 1, master_seed=0)
+        sp.em_chain(OU1, STD_INIT, [], [], 1, master_seed=0)
+
+
+# A zero count, and a list shorter or longer than the grid.
+@pytest.mark.parametrize("steps", [[0, 20], [10, 0], [10], [10, 20, 5]])
+def test_em_chain_needs_one_positive_count_per_step_size(steps):
+    with pytest.raises(InputError, match="one positive step count per step size"):
+        sp.em_chain(OU1, STD_INIT, [0.1, 0.05], steps, 1, master_seed=0)
+
+
+@pytest.mark.parametrize("count", [2.5, -1, math.inf, math.nan])
+def test_em_chain_count_must_be_an_integer(count):
+    with pytest.raises(InputError, match="step count must be a nonnegative integer"):
+        sp.em_chain(OU1, STD_INIT, [0.1], [count], 1, master_seed=0)
+
+
+# --- step counts: the one conversion of a horizon ----------------------------------
+
+
+def test_step_size_above_the_horizon_is_rejected():
+    # Such a step size once took no step: the chain returned its initial
+    # draw, and the comparator a KL of 0.
+    with pytest.raises(InputError, match="step size 0.4 takes no step within horizon=0.1"):
+        simulate_ensemble(OU1, STD_INIT, eta=0.4, T=0.1, n=10, master_seed=3)
+    with pytest.raises(InputError, match="step size 0.4 takes no step within horizon=0.1"):
+        sp.step_counts([0.4, 0.2, 0.05], 0.1, OU1.constants.L1)
+
+
+def test_step_counts_warn_once_per_off_grid_step_size():
+    # 1.05 is off the grids of 0.2 and 0.1 and on that of 0.05.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert sp.step_counts([0.2, 0.1, 0.05], 1.05, OU1.constants.L1) == [5, 10, 21]
+    assert sorted(str(w.message) for w in caught) == [
+        "horizon 1.05 is not a multiple of eta=0.1; rounded down to 10 steps",
+        "horizon 1.05 is not a multiple of eta=0.2; rounded down to 5 steps",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.step_counts([0.2, 0.1, 0.05], 1.0, OU1.constants.L1) == [5, 10, 20]
+
+
+def test_step_counts_check_the_window_unless_told_not_to():
+    with pytest.raises(InputError, match="step size 0.6 outside"):
+        sp.step_counts([0.1, 0.6], 1.2, OU1.constants.L1)
+    assert sp.step_counts([0.1, 0.6], 1.2, OU1.constants.L1, enforce_window=False) == [12, 2]
+    with pytest.raises(InputError, match="horizon must be finite and positive"):
+        sp.step_counts([0.1], 0.0, OU1.constants.L1)
 
 
 # --- step-size window ----------------------------------------------------------
@@ -246,7 +293,7 @@ def test_interpolated_sample_deterministic_value():
     init = InitDensity(mean=[1.0], sigma0=1.0)
     with mock.patch.object(sp, "noise_block", lambda *a: np.zeros((1, 1))), \
             mock.patch("ulakit.estimators.noise_block", lambda *a: np.zeros((1, 1))):
-        [value] = girsanov_pathwise_kl(OU1, init, [0.1], 0.1, 1, master_seed=0, quad_points_per_step=1)
+        [value] = girsanov_pathwise_kl(OU1, init, [0.1], [1], 1, master_seed=0, quad_points_per_step=1)
     assert value == pytest.approx(0.5 * 0.1 * 0.05**2)
 
 
@@ -310,10 +357,10 @@ def test_off_grid_horizon_warns_and_rounds_down():
 CHAIN_MODELS = [(name, dim) for name in ("ou", "double-well", "gauss-mix") for dim in (1, 2)]
 
 
-def final_states(model, init, etas, T, n, seed):
+def final_states(model, init, etas, steps, n, seed):
     """Each eta's final states from one lockstep em_chain over the grid."""
     finals = {}
-    for _, states, _ in sp.em_chain(model, init, etas, T, n, seed):
+    for _, states, _ in sp.em_chain(model, init, etas, steps, n, seed):
         finals.update((i, x) for i, x, bx in states if bx is None)
     return [finals[i] for i in range(len(etas))]
 
@@ -351,11 +398,19 @@ def check_chain_and_comparator(case, fracs, duplicate, steps, off_grid, n, seed,
         etas.append(etas[0])  # a duplicate step size
     eta = etas[0]
     T = (steps + off_grid) * eta
-    if T <= 0:
-        T = eta
+    if T < eta:
+        T = eta  # a horizon that gives eta no step is rejected
     times = [f * T for f in snap_fracs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # off-grid horizons and snapshot times
+        # So is a grid with a step size that takes no step within T; the
+        # chain and the comparator run on the step sizes that take one.
+        taking = [e for e in etas if math.floor(T / e + 1e-9) >= 1]
+        if len(taking) < len(etas):
+            with pytest.raises(InputError, match="takes no step within horizon"):
+                sp.step_counts(etas, T, model.constants.L1)
+            etas = taking
+        counts = sp.step_counts(etas, T, model.constants.L1)
         # Two times on one grid step are rejected; the rest of the check runs
         # on the first time of each step.
         first_per_step = {}
@@ -367,8 +422,8 @@ def check_chain_and_comparator(case, fracs, duplicate, steps, off_grid, n, seed,
             times = list(first_per_step.values())
         final, snaps = simulate_ensemble(model, init, eta, T, n, seed, snapshot_times=times)
         x_ref, snaps_ref = simulate_ensemble_loop(model, init, eta, T, n, seed, times)
-        finals = final_states(model, init, etas, T, n, seed)
-        values = girsanov_pathwise_kl(model, init, etas, T, n, seed, quad_points_per_step=quad)
+        finals = final_states(model, init, etas, counts, n, seed)
+        values = girsanov_pathwise_kl(model, init, etas, counts, n, seed, quad_points_per_step=quad)
         for e, x, value in zip(etas, finals, values, strict=True):
             assert np.array_equal(x, simulate_ensemble_loop(model, init, e, T, n, seed)[0])
             assert value == girsanov_pathwise_kl_loop(model, init, e, T, n, seed, quad_points_per_step=quad)
@@ -409,7 +464,7 @@ def test_grid_draws_each_noise_block_once():
 
         with path(), mock.patch.object(sp, "noise_block", counting), \
                 mock.patch("ulakit.estimators.noise_block", counting):
-            values = girsanov_pathwise_kl(OU1, STD_INIT, etas, 1.0, 10, master_seed=5, quad_points_per_step=quad)
+            values = girsanov_pathwise_kl(OU1, STD_INIT, etas, [20, 5, 10, 20], 10, master_seed=5, quad_points_per_step=quad)
         assert len(drawn) == 20 * (1 + quad) + 1
         assert len(set(drawn)) == len(drawn)
         assert values == want
@@ -421,7 +476,7 @@ def test_grid_draws_each_noise_block_once():
 def test_prefetch_thread_ends_with_a_full_run():
     baseline = threading.active_count()
     with prefetched():
-        chain = sp.em_chain(OU1, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2)
+        chain = sp.em_chain(OU1, STD_INIT, [0.1], [10], 5, master_seed=3, bridge_points=2)
         next(chain)
         assert threading.active_count() == baseline + 1
         list(chain)
@@ -432,14 +487,14 @@ def test_prefetch_thread_ends_with_a_divergence():
     m = make_model("expansive", dim=1)
     baseline = threading.active_count()
     with prefetched(), pytest.raises(DivergenceError):
-        girsanov_pathwise_kl(m, STD_INIT, [0.05], 48.0, 200, master_seed=23)
+        girsanov_pathwise_kl(m, STD_INIT, [0.05], [960], 200, master_seed=23)
     assert threading.active_count() == baseline
 
 
 def test_prefetch_thread_ends_with_a_chain_closed_early():
     baseline = threading.active_count()
     with prefetched():
-        chain = sp.em_chain(OU1, STD_INIT, [0.1, 0.05], 1.0, 5, master_seed=3, bridge_points=3)
+        chain = sp.em_chain(OU1, STD_INIT, [0.1, 0.05], [10, 20], 5, master_seed=3, bridge_points=3)
         for k, _, _ in chain:
             if k == 4:
                 break
@@ -477,7 +532,7 @@ def test_noise_error_raised_in_the_helper_is_the_same_error_at_the_same_step():
         steps = []
         with path(), mock.patch.object(sp, "noise_block", failing), \
                 pytest.raises(RuntimeError, match="no noise for step 6"):
-            for k, _, _ in sp.em_chain(model, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2):
+            for k, _, _ in sp.em_chain(model, STD_INIT, [0.1], [10], 5, master_seed=3, bridge_points=2):
                 steps.append(k)
         assert threading.active_count() == baseline
         seen[path] = steps
@@ -492,12 +547,12 @@ def test_concurrent_prefetched_chains_are_bitwise_the_serial_ones():
     # would hand some block another's counter.
     model = make_model("ou", dim=2)
     seeds = list(range(6))
-    want = {s: girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], 0.4, 30, s, 3) for s in seeds}
+    want = {s: girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], [8, 20], 30, s, 3) for s in seeds}
     got, errors = {}, []
 
     def work(seed):
         try:
-            got[seed] = girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], 0.4, 30, seed, 3)
+            got[seed] = girsanov_pathwise_kl(model, STD_INIT_2, [0.05, 0.02], [8, 20], 30, seed, 3)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -520,7 +575,7 @@ def test_one_cpu_starts_no_helper_thread():
     baseline = threading.active_count()
     started = mock.Mock(wraps=sp.ThreadPoolExecutor)
     with prefetched(cpus=1), mock.patch.object(sp, "ThreadPoolExecutor", started):
-        chain = sp.em_chain(OU1, STD_INIT, [0.1], 1.0, 5, master_seed=3, bridge_points=2)
+        chain = sp.em_chain(OU1, STD_INIT, [0.1], [10], 5, master_seed=3, bridge_points=2)
         next(chain)
         assert threading.active_count() == baseline
         list(chain)
@@ -540,8 +595,8 @@ def test_grid_divergence_names_the_first_diverging_eta_chain_and_step():
     first = min(range(len(etas)), key=lambda i: alone[i].step)
     assert first == 1 and alone[1].step < min(alone[0].step, alone[2].step)
     for run in (
-        lambda: list(sp.em_chain(m, STD_INIT, etas, 48.0, 200, master_seed=23)),
-        lambda: girsanov_pathwise_kl(m, STD_INIT, etas, 48.0, 200, master_seed=23),
+        lambda: list(sp.em_chain(m, STD_INIT, etas, [2400, 960, 1600], 200, master_seed=23)),
+        lambda: girsanov_pathwise_kl(m, STD_INIT, etas, [2400, 960, 1600], 200, master_seed=23),
     ):
         with pytest.raises(DivergenceError) as err:
             run()
@@ -555,14 +610,14 @@ def test_init_out_of_range_is_input_error(mean, sigma0):
     init = InitDensity(mean=[mean], sigma0=sigma0)
     for run in (
         lambda: simulate_ensemble(OU1, init, 0.1, 1.0, 10, master_seed=3),
-        lambda: girsanov_pathwise_kl(OU1, init, [0.1], 1.0, 10, master_seed=3),
+        lambda: girsanov_pathwise_kl(OU1, init, [0.1], [10], 10, master_seed=3),
     ):
         with pytest.raises(InputError, match="init"):
             run()
 
 
 def test_em_chain_yields_each_state_with_its_drift():
-    chain = sp.em_chain(OU1, STD_INIT, [0.1], 0.3, 5, master_seed=37)
+    chain = sp.em_chain(OU1, STD_INIT, [0.1], [3], 5, master_seed=37)
     seen = [(k, x, bx) for k, [(_, x, bx)], _ in chain]
     assert [k for k, _, _ in seen] == [0, 1, 2, 3]
     for _, x, bx in seen[:-1]:
@@ -572,7 +627,7 @@ def test_em_chain_yields_each_state_with_its_drift():
 
 def test_em_chain_grid_yields_each_eta_up_to_its_own_steps():
     # T = 0.3 is 3 steps of 0.1 and 2 of 0.15.
-    seen = list(sp.em_chain(OU1, STD_INIT, [0.1, 0.15], 0.3, 5, master_seed=37))
+    seen = list(sp.em_chain(OU1, STD_INIT, [0.1, 0.15], [3, 2], 5, master_seed=37))
     assert [(k, [i for i, _, _ in states]) for k, states, _ in seen] == [
         (0, [0, 1]), (1, [0, 1]), (2, [0, 1]), (3, [0])
     ]
