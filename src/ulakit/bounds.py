@@ -110,16 +110,25 @@ def check_step(eta: float, L1: float, enforce_window: bool = True) -> None:
         )
 
 
+def is_count(n) -> bool:
+    """Whether n is a nonnegative integer (an integral float included); the
+    library's one integer rule.  None, a string or another non-number is not."""
+    try:
+        return 0 <= n < math.inf and int(n) == n
+    except TypeError:
+        return False
+
+
 def check_dim(d) -> int:
     """d as an int; InputError unless it is a positive integer."""
-    if not (1 <= d < math.inf and int(d) == d):
+    if not (is_count(d) and d >= 1):
         raise InputError("dimension must be a positive integer")
     return int(d)
 
 
 def check_count(n, what: str) -> int:
     """n as an int; InputError naming what unless n is a nonnegative integer."""
-    if not (0 <= n < math.inf and int(n) == n):
+    if not is_count(n):
         raise InputError(f"{what} must be a nonnegative integer")
     return int(n)
 

@@ -9,9 +9,10 @@ in force, and a claim-check verdict.  Exit status: 0 when all claim checks
 pass, 1 when any fails, 2 on configuration errors.  Reruns from the recorded
 config reproduce artifacts byte for byte.
 
-One skeleton (run_command) reads, records and writes; each cmd_* function
-only computes from the typed config, returning an Outcome with its files'
-writers, so the output directory appears only once a command has returned.
+One skeleton (run_command) reads, records, writes and prints; each cmd_*
+function only computes from the typed config, returning an Outcome with its
+claims (each built by claim) and its files' writers, so the output directory
+and stdout's two lines appear only once a command has returned.
 COMMANDS (and ESTIMATORS, one table per estimator) declares every config
 key once, nested maps included, with the reader that types it and its
 default; a missing, undeclared or wrongly typed key exits 2 before any
@@ -216,6 +217,12 @@ def slope_fit(pairs) -> est.RateFit | None:
     return est.rate_fit(pairs) if est.fits_rate(pairs) and all(v > 0 for _, v in pairs) else None
 
 
+def claim(name: str, passed, detail: str) -> dict:
+    """A claim check as the report holds it; passed (a numpy bool included)
+    becomes a JSON boolean."""
+    return {"name": name, "pass": bool(passed), "detail": detail}
+
+
 class Outcome(NamedTuple):
     """What a command computed: report fields (they may override c0/c1), claim
     checks, its files as (name, writer) pairs, each writer called with the
@@ -323,31 +330,23 @@ def cmd_rate_scan(cfg: dict) -> Outcome:
     claims = []
     if cfg["exact"]:
         if all(v == 0.0 for _, v in exact_pairs):
-            claims.append({
-                "name": "exact_slope", "pass": True,
-                "detail": "degenerate scan (zero KL: discretization is exact)",
-            })
+            claims.append(claim("exact_slope", True, "degenerate scan (zero KL: discretization is exact)"))
         elif fit_exact is not None:
             lo, hi = EXACT_SLOPE
-            ok = lo <= fit_exact.slope <= hi and fit_exact.r_squared >= EXACT_R2_MIN
-            claims.append({
-                "name": "exact_slope", "pass": bool(ok),
-                "detail": f"slope={fit_exact.slope:.4f} r2={fit_exact.r_squared:.6f} band=[{lo},{hi}]",
-            })
+            claims.append(claim(
+                "exact_slope", lo <= fit_exact.slope <= hi and fit_exact.r_squared >= EXACT_R2_MIN,
+                f"slope={fit_exact.slope:.4f} r2={fit_exact.r_squared:.6f} band=[{lo},{hi}]",
+            ))
     if n_chains > 0 and fit_girs is not None:
         lo, hi = GIRSANOV_SLOPE
-        claims.append({
-            "name": "girsanov_slope", "pass": bool(lo <= fit_girs.slope <= hi),
-            "detail": f"slope={fit_girs.slope:.4f} band=[{lo},{hi}]",
-        })
+        claims.append(claim("girsanov_slope", lo <= fit_girs.slope <= hi,
+                            f"slope={fit_girs.slope:.4f} band=[{lo},{hi}]"))
     if fit_exact is not None and fit_girs is not None:
         gap = fit_exact.slope - fit_girs.slope
-        claims.append({
-            "name": "slope_gap", "pass": bool(gap >= SLOPE_GAP_MIN),
-            "detail": f"slope(exact)-slope(girsanov)={gap:.4f} >= {SLOPE_GAP_MIN}",
-        })
+        claims.append(claim("slope_gap", gap >= SLOPE_GAP_MIN,
+                            f"slope(exact)-slope(girsanov)={gap:.4f} >= {SLOPE_GAP_MIN}"))
     if not claims:
-        claims.append({"name": "completed", "pass": True, "detail": "no slope claim applies"})
+        claims.append(claim("completed", True, "no slope claim applies"))
 
     return Outcome({
         "records": records,
@@ -457,10 +456,10 @@ def cmd_mixing_scan(cfg: dict) -> Outcome:
 
     # An eps already mixed at k = 0 is left out of the fit.
     fit = slope_fit([(rec["eps"], float(rec["n_measured"])) for rec in records if rec["n_measured"] > 0])
-    claims = [{
-        "name": "mixing_slope", "pass": bool(lo <= fit.slope <= hi),
-        "detail": f"slope(log N vs log eps)={fit.slope:.4f} band=[{lo},{hi}]",
-    }] if fit is not None else [{"name": "completed", "pass": True, "detail": "scan completed (no slope fit)"}]
+    claims = [
+        claim("mixing_slope", lo <= fit.slope <= hi, f"slope(log N vs log eps)={fit.slope:.4f} band=[{lo},{hi}]")
+        if fit is not None else claim("completed", True, "scan completed (no slope fit)")
+    ]
 
     return Outcome({
         "metric": metric,
@@ -488,7 +487,13 @@ def cmd_verify(cfg: dict) -> Outcome:
     init = build_init(cfg["init"], model.dim)
     rng = np.random.default_rng(cfg["seed"])
     cert = model.constants
-    report_sections = {}
+    claims, sections = [], {}
+
+    def audit(name, passed, **fields):
+        """Record the assumption section name and its claim, with one verdict."""
+        claims.append(claim(name, passed, ""))
+        fields["pass"] = claims[-1]["pass"]
+        sections[name] = fields
 
     def sample_ball(count):
         pts = rng.standard_normal((count, model.dim))
@@ -497,53 +502,39 @@ def cmd_verify(cfg: dict) -> Outcome:
 
     # Lipschitz constants of the drift and its Jacobian, on the same pairs.
     worst_l1, worst_l2 = dm.lipschitz_ratios(model, sample_ball(VERIFY_PAIRS), sample_ball(VERIFY_PAIRS))
-    ok_l1 = worst_l1 <= cert.L1 * (1 + 1e-9) + 1e-12
-    report_sections["lipschitz_drift"] = {
-        "pass": bool(ok_l1), "declared_L1": cert.L1, "witnessed_ratio": worst_l1,
-    }
+    audit("lipschitz_drift", worst_l1 <= cert.L1 * (1 + 1e-9) + 1e-12, declared_L1=cert.L1, witnessed_ratio=worst_l1)
 
     # The Jacobian's Lipschitz ratio, with finite-difference agreement.
     worst_fd = max(dm.grad_check(model, x, h=1e-5) for x in sample_ball(VERIFY_GRAD_POINTS))
-    ok_l2 = worst_l2 <= cert.L2 * (1 + 1e-9) + 1e-12 and worst_fd < 1e-5
-    report_sections["smooth_drift"] = {
-        "pass": bool(ok_l2), "declared_L2": cert.L2,
-        "witnessed_ratio": worst_l2, "grad_check_max": worst_fd,
-    }
+    audit(
+        "smooth_drift", worst_l2 <= cert.L2 * (1 + 1e-9) + 1e-12 and worst_fd < 1e-5,
+        declared_L2=cert.L2, witnessed_ratio=worst_l2, grad_check_max=worst_fd,
+    )
 
-    # Distant dissipativity.
+    # Distant dissipativity: a ladder rate certifies the sampled shells; the
+    # declared pair is only echoed.
     fit = dm.dissipativity_fit(model, VERIFY_RADIUS_GRID, seed=cfg["seed"])
-    diss = {"declared": list(cert.dissipativity) if cert.dissipativity else None}
+    declared = list(cert.dissipativity) if cert.dissipativity else None
     if fit is not None:
-        diss.update({"pass": True, "witnessed_mu": fit[0], "witnessed_beta": fit[1]})
+        audit("dissipativity", True, declared=declared, witnessed_mu=fit[0], witnessed_beta=fit[1])
     else:
         mu_floor = min(dm.MU_LADDER)
         probe = sample_ball(512)
         g = np.sum(model.drift(probe) * probe, axis=1) + mu_floor * np.sum(probe**2, axis=1)
         worst = int(np.argmax(g))
-        diss.update({
-            "pass": False,
-            "witness_point": probe[worst].tolist(),
-            "witness_value": float(g[worst]),
-            "detail": "no ladder rate certifies <b(x),x> <= -mu||x||^2 + beta on the sampled shells",
-        })
-    report_sections["dissipativity"] = diss
+        audit(
+            "dissipativity", False, declared=declared,
+            witness_point=probe[worst].tolist(), witness_value=float(g[worst]),
+            detail="no ladder rate certifies <b(x),x> <= -mu||x||^2 + beta on the sampled shells",
+        )
 
     # Initialization tail certificate.
     h0, sig = dm.verify_init(init)
     grid = rng.standard_normal((512, model.dim)) * 3.0 * init.sigma0 + init.mean
     lhs = -init.log_density(grid)
     rhs = h0 + np.sum(grid**2, axis=1) / sig**2
-    ok_init = bool(np.all(lhs <= rhs + 1e-9))
-    report_sections["smooth_init"] = {
-        "pass": ok_init, "h0": h0, "sigma_cert": sig,
-        "max_violation": float(np.max(lhs - rhs)),
-    }
-
-    claims = [
-        {"name": name, "pass": bool(sec["pass"]), "detail": ""}
-        for name, sec in report_sections.items()
-    ]
-    return Outcome({"assumptions": report_sections}, claims)
+    audit("smooth_init", np.all(lhs <= rhs + 1e-9), h0=h0, sigma_cert=sig, max_violation=float(np.max(lhs - rhs)))
+    return Outcome({"assumptions": sections}, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +548,14 @@ def cmd_sample(cfg: dict) -> Outcome:
     divergence gives only the report, sample.json."""
     model = build_model(cfg["model"])
     init = build_init(cfg["init"], model.dim)
-    eta, seed = cfg["eta"], cfg["seed"]
-    snaps = cfg.get("snapshot_times")
-
-    lo, hi = bnd.step_window(model.constants.L1)
-    print(f"master_seed={seed} step_window=({lo:g}, {hi:g}) eta={eta:g}")
+    eta, snaps = cfg["eta"], cfg.get("snapshot_times")
     try:
         result = sp.simulate_ensemble(
-            model, init, eta, cfg["horizon"], cfg["chains"], seed,
+            model, init, eta, cfg["horizon"], cfg["chains"], cfg["seed"],
             snapshot_times=snaps, enforce_window=not cfg["allow_outside_window"],
         )
     except DivergenceError as exc:
-        return Outcome({}, [{
-            "name": "simulation", "pass": False,
-            "detail": f"divergence: {exc} (chain={exc.chain}, step={exc.step})",
-        }])
+        return Outcome({}, [claim("simulation", False, f"divergence: {exc} (chain={exc.chain}, step={exc.step})")])
 
     final, snapshots = (result, []) if snaps is None else result
     files = [("ensemble.csv", partial(sp.write_ensemble_csv, final))]
@@ -581,10 +565,9 @@ def cmd_sample(cfg: dict) -> Outcome:
         files.append((f"{name}.csv", partial(sp.write_ensemble_csv, snap)))
         files.append((f"{name}.json", partial(sp.write_ensemble_sidecar, snap, model=model)))
         snap_files.append({"file": f"{name}.csv", "time": snap.time})
-    claims = [{
-        "name": "window_check", "pass": True,
-        "detail": f"eta={eta} inside ({lo:g}, {hi:g})" if eta < hi else "window check overridden",
-    }]
+    lo, hi = bnd.step_window(model.constants.L1)
+    window = f"eta={eta} inside ({lo:g}, {hi:g})" if eta < hi else "window check overridden"
+    claims = [claim("window_check", True, window)]
     fields = {**sp.ensemble_sidecar(final, model), "snapshots": snap_files}
     return Outcome(fields, claims, files, "ensemble.json")
 
@@ -621,10 +604,8 @@ def cmd_estimate(cfg: dict) -> Outcome:
         # them, then its typed params as keyword arguments.
         value = getattr(est, name)(*map(load, cfg["inputs"]), **params)
 
-    claims = [{"name": "estimate", "pass": bool(np.isfinite(value)), "detail": f"{name}={value:.6g}"}]
-    return Outcome(
-        {"estimator": name, "parameters": parameters, "value": value, "inputs_lineage": lineage}, claims
-    )
+    claims = [claim("estimate", np.isfinite(value), f"{name}={value:.6g}")]
+    return Outcome({"estimator": name, "parameters": parameters, "value": value, "inputs_lineage": lineage}, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +629,13 @@ def cmd_bound_eval(cfg: dict) -> Outcome:
     if "eta" in cfg:
         terms = terms_of(constants, cfg["eta"], T, d)
         fields.update({"eta": cfg["eta"], "terms": terms, "value": terms["total"]})
-        claims = [{
-            "name": "bound_finite", "pass": bool(np.isfinite(terms["total"])),
-            "detail": f"value={terms['total']:.6g}",
-        }]
+        claims = [claim("bound_finite", np.isfinite(terms["total"]), f"value={terms['total']:.6g}")]
     else:
         sweep = [{"eta": eta, "value": terms_of(constants, eta, T, d)["total"]} for eta in cfg["eta_grid"]]
         fit = est.rate_fit([(rec["eta"], rec["value"]) for rec in sweep])
         lo, hi = SWEEP_SLOPE
         fields.update({"sweep": sweep, "fit": fit.to_dict()})
-        claims = [{
-            "name": "sweep_slope", "pass": bool(lo <= fit.slope <= hi),
-            "detail": f"slope={fit.slope:.6f} band=[{lo},{hi}]",
-        }]
+        claims = [claim("sweep_slope", lo <= fit.slope <= hi, f"slope={fit.slope:.6f} band=[{lo},{hi}]")]
     return Outcome(fields, claims)
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import check_count, check_dim, check_horizon, check_step, finite_square
+from .bounds import check_count, check_dim, check_horizon, check_step, finite_square, is_count
 from .drift_models import DriftModel
 from .errors import DivergenceError, InputError
 from .gaussian_analytics import GaussianMoments
@@ -65,15 +65,16 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
     """Standard-normal block of shape (n, dim) for one (step, substream).
 
     Entry (i, j) is a pure function of (master_seed, step, substream, i, j);
-    in particular it does not depend on n.
+    in particular it does not depend on n.  Each argument is an integer (an
+    integral float is taken as its int) in its range, or an InputError names it.
     """
     seed = check_seed(master_seed)
-    if step < -1:
-        raise InputError("step index must be >= -1")
-    if not 0 <= substream < NUM_SUBSTREAMS:
-        raise InputError(f"substream must be in [0, {NUM_SUBSTREAMS})")
+    if not (step == -1 or is_count(step)):
+        raise InputError("step index must be an integer >= -1")
+    if not (is_count(substream) and substream < NUM_SUBSTREAMS):
+        raise InputError(f"substream must be an integer in [0, {NUM_SUBSTREAMS})")
     n, dim = check_count(n, "block row count n"), check_dim(dim)
-    offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
+    offset = ((int(step) + 1) * NUM_SUBSTREAMS + int(substream)) << 120
     gen = _philox_generator()
     # Key, counter and an emptied output buffer: the state of a fresh
     # Philox(key=seed, counter=offset).
@@ -89,10 +90,9 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
 
 def check_seed(master_seed) -> int:
     """master_seed as an int; InputError unless it is an integer in [0, 2^64)."""
-    seed = int(master_seed)
-    if seed != master_seed or not 0 <= seed < 2**64:
+    if not (is_count(master_seed) and master_seed < 2**64):
         raise InputError("master_seed must be an integer in [0, 2^64)")
-    return seed
+    return int(master_seed)
 
 
 @dataclass(frozen=True)
@@ -282,10 +282,10 @@ def em_chain(
         check_step(eta, model.constants.L1, enforce_window)
     if init.dim != model.dim:
         raise InputError("init dimension does not match model")
-    if n < 1:
-        raise InputError("need at least one chain")
-    if not 0 <= bridge_points <= MAX_QUAD_POINTS:
-        raise InputError(f"bridge_points must be in [0, {MAX_QUAD_POINTS}]")
+    if not (is_count(n) and n >= 1):
+        raise InputError(f"chain count n must be a positive integer, got {n!r}")
+    if not (is_count(bridge_points) and bridge_points <= MAX_QUAD_POINTS):
+        raise InputError(f"bridge_points must be an integer in [0, {MAX_QUAD_POINTS}]")
     seed = check_seed(master_seed)
     last = max(steps)
     x = init.sample(n, seed)

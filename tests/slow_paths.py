@@ -68,7 +68,8 @@ def mixing_scan_by_recursion(cfg: dict) -> list[int]:
     drift = ga.LinearDrift(-0.5 * precision, 0.5 * precision @ target.mean)
     L1 = float(np.max(np.abs(np.linalg.eigvalsh(drift.A))))
     d = target.dim
-    var0 = np.square(float(cfg["init"]["sigma0"]))
+    with np.errstate(over="ignore"):  # a sigma0 whose square overflows gives inf, which start rejects
+        var0 = np.square(float(cfg["init"]["sigma0"]))
     mean0 = np.zeros(d) + np.asarray(cfg["init"].get("mean", 0.0), float)
     start = ga.GaussianMoments(mean0, var0 * np.eye(d))
     metric = cfg.get("metric", "KL").upper()

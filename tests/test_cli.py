@@ -33,7 +33,8 @@ from ulakit import (
 )
 from ulakit import cli
 from ulakit import drift_models as dm
-from ulakit.cli import COMMANDS, ESTIMATORS, main, read_bool, read_config
+from ulakit.cli import COMMANDS, ESTIMATORS, claim, main, read_bool, read_config
+from ulakit.samplers import write_json
 
 from slow_paths import (
     dissipativity_fit_every_ascent,
@@ -1176,6 +1177,36 @@ def test_rerun_from_recorded_config_is_byte_identical(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+# Every command's run to a verdict, with the report it writes: sample writes
+# ensemble.json, or sample.json when a chain diverges, a verdict too.
+VERDICT_RUNS = {
+    **{command: (command, cfg, f"{command.replace('-', '_')}.json") for command, cfg in RERUN_CASES.items()},
+    "sample": ("sample", SAMPLE_CFG, "ensemble.json"),
+    "sample-divergence": ("sample", DIVERGING_SAMPLE_CFG, "sample.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(VERDICT_RUNS))
+def test_a_run_with_a_verdict_prints_exactly_the_c0_c1_and_verdict_lines(tmp_path, capsys, case):
+    command, cfg, report = VERDICT_RUNS[case]
+    if command == "estimate":
+        assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
+        capsys.readouterr()
+    code, out = run(tmp_path, command, cfg)
+    rep = json.loads((out / report).read_text())
+    assert code == (0 if rep["all_pass"] else 1) and code == (case == "sample-divergence")
+    assert rep["verdict_line"].startswith("PASS: " if code == 0 else "FAIL: ")
+    assert capsys.readouterr().out == f"c0={rep['c0']} c1={rep['c1']}\n{rep['verdict_line']}\n"
+
+
+@pytest.mark.parametrize("passed", [np.bool_(True), np.bool_(False)])
+def test_claim_makes_a_json_boolean_of_a_numpy_verdict(tmp_path, passed):
+    made = claim("x", passed, "")
+    assert made == {"name": "x", "pass": bool(passed), "detail": ""} and type(made["pass"]) is bool
+    write_json(tmp_path / "report.json", {"claims": [made]})
+    assert json.loads((tmp_path / "report.json").read_text())["claims"][0]["pass"] is bool(passed)
+
+
 # The runs whose every output file is hashed: the rerun cases, more samples,
 # a non-diagonal ou with an offset through rate-scan, sample and verify, an
 # exact-only rate-scan of a coupled d=50 ou,
@@ -1251,7 +1282,7 @@ def test_estimate_records_absolute_input_paths(tmp_path):
 
 
 # Configs a command rejects, as (command, config, a fragment of the message);
-# each exits 2 before --out exists.  "s.csv" is an ensemble CSV next to the
+# each exits 2 before --out exists and with nothing on stdout.  "s.csv" is an ensemble CSV next to the
 # config, built from a 1-D array and so 20 chains of dimension 1, and
 # "nan.csv" one whose last point is nan.
 REJECTED_CONFIGS = {
@@ -1317,6 +1348,8 @@ REJECTED_CONFIGS = {
     "sample-eta-above-horizon": (
         "sample", dict(SAMPLE_CFG, eta=0.4, horizon=0.1), "step size 0.4 takes no step within horizon=0.1",
     ),
+    "sample-eta-outside-window": ("sample", dict(SAMPLE_CFG, eta=0.6), "step size 0.6 outside the admissible window"),
+    "verify-unknown-model": ("verify", dict(VERIFY_CFG, model={"name": "no-such-model"}), "model.name must be one of"),
     # A negative step size was rejected without naming its key.
     "sample-negative-eta": ("sample", dict(SAMPLE_CFG, eta=-0.1), "eta must be finite and positive"),
     "bound-eval-negative-eta": (
@@ -1382,7 +1415,8 @@ def test_rejected_config_exits_2_without_output_directory(tmp_path, capsys, case
     write_ensemble_csv(SampleEnsemble(1.0, 0.1, nan_points, 0), tmp_path / "nan.csv")
     code, out = run(tmp_path, command, cfg)
     assert code == 2
-    assert named in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert named in captured.err and captured.out == ""
     assert not out.exists()
 
 

@@ -216,6 +216,38 @@ def test_noise_block_rejects_a_row_count_that_is_not_a_nonnegative_integer(n):
 def test_noise_block_takes_zero_rows_and_integral_floats():
     assert noise_block(0, 0, 0, 0, 2).shape == (0, 2)
     assert noise_block(3, 1, 0, 4.0, 2.0).tobytes() == noise_block(3, 1, 0, 4, 2).tobytes()
+    assert noise_block(0, 1.0, 0, 4, 1).tobytes() == noise_block(0, 1, 0, 4, 1).tobytes()
+    assert noise_block(0, -1.0, 1.0, 4, 1).tobytes() == noise_block(0, -1, 1, 4, 1).tobytes()
+    assert noise_block(5.0, 2, 0, 4, 1).tobytes() == noise_block(5, 2, 0, 4, 1).tobytes()
+
+
+# One integer rule for every argument of the noise and chain layer: a
+# non-integer, non-finite, out-of-range or None value is an InputError naming
+# the argument, never a TypeError, ValueError or OverflowError from the
+# counter arithmetic.
+@pytest.mark.parametrize("args, message", [
+    *[((0, step, 0, 4, 1), "step index must be an integer >= -1") for step in (0.5, 1.5, -2, math.nan, math.inf, None)],
+    *[((0, 1, sub, 4, 1), r"substream must be an integer in \[0, 16\)") for sub in (0.5, -1, 16, math.nan, None)],
+    *[((seed, 1, 0, 4, 1), r"master_seed must be an integer in \[0, 2\^64\)")
+      for seed in (0.5, -1, 2**64, math.inf, math.nan, None, "1")],
+    ((0, 1, 0, None, 1), "block row count n must be a nonnegative integer"),
+    ((0, 1, 0, 4, None), "dimension must be a positive integer"),
+])
+def test_noise_block_names_the_argument_it_rejects(args, message):
+    with pytest.raises(InputError, match=message):
+        noise_block(*args)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, -1, math.inf, math.nan, None])
+def test_em_chain_chain_count_must_be_a_positive_integer(n):
+    with pytest.raises(InputError, match="chain count n must be a positive integer"):
+        sp.em_chain(OU1, STD_INIT, [0.1], [1], n, master_seed=0)
+
+
+@pytest.mark.parametrize("m", [2.5, -1, sp.MAX_QUAD_POINTS + 1, None])
+def test_em_chain_bridge_points_must_be_an_integer_in_range(m):
+    with pytest.raises(InputError, match="bridge_points must be an integer in"):
+        sp.em_chain(OU1, STD_INIT, [0.1], [1], 1, master_seed=0, bridge_points=m)
 
 
 @settings(max_examples=200, deadline=None)
