@@ -1,8 +1,8 @@
-"""Experiment driver: subcommands over JSON configs, emitting CSV + JSON.
+"""Experiment driver: commands over JSON configs, emitting CSV + JSON.
 
-Subcommands: rate-scan, mixing-scan, verify, sample, estimate, bound-eval.
-Every command is configured by its JSON config alone; the flags are
---config, --out and --seed (overrides the config seed).
+Commands: rate-scan, mixing-scan, verify, sample, estimate, bound-eval.
+Every command is configured by its JSON config alone; its options, before
+or after it, are --config, --out and --seed (overrides the config seed).
 
 Every JSON report embeds the config hash, master seed, the c0/c1 constants
 in force, and a claim-check verdict.  Exit status: 0 when all claim checks
@@ -55,8 +55,8 @@ def load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, undecodable bytes, invalid JSON
+        raise InputError(f"config file {path} is not readable JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config must be a JSON object")
     return cfg
@@ -235,10 +235,14 @@ class Outcome(NamedTuple):
 
 
 def run_command(args) -> int:
-    """Read the config through its command's table, resolve the seed and the
-    input paths, run the command on the typed config; then create the output
-    directory, write the command's files, the config it ran with and the
-    report, print the c0/c1 and verdict lines, and return the exit status."""
+    """Check --out, read the config through its command's table, resolve the
+    seed and input paths, run cmd_<command> (looked up per call) on it; then
+    create the output directory, write the command's files, the config it ran
+    with and the report, print the c0/c1 and verdict lines, return the status."""
+    out_dir = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+        raise InputError(f"--out {out_dir} cannot be a directory: it or a parent exists and is not one")
+    name = args.command.replace("-", "_")
     resolved = load_config(args.config)
     if args.seed is not None:
         resolved["seed"] = args.seed
@@ -251,7 +255,7 @@ def run_command(args) -> int:
         base = Path(args.config).parent
         resolved["inputs"] = cfg["inputs"] = {k: str((base / p).resolve()) for k, p in cfg["inputs"].items()}
 
-    outcome = args.func(cfg)
+    outcome = globals()[f"cmd_{name}"](cfg)
     claims = outcome.claims
     all_pass = all(c["pass"] for c in claims)
     report = {
@@ -266,8 +270,6 @@ def run_command(args) -> int:
             f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in claims
         ),
     }
-    name = args.command.replace("-", "_")
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for file_name, write in outcome.files:
         write(out_dir / file_name)
@@ -377,14 +379,11 @@ BLOCK_ELEMENTS = 1 << 12
 
 
 def mixing_kl_tolerance(kl_tolerance, eps: float, rho: float) -> float:
-    """The KL tolerance of accuracy eps; an InputError when it
-    overflows."""
-    try:
-        tolerance = kl_tolerance(eps, rho)
-    except OverflowError:
-        tolerance = math.inf
+    """The KL tolerance of accuracy eps; an InputError when it overflows."""
+    what = f"the KL tolerance of eps={eps}"
+    tolerance = bnd.power_in_range(what, lambda: kl_tolerance(eps, rho))
     if tolerance == math.inf:
-        raise InputError(f"the KL tolerance of eps={eps} leaves the float range")
+        raise InputError(f"{what} leaves the float range")
     return tolerance
 
 
@@ -713,31 +712,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ulakit",
         description="Euler-Maruyama Langevin experiments with exact Gaussian oracles",
+        epilog="""commands:
+  rate-scan    KL discretization error vs step size
+  mixing-scan  first-crossing mixing times vs accuracy
+  verify       check declared drift/init certificates by sampling
+  sample       run a seeded chain ensemble to CSV
+  estimate     run a sample-based estimator on ensemble CSVs
+  bound-eval   evaluate a KL error bound with term audit""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # The cmd_* functions are looked up here, once per parse, so that a
-    # replaced module attribute takes effect on the next call of main().
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-        p.set_defaults(func=func)
-
-    command("rate-scan", cmd_rate_scan, "KL discretization error vs step size")
-    command("mixing-scan", cmd_mixing_scan, "first-crossing mixing times vs accuracy")
-    command("verify", cmd_verify, "check declared drift/init certificates by sampling")
-    command("sample", cmd_sample, "run a seeded chain ensemble to CSV")
-    command("estimate", cmd_estimate, "run a sample-based estimator on ensemble CSVs")
-    command("bound-eval", cmd_bound_eval, "evaluate a KL error bound with term audit")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run_command(args)
+        return run_command(build_parser().parse_args(argv))
     except (TypeError, ValueError) as exc:
         # The library's InputError is a ValueError; float() and numpy raise
         # a ValueError or TypeError for a config value of the wrong type.

@@ -13,6 +13,7 @@ time on a helper thread.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -401,8 +402,11 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-# The item types a list may hold for one C-encoder call to write it.
+# The item types a list may hold for one C-encoder call to write it, and that encoder per item separator,
+# as json.dumps(..., allow_nan=False) builds it less the circular-reference check, which scalars never need.
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_scalar_list_encoder = functools.cache(lambda separator: json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ": ", separator, False, False, False))
 
 
 def _json_key(key) -> str:
@@ -420,7 +424,7 @@ def _json_text(value, indent: str) -> str:
     writes it at a nesting whose lines start with indent, but with every
     non-finite float written as null.  json's indenting encoder is pure
     Python, so a list of scalars is written by one call to the C encoder
-    with the newline and indent as its item separator."""
+    with the newline and indent as its item separator, built once per indent."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -432,7 +436,7 @@ def _json_text(value, indent: str) -> str:
             return "[]"
         if set(map(type, value)) <= _SCALAR_TYPES:
             try:
-                body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)
+                body = "".join(_scalar_list_encoder(",\n" + inner)(value, 0))
             except ValueError:  # a non-finite float, written as null below
                 pass
             else:
@@ -520,8 +524,11 @@ def read_ensemble_csv(path, sidecar: dict | None = None) -> SampleEnsemble:
     path = Path(path)
     with path.open("rb") as fh:
         header = fh.readline().decode("ascii", "replace").rstrip("\r\n").split(",")
-        # loadtxt skips blank lines, so count the rows it must return.
-        lines = sum(1 for _ in fh)
+        # loadtxt skips blank lines, so count the rows it must return (an unterminated last one too).
+        lines, last = 0, b"\n"
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            lines, last = lines + block.count(b"\n"), block[-1:]
+        lines += last != b"\n"
     d = len(header) - 2
     if d < 1 or header[0] != "chain" or header[-1] != "time":
         raise InputError(f"{path} is not an ensemble CSV")

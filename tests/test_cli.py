@@ -762,6 +762,8 @@ MALFORMED_CSVS = {
     "ragged": ENSEMBLE_HEAD + "0,1.5,1\n1,2.5\n",
     "non-numeric": ENSEMBLE_HEAD + "0,1.5,1\n1,abc,1\n",
     "blank-line": ENSEMBLE_HEAD + "0,1.5,1\n\n1,2.5,1\n",
+    "blank-last-line": ENSEMBLE_HEAD + "0,1.5,1\n1,2.5,1\n\n",
+    "blank-last-line-crlf": (ENSEMBLE_HEAD + "0,1.5,1\n1,2.5,1\n\n").replace("\n", "\r\n"),
     "comment-line": ENSEMBLE_HEAD + "0,1.5,1\n# 1,2.5,1\n1,2.5,1\n",
 }
 
@@ -1418,6 +1420,104 @@ def test_rejected_config_exits_2_without_output_directory(tmp_path, capsys, case
     captured = capsys.readouterr()
     assert named in captured.err and captured.out == ""
     assert not out.exists()
+
+
+# A config path that names no file, a directory, or bytes that are not UTF-8.
+@pytest.mark.parametrize("case, named", [
+    ("missing", "config file not found"), ("directory", "Is a directory"), ("non-utf-8", "can't decode byte 0xff"),
+])
+def test_unreadable_config_exits_2_naming_it_without_output_directory(tmp_path, capsys, case, named):
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "non-utf-8":
+        path.write_bytes(b'{"theorem": 1, "dim": 1\xff}')
+    out = tmp_path / "out"
+    assert main(["bound-eval", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and named in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "file").write_text("kept")
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", ran.append)
+    code, _ = run(tmp_path, "verify", VERIFY_CFG, out=out)
+    assert code == 2 and ran == []
+    captured = capsys.readouterr()
+    assert f"--out {tmp_path / out}" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "verify_cfg.json"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+# --- the parser ---------------------------------------------------------------------
+
+
+def test_help_lists_every_command_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = dict(line.split(maxsplit=1) for line in lines[lines.index("commands:") + 1 :])
+    assert listed == {
+        "rate-scan": "KL discretization error vs step size",
+        "mixing-scan": "first-crossing mixing times vs accuracy",
+        "verify": "check declared drift/init certificates by sampling",
+        "sample": "run a seeded chain ensemble to CSV",
+        "estimate": "run a sample-based estimator on ensemble CSVs",
+        "bound-eval": "evaluate a KL error bound with term audit",
+    }
+    assert list(listed) == list(COMMANDS)
+
+
+def test_main_runs_the_cmd_function_bound_at_call_time(tmp_path, monkeypatch):
+    # perfbench/tracer.py times each command by replacing cli.cmd_<name>.
+    assert run(tmp_path, "bound-eval", BOUND_CFG, out="real")[0] == 0
+    seen = []
+
+    def replacement(cfg):
+        seen.append(cfg["theorem"])
+        return cli.Outcome({"value": 7.0}, [claim("replaced", False, "")])
+
+    monkeypatch.setattr(cli, "cmd_bound_eval", replacement)
+    code, out = run(tmp_path, "bound-eval", BOUND_CFG, out="replaced")
+    assert code == 1 and seen == [1]
+    report = json.loads((out / "bound_eval.json").read_text())
+    assert report["value"] == 7.0 and report["verdict_line"] == "FAIL: replaced=FAIL"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["no-such-command", "--config", "{cfg}", "--out", "{out}"], "argument command: invalid choice: 'no-such-command'"),
+    (["bound-eval", "--out", "{out}"], "the following arguments are required: --config"),
+    (["bound-eval", "--config", "{cfg}"], "the following arguments are required: --out"),
+    (["--config", "{cfg}", "--out", "{out}"], "the following arguments are required: command"),
+], ids=["unknown-command", "no-config", "no-out", "no-command"])
+def test_bad_command_line_exits_2_with_argparses_message_and_no_output(tmp_path, capsys, argv, message):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(cfg=cfg, out=out) for arg in argv])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"ulakit: error: {message}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("at", ["first", "before-the-command", "last"])
+def test_options_anywhere_around_the_command_are_read(tmp_path, at):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    options = ["--seed", "9", "--config", str(cfg), "--out", str(out)]
+    argv = {
+        "first": ["--seed", "9", "bound-eval", *options[2:]],
+        "before-the-command": [*options, "bound-eval"],
+        "last": ["bound-eval", *options],
+    }[at]
+    assert main(argv) == 0
+    assert json.loads((out / "bound_eval.json").read_text())["master_seed"] == 9
+    assert json.loads((out / "bound_eval_config.json").read_text())["seed"] == 9
 
 
 # (command, a valid config, the top-level keys it must not run without)

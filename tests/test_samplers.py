@@ -726,6 +726,27 @@ def test_csv_without_sidecar_has_no_lineage(tmp_path):
     assert back.time == ens.time
 
 
+# The bytes of a written ensemble CSV as another writer may end its lines; a blank
+# last line is rejected (tests/test_cli.py MALFORMED_CSVS).
+LINE_ENDS = {
+    "unterminated": lambda text: text[:-1],
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "crlf-unterminated": lambda text: text.replace(b"\n", b"\r\n")[:-2],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("ends", list(LINE_ENDS))
+def test_csv_read_takes_an_unterminated_last_line_and_crlf(tmp_path, ends, rows):
+    points = np.array([[0.1, -2.5e-300]]) * np.arange(1, rows + 1)[:, None]
+    ens = sp.SampleEnsemble(time=0.5, eta=0.1, points=points, master_seed=1)
+    csv = tmp_path / "ens.csv"
+    write_ensemble_csv(ens, csv)
+    csv.write_bytes(LINE_ENDS[ends](csv.read_bytes()))
+    back = read_ensemble_csv(csv)
+    assert back.points.tobytes() == ens.points.tobytes() and back.time == 0.5
+
+
 def _tie_17():
     """Doubles k / 2^j whose exact decimal expansion has 18 significant
     digits ending in 5: "%.17g" must round them half to even."""
@@ -806,6 +827,14 @@ def json_payloads(children):
 @example({"a": {}, "b": [], "c": [[], {}, ()], "d": [{"e": [[]]}]})
 @example([np.float64(0.1), 0.1, np.float64(math.nan), 2, True, None, "x"])
 @example({2: "int", 1.5: "float", True: "bool", 10: [1.0, math.inf]})
+# One indent's cached list encoder writes a finite list, raises on nan (the
+# item-by-item writer then gives null), and writes a finite list again.
+@example({"a": [1.0, 2.0], "b": [3.0, math.nan], "c": [4.0, 5.0]})
+# Lists of scalars at nesting depths 1 to 4, np.float64 items among them.
+@example([0.5, np.float64(0.25), -1, "s"])
+@example({"a": [np.float64(1e308), 5e-324]})
+@example([[[np.float64(-0.0), 0.1], [math.inf, 2]], [[np.float64(math.nan)]]])
+@example({"a": [[[0.1, 0.2], [np.float64(0.3)]], [[math.nan, 1.0], [1.0, 2.0]]], "b": [[[1.0, 2.0]]]})
 def test_json_text_is_the_indenting_encoders_text(payload):
     assert sp._json_text(payload, "") == json_text_indented(payload)
 
