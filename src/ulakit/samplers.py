@@ -182,9 +182,9 @@ class SampleEnsemble:
 def _guard(points: np.ndarray, step: int, time: float, eta: float) -> None:
     """Raise DivergenceError naming the step size, and the first chain (row)
     with a coordinate that is not finite or exceeds DIVERGENCE_LIMIT in
-    absolute value."""
-    bad = ~np.isfinite(points) | (np.abs(points) > DIVERGENCE_LIMIT)
-    if bad.any():
+    absolute value: two reductions test the state, and a NaN fails them."""
+    if not (-DIVERGENCE_LIMIT <= points.min() and points.max() <= DIVERGENCE_LIMIT):
+        bad = ~np.isfinite(points) | (np.abs(points) > DIVERGENCE_LIMIT)
         chain = int(np.argwhere(bad.any(axis=1))[0, 0])
         raise DivergenceError(
             f"chain {chain} diverged at step {step} (eta={eta:g}, t={time:g})",
@@ -389,13 +389,17 @@ def simulate_ensemble(
 # ---------------------------------------------------------------------------
 # On-disk format: columnar CSV  chain,coord0..coord{d-1},time  plus a JSON
 # sidecar carrying seed lineage and model identity.  Floats are written with
-# 17 significant digits, which round-trips every double.
+# 17 significant digits, which round-trips every double.  FLOAT_FORMAT defines them; write_ensemble_csv
+# has a checked numpy path for 1e-4 <= |x| < 1e15, which "%.17g" writes in fixed notation.  There
+# Dekker's two-product gives |x| 10^(16-E) = p + err exactly (E the decimal exponent, 10^(16-E) exact
+# in binary64), and p >= 2^53 is an even integer, so p + rint(err) is the half-even rounding: the 17
+# digits dtoa gives "%.17g".  0, -0, subnormals, non-finite values and other |x| take FLOAT_FORMAT.
 # ---------------------------------------------------------------------------
 
 
 FLOAT_FORMAT = "%.17g"
 # Rows per formatted block of write_ensemble_csv, which bounds its memory.
-CSV_CHUNK_ROWS = 16384
+CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -461,23 +465,119 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# One fast value's bytes: ',', sign, "0.000", 17 digits each but the last followed by a point slot.
+_FIELD = np.frombuffer(b",-0.000" + b"0." * 16 + b"0", np.uint8)
+
+
+@functools.cache
+def _digit_tables():
+    """Built on first use: the ASCII digits of 0000..9999 as uint32s, their trailing zero counts, 10^s for
+    s <= 22 with its Veltkamp head, and _FIELD's keep-mask as one record per ((E + 4) * 18 + nd) * 2 + sign."""
+    k = np.arange(10**4)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1).astype(np.uint8) + 48
+    e, nd = np.arange(-4, 16)[:, None, None, None], np.arange(18)[:, None, None]
+    keep = np.ones((20, 18, 2, _FIELD.size), bool)
+    keep[..., 1] = [False, True]
+    keep[..., 2:7] = np.array([0, 0, 1, 2, 3]) < -e  # "0." and -1 - E zeros
+    keep[..., 7::2] = np.arange(17) < np.maximum(nd, e + 1)
+    keep[..., 8::2] = (np.arange(16) == e) & (nd > e + 1)
+    powers = np.array([float(10**s) for s in range(23)])
+    heads = 134217729.0 * powers - (134217729.0 * powers - powers)  # Veltkamp's split, as _exact_digits splits |x|
+    return (digits.view(np.uint32).ravel(), sum(k % 10**j == 0 for j in range(1, 5)).astype(np.int8),
+            np.stack([powers, heads]), keep.view(f"V{_FIELD.size}").ravel())
+
+
+def _exact_digits(x):
+    """(D, E) of each x in the fast domain: its 17 digits as "%.17g" rounds them, D in [10^16, 10^17), and E."""
+    a = np.abs(x)
+    a1 = 134217729.0 * a - (134217729.0 * a - a)  # Veltkamp's split: the top 26 bits, for Dekker's two-product
+    e = np.floor(np.log10(a)).astype(np.int64)
+    while True:  # log10 may be one off near a power of ten: test the exact pair, not its rounding
+        b, b1 = _digit_tables()[2].take(16 - e, axis=1)
+        p = a * b
+        err = ((a1 * b1 - p) + a1 * (b - b1) + (a - a1) * b1) + (a - a1) * (b - b1)
+        shift = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.int64)
+        shift -= (p < 1e16) | ((p == 1e16) & (err < 0))
+        if not shift.any():
+            break
+        e += shift
+    rounded = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return np.where(rounded == 10**17, 10**16, rounded), e + (rounded == 10**17)  # rounded up: 10^16 at E + 1
+
+
+def _ascii(v, count: int):
+    """(the 4*count ASCII digits, leading zeros included, of each int64 v < 10^(4*count), as a uint8
+    matrix; its base-10^4 digits, most significant first, from int32 base-10^8 ones, cheaper to divide)."""
+    groups = []
+    for _ in range(count // 2):
+        q = v // 10**8
+        piece = (v - q * 10**8).astype(np.int32)
+        high = piece // 10**4
+        groups += [piece - high * 10**4, high]
+        v = q
+    groups = ([v.astype(np.int32)] if count % 2 else []) + groups[::-1]
+    return np.stack([_digit_tables()[0].take(group) for group in groups], axis=1).view(np.uint8), groups
+
+
+def _fast_rows(chains, points, suffix):
+    """The rows numbered chains (ascending) of points, all in the fast domain, each ending in
+    the bytes suffix, as the row template writes them: a byte matrix compressed by a keep-mask."""
+    (rows, d), field, width = points.shape, _FIELD.size, len(str(chains[-1]))
+    text = np.empty((rows, width + d * field + suffix.size), np.uint8)
+    text[:, :width] = _ascii(chains, -(-width // 4))[0][:, -width:]
+    text[:, width:] = np.concatenate([np.tile(_FIELD, d), suffix])
+    keep = np.ones(text.shape, bool)
+    cuts = [0, *np.searchsorted(chains, 10 ** np.arange(1, width))]
+    for k in range(1, width):  # the k-digit indices drop their leading zeros
+        keep[cuts[k - 1] : cuts[k], : width - k] = False
+    rounded, e = _exact_digits(points.ravel())
+    digits, groups = _ascii(rounded, 5)
+    _, zeros, _, classes = _digit_tables()
+    tz = zeros.take(groups[1])
+    for group in groups[2:]:  # the trailing zeros; the first digit is never 0
+        tz = zeros.take(group) + (group == 0) * tz
+    text[:, width : width + d * field].reshape(rows, d, field)[..., 7::2] = digits[:, 3:].reshape(rows, d, 17)
+    code = ((e + 4) * 18 + 17 - tz) * 2 + (points.ravel() < 0)
+    keep[:, width : width + d * field].view(f"V{field}")[:] = classes.take(code).reshape(rows, d)
+    return np.compress(keep.ravel(), text)
+
+
+def _template_rows(row: str, chains, block) -> bytes:
+    """block's rows, numbered by chains, as the row template writes them."""
+    args = [None] * (block.size + len(block))  # row-major: chain index, then the coordinates
+    args[:: block.shape[1] + 1] = chains
+    for k in range(block.shape[1]):
+        args[k + 1 :: block.shape[1] + 1] = block[:, k].tolist()
+    return ((row * len(block)) % tuple(args)).encode()
+
+
 def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
-    """Write the ensemble as chain,coord0..coord{d-1},time rows, formatting
-    CSV_CHUNK_ROWS rows at a time with one row template per block."""
+    """Write the ensemble as chain,coord0..coord{d-1},time rows ending in "\n" on every platform,
+    CSV_CHUNK_ROWS rows at a time.  _fast_rows writes the rows whose values all lie in 1e-4 <= |x| < 1e15,
+    digits exact by the On-disk format argument; FLOAT_FORMAT's row template writes each run of the rest."""
     d, n = ensemble.dim, ensemble.chain_count
     header = "chain," + ",".join(f"coord{j}" for j in range(d)) + ",time\n"
-    row = "%d," + ",".join([FLOAT_FORMAT] * d) + "," + _fmt(ensemble.time) + "\n"
-    with Path(path).open("w") as fh:
-        fh.write(header)
+    row = "%d," + ",".join([FLOAT_FORMAT] * d) + (tail := f",{_fmt(ensemble.time)}\n")
+    suffix = np.frombuffer(tail.encode(), np.uint8)
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode())
         for a in range(0, n, CSV_CHUNK_ROWS):
             block = ensemble.points[a : a + CSV_CHUNK_ROWS]
-            rows = block.shape[0]
-            # Row-major template arguments: chain index, then the d coordinates.
-            args = [None] * (rows * (d + 1))
-            args[:: d + 1] = range(a, a + rows)
-            for j in range(d):
-                args[j + 1 :: d + 1] = block[:, j].tolist()
-            fh.write((row * rows) % tuple(args))
+            fast = ((1e-4 <= (mag := np.abs(block))) & (mag < 1e15)).all(axis=1)
+            if not fast.any():
+                fh.write(_template_rows(row, range(a, a + len(block)), block))
+                continue
+            out, at = _fast_rows(np.flatnonzero(fast) + a, block[fast], suffix), 0
+            if not fast.all():  # the slow rows by the row template, each run i..j - 1 after the fast rows before i
+                text = _template_rows(row, (np.flatnonzero(~fast) + a).tolist(), block[~fast])
+                i, j = np.flatnonzero(np.diff(fast, prepend=True, append=True)).reshape(-1, 2).T
+                ends = np.concatenate([[0], np.flatnonzero(out == 10) + 1])[np.cumsum(fast)[i]]
+                cuts = np.concatenate([[0], np.flatnonzero(np.frombuffer(text, "u1") == 10) + 1])[np.cumsum(j - i)]
+                for end, c0, c1 in zip(ends.tolist(), [0, *cuts[:-1].tolist()], cuts.tolist()):
+                    fh.write(out[at:end])
+                    fh.write(text[c0:c1])
+                    at = end
+            fh.write(out[at:])
 
 
 def ensemble_sidecar(ensemble: SampleEnsemble, model: DriftModel | None = None) -> dict:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -339,6 +341,28 @@ def test_expansive_drift_diverges_with_chain_and_step():
     assert err.value.chain is not None
     assert err.value.step is not None
     assert err.value.state is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, math.nextafter(1e12, math.inf), -1e13])
+def test_guard_names_a_nonfinite_or_out_of_range_coordinate(bad):
+    points = np.zeros((4, 2))
+    points[2, 1] = bad
+    with pytest.raises(DivergenceError, match=r"chain 2 diverged at step 5 \(eta=0.1, t=0.5\)") as err:
+        sp._guard(points, step=5, time=0.5, eta=0.1)
+    assert (err.value.chain, err.value.step, err.value.eta) == (2, 5, 0.1)
+    assert np.array_equal(err.value.state, points[2], equal_nan=True)
+
+
+def test_guard_passes_the_limit_itself():
+    sp._guard(np.array([[1e12, -1e12], [0.0, -0.0]]), step=1, time=0.1, eta=0.1)
+
+
+def test_guard_names_the_lowest_bad_row():
+    points = np.ones((6, 3))
+    points[4, 0], points[1, 2], points[3, 1] = math.inf, math.nan, -2e12
+    with pytest.raises(DivergenceError) as err:
+        sp._guard(points, step=1, time=0.1, eta=0.1)
+    assert err.value.chain == 1
 
 
 # --- snapshots and horizon rounding ------------------------------------------------
@@ -770,6 +794,13 @@ CSV_FLOATS = st.one_of(
 
 
 @settings(max_examples=25, deadline=None)
+# The edges of the block writer's domain 1e-4 <= |x| < 1e15, and the largest
+# doubles below powers of ten, among fast values and in the time column.
+@example(d=1, chunk=7, rows=(2, 3), seed=0, time=1e-4, values=[
+    1e-4, math.nextafter(1e-4, 0.0), -1e-4, 1e15, math.nextafter(1e15, 0.0), -math.nextafter(1e15, 0.0),
+    math.nextafter(1.0, 0.0), math.nextafter(10.0, 0.0), math.nextafter(1e14, 0.0), 123456789012345.12])
+@example(d=3, chunk=2, rows=(2, 3), seed=1, time=math.nextafter(1e15, 0.0), values=[
+    math.nextafter(1e-4, 1.0), 9.999999999999999e-05, -1e15, 999999999999999.9, 0.1, 1e-5, -5e-324, 0.0001])
 @given(
     d=st.integers(1, 3),
     chunk=st.sampled_from([1, 2, 7, sp.CSV_CHUNK_ROWS]),
@@ -798,6 +829,80 @@ def test_csv_io_matches_per_value_oracle(d, chunk, rows, values, time, seed):
         want_points, want_time = read_ensemble_csv_per_value(old)
     assert back.points.tobytes() == points.tobytes() == want_points.tobytes()
     assert np.float64(back.time).tobytes() == np.float64(time).tobytes() == np.float64(want_time).tobytes()
+
+
+def _powers_of_ten_neighbours():
+    """The 40 doubles on each side of each power of ten from 1e-6 to 1e17, and
+    the power itself."""
+    out = []
+    for k in range(-6, 18):
+        below = above = float(f"1e{k}")
+        out.append(below)
+        for _ in range(40):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def test_block_formatting_is_percent_17g_per_value(tmp_path):
+    """Each field the block writer formats equals "%.17g" % v: near every power of
+    ten, at the largest doubles below 1, 10 and 1e14, at 17-digit ties of both
+    parities (n + k/8 with 15 digits in n, n + k/16 with 14) and at 10^6
+    log-uniform doubles over [1e-6, 1e17] with random signs."""
+    rng = np.random.default_rng(20261020)
+    ties = [rng.integers(10**14, 10**15, 4000) + np.arange(4000) % 8 / 8,
+            rng.integers(10**13, 10**14, 4000) + np.arange(4000) % 16 / 16]
+    values = np.concatenate([
+        _powers_of_ten_neighbours(),
+        [math.nextafter(1.0, 0.0), math.nextafter(10.0, 0.0), math.nextafter(1e14, 0.0)],
+        *ties,
+        10.0 ** rng.uniform(-6, 17, 10**6) * rng.choice([-1.0, 1.0], 10**6),
+    ])
+    values = np.concatenate([values, -values[: -(10**6)]])
+    fast = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e15)
+    values, fast = np.concatenate([values[fast], values[~fast]]), np.sort(fast)[::-1]  # one run of slow rows
+    with mock.patch.object(sp, "_fast_rows", wraps=sp._fast_rows) as block_path:
+        write_ensemble_csv(sp.SampleEnsemble(0.0, None, values, None), tmp_path / "v.csv")
+    assert sum(len(call.args[0]) for call in block_path.call_args_list) == fast.sum() > 8 * 10**5
+    args = [None] * (2 * values.size)
+    args[::2], args[1::2] = range(values.size), values.tolist()
+    got, want = (tmp_path / "v.csv").read_text(), "chain,coord0,time\n" + ("%d,%.17g,0\n" * values.size) % tuple(args)
+    if got != want:
+        row = next(i for i, (g, w) in enumerate(zip(got.split(), want.split())) if g != w)
+        pytest.fail(f"row {row}: the block writer wrote {got.split()[row]!r}, %.17g gives {want.split()[row]!r}")
+
+
+def test_digit_tables_are_built_on_the_first_write_not_at_import(tmp_path):
+    probe = ("import ulakit.cli, ulakit.samplers as sp; built = sp._digit_tables.cache_info().currsize; "
+             f"sp.write_ensemble_csv(sp.SampleEnsemble(0.5, 0.1, [0.25], 0), {str(tmp_path / 'e.csv')!r}); "
+             "print(built, sp._digit_tables.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["0", "1"]
+    assert (tmp_path / "e.csv").read_bytes() == b"chain,coord0,time\n0,0.25,0.5\n"
+
+
+# Values outside the block writer's domain, which the row template formats.
+SLOW_VALUES = [0.0, -0.0, 5e-324, 1e-7, 1e16, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 7, sp.CSV_CHUNK_ROWS])
+def test_mixed_blocks_match_per_value_writer(tmp_path, d, chunk):
+    """Blocks in which no value, one value, every value, and the first, last and
+    two adjacent middle rows' values fall back to the row template."""
+    rng = np.random.default_rng(chunk * 10 + d)
+    blocks = rng.uniform(1.0, 10.0, (4, chunk, d)) * 10.0 ** rng.integers(-4, 15, (4, chunk, d))
+    blocks *= rng.choice([-1.0, 1.0], blocks.shape)
+    blocks[1].flat[rng.integers(chunk * d)] = SLOW_VALUES[3]
+    blocks[2].flat = np.resize(SLOW_VALUES, chunk * d)
+    for r in {0, chunk // 2, chunk // 2 + 1, chunk - 1} & set(range(chunk)):
+        blocks[3, r, rng.integers(d)] = SLOW_VALUES[r % len(SLOW_VALUES)]
+    points = blocks.reshape(-1, d)
+    with mock.patch.object(sp, "CSV_CHUNK_ROWS", chunk):
+        write_ensemble_csv(sp.SampleEnsemble(0.25, 0.05, points, 1), tmp_path / "new.csv")
+    write_ensemble_csv_per_value(points, 0.25, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # JSON artifacts: the writer's text is the indenting encoder's, byte for byte.
