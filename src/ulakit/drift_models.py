@@ -67,10 +67,13 @@ class SmoothnessCert:
 class DriftModel:
     """A drift field with derivatives and certificate.
 
-    ``drift`` must broadcast over leading axes: it maps arrays of shape
-    (..., dim) to arrays of the same shape (ensemble code relies on this).
-    ``jacobian`` acts on single points.  Both are deterministic pure
-    functions; models are immutable and safe to share.
+    ``drift`` and ``jacobian`` must broadcast over leading axes: ``drift``
+    maps arrays of shape (..., dim) to arrays of the same shape (ensemble
+    code relies on this), ``jacobian`` maps them to (..., dim, dim).  On a
+    stack of single-point rows, shape (n, 1, dim), each row must come out
+    bit for bit as that point alone does; the checked evaluators
+    (drift_eval, drift_jacobian) pass point sets in that form.  Both are
+    deterministic pure functions; models are immutable and safe to share.
     """
 
     name: str
@@ -82,46 +85,62 @@ class DriftModel:
     linear: Optional[LinearDrift] = None
 
 
-def _as_point(x, dim: int) -> Array:
+def _as_points(x, dim: int) -> Array:
+    """x as a checked point, shape (dim,), or stack of points, shape (n, dim)."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0 and dim == 1:
         arr = arr.reshape(1)
-    if arr.shape != (dim,):
-        raise InputError(f"expected a point of dimension {dim}, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != dim:
+        raise InputError(f"expected a point of dimension {dim} or a stack of them, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InputError("point must be finite")
     return arr
 
 
-def _checked_drift(model: DriftModel, xp: Array) -> Array:
-    """b at the checked point xp, its output checked for shape and finiteness."""
-    out = np.asarray(model.drift(xp), dtype=float)
-    if out.shape != (model.dim,):
-        raise ModelError(f"drift returned shape {out.shape}, expected ({model.dim},)")
-    if not np.isfinite(out).all():
-        raise ModelError(f"drift returned non-finite values at {xp.tolist()}")
-    return out
+def _checked(model: DriftModel, kind: str, xp: Array) -> Array:
+    """b (kind "drift") or its Jacobian (kind "jacobian") at the checked point
+    or stack xp, its output checked for shape and finiteness.
 
-
-def _checked_jacobian(model: DriftModel, xp: Array) -> Array:
-    """The Jacobian of b at the checked point xp, its output checked for
-    shape and finiteness."""
-    out = np.asarray(model.jacobian(xp), dtype=float)
-    if out.shape != (model.dim, model.dim):
-        raise ModelError(f"jacobian returned shape {out.shape}")
+    A stack (n, dim) goes in as n single-point rows, shape (n, 1, dim), which
+    the model evaluates as it does each point alone.  If the stack's output
+    fails its check, the points are evaluated again one at a time, in order,
+    so the ModelError names the first failing point.
+    """
+    if kind == "drift":
+        fn, tail, expected = model.drift, (model.dim,), f", expected ({model.dim},)"
+    else:
+        fn, tail, expected = model.jacobian, (model.dim, model.dim), ""
+    if xp.ndim == 2:
+        out = np.asarray(fn(xp[:, None, :]), dtype=float)
+        if out.shape == (len(xp), 1, *tail) and np.isfinite(out).all():
+            return out.reshape(len(xp), *tail)
+        for x in xp:
+            _checked(model, kind, x)
+        raise ModelError(f"{kind} failed on a stack of {len(xp)} points but on none of them alone")
+    out = np.asarray(fn(xp), dtype=float)
+    if out.shape != tail:
+        raise ModelError(f"{kind} returned shape {out.shape}{expected}")
     if not np.isfinite(out).all():
-        raise ModelError(f"jacobian returned non-finite values at {xp.tolist()}")
+        raise ModelError(f"{kind} returned non-finite values at {xp.tolist()}")
     return out
 
 
 def drift_eval(model: DriftModel, x) -> Array:
-    """Evaluate b(x) at a single point, validating shape and finiteness."""
-    return _checked_drift(model, _as_point(x, model.dim))
+    """b at a point, shape (dim,), or at each point of a stack, shape
+    (n, dim), checked for shape and finiteness.  A stack's rows equal the
+    one-point calls bit for bit."""
+    return _checked(model, "drift", _as_points(x, model.dim))
 
 
 def drift_jacobian(model: DriftModel, x) -> Array:
-    """Evaluate the Jacobian of b at a single point."""
-    return _checked_jacobian(model, _as_point(x, model.dim))
+    """The Jacobian of b at a point, shape (dim, dim), or at each point of a
+    stack, shape (n, dim, dim), checked as drift_eval checks b."""
+    return _checked(model, "jacobian", _as_points(x, model.dim))
+
+
+def _row_dots(v: Array) -> Array:
+    """v_i . v_i for each row v_i of v, each as one point's own dot product."""
+    return (v[:, None, :] @ v[:, :, None]).ravel()
 
 
 def lipschitz_ratios(model: DriftModel, xs, ys) -> tuple[float, float]:
@@ -129,43 +148,63 @@ def lipschitz_ratios(model: DriftModel, xs, ys) -> tuple[float, float]:
     over the pairs of rows (x, y) of xs and ys with x != y; 0 without any.
 
     The points are checked once, as a batch.  b and its Jacobian are
-    evaluated and checked one point at a time, b(x), b(y), Jb(x), Jb(y)
-    pair by pair, so a ModelError names the first failing point.
+    evaluated on the xs and on the ys of the pairs with x != y, each set as
+    one stack of single points, bit for bit as one point at a time.  When a
+    stack fails its check, the pairs are evaluated again in the order
+    b(x), b(y), Jb(x), Jb(y), pair by pair, so a ModelError names the first
+    failing point.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.dim or xs.shape != ys.shape:
         raise InputError(f"expected two (n, {model.dim}) point arrays, got shapes {xs.shape} and {ys.shape}")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InputError("point must be finite")
-    worst_l1, gaps, jumps = 0.0, [], []
-    for x, y in zip(xs, ys):
-        v = x - y
-        gap = math.sqrt(v.dot(v))
-        if gap == 0.0:
-            continue
-        db = _checked_drift(model, x) - _checked_drift(model, y)
-        worst_l1 = max(worst_l1, math.sqrt(db.dot(db)) / gap)
-        jumps.append(_checked_jacobian(model, x) - _checked_jacobian(model, y))
-        gaps.append(gap)
-    if not gaps:
-        return worst_l1, 0.0
+    gaps = np.sqrt(_row_dots(xs - ys))
+    apart = gaps != 0.0
+    xs, ys, gaps = xs[apart], ys[apart], gaps[apart]
+    if not gaps.size:
+        return 0.0, 0.0
+    try:
+        db = drift_eval(model, xs) - drift_eval(model, ys)
+        dj = drift_jacobian(model, xs) - drift_jacobian(model, ys)
+    except ModelError:
+        for x, y in zip(xs, ys):
+            for check, p in ((drift_eval, x), (drift_eval, y), (drift_jacobian, x), (drift_jacobian, y)):
+                check(model, p)
+        raise
     # One LAPACK singular-value call per matrix, as np.linalg.norm(dj, 2) makes.
-    return worst_l1, float(np.max(np.linalg.norm(np.array(jumps), 2, axis=(1, 2)) / np.array(gaps)))
+    return (float(np.max(np.sqrt(_row_dots(db)) / gaps)),
+            float(np.max(np.linalg.norm(dj, 2, axis=(1, 2)) / gaps)))
 
 
 def grad_check(model: DriftModel, x, h: float) -> float:
     """Max relative disagreement between the declared Jacobian and central
-    differences of the drift: max_ij |FD_ij - J_ij| / (1 + |J_ij|)."""
-    if h <= 0:
-        raise InputError("finite-difference step must be positive")
-    xp = _as_point(x, model.dim)
-    J = drift_jacobian(model, xp)
-    fd = np.empty((model.dim, model.dim))
-    for i in range(model.dim):
-        e = np.zeros(model.dim)
-        e[i] = h
-        fd[:, i] = (drift_eval(model, xp + e) - drift_eval(model, xp - e)) / (2.0 * h)
-    return float(np.max(np.abs(fd - J) / (1.0 + np.abs(J))))
+    differences of the drift, max_ij |FD_ij - J_ij| / (1 + |J_ij|), at a
+    point or over every point of a stack.
+
+    The Jacobians and the 2 dim shifted points of every point are evaluated
+    as stacks; when one fails its check, the points are evaluated again in
+    the order Jb(x), b(x + h e_0), b(x - h e_0), ..., point by point, so a
+    ModelError names the first failing point.
+    """
+    if not 0.0 < h < math.inf:
+        raise InputError("finite-difference step must be finite and positive")
+    pts = _as_points(x, model.dim).reshape(-1, model.dim)
+    steps = h * np.eye(model.dim)
+    plus, minus = pts[:, None, :] + steps, pts[:, None, :] - steps
+    try:
+        J = drift_jacobian(model, pts)
+        diff = drift_eval(model, plus.reshape(-1, model.dim)) - drift_eval(model, minus.reshape(-1, model.dim))
+    except ModelError:
+        for p, above, below in zip(pts, plus, minus):
+            drift_jacobian(model, p)
+            for a, b in zip(above, below):
+                drift_eval(model, a)
+                drift_eval(model, b)
+        raise
+    # Row i of each point's block is b(x + h e_i) - b(x - h e_i): column i of FD.
+    fd = (diff / (2.0 * h)).reshape(-1, model.dim, model.dim).swapaxes(1, 2)
+    return float(np.max(np.abs(fd - J) / (1.0 + np.abs(J)), initial=0.0))
 
 
 def _g(model: DriftModel, mu: float, x: Array) -> float:
@@ -314,8 +353,12 @@ def _linear_model(name: str, linear: LinearDrift, params: dict) -> DriftModel:
     else:
         def drift(x):
             return np.asarray(x, dtype=float) @ A.T + c
+
+    def jacobian(x):
+        return np.broadcast_to(A, np.shape(x)[:-1] + A.shape).copy()
+
     cert = SmoothnessCert(L1=float(np.max(np.abs(w))), L2=0.0, A0=a0, **pair)
-    return DriftModel(name, linear.dim, drift, lambda x: A.copy(), cert, params, linear)
+    return DriftModel(name, linear.dim, drift, jacobian, cert, params, linear)
 
 
 def zero_drift(dim: int = 1) -> DriftModel:
@@ -370,8 +413,9 @@ def double_well_drift(dim: int = 1) -> DriftModel:
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
-        return -0.5 * ((r2 - 1.0) * np.eye(dim) + 2.0 * np.outer(x, x))
+        # Each point's own dot product x @ x, shape (..., 1, 1), not np.sum.
+        r2 = x[..., None, :] @ x[..., :, None]
+        return -0.5 * ((r2 - 1.0) * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :]))
 
     R = CERT_RADIUS
     return DriftModel(
@@ -412,8 +456,9 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
-        t = math.tanh(float(x @ a))
-        return 0.5 * (-np.eye(dim) + (1.0 - t * t) * np.outer(a, a))
+        # math.tanh of each point's own x @ a (np.tanh rounds differently).
+        t = np.vectorize(math.tanh, otypes=[float])((x[..., None, :] @ a)[..., 0])
+        return 0.5 * (-np.eye(dim) + (1.0 - t * t)[..., None, None] * np.outer(a, a))
 
     return DriftModel(
         name="gauss-mix",

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -181,11 +183,11 @@ def verify_config(name, dim, seed, **params):
 
 def verify_by_loops(monkeypatch, cfg):
     """cmd_verify's outcome with its checks as first written: the Lipschitz
-    audit one pair at a time, finite differences one column at a time and an
-    ascent at every tail-feasible rate."""
+    audit one pair at a time, finite differences one point and one column at
+    a time and an ascent at every tail-feasible rate."""
     with monkeypatch.context() as patch:
         patch.setattr(dm, "lipschitz_ratios", lipschitz_ratios_per_pair)
-        patch.setattr(dm, "grad_check", grad_check_per_column)
+        patch.setattr(dm, "grad_check", lambda model, xs, h: max(grad_check_per_column(model, x, h) for x in xs))
         patch.setattr(dm, "dissipativity_fit", dissipativity_fit_every_ascent)
         return cli.cmd_verify(cfg)
 
@@ -210,6 +212,21 @@ def test_verify_report_is_the_per_pair_loops_report(monkeypatch, name, dim):
 def test_verify_report_is_the_per_pair_loops_report_on_drawn_models(case, scale, dim, seed):
     name, key = case
     cfg = verify_config(name, dim, seed, **({} if key is None else {key: scale}))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert cli.cmd_verify(cfg) == verify_by_loops(monkeypatch, cfg)
+
+
+@given(dim=st.integers(2, 4), draw=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=20)
+def test_verify_report_is_the_per_pair_loops_report_on_coupled_ou(dim, draw, seed):
+    # A drawn symmetric negative-definite matrix with off-diagonal terms and a
+    # nonzero offset: its drift's products are inexact, so a stacked
+    # evaluation that parted from the one-point calls would show.
+    rng = np.random.default_rng(draw)
+    B = rng.standard_normal((dim, dim))
+    S = B @ B.T
+    matrix = -(0.5 * (S + S.T) + 0.25 * np.eye(dim))
+    cfg = verify_config("ou", dim, seed, matrix=matrix.tolist(), offset=rng.standard_normal(dim).tolist())
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert cli.cmd_verify(cfg) == verify_by_loops(monkeypatch, cfg)
 
@@ -248,7 +265,7 @@ def test_verify_raises_the_per_pair_loops_model_error(monkeypatch, case):
         "drift-nan-outside-9": lambda: broken_model(drift=nan_where(outside_9)),
         "drift-shape": lambda: broken_model(drift=lambda x: np.zeros(3)),
         "jacobian-nan-outside-9": lambda: broken_model(
-            jacobian=lambda x: np.full((2, 2), np.nan) if outside_9(x) else -np.eye(2)),
+            jacobian=lambda x: np.where(outside_9(x)[..., None, None], np.nan, -np.eye(2))),
         "jacobian-shape": lambda: broken_model(jacobian=lambda x: np.zeros((2, 3))),
     }[case]()
     with pytest.raises(ulakit.ModelError) as want:
@@ -1270,9 +1287,22 @@ def golden_digests(tmp_path: Path) -> dict:
 
 
 # A change that alters output bits on purpose re-records the digests with
-# PYTHONPATH=src python tests/test_cli.py
+# PYTHONPATH=src python tests/test_cli.py, which prints the keys it moves.
 def test_output_files_match_golden_digests(tmp_path):
     assert golden_digests(tmp_path) == json.loads(GOLDEN_DIGESTS.read_text())
+
+
+def moved_digests(old: dict, new: dict) -> list[str]:
+    """One "added", "removed" or "changed" line per key whose digest differs."""
+    return [f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+
+
+def test_moved_digests_names_each_added_removed_and_changed_key():
+    old = {"a/x.json": "1", "b/y.json": "2", "c/z.json": "3"}
+    assert moved_digests(old, dict(old)) == []
+    assert moved_digests(old, {"a/x.json": "1", "b/y.json": "9", "d/w.json": "4"}) == [
+        "changed b/y.json", "removed c/z.json", "added d/w.json"]
 
 
 def test_estimate_records_absolute_input_paths(tmp_path):
@@ -1937,5 +1967,8 @@ def test_mutated_configs_exit_0_1_or_2(data):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN_DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=2, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        digests = golden_digests(Path(tmp))
+    for line in moved_digests(json.loads(GOLDEN_DIGESTS.read_text()), digests):
+        print(line)
+    GOLDEN_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from ulakit import (
     CERT_RADIUS,
     InitDensity,
     InputError,
+    ModelError,
     dissipativity_fit,
     drift_eval,
     drift_jacobian,
@@ -20,7 +22,7 @@ from ulakit import (
 from ulakit import drift_models as dm
 from ulakit.cli import VERIFY_RADIUS_GRID
 
-from slow_paths import dissipativity_fit_every_ascent
+from slow_paths import dissipativity_fit_every_ascent, grad_check_per_column
 
 BUILTINS = ["zero", "ou", "double-well", "gauss-mix", "expansive"]
 
@@ -143,6 +145,90 @@ def test_grad_check_twenty_random_points(name):
     for _ in range(20):
         x = rng.uniform(-3, 3, size=2)
         assert grad_check(m, x, h=1e-5) < 1e-5
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
+def test_grad_check_blames_a_bad_step_not_the_point(h):
+    with pytest.raises(InputError, match="^finite-difference step must be finite and positive$"):
+        grad_check(make_model("ou", dim=2), [0.4, -1.2], h=h)
+
+
+# --- stacked evaluation -----------------------------------------------------
+
+
+def coupled_ou(dim, seed):
+    """An ou model with a drawn symmetric negative-definite matrix with
+    off-diagonal terms, and a nonzero offset: its products are inexact."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((dim, dim))
+    S = B @ B.T
+    return make_model("ou", matrix=-(0.5 * (S + S.T) + 0.25 * np.eye(dim)), offset=rng.standard_normal(dim))
+
+
+def stack_points(dim, seed):
+    """40 drawn points in the certificate ball, then the origin, -0.0 and
+    subnormal coordinates."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.uniform(-CERT_RADIUS, CERT_RADIUS, (40, dim)), np.zeros((1, dim)),
+                      np.full((1, dim), -0.0), np.full((1, dim), 5e-324), np.full((1, dim), -1e-310)])
+
+
+def stack_models(dim):
+    return [make_model(name, dim=dim) for name in BUILTINS] + [coupled_ou(dim, seed=dim)]
+
+
+@pytest.mark.parametrize("m", [*(m for dim in range(1, 6) for m in stack_models(dim)), coupled_ou(50, seed=50)],
+                         ids=lambda m: f"{m.name}-d{m.dim}")
+def test_stacked_evaluators_are_the_one_point_calls_bit_for_bit(m):
+    X = stack_points(m.dim, seed=m.dim)
+    for evaluate, shape in ((drift_eval, (m.dim,)), (drift_jacobian, (m.dim, m.dim))):
+        ones = [evaluate(m, x) for x in X]
+        assert {one.shape for one in ones} == {shape}
+        stack = evaluate(m, X)
+        assert stack.shape == (len(X), *shape)
+        assert np.array_equal(stack.view(np.int64), np.array(ones).view(np.int64))
+
+
+@pytest.mark.parametrize("m", [*stack_models(3), coupled_ou(50, seed=50)], ids=lambda m: f"{m.name}-d{m.dim}")
+def test_grad_check_of_a_stack_is_the_per_column_check_of_its_worst_point(m):
+    X = stack_points(m.dim, seed=7)[:20] / 3.0
+    got = grad_check(m, X, h=1e-5)
+    assert got == max(grad_check_per_column(m, x, h=1e-5) for x in X)
+    assert got == max(grad_check(m, x, h=1e-5) for x in X)
+
+
+def nan_beyond(radius, fn, shape):
+    """fn(x), with nan at the points farther than radius from the origin."""
+    return lambda x: np.where(
+        (np.sum(np.square(x), axis=-1) > radius**2).reshape(np.shape(x)[:-1] + (1,) * len(shape)), np.nan, fn(x))
+
+
+@pytest.mark.parametrize("drift_radius, jacobian_radius", [(2.5, None), (None, 2.5), (2.9, 2.5), (2.5, 2.9)])
+def test_grad_check_raises_the_per_point_model_error(drift_radius, jacobian_radius):
+    ou = make_model("ou", dim=2)
+    drift = ou.drift if drift_radius is None else nan_beyond(drift_radius, ou.drift, (2,))
+    jacobian = ou.jacobian if jacobian_radius is None else nan_beyond(jacobian_radius, ou.jacobian, (2, 2))
+    m = dataclasses.replace(ou, drift=drift, jacobian=jacobian)
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, (20, 2))
+    with pytest.raises(ModelError) as want:
+        max(grad_check_per_column(m, x, h=1e-5) for x in X)
+    with pytest.raises(ModelError) as got:
+        grad_check(m, X, h=1e-5)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_failing_stack_names_its_first_failing_point():
+    ou = make_model("ou", dim=2)
+    X = np.array([[0.5, 0.5], [3.0, 0.0], [0.0, 0.5], [0.0, 4.0]])
+    m = dataclasses.replace(ou, drift=nan_beyond(2.0, ou.drift, (2,)), jacobian=nan_beyond(3.5, ou.jacobian, (2, 2)))
+    with pytest.raises(ModelError, match=r"^drift returned non-finite values at \[3\.0, 0\.0\]$"):
+        drift_eval(m, X)
+    with pytest.raises(ModelError, match=r"^jacobian returned non-finite values at \[0\.0, 4\.0\]$"):
+        drift_jacobian(m, X)
+    # A model that fails only on stacks fails loudly too.
+    m = dataclasses.replace(ou, drift=lambda x: np.full(np.shape(x), np.nan) if np.ndim(x) == 3 else ou.drift(x))
+    with pytest.raises(ModelError, match="^drift failed on a stack of 4 points but on none of them alone$"):
+        drift_eval(m, X)
 
 
 # --- Lipschitz certificates -------------------------------------------------
