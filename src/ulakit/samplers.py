@@ -14,6 +14,8 @@ time on a helper thread.
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -389,15 +391,21 @@ def simulate_ensemble(
 # ---------------------------------------------------------------------------
 # On-disk format: columnar CSV  chain,coord0..coord{d-1},time  plus a JSON
 # sidecar carrying seed lineage and model identity.  Floats are written with
-# 17 significant digits, which round-trips every double.  FLOAT_FORMAT defines them; write_ensemble_csv
+# 17 significant digits, which round-trips every finite double.  FLOAT_FORMAT defines them; write_ensemble_csv
 # has a checked numpy path for 1e-4 <= |x| < 1e15, which "%.17g" writes in fixed notation.  There
 # Dekker's two-product gives |x| 10^(16-E) = p + err exactly (E the decimal exponent, 10^(16-E) exact
 # in binary64), and p >= 2^53 is an even integer, so p + rint(err) is the half-even rounding: the 17
 # digits dtoa gives "%.17g".  0, -0, subnormals, non-finite values and other |x| take FLOAT_FORMAT.
+# Beside a CSV whose points are all finite, write_ensemble_csv writes its binary twin, the CSV path plus
+# TWIN_SUFFIX: 32 bytes of SHA-256 over the CSV's bytes followed by the payload, then the payload, the
+# points as little-endian float64, row-major.  The CSV is a function of the points, so a twin whose digest
+# matches holds bitwise the points that parsing the CSV gives, and read_ensemble_csv takes them from it;
+# otherwise it parses the CSV.  A non-finite point gets no twin: "%.17g" writes -nan as nan, parsed as +nan.
 # ---------------------------------------------------------------------------
 
 
 FLOAT_FORMAT = "%.17g"
+TWIN_SUFFIX = ".f64"
 # Rows per formatted block of write_ensemble_csv, which bounds its memory.
 CSV_CHUNK_ROWS = 4096
 
@@ -554,18 +562,25 @@ def _template_rows(row: str, chains, block) -> bytes:
 def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
     """Write the ensemble as chain,coord0..coord{d-1},time rows ending in "\n" on every platform,
     CSV_CHUNK_ROWS rows at a time.  _fast_rows writes the rows whose values all lie in 1e-4 <= |x| < 1e15,
-    digits exact by the On-disk format argument; FLOAT_FORMAT's row template writes each run of the rest."""
+    digits exact by the On-disk format argument; FLOAT_FORMAT's row template writes each run of the rest.
+    Then write the binary twin of the On-disk format when every point is finite, or remove any twin there."""
     d, n = ensemble.dim, ensemble.chain_count
     header = "chain," + ",".join(f"coord{j}" for j in range(d)) + ",time\n"
     row = "%d," + ",".join([FLOAT_FORMAT] * d) + (tail := f",{_fmt(ensemble.time)}\n")
     suffix = np.frombuffer(tail.encode(), np.uint8)
+    digest = hashlib.sha256()
     with Path(path).open("wb") as fh:
-        fh.write(header.encode())
+
+        def write(data):  # every byte of the CSV also goes to the twin's digest
+            fh.write(data)
+            digest.update(data)
+
+        write(header.encode())
         for a in range(0, n, CSV_CHUNK_ROWS):
             block = ensemble.points[a : a + CSV_CHUNK_ROWS]
             fast = ((1e-4 <= (mag := np.abs(block))) & (mag < 1e15)).all(axis=1)
             if not fast.any():
-                fh.write(_template_rows(row, range(a, a + len(block)), block))
+                write(_template_rows(row, range(a, a + len(block)), block))
                 continue
             out, at = _fast_rows(np.flatnonzero(fast) + a, block[fast], suffix), 0
             if not fast.all():  # the slow rows by the row template, each run i..j - 1 after the fast rows before i
@@ -574,10 +589,19 @@ def write_ensemble_csv(ensemble: SampleEnsemble, path) -> None:
                 ends = np.concatenate([[0], np.flatnonzero(out == 10) + 1])[np.cumsum(fast)[i]]
                 cuts = np.concatenate([[0], np.flatnonzero(np.frombuffer(text, "u1") == 10) + 1])[np.cumsum(j - i)]
                 for end, c0, c1 in zip(ends.tolist(), [0, *cuts[:-1].tolist()], cuts.tolist()):
-                    fh.write(out[at:end])
-                    fh.write(text[c0:c1])
+                    write(out[at:end])
+                    write(text[c0:c1])
                     at = end
-            fh.write(out[at:])
+            write(out[at:])
+    twin = Path(f"{path}{TWIN_SUFFIX}")
+    if not np.isfinite(ensemble.points).all():
+        twin.unlink(missing_ok=True)
+        return
+    payload = np.ascontiguousarray(ensemble.points, "<f8")  # the points' own buffer on a little-endian host
+    digest.update(payload)
+    with twin.open("wb") as fh:
+        fh.write(digest.digest())
+        fh.write(payload)
 
 
 def ensemble_sidecar(ensemble: SampleEnsemble, model: DriftModel | None = None) -> dict:
@@ -601,53 +625,80 @@ def write_ensemble_sidecar(ensemble: SampleEnsemble, path, model: DriftModel | N
 
 def read_ensemble_sidecar(path) -> dict:
     """The JSON sidecar of an ensemble CSV, the same path with suffix .json;
-    {} when there is none, InputError when it is not a JSON object."""
+    {} when there is none, InputError when it is unreadable or not a JSON object."""
     sidecar = Path(path).with_suffix(".json")
     if not sidecar.exists():
         return {}
     try:
         meta = json.loads(sidecar.read_text())
-    except ValueError as exc:
-        raise InputError(f"{sidecar} is not a JSON sidecar: {exc}") from None
+    except (OSError, ValueError) as exc:  # a directory, undecodable bytes, invalid JSON
+        raise InputError(f"{sidecar} is not a readable JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise InputError(f"{sidecar} is not a JSON sidecar: not an object")
     return meta
 
 
+def _twin_points(path, rows: int, d: int, digest) -> np.ndarray | None:
+    """The rows x d points of the binary twin of the CSV at path, when the twin has their size and its
+    digest matches digest, the SHA-256 of the CSV's bytes, followed by its payload; None otherwise,
+    and when the twin is missing or unreadable."""
+    try:
+        with open(f"{path}{TWIN_SUFFIX}", "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != 32 + 8 * rows * d:  # before allocating: rows * d comes from the CSV
+                return None
+            stored, points = fh.read(32), np.empty((rows, d), "<f8")
+            if fh.readinto(points) != points.nbytes:
+                return None
+    except OSError:
+        return None
+    digest.update(points)
+    return points if digest.digest() == stored else None
+
+
 def read_ensemble_csv(path, sidecar: dict | None = None) -> SampleEnsemble:
     """Read an ensemble CSV and its JSON sidecar, unless the sidecar is given;
-    without a sidecar the seed and step size are None.
+    without a sidecar the seed and step size are None, and the time is the
+    first row's.  The points come from the CSV's binary twin when its digest
+    matches (see On-disk format), and from parsing the CSV otherwise.
 
     A file that is not an ensemble CSV, has no data rows, or has a blank,
     ragged, commented or non-numeric row raises InputError naming it.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        header = fh.readline().decode("ascii", "replace").rstrip("\r\n").split(",")
+        head, first = fh.readline(), fh.readline()
+        header = head.decode("ascii", "replace").rstrip("\r\n").split(",")
         # loadtxt skips blank lines, so count the rows it must return (an unterminated last one too).
-        lines, last = 0, b"\n"
-        for block in iter(functools.partial(fh.read, 1 << 16), b""):
-            lines, last = lines + block.count(b"\n"), block[-1:]
+        # Every block also goes to the twin's digest.
+        lines, last, digest = 0, b"\n", hashlib.sha256(head)
+        for block in itertools.chain([first], iter(functools.partial(fh.read, 1 << 16), b"")):
+            digest.update(block)
+            lines, last = lines + block.count(b"\n"), block[-1:] or last
         lines += last != b"\n"
     d = len(header) - 2
     if d < 1 or header[0] != "chain" or header[-1] != "time":
         raise InputError(f"{path} is not an ensemble CSV")
     if lines == 0:
         raise InputError(f"{path} has no data rows")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if data.shape != (lines, d + 2):
-        raise InputError(
-            f"{path}: {lines} data lines under a {d + 2}-column header, "
-            f"but {data.shape[0]} rows of {data.shape[1]} fields parsed"
-        )
+    points = _twin_points(path, lines, d, digest)
+    if points is not None:
+        time = float(first.rsplit(b",", 1)[-1])
+    else:
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        if data.shape != (lines, d + 2):
+            raise InputError(
+                f"{path}: {lines} data lines under a {d + 2}-column header, "
+                f"but {data.shape[0]} rows of {data.shape[1]} fields parsed"
+            )
+        points, time = data[:, 1 : 1 + d], float(data[0, -1])
     meta = read_ensemble_sidecar(path) if sidecar is None else sidecar
     return SampleEnsemble(
-        time=meta.get("time", float(data[0, -1])),
+        time=meta.get("time", time),
         eta=meta.get("eta"),
-        points=data[:, 1 : 1 + d],
+        points=points,
         master_seed=meta.get("master_seed"),
         label=meta.get("label", "em"),
     )

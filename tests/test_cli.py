@@ -13,6 +13,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -785,22 +786,59 @@ MALFORMED_CSVS = {
 }
 
 
+@pytest.mark.parametrize("leftover_twin", [False, True])
 @pytest.mark.parametrize("case", list(MALFORMED_CSVS))
-def test_estimate_malformed_input_csv_exits_2(tmp_path, capsys, case):
+def test_estimate_malformed_input_csv_exits_2(tmp_path, capsys, case, leftover_twin):
     csv = tmp_path / "bad.csv"
+    if leftover_twin:  # the binary twin of an ensemble written at this path before
+        write_ensemble_csv(SampleEnsemble(1.0, None, [1.5, 2.5], None), csv)
     csv.write_text(MALFORMED_CSVS[case])
     code, _ = run(tmp_path, "estimate", {"estimator": "moment_estimate", "inputs": {"samples": str(csv)}})
     assert code == 2
     assert str(csv) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sidecar", ['{"master_seed": 1,', "[1, 2]"])
+@pytest.mark.parametrize("sidecar", ['{"master_seed": 1,', "[1, 2]", pytest.param(None, id="directory")])
 def test_estimate_malformed_sidecar_exits_2(tmp_path, capsys, sidecar):
     assert run(tmp_path, "sample", SAMPLE_CFG, out="ens")[0] == 0
-    (tmp_path / "ens" / "ensemble.json").write_text(sidecar)
+    path = tmp_path / "ens" / "ensemble.json"
+    if sidecar is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text(sidecar)
     code, _ = run(tmp_path, "estimate", {"estimator": "moment_estimate", "inputs": {"samples": "ens/ensemble.csv"}})
     assert code == 2
     assert "ensemble.json" in capsys.readouterr().err
+
+
+def test_estimate_reports_are_the_same_with_or_without_binary_twins(tmp_path):
+    assert run(tmp_path, "sample", dict(SAMPLE_CFG, chains=400, snapshot_times=[0.5]), out="ens")[0] == 0
+    csvs = sorted((tmp_path / "ens").glob("*.csv"))
+    twins = [Path(f"{csv}.f64") for csv in csvs]
+    assert len(csvs) == 2 and sorted((tmp_path / "ens").glob("*.f64")) == twins
+    p, q = (str(csv) for csv in csvs)
+    cfgs = [{"estimator": name, "inputs": {"p": p, "q": q}} for name in ("knn_kl", "w2_empirical_1d", "tv_histogram")]
+    cfgs.append({"estimator": "moment_estimate", "inputs": {"samples": p}, "params": {"p": 4}})
+    reports = {}
+    # With the twins present the reads take them (parsing would raise); then the CSVs are parsed.
+    for present in (True, False):
+        if not present:
+            for twin in twins:
+                twin.unlink()
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")) if present else contextlib.nullcontext():
+            for cfg in cfgs:
+                code, out = run(tmp_path, "estimate", cfg, out=f"{cfg['estimator']}_{present}")
+                assert code == 0
+                reports[present, cfg["estimator"]] = (out / "estimate.json").read_bytes()
+    for cfg in cfgs:
+        assert reports[True, cfg["estimator"]] == reports[False, cfg["estimator"]]
+
+
+def test_diverging_sample_writes_no_binary_twin(tmp_path):
+    code, out = run(tmp_path, "sample", DIVERGING_SAMPLE_CFG)
+    assert code == 1
+    assert sorted(path.name for path in out.iterdir()) == ["sample.json", "sample_config.json"]
 
 
 def test_estimate_unknown_estimator(tmp_path):

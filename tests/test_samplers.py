@@ -798,9 +798,11 @@ CSV_FLOATS = st.one_of(
 # doubles below powers of ten, among fast values and in the time column.
 @example(d=1, chunk=7, rows=(2, 3), seed=0, time=1e-4, values=[
     1e-4, math.nextafter(1e-4, 0.0), -1e-4, 1e15, math.nextafter(1e15, 0.0), -math.nextafter(1e15, 0.0),
-    math.nextafter(1.0, 0.0), math.nextafter(10.0, 0.0), math.nextafter(1e14, 0.0), 123456789012345.12])
+    math.nextafter(1.0, 0.0), math.nextafter(10.0, 0.0), math.nextafter(1e14, 0.0), 123456789012345.12], non_finite=[])
 @example(d=3, chunk=2, rows=(2, 3), seed=1, time=math.nextafter(1e15, 0.0), values=[
-    math.nextafter(1e-4, 1.0), 9.999999999999999e-05, -1e15, 999999999999999.9, 0.1, 1e-5, -5e-324, 0.0001])
+    math.nextafter(1e-4, 1.0), 9.999999999999999e-05, -1e15, 999999999999999.9, 0.1, 1e-5, -5e-324, 0.0001], non_finite=[])
+# Infinities and a nan among fast values: no twin.
+@example(d=2, chunk=2, rows=(1, 1), seed=2, time=0.5, values=[1.5, -0.25], non_finite=[math.inf, math.nan])
 @given(
     d=st.integers(1, 3),
     chunk=st.sampled_from([1, 2, 7, sp.CSV_CHUNK_ROWS]),
@@ -809,26 +811,93 @@ CSV_FLOATS = st.one_of(
     values=st.lists(CSV_FLOATS, min_size=1, max_size=40),
     time=CSV_FLOATS,
     seed=st.integers(0, 2**32 - 1),
+    # Points that get no binary twin; nan is +nan, which "%.17g" and float() round-trip.
+    non_finite=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2),
 )
-def test_csv_io_matches_per_value_oracle(d, chunk, rows, values, time, seed):
+def test_csv_io_matches_per_value_oracle(d, chunk, rows, values, time, seed, non_finite):
     blocks, extra = rows
     n = max(1, blocks * chunk + extra)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-20, 20, (n, d))
     flat = points.reshape(-1)
+    values = [*non_finite, *values]
     at = rng.choice(flat.size, size=min(len(values), flat.size), replace=False)
     flat[at] = values[: at.size]
     ens = sp.SampleEnsemble(time=time, eta=0.1, points=points, master_seed=1)
+    finite = bool(np.isfinite(points).all())
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
         with mock.patch.object(sp, "CSV_CHUNK_ROWS", chunk):
             write_ensemble_csv(ens, new)
         write_ensemble_csv_per_value(points, time, old)
         assert new.read_bytes() == old.read_bytes()
-        back = read_ensemble_csv(new)
+        twin = Path(f"{new}{sp.TWIN_SUFFIX}")
+        assert twin.is_file() == finite
+        # With a twin, the read must take it: parsing would raise.
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")) if finite else nullcontext():
+            back = read_ensemble_csv(new)
+        twin.unlink(missing_ok=True)
+        parsed = read_ensemble_csv(new)
         want_points, want_time = read_ensemble_csv_per_value(old)
-    assert back.points.tobytes() == points.tobytes() == want_points.tobytes()
-    assert np.float64(back.time).tobytes() == np.float64(time).tobytes() == np.float64(want_time).tobytes()
+    for got in (back, parsed):
+        assert got.points.tobytes() == points.tobytes() == want_points.tobytes()
+        assert np.float64(got.time).tobytes() == np.float64(time).tobytes() == np.float64(want_time).tobytes()
+
+
+def _flip_bit(path: Path, at: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[at] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _foreign_twin(csv: Path, twin: Path) -> None:
+    """twin replaced by the twin of another ensemble of csv's shape."""
+    other = csv.with_name("other.csv")
+    write_ensemble_csv(sp.SampleEnsemble(time=0.5, eta=0.1, points=[[0.2, -2.5], [0.4, -5.0]], master_seed=1), other)
+    twin.write_bytes(Path(f"{other}{sp.TWIN_SUFFIX}").read_bytes())
+
+
+# Edits to a written CSV or its binary twin after which the twin must be ignored.
+TWIN_FAULTS = {
+    "csv-digit-edited": lambda csv, twin: csv.write_bytes(csv.read_bytes().replace(b"-2.5", b"-2.7", 1)),
+    **{f"csv-{ends}": (lambda edit: lambda csv, twin: csv.write_bytes(edit(csv.read_bytes())))(edit)
+       for ends, edit in LINE_ENDS.items()},
+    "twin-truncated": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:-1]),
+    "twin-extended": lambda csv, twin: twin.write_bytes(twin.read_bytes() + b"\0"),
+    "payload-byte-flipped": lambda csv, twin: _flip_bit(twin, -1),
+    "digest-byte-flipped": lambda csv, twin: _flip_bit(twin, 0),
+    "twin-empty": lambda csv, twin: twin.write_bytes(b""),
+    "twin-of-another-ensemble": _foreign_twin,
+    "twin-is-a-directory": lambda csv, twin: (twin.unlink(), twin.mkdir()),
+}
+
+
+@pytest.mark.parametrize("fault", list(TWIN_FAULTS))
+def test_csv_read_ignores_a_twin_that_fails_a_check(tmp_path, fault):
+    csv = tmp_path / "ens.csv"
+    twin = Path(f"{csv}{sp.TWIN_SUFFIX}")
+    write_ensemble_csv(sp.SampleEnsemble(time=0.5, eta=0.1, points=[[0.1, -2.5], [0.3, 7.25]], master_seed=1), csv)
+    TWIN_FAULTS[fault](csv, twin)
+    bare = tmp_path / "bare" / "ens.csv"  # the same CSV bytes with no twin: the parse path
+    bare.parent.mkdir()
+    bare.write_bytes(csv.read_bytes())
+    want = read_ensemble_csv(bare)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as parse:
+        got = read_ensemble_csv(csv)
+    assert parse.call_count == 1
+    assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
+
+
+def test_rewriting_a_non_finite_ensemble_removes_the_old_twin(tmp_path):
+    csv = tmp_path / "ens.csv"
+    twin = Path(f"{csv}{sp.TWIN_SUFFIX}")
+    write_ensemble_csv(sp.SampleEnsemble(time=0.5, eta=0.1, points=[0.25, 1.5], master_seed=1), csv)
+    assert twin.is_file()
+    # "%.17g" writes -nan as nan, which parses as +nan: no twin could hold the parsed bits.
+    write_ensemble_csv(sp.SampleEnsemble(time=0.5, eta=0.1, points=[0.25, -math.nan], master_seed=1), csv)
+    assert not twin.exists()
+    back = read_ensemble_csv(csv).points
+    assert back[0, 0] == 0.25 and np.float64(back[1, 0]).tobytes() == np.float64(math.nan).tobytes()
 
 
 def _powers_of_ten_neighbours():
