@@ -5,10 +5,10 @@ Gaussian xi_k, run as an ensemble of independent chains.  Noise is derived
 from a Philox counter so that the draw for (chain i, step k, coordinate j) is
 a pure function of (master_seed, i, k, j): each (step, substream) pair owns a
 disjoint 2^120-block slice of the counter space, uniforms consume exactly one
-64-bit word per value, and normals come from the inverse CDF.  Results are
+64-bit word per value, and normals come from the inverse CDF.  The noise is
 therefore bitwise reproducible and independent of chain count, scheduling,
-or execution order, which is what lets em_chain draw a step's noise ahead of
-time on a helper thread.
+or execution order, which is what lets em_chain draw any row range of a
+step's noise ahead of time on a helper thread.
 """
 
 from __future__ import annotations
@@ -55,21 +55,34 @@ def _philox_generator() -> np.random.Generator:
     return gen
 
 
+@functools.cache
+def _inverse_cdf():
+    """scipy's ndtri, imported once: the import statement costs more per
+    call than the transform of a small tile."""
+    from scipy.special import ndtri as inverse_cdf
+
+    return inverse_cdf
+
+
 def ndtri(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The standard-normal inverse CDF of u, written to out; scipy.special
     is imported on the first call, so a process that draws no noise never
     loads it."""
-    from scipy.special import ndtri as inverse_cdf
-
-    return inverse_cdf(u, out=out)
+    return _inverse_cdf()(u, out=out)
 
 
-def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -> np.ndarray:
-    """Standard-normal block of shape (n, dim) for one (step, substream).
+def noise_block(
+    master_seed: int, step: int, substream: int, n: int, dim: int, *, first_row: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows first_row .. first_row + n - 1 of the standard-normal block of
+    one (step, substream), shape (n, dim), written into out when it is given.
 
-    Entry (i, j) is a pure function of (master_seed, step, substream, i, j);
-    in particular it does not depend on n.  Each argument is an integer (an
-    integral float is taken as its int) in its range, or an InputError names it.
+    Entry (i, j) of the block is a pure function of (master_seed, step,
+    substream, i, j); in particular it does not depend on n or first_row, so
+    any row range of a block is bitwise those rows of the whole block.  Each
+    argument is an integer (an integral float is taken as its int) in its
+    range, and out an aligned, writable, C-contiguous float64 array of shape
+    (n, dim), or an InputError names it.
     """
     seed = check_seed(master_seed)
     if not (step == -1 or is_count(step)):
@@ -77,16 +90,29 @@ def noise_block(master_seed: int, step: int, substream: int, n: int, dim: int) -
     if not (is_count(substream) and substream < NUM_SUBSTREAMS):
         raise InputError(f"substream must be an integer in [0, {NUM_SUBSTREAMS})")
     n, dim = check_count(n, "block row count n"), check_dim(dim)
-    offset = ((int(step) + 1) * NUM_SUBSTREAMS + int(substream)) << 120
+    first = check_count(first_row, "first_row")
+    # A block owns 2^120 Philox counters of 4 words each, one word per value.
+    if (first + n) * dim > 1 << 122:
+        raise InputError(f"rows {first} .. {first + n - 1} of dimension {dim} lie past the block's 2^122 values")
+    # flags.carray: C-contiguous, aligned and writable.
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == (n, dim) and out.dtype == float and out.flags.carray
+    ):
+        raise InputError(f"out must be an aligned, writable, C-contiguous float64 array of shape ({n}, {dim})")
+    word = first * dim
+    counter = (((int(step) + 1) * NUM_SUBSTREAMS + int(substream)) << 120) + word // 4
     gen = _philox_generator()
     # Key, counter and an emptied output buffer: the state of a fresh
-    # Philox(key=seed, counter=offset).
+    # Philox(key=seed, counter=counter), whose next word is the block's
+    # word - word % 4; the words before the first row's are drawn and dropped.
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [(offset >> s) & _WORD for s in (0, 64, 128, 192)], "key": [seed, 0]},
+        "state": {"counter": [(counter >> s) & _WORD for s in (0, 64, 128, 192)], "key": [seed, 0]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
-    u = gen.random((n, dim))
+    if word % 4:
+        gen.bit_generator.random_raw(word % 4)
+    u = gen.random((n, dim)) if out is None else gen.random(out=out)
     u += 2.0**-54
     return ndtri(u, out=u)
 
@@ -226,7 +252,9 @@ def step_counts(etas, T: float, L1: float, enforce_window: bool = True) -> list[
 # Normals one step draws (chains x dimension x blocks) from which em_chain
 # draws the next step's blocks on a helper thread while it computes this
 # step.  On a 2-CPU machine the hand-off cost more than the overlap saved
-# below about 2e4 normals per step and won above about 3e4.
+# below about 2e4 normals per step and won above about 3e4.  It is also the
+# size of em_chain's row tiles: a tile of this many normals (256 KiB) is
+# drawn and stepped while it is still in cache.
 PREFETCH_VALUES = 1 << 15
 
 
@@ -260,11 +288,22 @@ def em_chain(
     Step k also draws bridge_points blocks on substreams SUB_QUAD_BASE + j
     for the pathwise comparator's within-step bridge.
 
+    Each block is drawn in row tiles of PREFETCH_VALUES normals (one row at
+    the least), with noise_block's first_row, into a buffer the chain owns,
+    and the state is stepped tile by tile into each eta's second state
+    buffer, by the operations of x + eta * bx + sqrt(eta) * xi in their
+    order, so the states are bitwise that expression's.  The drift is one
+    call per stepping eta on the whole state, never on a tile: a drift
+    evaluated through BLAS may round a row differently at another row count.
+    The guard is one call per stepping eta on the whole new state.
+
     When a step draws at least PREFETCH_VALUES normals and the process may
-    run on two CPUs, step k+1's blocks are drawn on a helper thread while
-    step k computes; a block the helper has not started when the chain needs
-    it is drawn inline instead.  The blocks are the same either way, and the
-    helper thread ends with the iterator (exhausted, closed or raising).
+    run on two CPUs, a helper thread draws step k+1's tiles, last first,
+    while the chain computes step k.  The two share the work: the chain
+    takes step k's tiles in order, draws each one the helper has not started
+    (cancel() succeeds) and waits for one it has.  The tiles are the same
+    either way, and the helper thread ends with the iterator (exhausted,
+    closed or raising).
 
     Checks every step (against bounds.step_window unless enforce_window is
     False), its count (a positive integer), dimensions, chain count and seed,
@@ -276,7 +315,9 @@ def em_chain(
     iterator over (k, states, bridge) for k = 0 .. max steps(eta): states lists
     (i, x_k, b(x_k)) in grid order for each eta_i with k <= steps(eta_i), with
     b(x_k) None at k = steps(eta_i), and bridge holds step k's bridge blocks,
-    none at k = max steps(eta).
+    none at k = max steps(eta).  The states and bridge blocks are the chain's
+    own buffers, valid until the next item is requested (the last item's
+    stay valid): a caller that keeps one copies it.
     """
     etas, steps = list(etas), [check_count(s, "step count") for s in steps]
     if not etas or len(steps) != len(etas) or min(steps) < 1:
@@ -300,51 +341,88 @@ def em_chain(
             f"limit {DIVERGENCE_LIMIT:g}: check its mean and sigma0"
         ) from None
     dim = model.dim
-    # A step's blocks in the order the chain takes them.  The helper draws
-    # them in reverse, so a chain that catches up with it draws the first
-    # blocks it needs itself while the helper draws the last.
-    subs = [SUB_QUAD_BASE + j for j in range(bridge_points)] + [SUB_EM]
+    # A step's blocks in the order the chain takes them, each in tiles of
+    # `rows` rows.  The helper draws the tiles in reverse, so a chain that
+    # catches up with it draws the first tiles it needs itself while the
+    # helper draws the last.
+    bridge_subs = [SUB_QUAD_BASE + j for j in range(bridge_points)]
+    subs = bridge_subs + [SUB_EM]
+    roots = [math.sqrt(eta) for eta in etas]
+    rows = max(1, PREFETCH_VALUES // dim)
+    tiles = [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
-    def run(xs):
+    def run(x):
+        def views(block):
+            return [block[a:b] for a, b in tiles]
+
         pool = _prefetch_pool(n * dim * len(subs))
+        # Step k's block of each substream is ring[sub][k % slots], which the
+        # helper fills while the chain takes step k - 1's from the other slot.
+        slots = 1 if pool is None else 2
+        ring = {sub: [np.empty((n, dim)) for _ in range(slots)] for sub in subs}
+        ring_tiles = {sub: [views(block) for block in blocks] for sub, blocks in ring.items()}
+        # Each eta's two state buffers, with their tiles: its state at step k
+        # is states[i][k % 2] and its next state goes into the other.  The
+        # first eta takes the initial draw as one of its two.
+        states = [(block, np.empty((n, dim))) for block in [x] + [x.copy() for _ in etas[1:]]]
+        state_tiles = [[views(block) for block in pair] for pair in states]
+        scaled = np.empty((min(rows, n), dim))
+        scaled_tiles = [scaled[: b - a] for a, b in tiles]
 
         def submit(k):
-            """substream -> the helper's draw of step k's block; {} when
-            there is no helper or no step k."""
+            """(substream, tile) -> the helper's draw of that tile of step k,
+            in reverse order; {} when there is no helper or no step k."""
             if pool is None or k >= last:
                 return {}
-            return {sub: pool.submit(noise_block, seed, k, sub, n, dim) for sub in reversed(subs)}
+            return {
+                (sub, t): pool.submit(noise_block, seed, k, sub, b - a, dim, first_row=a, out=ring_tiles[sub][k % slots][t])
+                for sub in reversed(subs) for t, (a, b) in reversed(list(enumerate(tiles)))
+            }
 
-        def block(drawn, k, sub):
-            """Step k's block on sub: the helper's draw, or drawn here when
-            the helper has not started it (cancel() succeeds) or there is none."""
-            future = drawn.pop(sub, None)
+        def take(drawn, k, sub, t):
+            """Tile t of step k's block on sub, in the ring: the helper's
+            draw, or drawn here when the helper has not started it (cancel()
+            succeeds) or there is none."""
+            out = ring_tiles[sub][k % slots][t]
+            future = drawn.pop((sub, t), None)
             if future is None or future.cancel():
-                return noise_block(seed, k, sub, n, dim)
-            return future.result()
+                noise_block(seed, k, sub, len(out), dim, first_row=tiles[t][0], out=out)
+            else:
+                future.result()
+            return out
 
         drawn = {}
         try:
             for k in range(last):
                 upcoming = submit(k + 1)
-                bxs = [model.drift(x) if k < s else None for x, s in zip(xs, steps)]
-                bridge = [block(drawn, k, sub) for sub in subs[:-1]]
-                yield k, [(i, xs[i], bxs[i]) for i, s in enumerate(steps) if k <= s], bridge
-                xi = block(drawn, k, SUB_EM)
-                for i, (eta, bx) in enumerate(zip(etas, bxs)):
+                now, after = k % 2, (k + 1) % 2
+                bxs = [model.drift(pair[now]) if k < s else None for pair, s in zip(states, steps)]
+                for sub in bridge_subs:
+                    for t in range(len(tiles)):
+                        take(drawn, k, sub, t)
+                bridge = [ring[sub][k % slots] for sub in bridge_subs]
+                yield k, [(i, states[i][now], bxs[i]) for i, s in enumerate(steps) if k <= s], bridge
+                for t, (a, b) in enumerate(tiles):
+                    xi, scaled_xi = take(drawn, k, SUB_EM, t), scaled_tiles[t]
+                    for i, bx in enumerate(bxs):
+                        if bx is not None:
+                            # x + eta * bx + sqrt(eta) * xi, operation for operation.
+                            new = state_tiles[i][after][t]
+                            np.multiply(etas[i], bx[a:b], new)
+                            np.add(state_tiles[i][now][t], new, new)
+                            np.multiply(roots[i], xi, scaled_xi)
+                            np.add(new, scaled_xi, new)
+                for i, bx in enumerate(bxs):
                     if bx is not None:
-                        xs[i] = xs[i] + eta * bx + math.sqrt(eta) * xi
-                        _guard(xs[i], step=k + 1, time=(k + 1) * eta, eta=eta)
-                # Drop this step's blocks before the next step's drift, while
-                # the helper holds the next step's and draws the one after.
-                del xi, bridge
+                        _guard(states[i][after], step=k + 1, time=(k + 1) * etas[i], eta=etas[i])
+                del bxs  # the drifts, freed before the next step's
                 drawn = upcoming
-            yield last, [(i, xs[i], None) for i, s in enumerate(steps) if s == last], []
+            yield last, [(i, states[i][last % 2], None) for i, s in enumerate(steps) if s == last], []
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
 
-    return run([x] * len(etas))
+    return run(x)
 
 
 def simulate_ensemble(

@@ -99,6 +99,16 @@ def noise_block_fresh_philox(master_seed, step, substream, n, dim):
     return ndtri(gen.random((n, dim)) + 2.0**-54)
 
 
+def noise_rows_fresh_philox(master_seed, step, substream, first_row, n, dim):
+    """Rows first_row .. first_row + n - 1 of the noise block, from a Philox
+    generator built for this one call and advanced past the earlier rows."""
+    offset = ((step + 1) * NUM_SUBSTREAMS + substream) << 120
+    bits = np.random.Philox(key=np.uint64(master_seed), counter=offset)
+    bits.advance(first_row * dim // 4)
+    bits.random_raw(first_row * dim % 4)
+    return ndtri(np.random.Generator(bits).random((n, dim)) + 2.0**-54)
+
+
 def _strict_json(value):
     """value with every non-finite float replaced by None, since strict JSON
     has no Infinity or NaN."""

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from concurrent.futures import Future
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,7 @@ from ulakit import (
     make_model,
     noise_block,
     read_ensemble_csv,
+    registered_models,
     simulate_ensemble,
     verify_init,
     write_ensemble_csv,
@@ -40,6 +42,7 @@ from slow_paths import (
     girsanov_pathwise_kl_loop,
     json_text_indented,
     noise_block_fresh_philox,
+    noise_rows_fresh_philox,
     read_ensemble_csv_per_value,
     simulate_ensemble_loop,
     write_ensemble_csv_per_value,
@@ -67,11 +70,22 @@ def moments_close(points, target: GaussianMoments, n):
 # --- the forward-Euler step ----------------------------------------------------
 
 
+def constant_noise(value):
+    """A stand-in for noise_block, with its signature, whose every row is
+    value(step, substream), written into out when out is given."""
+    def draw(master_seed, step, substream, n, dim, *, first_row=0, out=None):
+        block = np.empty((n, dim)) if out is None else out
+        block[...] = value(step, substream)
+        return block
+
+    return draw
+
+
 def one_step(model, x0, eta, noise):
     """The state after one step of em_chain from x0, with every noise draw
     (the init's and the step's) replaced by `noise`."""
     init = InitDensity(mean=x0 - np.asarray(noise, float), sigma0=1.0)
-    with mock.patch.object(sp, "noise_block", lambda *a: np.array([noise], float)):
+    with mock.patch.object(sp, "noise_block", constant_noise(lambda step, substream: noise)):
         (_, [(_, x, _)], _), (_, [(_, x1, _)], _) = sp.em_chain(model, init, [eta], [1], 1, master_seed=0)
     assert np.array_equal(x[0], x0)
     return x1[0]
@@ -92,9 +106,8 @@ def test_em_step_with_noise():
 
 
 def test_em_step_divergence_is_the_chain_guard():
-    def draw(seed, step, substream, n, dim):  # the init lands on 1; the step draws 1e13
-        return np.full((n, dim), 0.0 if substream == sp.SUB_INIT else 1e13)
-
+    # The init lands on 1; the step draws 1e13.
+    draw = constant_noise(lambda step, substream: 0.0 if substream == sp.SUB_INIT else 1e13)
     init = InitDensity(mean=[1.0], sigma0=1.0)
     with mock.patch.object(sp, "noise_block", draw), pytest.raises(DivergenceError) as err:
         list(sp.em_chain(OU1, init, [0.1], [1], 1, master_seed=0))
@@ -192,13 +205,31 @@ def test_bitwise_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_chain_purity_prefix_property():
+# The drifts evaluated row by row with elementwise arithmetic; a drift
+# through BLAS (coupled ou, gauss-mix at d >= 2) may round a row differently
+# at another row count, so its chains keep their noise but not their bits.
+ROWWISE_DRIFTS = [(name, 1) for name in registered_models()] + [
+    (name, dim) for name in ("double-well", "zero", "expansive") for dim in (2, 3)
+]
+
+
+@pytest.mark.parametrize("name, dim", ROWWISE_DRIFTS)
+def test_chain_purity_prefix_property(name, dim):
     # chain i's path is a pure function of (seed, i, step): shrinking the
-    # ensemble must not change surviving chains, which is the observable
-    # form of execution-order independence
-    big = simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 50, master_seed=7)
-    small = simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 30, master_seed=7)
-    assert np.array_equal(big.points[:30], small.points)
+    # ensemble must not change surviving chains, in whole-block tiles or in
+    # one-row tiles, which is the observable form of execution-order
+    # independence
+    model = make_model(name, dim=dim)
+    init = InitDensity(mean=[0.5] * dim, sigma0=1.0)
+    eta = min(0.05, 0.5 * step_window(model.constants.L1)[1])
+    runs = {}
+    for tiles in (nullcontext, prefetched):
+        for n in (1, 2, 5, 17):
+            with tiles():
+                runs[tiles, n] = final_states(model, init, [eta], [12], n, 7)[0]
+    big = runs[nullcontext, 17]
+    for (_, n), x in runs.items():
+        assert x.tobytes() == big[:n].tobytes()
 
 
 def test_noise_block_purity():
@@ -266,6 +297,46 @@ def test_noise_block_matches_fresh_philox(seed, step, substream, n, dim):
     assert noise_block(seed, step, substream, n, dim).tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    step=st.integers(-1, 2**40),
+    substream=st.integers(0, sp.NUM_SUBSTREAMS - 1),
+    n=st.integers(0, 30),
+    dim=st.integers(1, 5),
+    first_row=st.one_of(st.integers(0, 64), st.integers(0, 2**60)),
+)
+@example(seed=0, step=0, substream=0, n=3, dim=3, first_row=1)  # a row that starts mid-counter
+def test_noise_block_rows_are_the_whole_blocks_rows(seed, step, substream, n, dim, first_row):
+    want = noise_rows_fresh_philox(seed, step, substream, first_row, n, dim)
+    if first_row <= 64:
+        whole = noise_block(seed, step, substream, first_row + n, dim)
+        assert whole[first_row:].tobytes() == want.tobytes()
+    assert noise_block(seed, step, substream, n, dim, first_row=first_row).tobytes() == want.tobytes()
+    out = np.full((n, dim), np.nan)
+    assert noise_block(seed, step, substream, n, dim, first_row=first_row, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where, message", [
+    *[({"first_row": bad}, "^first_row must be a nonnegative integer$") for bad in (-1, 0.5, math.nan, math.inf, None, "1")],
+    ({"first_row": 2**121 - 3}, r"^rows \d+ \.\. \d+ of dimension 2 lie past the block's 2\^122 values$"),
+    *[({"out": bad}, r"^out must be an aligned, writable, C-contiguous float64 array of shape \(4, 2\)$") for bad in (
+        np.empty((4, 1)),  # wrong shape
+        np.empty((2, 4)),
+        np.empty((4, 2), np.float32),  # wrong dtype
+        np.empty((8, 2))[::2],  # every other row: not C-contiguous
+        np.asfortranarray(np.empty((4, 2))),
+        np.broadcast_to(0.0, (4, 2)),  # read-only
+        np.frombuffer(bytearray(65), np.float64, 8, 1).reshape(4, 2),  # not aligned
+        [[0.0, 0.0]] * 4,  # not an array
+    )],
+])
+def test_noise_block_names_a_bad_row_range_or_output(where, message):
+    with pytest.raises(InputError, match=message):
+        noise_block(0, 1, 0, 4, 2, **where)
+
+
 def test_seed_validation():
     with pytest.raises(InputError):
         simulate_ensemble(OU1, STD_INIT, 0.1, 1.0, 10, master_seed=-1)
@@ -325,8 +396,8 @@ def test_interpolated_sample_deterministic_value():
     # One step of eta = 0.1 with one quadrature point: the bridge at
     # tau = 0.05 sits at 0.95, so the comparator is 0.5 * 0.1 * (-1 + 0.95)^2.
     init = InitDensity(mean=[1.0], sigma0=1.0)
-    with mock.patch.object(sp, "noise_block", lambda *a: np.zeros((1, 1))), \
-            mock.patch("ulakit.estimators.noise_block", lambda *a: np.zeros((1, 1))):
+    zeros = constant_noise(lambda step, substream: 0.0)
+    with mock.patch.object(sp, "noise_block", zeros), mock.patch("ulakit.estimators.noise_block", zeros):
         [value] = girsanov_pathwise_kl(OU1, init, [0.1], [1], 1, master_seed=0, quad_points_per_step=1)
     assert value == pytest.approx(0.5 * 0.1 * 0.05**2)
 
@@ -417,15 +488,18 @@ def final_states(model, init, etas, steps, n, seed):
     """Each eta's final states from one lockstep em_chain over the grid."""
     finals = {}
     for _, states, _ in sp.em_chain(model, init, etas, steps, n, seed):
-        finals.update((i, x) for i, x, bx in states if bx is None)
+        finals.update((i, x.copy()) for i, x, bx in states if bx is None)
     return [finals[i] for i in range(len(etas))]
 
 
 @contextmanager
-def prefetched(cpus=2):
-    """em_chain on its helper-thread path whatever the step's size, on a
-    process that may run on `cpus` CPUs."""
-    with mock.patch.object(sp, "PREFETCH_VALUES", 1), \
+def prefetched(cpus=2, tile_values=1):
+    """em_chain on its helper-thread path whatever the step's size, in tiles
+    of tile_values normals (one row at the least), on a process that may run
+    on `cpus` CPUs."""
+    pool = sp._prefetch_pool
+    with mock.patch.object(sp, "PREFETCH_VALUES", tile_values), \
+            mock.patch.object(sp, "_prefetch_pool", lambda values: pool(max(values, tile_values))), \
             mock.patch.object(sp.os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
         yield
 
@@ -497,10 +571,12 @@ def test_chain_and_comparator_match_loop_oracles(**case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**CHAIN_CASES)
-def test_chain_and_comparator_match_loop_oracles_prefetched(**case):
-    # n <= 40 never reaches PREFETCH_VALUES, so the helper is forced on.
-    with prefetched():
+@given(**CHAIN_CASES, tile_values=st.integers(1, 50))
+def test_chain_and_comparator_match_loop_oracles_prefetched(tile_values, **case):
+    # n <= 40 never reaches PREFETCH_VALUES, so the helper is forced on; the
+    # tiles run from one row to whole blocks, most not aligned to Philox's
+    # four words.
+    with prefetched(tile_values=tile_values):
         check_chain_and_comparator(**case)
 
 
@@ -508,21 +584,25 @@ def test_grid_draws_each_noise_block_once():
     # Steps: 20 (0.05, twice), 5 (0.2), 10 (0.1); the grid draws the init
     # once and, for each step below the longest, one SUB_EM block and one
     # block per quadrature point, on either path: nothing is drawn past the
-    # last step, and a draw the helper does not start is drawn inline once.
-    etas, quad = [0.05, 0.2, 0.1, 0.05], 3
-    want = [girsanov_pathwise_kl_loop(OU1, STD_INIT, eta, 1.0, 10, 5, quad_points_per_step=quad) for eta in etas]
-    for path in (nullcontext, prefetched):
-        drawn = []
+    # last step, and a tile the helper does not start is drawn inline once.
+    # The helper path takes one-row tiles, so each of those blocks is ten draws.
+    etas, quad, n = [0.05, 0.2, 0.1, 0.05], 3, 10
+    want = [girsanov_pathwise_kl_loop(OU1, STD_INIT, eta, 1.0, n, 5, quad_points_per_step=quad) for eta in etas]
+    blocks = [(-1, sp.SUB_INIT)] + [(k, sub) for k in range(20) for sub in [sp.SUB_EM, *range(2, 2 + quad)]]
+    for path, tiles in ((nullcontext, 1), (prefetched, n)):
+        drawn = []  # appended from both threads
 
-        def counting(master_seed, step, substream, n, dim):
-            drawn.append((step, substream))
-            return noise_block(master_seed, step, substream, n, dim)
+        def counting(master_seed, step, substream, rows, dim, first_row=0, **where):
+            drawn.append((step, substream, first_row, rows))
+            return noise_block(master_seed, step, substream, rows, dim, first_row=first_row, **where)
 
         with path(), mock.patch.object(sp, "noise_block", counting), \
                 mock.patch("ulakit.estimators.noise_block", counting):
-            values = girsanov_pathwise_kl(OU1, STD_INIT, etas, [20, 5, 10, 20], 10, master_seed=5, quad_points_per_step=quad)
-        assert len(drawn) == 20 * (1 + quad) + 1
-        assert len(set(drawn)) == len(drawn)
+            values = girsanov_pathwise_kl(OU1, STD_INIT, etas, [20, 5, 10, 20], n, master_seed=5, quad_points_per_step=quad)
+        assert len(drawn) == 1 + (len(blocks) - 1) * tiles
+        assert len(set(d[:3] for d in drawn)) == len(drawn)
+        rows = sorted((step, sub, r) for step, sub, a, count in drawn for r in range(a, a + count))
+        assert rows == sorted((step, sub, r) for step, sub in blocks for r in range(n))
         assert values == want
 
 
@@ -542,7 +622,7 @@ def test_prefetch_thread_ends_with_a_full_run():
 def test_prefetch_thread_ends_with_a_divergence():
     m = make_model("expansive", dim=1)
     baseline = threading.active_count()
-    with prefetched(), pytest.raises(DivergenceError):
+    with prefetched(tile_values=64), pytest.raises(DivergenceError):
         girsanov_pathwise_kl(m, STD_INIT, [0.05], [960], 200, master_seed=23)
     assert threading.active_count() == baseline
 
@@ -563,12 +643,12 @@ def test_noise_error_raised_in_the_helper_is_the_same_error_at_the_same_step():
     failed = threading.Event()
     raised_on = []
 
-    def failing(master_seed, step, substream, n, dim):
+    def failing(master_seed, step, substream, n, dim, **where):
         if (step, substream) == (6, sp.SUB_QUAD_BASE + 1):
             raised_on.append(threading.current_thread())
             failed.set()
             raise RuntimeError(f"no noise for step {step}")
-        return noise_block(master_seed, step, substream, n, dim)
+        return noise_block(master_seed, step, substream, n, dim, **where)
 
     drifts = []
 
@@ -615,7 +695,7 @@ def test_concurrent_prefetched_chains_are_bitwise_the_serial_ones():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with prefetched():
+        with prefetched(tile_values=8):
             threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
             for t in threads:
                 t.start()
@@ -625,6 +705,92 @@ def test_concurrent_prefetched_chains_are_bitwise_the_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
     assert got == want
+
+
+def chain_states(model, etas, steps, n, seed):
+    """Every (k, eta index, state) em_chain yields, each state copied at the
+    yield, since the chain owns its buffers."""
+    return [(k, i, x.copy()) for k, states, _ in sp.em_chain(model, STD_INIT, etas, steps, n, seed) for i, x, _ in states]
+
+
+def test_held_helper_leaves_every_tile_to_the_chain():
+    # The helper's one worker waits on `held` before it takes any tile, so
+    # every tile is still pending when the chain needs it: the chain cancels
+    # each one and draws it itself, and releases the helper at the last item.
+    etas, steps, n = [0.1, 0.05], [10, 20], 10
+    want = chain_states(OU1, etas, steps, n, 3)
+    held, drawn_on = threading.Event(), []
+
+    def drawing(master_seed, step, substream, rows, dim, **where):
+        drawn_on.append(threading.current_thread())
+        return noise_block(master_seed, step, substream, rows, dim, **where)
+
+    baseline = threading.active_count()
+    with prefetched(tile_values=4):
+        pool = sp._prefetch_pool
+
+        def held_pool(values):
+            helper = pool(values)
+            helper.submit(held.wait, 30)
+            return helper
+
+        with mock.patch.object(sp, "_prefetch_pool", held_pool), mock.patch.object(sp, "noise_block", drawing):
+            got = []
+            for k, states, _ in sp.em_chain(OU1, STD_INIT, etas, steps, n, 3):
+                got += [(k, i, x.copy()) for i, x, _ in states]
+                if k == max(steps):
+                    held.set()
+    assert threading.active_count() == baseline
+    assert len(drawn_on) == 1 + 20 * 3 and set(drawn_on) == {threading.main_thread()}
+    assert len(got) == len(want) and all(
+        (k, i) == (k0, i0) and x.tobytes() == x0.tobytes() for (k, i, x), (k0, i0, x0) in zip(got, want))
+
+
+def test_chain_waits_on_a_tile_the_helper_has_started():
+    # Tiles of four rows: 0..3, 4..7, 8..9.  The helper takes step 3's last
+    # tile first and holds it until the chain, having drawn the two before
+    # it, asks for its result: the chain cannot cancel a started tile, so it
+    # waits for the helper's draw.
+    n, last_tile, before = 10, (3, sp.SUB_EM, 8), (3, sp.SUB_EM, 4)
+    want = chain_states(OU1, [0.1], [6], n, 3)
+    in_tile, reached, waiting = threading.Event(), threading.Event(), threading.Event()
+    drawn_by = {}
+
+    def drawing(master_seed, step, substream, rows, dim, first_row=0, **where):
+        tile = (step, substream, first_row)
+        drawn_by[tile] = threading.current_thread()
+        if tile == last_tile and threading.current_thread() is not threading.main_thread():
+            in_tile.set()
+            assert reached.wait(timeout=30) and waiting.wait(timeout=30)
+        if tile == before:
+            reached.set()
+        return noise_block(master_seed, step, substream, rows, dim, first_row=first_row, **where)
+
+    result = Future.result
+
+    def watched_result(future, timeout=None):
+        if threading.current_thread() is threading.main_thread() and reached.is_set():
+            waiting.set()
+        return result(future, timeout)
+
+    drifts = []
+
+    def waiting_drift(x):
+        drifts.append(x)
+        if len(drifts) == 4:  # step 3 starts once the helper holds its last tile
+            assert in_tile.wait(timeout=30)
+        return OU1.drift(x)
+
+    baseline = threading.active_count()
+    with prefetched(tile_values=4), mock.patch.object(sp, "noise_block", drawing), \
+            mock.patch.object(Future, "result", watched_result):
+        got = [(k, i, x.copy()) for k, states, _ in sp.em_chain(
+            dataclasses.replace(OU1, drift=waiting_drift), STD_INIT, [0.1], [6], n, 3) for i, x, _ in states]
+    assert threading.active_count() == baseline
+    assert waiting.is_set() and drawn_by[last_tile] is not threading.main_thread()
+    assert drawn_by[before] is threading.main_thread() and drawn_by[(3, sp.SUB_EM, 0)] is threading.main_thread()
+    assert len(got) == len(want) and all(
+        (k, i) == (k0, i0) and x.tobytes() == x0.tobytes() for (k, i, x), (k0, i0, x0) in zip(got, want))
 
 
 def test_one_cpu_starts_no_helper_thread():
@@ -674,7 +840,8 @@ def test_init_out_of_range_is_input_error(mean, sigma0):
 
 def test_em_chain_yields_each_state_with_its_drift():
     chain = sp.em_chain(OU1, STD_INIT, [0.1], [3], 5, master_seed=37)
-    seen = [(k, x, bx) for k, [(_, x, bx)], _ in chain]
+    # The yielded state is the chain's own buffer, valid until the next item.
+    seen = [(k, x.copy(), bx) for k, [(_, x, bx)], _ in chain]
     assert [k for k, _, _ in seen] == [0, 1, 2, 3]
     for _, x, bx in seen[:-1]:
         assert np.array_equal(bx, OU1.drift(x))
@@ -683,7 +850,8 @@ def test_em_chain_yields_each_state_with_its_drift():
 
 def test_em_chain_grid_yields_each_eta_up_to_its_own_steps():
     # T = 0.3 is 3 steps of 0.1 and 2 of 0.15.
-    seen = list(sp.em_chain(OU1, STD_INIT, [0.1, 0.15], [3, 2], 5, master_seed=37))
+    seen = [(k, [(i, x.copy(), bx) for i, x, bx in states], bridge)
+            for k, states, bridge in sp.em_chain(OU1, STD_INIT, [0.1, 0.15], [3, 2], 5, master_seed=37)]
     assert [(k, [i for i, _, _ in states]) for k, states, _ in seen] == [
         (0, [0, 1]), (1, [0, 1]), (2, [0, 1]), (3, [0])
     ]
