@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import check_dim, check_fields
+from .bounds import check_dim, check_fields, power_in_range
 from .errors import InputError, ModelError
 from .gaussian_analytics import LinearDrift
 
@@ -29,9 +29,7 @@ Array = np.ndarray
 # verification is run).
 CERT_RADIUS = 10.0
 
-# Candidate dissipativity rates tried by dissipativity_fit, and the random
-# directions it samples on each shell.
-MU_LADDER = tuple(2.0**k for k in range(-10, 4))
+# Random directions dissipativity_fit samples on each shell.
 FIT_DIRECTIONS = 16
 
 
@@ -207,20 +205,18 @@ def grad_check(model: DriftModel, x, h: float) -> float:
     return float(np.max(np.abs(fd - J) / (1.0 + np.abs(J)), initial=0.0))
 
 
-def _g(model: DriftModel, mu: float, x: Array) -> float:
-    """g(x) = <b(x), x> + mu ||x||^2 at one point."""
-    return float(model.drift(x) @ x + mu * (x @ x))
-
-
 def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> float:
     """Sharpen the sampled beta by gradient ascent on
     g(x) = <b(x), x> + mu ||x||^2 from the best sampled points, projected to
     the sampled ball.  Uses grad g = b(x) + Jb(x)^T x + 2 mu x.  The result
     is at least g at every start: a step is taken only when it raises g."""
+    def g(x):
+        return float(model.drift(x) @ x + mu * (x @ x))
+
     best = -math.inf
     for start in starts:
         x = np.array(start, dtype=float)
-        val = _g(model, mu, x)
+        val = g(x)
         step = 0.1 * (1.0 + math.sqrt(x.dot(x)))
         for _ in range(200):
             grad = model.drift(x) + model.jacobian(x).T @ x + 2.0 * mu * x
@@ -231,7 +227,7 @@ def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> f
             r = math.sqrt(cand.dot(cand))
             if r > r_max:
                 cand = cand * (r_max / r)
-            cval = _g(model, mu, cand)
+            cval = g(cand)
             if cval > val:
                 x, val = cand, cval
                 step *= 1.5
@@ -241,62 +237,27 @@ def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> f
     return best
 
 
-def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[tuple[float, float]]:
-    """Fit (mu, beta) with <b(x), x> <= -mu ||x||^2 + beta on sampled shells
-    of FIT_DIRECTIONS random directions each.
-
-    On a finite sample any mu admits some beta, so candidate rates are
-    screened by a tail test: the per-radius maximum of
-    g(x) = <b(x), x> + mu ||x||^2 must not keep growing at the outer radii.
-    For tail-feasible rates, beta is the sampled maximum of g sharpened by a
-    local ascent (so the pair holds on fresh points inside the sampled
-    ball, not just at the sampled ones).  Among feasible rates the largest
-    mu with beta <= mu is preferred (a balanced certificate); if no rate
-    balances, the largest tail-feasible mu is returned with its minimal
-    beta.  Returns None when no ladder rate passes (expansive drifts).
-
-    The ascent only raises g from its three starts, so a rate whose best
-    start already lies above the balance line cannot balance, and its ascent
-    is skipped; the largest tail-feasible rate's ascent runs, if it has not
-    yet, only once no rate balances.
+def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[float]:
+    """beta witnessed at the declared rate mu: the largest
+    g(x) = <b(x), x> + mu ||x||^2 found on sampled shells of FIT_DIRECTIONS
+    random directions each, sharpened by a local ascent from the three best
+    points and clamped at g(0) = 0.  The declared pair holds on the sampled
+    ball only if this is at most the declared beta.  None when the model
+    declares no pair.
     """
     radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
     if radii.size == 0 or radii.min() <= 0:
         raise InputError("radius grid must be nonempty with positive radii")
+    if model.constants.dissipativity is None:
+        return None
+    mu = model.constants.mu
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((radii.size, FIT_DIRECTIONS, model.dim))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     points = radii[:, None, None] * raw
-    inner = np.sum(model.drift(points) * points, axis=-1)
-    r2 = radii**2
-    r_max = float(radii[-1])
-    flat_pts = points.reshape(-1, model.dim)
-    fallback = None
-    for mu in sorted(MU_LADDER, reverse=True):
-        g = inner + mu * r2[:, None]
-        per_radius = g.max(axis=1)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(per_radius))))
-        if radii.size >= 2:
-            tail_ok = per_radius[-1] <= per_radius[:-1].max() + tol
-            tail_ok = tail_ok and per_radius[-1] <= per_radius[-2] + tol
-        else:
-            tail_ok = True
-        if not tail_ok:
-            continue
-        top = flat_pts[np.argsort(g.reshape(-1))[-3:]]
-        balance = mu * (1 + 1e-9) + 1e-12
-        if max(_g(model, mu, np.array(start, dtype=float)) for start in top) > balance:
-            beta = None
-        else:
-            beta = max(0.0, _polish_beta(model, mu, top, r_max))
-            if beta <= balance:
-                return (mu, beta)
-        if fallback is None:
-            fallback = (mu, top, beta)
-    if fallback is None:
-        return None
-    mu, top, beta = fallback
-    return (mu, max(0.0, _polish_beta(model, mu, top, r_max)) if beta is None else beta)
+    g = np.sum(model.drift(points) * points, axis=-1) + mu * radii[:, None] ** 2
+    top = points.reshape(-1, model.dim)[np.argsort(g.reshape(-1))[-3:]]
+    return max(0.0, _polish_beta(model, mu, top, float(radii[-1])))
 
 
 class InitCertificate(NamedTuple):
@@ -440,14 +401,24 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
     With a = separation * ones(d) and target density proportional to
     N(-a, I)/2 + N(a, I)/2, the drift is b(x) = (-x + a tanh(a.x))/2:
     globally Lipschitz, non-log-concave between the modes, dissipative with
-    (mu, beta) = (1/4, ||a||^2/4).
+    (mu, beta) = (1/4, ||a||^2/4).  A separation whose ||a||^2 or L2 leaves
+    the float range is an InputError.
     """
     dim = check_dim(dim)
-    if separation <= 0:
+    if not separation > 0:
         raise InputError("separation must be positive")
     a = float(separation) * np.ones(dim)
     a.setflags(write=False)
-    a2 = float(a @ a)
+
+    def certificate_norms():
+        """(||a||^2, L2); OverflowError when either leaves the float range."""
+        with np.errstate(over="ignore"):
+            a2 = float(a @ a)
+        if a2 == math.inf:  # a @ a overflows to inf, where a2**1.5 raises
+            raise OverflowError
+        return a2, (2.0 / (3.0 * math.sqrt(3.0))) * a2**1.5
+
+    a2, l2 = power_in_range("gauss-mix separation", certificate_norms)
 
     def drift(x):
         x = np.asarray(x, dtype=float)
@@ -467,7 +438,7 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
         jacobian=jacobian,
         constants=SmoothnessCert(
             L1=max(0.5, 0.5 * (a2 - 1.0)),
-            L2=(2.0 / (3.0 * math.sqrt(3.0))) * a2**1.5,
+            L2=l2,
             A0=0.0,
             mu=0.25,
             beta=a2 / 4.0,

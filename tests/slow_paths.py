@@ -8,9 +8,10 @@ one value at a time; the forward-Euler ensemble and the pathwise
 comparator each stepped by its own hand-written loop; the k-NN
 distances queried from cKDTree in every dimension; and verify's checks as
 they were first written: the Lipschitz audit one pair and one norm at a
-time, the finite-difference check one column at a time, and the
-dissipativity fit with an ascent at every tail-feasible rate; and the JSON
-artifact text as json's pure-Python indenting encoder writes it.
+time, the finite-difference check one column at a time, and beta witnessed
+at the declared dissipativity rate by an ascent with np.linalg.norm
+lengths; and the JSON artifact text as json's pure-Python indenting
+encoder writes it.
 """
 
 from __future__ import annotations
@@ -250,35 +251,17 @@ def _polish_beta_by_norms(model, mu, starts, r_max):
     return best
 
 
-def dissipativity_fit_every_ascent(model, radius_grid, seed=0):
-    """drift_models.dissipativity_fit running the ascent at every
-    tail-feasible rate down the ladder until one balances."""
-    radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
-    if radii.size == 0 or radii.min() <= 0:
+def dissipativity_fit_by_norms(model, radius_grid, seed=0):
+    """drift_models.dissipativity_fit, beta witnessed at the declared mu, with
+    the ascent of _polish_beta_by_norms."""
+    radii = np.sort(np.atleast_1d(np.asarray(radius_grid, dtype=float)))
+    if radii.size == 0 or radii[0] <= 0:
         raise InputError("radius grid must be nonempty with positive radii")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((radii.size, dm.FIT_DIRECTIONS, model.dim))
-    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    points = radii[:, None, None] * raw
-    inner = np.sum(model.drift(points) * points, axis=-1)
-    r2 = radii**2
-    flat_pts = points.reshape(-1, model.dim)
-    fallback = None
-    for mu in sorted(dm.MU_LADDER, reverse=True):
-        g = inner + mu * r2[:, None]
-        per_radius = g.max(axis=1)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(per_radius))))
-        if radii.size >= 2:
-            tail_ok = per_radius[-1] <= per_radius[:-1].max() + tol
-            tail_ok = tail_ok and per_radius[-1] <= per_radius[-2] + tol
-        else:
-            tail_ok = True
-        if not tail_ok:
-            continue
-        top = flat_pts[np.argsort(g.reshape(-1))[-3:]]
-        beta = max(0.0, _polish_beta_by_norms(model, mu, top, float(radii[-1])))
-        if beta <= mu * (1 + 1e-9) + 1e-12:
-            return (mu, beta)
-        if fallback is None:
-            fallback = (mu, beta)
-    return fallback
+    if model.constants.dissipativity is None:
+        return None
+    mu = model.constants.mu
+    raw = np.random.default_rng(seed).standard_normal((radii.size, dm.FIT_DIRECTIONS, model.dim))
+    points = radii[:, None, None] * (raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+    g = np.sum(model.drift(points) * points, axis=-1) + mu * radii[:, None] ** 2
+    top = points.reshape(-1, model.dim)[np.argsort(g.reshape(-1))[-3:]]
+    return max(0.0, _polish_beta_by_norms(model, mu, top, float(radii[-1])))

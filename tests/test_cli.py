@@ -40,7 +40,7 @@ from ulakit.cli import COMMANDS, ESTIMATORS, claim, main, read_bool, read_config
 from ulakit.samplers import write_json
 
 from slow_paths import (
-    dissipativity_fit_every_ascent,
+    dissipativity_fit_by_norms,
     grad_check_per_column,
     lipschitz_ratios_per_pair,
     mixing_scan_by_recursion,
@@ -153,7 +153,7 @@ def test_verify_ou_all_pass(tmp_path):
     rep = json.loads((out / "verify.json").read_text())
     assert all(sec["pass"] for sec in rep["assumptions"].values())
     diss = rep["assumptions"]["dissipativity"]
-    assert diss["witnessed_mu"] == pytest.approx(1.0)
+    assert diss["witnessed_mu"] == diss["declared"][0] == 1.0
     assert diss["witnessed_beta"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -173,8 +173,36 @@ def test_verify_double_well_witnessed_constants(tmp_path):
     code, out = run(tmp_path, "verify", cfg)
     assert code == 0
     diss = json.loads((out / "verify.json").read_text())["assumptions"]["dissipativity"]
-    assert diss["witnessed_mu"] == pytest.approx(0.5)
+    assert diss["witnessed_mu"] == diss["declared"][0] == 0.5
     assert diss["witnessed_beta"] == pytest.approx(0.5, abs=1e-9)
+
+
+# A declared beta half the true one: the drift and its other constants are
+# right, so only the dissipativity audit fails, on the beta it witnessed.
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["double-well", "gauss-mix"])
+def test_verify_fails_a_halved_declared_beta(tmp_path, monkeypatch, name, dim):
+    model = make_model(name, dim=dim)
+    halved = dataclasses.replace(model, constants=dataclasses.replace(model.constants, beta=model.constants.beta / 2))
+    monkeypatch.setattr(cli, "build_model", lambda entry: halved)
+    cfg = {"model": {"name": name, "params": {"dim": dim}}, "init": {"mean": [0.0] * dim, "sigma0": 1.0}, "seed": 1}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 1
+    sections = json.loads((out / "verify.json").read_text())["assumptions"]
+    assert [key for key, sec in sections.items() if not sec["pass"]] == ["dissipativity"]
+    diss = sections["dissipativity"]
+    assert diss["declared"] == [model.constants.mu, model.constants.beta / 2]
+    assert diss["witnessed_beta"] > diss["declared"][1]
+
+
+def test_verify_witnesses_beta_at_the_declared_mu():
+    paired = [name for name in ulakit.registered_models() if make_model(name, dim=1).constants.dissipativity]
+    assert {"ou", "double-well", "gauss-mix"} <= set(paired)
+    cfgs = [verify_config(name, dim, seed=3) for name in paired for dim in (1, 2, 3)]
+    cfgs.append(read_config("verify", dict(VERIFY_CFG, model=OU_OFFSET_MODEL, init=D2_INIT)))
+    for cfg in cfgs:
+        diss = cli.cmd_verify(cfg).fields["assumptions"]["dissipativity"]
+        assert diss["pass"] and diss["witnessed_mu"] == diss["declared"][0]
 
 
 def verify_config(name, dim, seed, **params):
@@ -185,11 +213,11 @@ def verify_config(name, dim, seed, **params):
 def verify_by_loops(monkeypatch, cfg):
     """cmd_verify's outcome with its checks as first written: the Lipschitz
     audit one pair at a time, finite differences one point and one column at
-    a time and an ascent at every tail-feasible rate."""
+    a time and the dissipativity ascent with np.linalg.norm lengths."""
     with monkeypatch.context() as patch:
         patch.setattr(dm, "lipschitz_ratios", lipschitz_ratios_per_pair)
         patch.setattr(dm, "grad_check", lambda model, xs, h: max(grad_check_per_column(model, x, h) for x in xs))
-        patch.setattr(dm, "dissipativity_fit", dissipativity_fit_every_ascent)
+        patch.setattr(dm, "dissipativity_fit", dissipativity_fit_by_norms)
         return cli.cmd_verify(cfg)
 
 
@@ -1019,6 +1047,20 @@ def test_init_variance_outside_float_range_exits_2(tmp_path, capsys, command, cf
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert "sigma0" in capsys.readouterr().err
+
+
+# A gauss-mix separation whose ||a||^2 (1e200) or certified L2 (1e120)
+# leaves the float range is refused naming it, with no warning.
+@pytest.mark.parametrize("separation", [1e120, 1e200])
+@pytest.mark.parametrize("command, cfg", [("sample", SAMPLE_CFG), ("rate-scan", RATE_CFG), ("verify", VERIFY_CFG)])
+def test_gauss_mix_separation_outside_float_range_exits_2(tmp_path, capsys, command, cfg, separation):
+    cfg = dict(cfg, model={"name": "gauss-mix", "params": {"dim": 1, "separation": separation}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert "separation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Every chain's initial state lies beyond the divergence limit: a bad init,
