@@ -242,8 +242,8 @@ def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional
     g(x) = <b(x), x> + mu ||x||^2 found on sampled shells of FIT_DIRECTIONS
     random directions each, sharpened by a local ascent from the three best
     points and clamped at g(0) = 0.  The declared pair holds on the sampled
-    ball only if this is at most the declared beta.  None when the model
-    declares no pair.
+    ball only if this is at most the declared beta; outside the ball it is
+    not checked.  None when the model declares no pair.
     """
     radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
     if radii.size == 0 or radii.min() <= 0:
@@ -410,15 +410,11 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
     a = float(separation) * np.ones(dim)
     a.setflags(write=False)
 
-    def certificate_norms():
-        """(||a||^2, L2); OverflowError when either leaves the float range."""
-        with np.errstate(over="ignore"):
-            a2 = float(a @ a)
-        if a2 == math.inf:  # a @ a overflows to inf, where a2**1.5 raises
-            raise OverflowError
-        return a2, (2.0 / (3.0 * math.sqrt(3.0))) * a2**1.5
-
-    a2, l2 = power_in_range("gauss-mix separation", certificate_norms)
+    with np.errstate(over="ignore"):
+        a2 = float(a @ a)
+    if not math.isfinite(a2):
+        raise InputError("gauss-mix separation leaves the float range for these inputs")
+    l2 = power_in_range("gauss-mix separation", lambda: (2.0 / (3.0 * math.sqrt(3.0))) * a2**1.5)
 
     def drift(x):
         x = np.asarray(x, dtype=float)

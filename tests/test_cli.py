@@ -177,6 +177,26 @@ def test_verify_double_well_witnessed_constants(tmp_path):
     assert diss["witnessed_beta"] == pytest.approx(0.5, abs=1e-9)
 
 
+# A stiff OU declares beta = 0, and g = <b(x), x> + mu ||x||^2 cancels two
+# terms of up to L1 ||x||^2 on the outer shell, whose rounding the ascent
+# seeks out: the audit's slack scales with L1, so a valid pair passes.
+# diag(-1, -1e5) turned by the 3-4-5 rotation cancels inside <b(x), x> too.
+@pytest.mark.parametrize("params", [
+    {"dim": 1, "rate": 1e3},
+    {"dim": 3, "rate": 1e5},
+    {"matrix": [[-1.0, 0.0], [0.0, -1e3]]},
+    {"matrix": [[-64000.36, 47999.52], [47999.52, -36000.64]]},
+])
+def test_verify_passes_a_stiff_ou(tmp_path, params):
+    dim = params.get("dim", 2)
+    for seed in range(5):
+        cfg = {"model": {"name": "ou", "params": params}, "init": {"mean": [0.0] * dim, "sigma0": 1.0}, "seed": seed}
+        code, out = run(tmp_path, "verify", cfg)
+        assert code == 0
+        diss = json.loads((out / "verify.json").read_text())["assumptions"]["dissipativity"]
+        assert diss["declared"][1] == 0.0 and diss["witnessed_beta"] >= 0.0
+
+
 # A declared beta half the true one: the drift and its other constants are
 # right, so only the dissipativity audit fails, on the beta it witnessed.
 @pytest.mark.parametrize("dim", [1, 2])

@@ -20,10 +20,8 @@ from ulakit import (
     registered_models,
     verify_init,
 )
-from ulakit import drift_models as dm
-from ulakit.cli import VERIFY_RADIUS_GRID
 
-from slow_paths import dissipativity_fit_by_norms, grad_check_per_column
+from slow_paths import grad_check_per_column
 
 BUILTINS = ["zero", "ou", "double-well", "gauss-mix", "expansive"]
 
@@ -294,57 +292,6 @@ def test_dissipativity_fit_rejects_bad_grid(name):
         dissipativity_fit(make_model(name, dim=1), [])
     with pytest.raises(InputError):
         dissipativity_fit(make_model(name, dim=1), [-1.0, 2.0])
-
-
-# The fit is the declared-mu reference, whose ascent takes its lengths with
-# np.linalg.norm, bit for bit.
-FIT_GRIDS = [VERIFY_RADIUS_GRID, [2.5], [0.5, 1.0, 2.0]]
-EDGE_SEEDS = [0, 2**64 - 1]
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", BUILTINS)
-def test_dissipativity_fit_is_the_fit_by_norms(name, dim):
-    m = make_model(name, dim=dim)
-    for grid in FIT_GRIDS:
-        for seed in EDGE_SEEDS:
-            assert dissipativity_fit(m, grid, seed=seed) == dissipativity_fit_by_norms(m, grid, seed=seed)
-
-
-@st.composite
-def registry_models(draw):
-    """A registry model at dimension 1 to 4, with its rate or separation drawn."""
-    name = draw(st.sampled_from(BUILTINS))
-    params = {"dim": draw(st.integers(1, 4))}
-    if name in ("ou", "expansive"):
-        params["rate"] = draw(st.floats(0.25, 3.0))
-    if name == "gauss-mix":
-        params["separation"] = draw(st.floats(0.5, 3.0))
-    return make_model(name, **params)
-
-
-@given(
-    m=registry_models(),
-    grid=st.one_of(
-        st.floats(0.1, 12.0).map(lambda r: [r]),
-        st.lists(st.floats(0.1, 12.0), min_size=2, max_size=8, unique=True),
-    ),
-    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
-)
-@settings(max_examples=40)
-def test_dissipativity_fit_is_the_fit_by_norms_on_drawn_grids(m, grid, seed):
-    assert dissipativity_fit(m, grid, seed=seed) == dissipativity_fit_by_norms(m, grid, seed=seed)
-
-
-def test_dissipativity_fit_runs_one_ascent_per_declared_pair(monkeypatch):
-    # The verify grid at d=2: one ascent for each of ou, double-well and
-    # gauss-mix; none for zero and expansive, which declare no pair.
-    calls = []
-    polish = dm._polish_beta
-    monkeypatch.setattr(dm, "_polish_beta", lambda model, *rest: calls.append(model.name) or polish(model, *rest))
-    for name in BUILTINS:
-        dissipativity_fit(make_model(name, dim=2), VERIFY_RADIUS_GRID, seed=0)
-    assert [calls.count(name) for name in BUILTINS] == [0, 1, 1, 1, 0]
 
 
 # --- verify_init ------------------------------------------------------------
