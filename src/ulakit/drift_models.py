@@ -29,8 +29,9 @@ Array = np.ndarray
 # verification is run).
 CERT_RADIUS = 10.0
 
-# Random directions dissipativity_fit samples on each shell.
+# Random directions dissipativity_fit samples on each shell, and its outer shell's radius.
 FIT_DIRECTIONS = 16
+OUTER_RADIUS = 64.0
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,12 @@ class SmoothnessCert:
 class DriftModel:
     """A drift field with derivatives and certificate.
 
-    ``drift`` and ``jacobian`` must broadcast over leading axes: ``drift``
-    maps arrays of shape (..., dim) to arrays of the same shape (ensemble
-    code relies on this), ``jacobian`` maps them to (..., dim, dim).  On a
-    stack of single-point rows, shape (n, 1, dim), each row must come out
-    bit for bit as that point alone does; the checked evaluators
-    (drift_eval, drift_jacobian) pass point sets in that form.  Both are
-    deterministic pure functions; models are immutable and safe to share.
+    ``drift`` and ``jacobian`` map arrays of shape (..., dim) row by row:
+    ``drift`` to arrays of the same shape, ``jacobian`` to (..., dim, dim),
+    each row bit for bit what that point gives alone, so a chain keeps its
+    path at any chain count and a checked stack is its one-point calls.
+    Both are deterministic pure functions; models are immutable and safe to
+    share.
     """
 
     name: str
@@ -99,28 +99,24 @@ def _checked(model: DriftModel, kind: str, xp: Array) -> Array:
     """b (kind "drift") or its Jacobian (kind "jacobian") at the checked point
     or stack xp, its output checked for shape and finiteness.
 
-    A stack (n, dim) goes in as n single-point rows, shape (n, 1, dim), which
-    the model evaluates as it does each point alone.  If the stack's output
-    fails its check, the points are evaluated again one at a time, in order,
-    so the ModelError names the first failing point.
+    A stack (n, dim) is one call, whose rows are the one-point calls.  If
+    its output fails its check, the points are evaluated again one at a
+    time, in order, so the ModelError names the first failing point.
     """
     if kind == "drift":
         fn, tail, expected = model.drift, (model.dim,), f", expected ({model.dim},)"
     else:
         fn, tail, expected = model.jacobian, (model.dim, model.dim), ""
+    out = np.asarray(fn(xp), dtype=float)
+    if out.shape == xp.shape[:-1] + tail and np.isfinite(out).all():
+        return out
     if xp.ndim == 2:
-        out = np.asarray(fn(xp[:, None, :]), dtype=float)
-        if out.shape == (len(xp), 1, *tail) and np.isfinite(out).all():
-            return out.reshape(len(xp), *tail)
         for x in xp:
             _checked(model, kind, x)
         raise ModelError(f"{kind} failed on a stack of {len(xp)} points but on none of them alone")
-    out = np.asarray(fn(xp), dtype=float)
     if out.shape != tail:
         raise ModelError(f"{kind} returned shape {out.shape}{expected}")
-    if not np.isfinite(out).all():
-        raise ModelError(f"{kind} returned non-finite values at {xp.tolist()}")
-    return out
+    raise ModelError(f"{kind} returned non-finite values at {xp.tolist()}")
 
 
 def drift_eval(model: DriftModel, x) -> Array:
@@ -147,7 +143,7 @@ def lipschitz_ratios(model: DriftModel, xs, ys) -> tuple[float, float]:
 
     The points are checked once, as a batch.  b and its Jacobian are
     evaluated on the xs and on the ys of the pairs with x != y, each set as
-    one stack of single points, bit for bit as one point at a time.  When a
+    one stack, bit for bit as one point at a time.  When a
     stack fails its check, the pairs are evaluated again in the order
     b(x), b(y), Jb(x), Jb(y), pair by pair, so a ModelError names the first
     failing point.
@@ -237,13 +233,13 @@ def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> f
     return best
 
 
-def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[float]:
-    """beta witnessed at the declared rate mu: the largest
-    g(x) = <b(x), x> + mu ||x||^2 found on sampled shells of FIT_DIRECTIONS
-    random directions each, sharpened by a local ascent from the three best
-    points and clamped at g(0) = 0.  The declared pair holds on the sampled
-    ball only if this is at most the declared beta; outside the ball it is
-    not checked.  None when the model declares no pair.
+def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[tuple[float, float]]:
+    """(beta, outer_g) at the declared rate mu, g(x) = <b(x), x> + mu ||x||^2
+    sampled on shells of FIT_DIRECTIONS random directions each: beta is the
+    largest g on the shells of radius_grid, sharpened by a local ascent from
+    the three best points and clamped at g(0) = 0; outer_g is the largest g
+    on a shell of radius OUTER_RADIUS, with no ascent, which grows when the
+    declared mu is too large.  None when the model declares no pair.
     """
     radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
     if radii.size == 0 or radii.min() <= 0:
@@ -251,13 +247,14 @@ def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional
     if model.constants.dissipativity is None:
         return None
     mu = model.constants.mu
+    shells = np.append(radii, OUTER_RADIUS)
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((radii.size, FIT_DIRECTIONS, model.dim))
+    raw = rng.standard_normal((shells.size, FIT_DIRECTIONS, model.dim))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    points = radii[:, None, None] * raw
-    g = np.sum(model.drift(points) * points, axis=-1) + mu * radii[:, None] ** 2
-    top = points.reshape(-1, model.dim)[np.argsort(g.reshape(-1))[-3:]]
-    return max(0.0, _polish_beta(model, mu, top, float(radii[-1])))
+    points = shells[:, None, None] * raw
+    g = np.sum(model.drift(points) * points, axis=-1) + mu * shells[:, None] ** 2
+    top = points[:-1].reshape(-1, model.dim)[np.argsort(g[:-1].reshape(-1))[-3:]]
+    return max(0.0, _polish_beta(model, mu, top, float(radii[-1]))), float(g[-1].max())
 
 
 class InitCertificate(NamedTuple):
@@ -313,7 +310,8 @@ def _linear_model(name: str, linear: LinearDrift, params: dict) -> DriftModel:
             return np.asarray(x, dtype=float) * a + c0
     else:
         def drift(x):
-            return np.asarray(x, dtype=float) @ A.T + c
+            # Each point's own product: a gemm's rounding of a row depends on the row count.
+            return (np.asarray(x, dtype=float)[..., None, :] @ A.T)[..., 0, :] + c
 
     def jacobian(x):
         return np.broadcast_to(A, np.shape(x)[:-1] + A.shape).copy()
@@ -374,8 +372,7 @@ def double_well_drift(dim: int = 1) -> DriftModel:
 
     def jacobian(x):
         x = np.asarray(x, dtype=float)
-        # Each point's own dot product x @ x, shape (..., 1, 1), not np.sum.
-        r2 = x[..., None, :] @ x[..., :, None]
+        r2 = np.sum(x * x, axis=-1)[..., None, None]
         return -0.5 * ((r2 - 1.0) * np.eye(dim) + 2.0 * (x[..., :, None] * x[..., None, :]))
 
     R = CERT_RADIUS
@@ -418,13 +415,11 @@ def gaussian_mixture_drift(dim: int = 1, separation: float = 1.5) -> DriftModel:
 
     def drift(x):
         x = np.asarray(x, dtype=float)
-        s = x @ a
-        return 0.5 * (-x + np.tanh(s)[..., None] * a)
+        # Each point's own dot product: a gemv's rounding of a row depends on the row count.
+        return 0.5 * (-x + np.tanh((x[..., None, :] @ a)[..., 0])[..., None] * a)
 
     def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        # math.tanh of each point's own x @ a (np.tanh rounds differently).
-        t = np.vectorize(math.tanh, otypes=[float])((x[..., None, :] @ a)[..., 0])
+        t = np.tanh((np.asarray(x, dtype=float)[..., None, :] @ a)[..., 0])
         return 0.5 * (-np.eye(dim) + (1.0 - t * t)[..., None, None] * np.outer(a, a))
 
     return DriftModel(

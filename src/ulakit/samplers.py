@@ -293,9 +293,8 @@ def em_chain(
     and the state is stepped tile by tile into each eta's second state
     buffer, by the operations of x + eta * bx + sqrt(eta) * xi in their
     order, so the states are bitwise that expression's.  The drift is one
-    call per stepping eta on the whole state, never on a tile: a drift
-    evaluated through BLAS may round a row differently at another row count.
-    The guard is one call per stepping eta on the whole new state.
+    call per stepping eta on the whole state, and the guard one call per
+    stepping eta on the whole new state.
 
     When a step draws at least PREFETCH_VALUES normals and the process may
     run on two CPUs, a helper thread draws step k+1's tiles, last first,

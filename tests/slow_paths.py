@@ -252,16 +252,17 @@ def _polish_beta_by_norms(model, mu, starts, r_max):
 
 
 def dissipativity_fit_by_norms(model, radius_grid, seed=0):
-    """drift_models.dissipativity_fit, beta witnessed at the declared mu, with
-    the ascent of _polish_beta_by_norms."""
+    """drift_models.dissipativity_fit, (beta, outer_g) witnessed at the
+    declared mu, with the ascent of _polish_beta_by_norms."""
     radii = np.sort(np.atleast_1d(np.asarray(radius_grid, dtype=float)))
     if radii.size == 0 or radii[0] <= 0:
         raise InputError("radius grid must be nonempty with positive radii")
     if model.constants.dissipativity is None:
         return None
     mu = model.constants.mu
-    raw = np.random.default_rng(seed).standard_normal((radii.size, dm.FIT_DIRECTIONS, model.dim))
-    points = radii[:, None, None] * (raw / np.linalg.norm(raw, axis=-1, keepdims=True))
-    g = np.sum(model.drift(points) * points, axis=-1) + mu * radii[:, None] ** 2
-    top = points.reshape(-1, model.dim)[np.argsort(g.reshape(-1))[-3:]]
-    return max(0.0, _polish_beta_by_norms(model, mu, top, float(radii[-1])))
+    shells = np.concatenate([radii, [dm.OUTER_RADIUS]])
+    raw = np.random.default_rng(seed).standard_normal((shells.size, dm.FIT_DIRECTIONS, model.dim))
+    points = shells[:, None, None] * (raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+    g = np.sum(model.drift(points) * points, axis=-1) + mu * shells[:, None] ** 2
+    top = points[:-1].reshape(-1, model.dim)[np.argsort(g[:-1].reshape(-1))[-3:]]
+    return max(0.0, _polish_beta_by_norms(model, mu, top, float(radii[-1]))), float(np.max(g[-1]))

@@ -153,7 +153,7 @@ def test_verify_ou_all_pass(tmp_path):
     rep = json.loads((out / "verify.json").read_text())
     assert all(sec["pass"] for sec in rep["assumptions"].values())
     diss = rep["assumptions"]["dissipativity"]
-    assert diss["witnessed_mu"] == diss["declared"][0] == 1.0
+    assert diss["declared"] == [1.0, 0.0] and diss["outer_g"] == 0.0
     assert diss["witnessed_beta"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_verify_double_well_witnessed_constants(tmp_path):
     code, out = run(tmp_path, "verify", cfg)
     assert code == 0
     diss = json.loads((out / "verify.json").read_text())["assumptions"]["dissipativity"]
-    assert diss["witnessed_mu"] == diss["declared"][0] == 0.5
+    assert diss["declared"] == [0.5, 0.5] and diss["outer_g"] < 0.0
     assert diss["witnessed_beta"] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -215,6 +215,22 @@ def test_verify_fails_a_halved_declared_beta(tmp_path, monkeypatch, name, dim):
     assert diss["witnessed_beta"] > diss["declared"][1]
 
 
+# gauss-mix declared at (0.5, 6) at d = 1: beta has room on the ball of
+# radius 8, but g = <b(x), x> + 0.5 x^2 = (a x) tanh(a x) / 2 grows linearly,
+# to 1.5 * 64 / 2 = 48 on the outer shell.
+def test_verify_fails_a_declared_mu_too_large_on_the_outer_shell(tmp_path, monkeypatch):
+    model = make_model("gauss-mix", dim=1)
+    wrong = dataclasses.replace(model, constants=dataclasses.replace(model.constants, mu=0.5, beta=6.0))
+    monkeypatch.setattr(cli, "build_model", lambda entry: wrong)
+    cfg = {"model": {"name": "gauss-mix", "params": {"dim": 1}}, "init": {"mean": [0.0], "sigma0": 1.0}, "seed": 1}
+    code, out = run(tmp_path, "verify", cfg)
+    assert code == 1
+    sections = json.loads((out / "verify.json").read_text())["assumptions"]
+    assert [key for key, sec in sections.items() if not sec["pass"]] == ["dissipativity"]
+    diss = sections["dissipativity"]
+    assert diss["declared"] == [0.5, 6.0] and diss["witnessed_beta"] <= 6.0 and diss["outer_g"] == 48.0
+
+
 def test_verify_witnesses_beta_at_the_declared_mu():
     paired = [name for name in ulakit.registered_models() if make_model(name, dim=1).constants.dissipativity]
     assert {"ou", "double-well", "gauss-mix"} <= set(paired)
@@ -222,7 +238,8 @@ def test_verify_witnesses_beta_at_the_declared_mu():
     cfgs.append(read_config("verify", dict(VERIFY_CFG, model=OU_OFFSET_MODEL, init=D2_INIT)))
     for cfg in cfgs:
         diss = cli.cmd_verify(cfg).fields["assumptions"]["dissipativity"]
-        assert diss["pass"] and diss["witnessed_mu"] == diss["declared"][0]
+        model = cli.build_model(cfg["model"])
+        assert diss["pass"] and diss["declared"] == list(model.constants.dissipativity)
 
 
 def verify_config(name, dim, seed, **params):

@@ -20,6 +20,7 @@ from ulakit import (
     registered_models,
     verify_init,
 )
+from ulakit.drift_models import OUTER_RADIUS
 
 from slow_paths import grad_check_per_column
 
@@ -65,14 +66,19 @@ def test_ou_1d_drift_is_bitwise_the_matmul(xs, rate, offset, shape):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_ou_drift_in_higher_dimension_is_the_matmul(dim):
+def test_ou_drift_in_higher_dimension_is_row_by_row(dim):
+    # Each row of a 1000-row call is bitwise its one-point call and its row
+    # of a 7-row prefix call, signed zeros included.
     rng = np.random.default_rng(dim)
     B = rng.standard_normal((dim, dim))
     A = -(B @ B.T) - np.eye(dim)
     c = np.array([-0.0] + [0.5] * (dim - 1))
     m = make_model("ou", matrix=A, offset=c)
-    x = np.vstack([rng.standard_normal((20, dim)), np.zeros((1, dim)), [[-0.0] * dim]])
-    assert m.drift(x).tobytes() == (x @ m.linear.A.T + m.linear.c).tobytes()
+    x = np.vstack([np.zeros((1, dim)), [[-0.0] * dim], rng.standard_normal((998, dim))])
+    got = m.drift(x)
+    assert got.shape == x.shape and got[:7].tobytes() == m.drift(x[:7]).tobytes()
+    for row, point in zip(got, x):
+        assert row.tobytes() == m.drift(point).tobytes()
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -225,7 +231,7 @@ def test_a_failing_stack_names_its_first_failing_point():
     with pytest.raises(ModelError, match=r"^jacobian returned non-finite values at \[0\.0, 4\.0\]$"):
         drift_jacobian(m, X)
     # A model that fails only on stacks fails loudly too.
-    m = dataclasses.replace(ou, drift=lambda x: np.full(np.shape(x), np.nan) if np.ndim(x) == 3 else ou.drift(x))
+    m = dataclasses.replace(ou, drift=lambda x: np.full(np.shape(x), np.nan) if np.ndim(x) == 2 else ou.drift(x))
     with pytest.raises(ModelError, match="^drift failed on a stack of 4 points but on none of them alone$"):
         drift_eval(m, X)
 
@@ -255,16 +261,18 @@ def test_lipschitz_constants_on_cert_ball(name):
 
 
 def test_dissipativity_fit_ou():
-    assert dissipativity_fit(make_model("ou", dim=1), DISS_GRID, seed=0) == pytest.approx(0.0, abs=1e-12)
+    beta, outer_g = dissipativity_fit(make_model("ou", dim=1), DISS_GRID, seed=0)
+    assert beta == pytest.approx(0.0, abs=1e-12) and outer_g == 0.0
 
 
 def test_dissipativity_fit_double_well_witnesses_its_declared_beta():
     # analytic optimum: sup of <b(x),x> + mu ||x||^2 is (mu + 1/2)^2 / 2,
     # which at the declared mu = 1/2 is the declared beta = 1/2 (contact on
-    # the unit sphere)
+    # the unit sphere); on the outer shell R, g = R^2 - R^4 / 2
     m = make_model("double-well", dim=1)
     assert m.constants.dissipativity == (0.5, 0.5)
-    assert dissipativity_fit(m, DISS_GRID, seed=0) == pytest.approx(0.5)
+    beta, outer_g = dissipativity_fit(m, DISS_GRID, seed=0)
+    assert beta == pytest.approx(0.5) and outer_g == OUTER_RADIUS**2 - OUTER_RADIUS**4 / 2
 
 
 @pytest.mark.parametrize("name", ["zero", "expansive"])
@@ -276,7 +284,7 @@ def test_dissipativity_fit_is_none_without_a_declared_pair(name):
 def test_dissipativity_fit_holds_on_fresh_points(name):
     m = make_model(name, dim=2)
     mu = m.constants.mu
-    beta = dissipativity_fit(m, DISS_GRID, seed=0)
+    beta, _ = dissipativity_fit(m, DISS_GRID, seed=0)
     rng = np.random.default_rng(99)
     dirs = rng.standard_normal((10_000, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -205,31 +205,36 @@ def test_bitwise_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
-# The drifts evaluated row by row with elementwise arithmetic; a drift
-# through BLAS (coupled ou, gauss-mix at d >= 2) may round a row differently
-# at another row count, so its chains keep their noise but not their bits.
-ROWWISE_DRIFTS = [(name, 1) for name in registered_models()] + [
-    (name, dim) for name in ("double-well", "zero", "expansive") for dim in (2, 3)
+def coupled_ou(dim):
+    """ou params with a drawn coupled negative definite matrix."""
+    B = np.random.default_rng(dim).standard_normal((dim, dim))
+    return {"matrix": (-(B @ B.T) - np.eye(dim)).tolist()}
+
+
+# Every registry drift maps its rows one by one: each model at d = 1-4, an ou
+# with a coupled matrix and an offset, and drawn coupled ou at d = 4 and 10.
+ROWWISE_DRIFTS = [pytest.param(name, {"dim": dim}, id=f"{name}-{dim}")
+                  for name in registered_models() for dim in (1, 2, 3, 4)] + [
+    pytest.param("ou", {"matrix": [[-1.0, 0.3], [0.3, -0.6]], "offset": [0.2, -0.1]}, id="ou-offset"),
+    pytest.param("ou", coupled_ou(4), id="ou-coupled-4"),
+    pytest.param("ou", coupled_ou(10), id="ou-coupled-10"),
 ]
 
 
-@pytest.mark.parametrize("name, dim", ROWWISE_DRIFTS)
-def test_chain_purity_prefix_property(name, dim):
+@pytest.mark.parametrize("name, params", ROWWISE_DRIFTS)
+def test_chain_purity_prefix_property(name, params):
     # chain i's path is a pure function of (seed, i, step): shrinking the
     # ensemble must not change surviving chains, in whole-block tiles or in
     # one-row tiles, which is the observable form of execution-order
     # independence
-    model = make_model(name, dim=dim)
-    init = InitDensity(mean=[0.5] * dim, sigma0=1.0)
+    model = make_model(name, **params)
+    init = InitDensity(mean=[0.5] * model.dim, sigma0=1.0)
     eta = min(0.05, 0.5 * step_window(model.constants.L1)[1])
-    runs = {}
+    big = final_states(model, init, [eta], [12], 1000, 7)[0]
     for tiles in (nullcontext, prefetched):
         for n in (1, 2, 5, 17):
             with tiles():
-                runs[tiles, n] = final_states(model, init, [eta], [12], n, 7)[0]
-    big = runs[nullcontext, 17]
-    for (_, n), x in runs.items():
-        assert x.tobytes() == big[:n].tobytes()
+                assert final_states(model, init, [eta], [12], n, 7)[0].tobytes() == big[:n].tobytes()
 
 
 def test_noise_block_purity():
