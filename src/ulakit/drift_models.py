@@ -29,9 +29,13 @@ Array = np.ndarray
 # verification is run).
 CERT_RADIUS = 10.0
 
-# Random directions dissipativity_fit samples on each shell, and its outer shell's radius.
+# The shell radii (0.25 to 8, and 1) on which dissipativity_fit witnesses
+# beta, the random directions it samples on each shell and its outer shell's
+# radius; grad_check's central-difference step.
+FIT_RADII = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 FIT_DIRECTIONS = 16
 OUTER_RADIUS = 64.0
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -97,26 +101,20 @@ def _as_points(x, dim: int) -> Array:
 
 def _checked(model: DriftModel, kind: str, xp: Array) -> Array:
     """b (kind "drift") or its Jacobian (kind "jacobian") at the checked point
-    or stack xp, its output checked for shape and finiteness.
+    or stack xp, as one call, its output checked for shape and finiteness.
 
-    A stack (n, dim) is one call, whose rows are the one-point calls.  If
-    its output fails its check, the points are evaluated again one at a
-    time, in order, so the ModelError names the first failing point.
+    A non-finite output names the first point, in stack order, whose row is
+    not finite; every row is that point's own call.
     """
-    if kind == "drift":
-        fn, tail, expected = model.drift, (model.dim,), f", expected ({model.dim},)"
-    else:
-        fn, tail, expected = model.jacobian, (model.dim, model.dim), ""
+    fn, tail = (model.drift, (model.dim,)) if kind == "drift" else (model.jacobian, (model.dim, model.dim))
     out = np.asarray(fn(xp), dtype=float)
-    if out.shape == xp.shape[:-1] + tail and np.isfinite(out).all():
-        return out
-    if xp.ndim == 2:
-        for x in xp:
-            _checked(model, kind, x)
-        raise ModelError(f"{kind} failed on a stack of {len(xp)} points but on none of them alone")
-    if out.shape != tail:
-        raise ModelError(f"{kind} returned shape {out.shape}{expected}")
-    raise ModelError(f"{kind} returned non-finite values at {xp.tolist()}")
+    want = xp.shape[:-1] + tail
+    if out.shape != want:
+        raise ModelError(f"{kind} returned shape {out.shape}, expected {want}")
+    if not np.isfinite(out).all():
+        first = np.argmin(np.isfinite(out.reshape(-1, math.prod(tail))).all(axis=1))
+        raise ModelError(f"{kind} returned non-finite values at {xp.reshape(-1, model.dim)[first].tolist()}")
+    return out
 
 
 def drift_eval(model: DriftModel, x) -> Array:
@@ -141,63 +139,49 @@ def lipschitz_ratios(model: DriftModel, xs, ys) -> tuple[float, float]:
     """The largest ||b(x) - b(y)|| / ||x - y|| and ||Jb(x) - Jb(y)||_2 / ||x - y||
     over the pairs of rows (x, y) of xs and ys with x != y; 0 without any.
 
-    The points are checked once, as a batch.  b and its Jacobian are
-    evaluated on the xs and on the ys of the pairs with x != y, each set as
-    one stack, bit for bit as one point at a time.  When a
-    stack fails its check, the pairs are evaluated again in the order
-    b(x), b(y), Jb(x), Jb(y), pair by pair, so a ModelError names the first
-    failing point.
+    The points are checked once, as a batch.  b on the xs, b on the ys, then
+    the Jacobian on each are evaluated as one stack apiece, in that order, so
+    a ModelError names the first failing point of the first failing stack.
+    A gap or ratio outside the float range is an InputError.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.dim or xs.shape != ys.shape:
         raise InputError(f"expected two (n, {model.dim}) point arrays, got shapes {xs.shape} and {ys.shape}")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InputError("point must be finite")
-    gaps = np.sqrt(_row_dots(xs - ys))
+    with np.errstate(over="ignore"):
+        gaps = np.sqrt(_row_dots(xs - ys))
     apart = gaps != 0.0
     xs, ys, gaps = xs[apart], ys[apart], gaps[apart]
     if not gaps.size:
         return 0.0, 0.0
-    try:
-        db = drift_eval(model, xs) - drift_eval(model, ys)
-        dj = drift_jacobian(model, xs) - drift_jacobian(model, ys)
-    except ModelError:
-        for x, y in zip(xs, ys):
-            for check, p in ((drift_eval, x), (drift_eval, y), (drift_jacobian, x), (drift_jacobian, y)):
-                check(model, p)
-        raise
-    # One LAPACK singular-value call per matrix, as np.linalg.norm(dj, 2) makes.
-    return (float(np.max(np.sqrt(_row_dots(db)) / gaps)),
-            float(np.max(np.linalg.norm(dj, 2, axis=(1, 2)) / gaps)))
+    bx, by = drift_eval(model, xs), drift_eval(model, ys)
+    jx, jy = drift_jacobian(model, xs), drift_jacobian(model, ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One LAPACK singular-value call per matrix, as np.linalg.norm(dj, 2) makes.
+        ratios = np.array([np.max(np.sqrt(_row_dots(bx - by)) / gaps),
+                           np.max(np.linalg.norm(jx - jy, 2, axis=(1, 2)) / gaps)])
+    if not (np.isfinite(gaps).all() and np.isfinite(ratios).all()):
+        raise InputError("the Lipschitz ratios leave the float range for this model")
+    return float(ratios[0]), float(ratios[1])
 
 
-def grad_check(model: DriftModel, x, h: float) -> float:
+def grad_check(model: DriftModel, x) -> float:
     """Max relative disagreement between the declared Jacobian and central
-    differences of the drift, max_ij |FD_ij - J_ij| / (1 + |J_ij|), at a
-    point or over every point of a stack.
+    differences of the drift with step FD_STEP, max_ij |FD_ij - J_ij| / (1 + |J_ij|),
+    at a point or over every point of a stack.
 
-    The Jacobians and the 2 dim shifted points of every point are evaluated
-    as stacks; when one fails its check, the points are evaluated again in
-    the order Jb(x), b(x + h e_0), b(x - h e_0), ..., point by point, so a
-    ModelError names the first failing point.
+    The Jacobians, then b at every x + FD_STEP e_i, then at every
+    x - FD_STEP e_i, are evaluated as one stack apiece, in that order, so a
+    ModelError names the first failing point of the first failing stack.
     """
-    if not 0.0 < h < math.inf:
-        raise InputError("finite-difference step must be finite and positive")
     pts = _as_points(x, model.dim).reshape(-1, model.dim)
-    steps = h * np.eye(model.dim)
+    steps = FD_STEP * np.eye(model.dim)
     plus, minus = pts[:, None, :] + steps, pts[:, None, :] - steps
-    try:
-        J = drift_jacobian(model, pts)
-        diff = drift_eval(model, plus.reshape(-1, model.dim)) - drift_eval(model, minus.reshape(-1, model.dim))
-    except ModelError:
-        for p, above, below in zip(pts, plus, minus):
-            drift_jacobian(model, p)
-            for a, b in zip(above, below):
-                drift_eval(model, a)
-                drift_eval(model, b)
-        raise
-    # Row i of each point's block is b(x + h e_i) - b(x - h e_i): column i of FD.
-    fd = (diff / (2.0 * h)).reshape(-1, model.dim, model.dim).swapaxes(1, 2)
+    J = drift_jacobian(model, pts)
+    diff = drift_eval(model, plus.reshape(-1, model.dim)) - drift_eval(model, minus.reshape(-1, model.dim))
+    # Row i of each point's block, b(x + FD_STEP e_i) - b(x - FD_STEP e_i), is column i of FD.
+    fd = (diff / (2.0 * FD_STEP)).reshape(-1, model.dim, model.dim).swapaxes(1, 2)
     return float(np.max(np.abs(fd - J) / (1.0 + np.abs(J)), initial=0.0))
 
 
@@ -233,28 +217,26 @@ def _polish_beta(model: DriftModel, mu: float, starts: Array, r_max: float) -> f
     return best
 
 
-def dissipativity_fit(model: DriftModel, radius_grid, seed: int = 0) -> Optional[tuple[float, float]]:
+def dissipativity_fit(model: DriftModel, seed: int = 0) -> Optional[tuple[float, float]]:
     """(beta, outer_g) at the declared rate mu, g(x) = <b(x), x> + mu ||x||^2
     sampled on shells of FIT_DIRECTIONS random directions each: beta is the
-    largest g on the shells of radius_grid, sharpened by a local ascent from
-    the three best points and clamped at g(0) = 0; outer_g is the largest g
-    on a shell of radius OUTER_RADIUS, with no ascent, which grows when the
-    declared mu is too large.  None when the model declares no pair.
+    largest g on the shells of radius FIT_RADII, sharpened by a local ascent
+    from the three best points within the largest of them and clamped at
+    g(0) = 0; outer_g is the largest g on a shell of radius OUTER_RADIUS, with
+    no ascent, which grows when the declared mu is too large.  None when the
+    model declares no pair.
     """
-    radii = np.asarray(sorted(float(r) for r in np.atleast_1d(radius_grid)), dtype=float)
-    if radii.size == 0 or radii.min() <= 0:
-        raise InputError("radius grid must be nonempty with positive radii")
     if model.constants.dissipativity is None:
         return None
     mu = model.constants.mu
-    shells = np.append(radii, OUTER_RADIUS)
+    shells = np.append(FIT_RADII, OUTER_RADIUS)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((shells.size, FIT_DIRECTIONS, model.dim))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     points = shells[:, None, None] * raw
     g = np.sum(model.drift(points) * points, axis=-1) + mu * shells[:, None] ** 2
     top = points[:-1].reshape(-1, model.dim)[np.argsort(g[:-1].reshape(-1))[-3:]]
-    return max(0.0, _polish_beta(model, mu, top, float(radii[-1]))), float(g[-1].max())
+    return max(0.0, _polish_beta(model, mu, top, float(FIT_RADII[-1]))), float(g[-1].max())
 
 
 class InitCertificate(NamedTuple):

@@ -209,10 +209,9 @@ def lipschitz_ratios_per_pair(model, xs, ys):
     return worst_l1, worst_l2
 
 
-def grad_check_per_column(model, x, h):
+def grad_check_per_column(model, x):
     """drift_models.grad_check, reduced one Jacobian column at a time."""
-    if h <= 0:
-        raise InputError("finite-difference step must be positive")
+    h = dm.FD_STEP
     xp = np.asarray(x, dtype=float)
     J = dm.drift_jacobian(model, xp)
     worst = 0.0
@@ -251,12 +250,10 @@ def _polish_beta_by_norms(model, mu, starts, r_max):
     return best
 
 
-def dissipativity_fit_by_norms(model, radius_grid, seed=0):
+def dissipativity_fit_by_norms(model, seed=0):
     """drift_models.dissipativity_fit, (beta, outer_g) witnessed at the
     declared mu, with the ascent of _polish_beta_by_norms."""
-    radii = np.sort(np.atleast_1d(np.asarray(radius_grid, dtype=float)))
-    if radii.size == 0 or radii[0] <= 0:
-        raise InputError("radius grid must be nonempty with positive radii")
+    radii = dm.FIT_RADII
     if model.constants.dissipativity is None:
         return None
     mu = model.constants.mu

@@ -253,7 +253,7 @@ def verify_by_loops(monkeypatch, cfg):
     a time and the dissipativity ascent with np.linalg.norm lengths."""
     with monkeypatch.context() as patch:
         patch.setattr(dm, "lipschitz_ratios", lipschitz_ratios_per_pair)
-        patch.setattr(dm, "grad_check", lambda model, xs, h: max(grad_check_per_column(model, x, h) for x in xs))
+        patch.setattr(dm, "grad_check", lambda model, xs: max(grad_check_per_column(model, x) for x in xs))
         patch.setattr(dm, "dissipativity_fit", dissipativity_fit_by_norms)
         return cli.cmd_verify(cfg)
 
@@ -321,18 +321,24 @@ def outside_9(x):
     return np.sum(x * x, axis=-1) > 81.0
 
 
-@pytest.mark.parametrize("case", ["drift-nan-at-one-y", "drift-nan-outside-9", "drift-shape",
-                                  "jacobian-nan-outside-9", "jacobian-shape"])
+def at_point(p):
+    """The mask of the rows of x equal to the point p."""
+    return lambda x: np.all(x == p, axis=-1)
+
+
+def jacobian_nan_where(mask_of):
+    """The 2-D OU Jacobian -I, with nan at the points mask_of(x) marks."""
+    return lambda x: np.where(mask_of(np.asarray(x))[..., None, None], np.nan, -np.eye(2))
+
+
+@pytest.mark.parametrize("case", ["drift-nan-at-one-y", "drift-nan-outside-9", "jacobian-nan-outside-9"])
 def test_verify_raises_the_per_pair_loops_model_error(monkeypatch, case):
     xs, ys = audit_points(monkeypatch, seed=5)
     one_y = ys[37].copy()
     model = {
-        "drift-nan-at-one-y": lambda: broken_model(drift=nan_where(lambda x: np.all(x == one_y, axis=-1))),
+        "drift-nan-at-one-y": lambda: broken_model(drift=nan_where(at_point(one_y))),
         "drift-nan-outside-9": lambda: broken_model(drift=nan_where(outside_9)),
-        "drift-shape": lambda: broken_model(drift=lambda x: np.zeros(3)),
-        "jacobian-nan-outside-9": lambda: broken_model(
-            jacobian=lambda x: np.where(outside_9(x)[..., None, None], np.nan, -np.eye(2))),
-        "jacobian-shape": lambda: broken_model(jacobian=lambda x: np.zeros((2, 3))),
+        "jacobian-nan-outside-9": lambda: broken_model(jacobian=jacobian_nan_where(outside_9)),
     }[case]()
     with pytest.raises(ulakit.ModelError) as want:
         lipschitz_ratios_per_pair(model, xs, ys)
@@ -342,6 +348,31 @@ def test_verify_raises_the_per_pair_loops_model_error(monkeypatch, case):
     assert str(got.value) == str(want.value)
     if case == "drift-nan-at-one-y":
         assert str(got.value) == f"drift returned non-finite values at {one_y.tolist()}"
+
+
+# The audit evaluates b on the xs, b on the ys, then the Jacobian on each, one
+# stack apiece, and names the first failing point of the first failing stack:
+# a drift that fails at one y is named before a Jacobian that fails at an
+# earlier x, which the per-pair loops name first.
+@pytest.mark.parametrize("case", ["drift-shape", "jacobian-shape", "drift-at-one-y-before-jacobian-at-an-earlier-x"])
+def test_verify_names_the_first_failing_point_in_stack_order(monkeypatch, case):
+    xs, ys = audit_points(monkeypatch, seed=5)
+    one_y, earlier_x = ys[37].copy(), xs[3].copy()
+    model, message = {
+        "drift-shape": (broken_model(drift=lambda x: np.zeros(3)), "drift returned shape (3,), expected (100, 2)"),
+        "jacobian-shape": (broken_model(jacobian=lambda x: np.zeros((2, 3))),
+                           "jacobian returned shape (2, 3), expected (100, 2, 2)"),
+        "drift-at-one-y-before-jacobian-at-an-earlier-x": (
+            broken_model(drift=nan_where(at_point(one_y)), jacobian=jacobian_nan_where(at_point(earlier_x))),
+            f"drift returned non-finite values at {one_y.tolist()}"),
+    }[case]
+    if case.startswith("drift-at"):
+        with pytest.raises(ulakit.ModelError, match=r"^jacobian returned non-finite values at \["):
+            lipschitz_ratios_per_pair(model, xs, ys)
+    monkeypatch.setattr(cli, "build_model", lambda entry: model)
+    with pytest.raises(ulakit.ModelError) as got:
+        cli.cmd_verify(verify_config("ou", 2, 5))
+    assert str(got.value) == message
 
 
 # --- rate-scan ----------------------------------------------------------------
@@ -512,11 +543,10 @@ def test_grid_rate_scan_value_is_the_one_eta_scan_value(tmp_path, eta):
     assert grid[RATE_GRID.index(eta)]["kl_girsanov"] == one["kl_girsanov"]
 
 
-# A scan too short for a slope fit, with fewer than 3 distinct step sizes,
-# makes no exact_slope claim; only an exact KL of 0 everywhere
-# (test_rate_scan_zero_drift_exact_zero) makes one.  A least-squares fit to
-# one step size, repeated, reads noise: slope 2.76, a failed claim.
-@pytest.mark.parametrize("eta_grid", [[0.1], [0.2, 0.1], [0.1, 0.1, 0.1]])
+# A scan too short for a slope fit, with fewer than 3 step sizes, makes no
+# exact_slope claim; only an exact KL of 0 everywhere
+# (test_rate_scan_zero_drift_exact_zero) makes one.
+@pytest.mark.parametrize("eta_grid", [[0.1], [0.2, 0.1]])
 def test_rate_scan_short_grid_makes_no_exact_slope_claim(tmp_path, eta_grid):
     cfg = {"model": {"name": "ou", "params": {"dim": 1}}, "init": {"mean": [1.0], "sigma0": 1.0},
            "horizon": 1.0, "eta_grid": eta_grid}
@@ -622,13 +652,6 @@ def test_mixing_scan_tv_metric(tmp_path):
     ns = [r["n_measured"] for r in rep["records"]]
     assert ns == sorted(ns) and ns[-1] > ns[0]
     assert -1.3 <= rep["fit"]["slope"] <= -0.8
-
-
-def test_mixing_scan_repeated_eps_makes_no_slope_claim(tmp_path):
-    # One eps, repeated, spans no slope: a least-squares fit read -0.76, a failed claim.
-    code, out = run(tmp_path, "mixing-scan", dict(MIX_CFG, eps_grid=[0.01, 0.01, 0.01]))
-    assert code == 0
-    assert [c["name"] for c in json.loads((out / "mixing_scan.json").read_text())["claims"]] == ["completed"]
 
 
 def test_mixing_scan_missing_rho_is_config_error(tmp_path):
@@ -1100,6 +1123,19 @@ def test_gauss_mix_separation_outside_float_range_exits_2(tmp_path, capsys, comm
     assert not out.exists()
 
 
+# An ou with entries near 1e200 is valid, and its declared L1 (1.1e200) is
+# finite, but ||b(x) - b(y)||^2 overflows: verify refuses it before any
+# output, with no warning, rather than failing the audit with a null ratio.
+def test_verify_lipschitz_ratio_outside_float_range_exits_2(tmp_path, capsys):
+    model = {"name": "ou", "params": {"matrix": [[-1e200, 1e199], [1e199, -1e200]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "verify", {"model": model, "init": {"mean": [0.0, 0.0], "sigma0": 1.0}})
+    assert code == 2
+    assert "leave the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Every chain's initial state lies beyond the divergence limit: a bad init,
 # not a divergence of the chain.
 @pytest.mark.parametrize("command, cfg", [
@@ -1520,8 +1556,12 @@ REJECTED_CONFIGS = {
         "rate-scan", dict(RATE_CFG, girsanov_chains=0, quad_points_per_step=15),
         "quad_points_per_step must be an integer in [1, 14]",
     ),
-    # One step size, repeated, spans no slope.
-    "bound-eval-repeated-eta": ("bound-eval", dict(BOUND_CFG, eta_grid=[0.1, 0.1, 0.1]), "3 distinct step sizes"),
+    # A grid value, repeated, spans no slope; the grid reader refuses it.  A
+    # repeated step size once dropped rate-scan's exact_slope claim and
+    # still printed PASS.
+    "bound-eval-repeated-eta": ("bound-eval", dict(BOUND_CFG, eta_grid=[0.1, 0.1, 0.1]), "eta_grid repeats a value"),
+    "rate-scan-repeated-eta": ("rate-scan", dict(RATE_CFG, eta_grid=[0.1, 0.1, 0.05]), "eta_grid repeats a value"),
+    "mixing-scan-repeated-eps": ("mixing-scan", dict(MIX_CFG, eps_grid=[0.1, 0.1, 0.1]), "eps_grid repeats a value"),
     # points of another shape failed in unpacking, naming no key.
     "estimate-rate-fit-scalar-points": ("estimate", dict(RATE_FIT_CFG, points=5), "points must be a list of"),
     "estimate-rate-fit-one-column-points": (
@@ -1633,6 +1673,17 @@ def test_main_runs_the_cmd_function_bound_at_call_time(tmp_path, monkeypatch):
     assert code == 1 and seen == [1]
     report = json.loads((out / "bound_eval.json").read_text())
     assert report["value"] == 7.0 and report["verdict_line"] == "FAIL: replaced=FAIL"
+
+
+# Only an InputError is a configuration error; any other exception is a
+# program fault, and main lets it propagate rather than exit 2.
+def test_a_bare_type_error_propagates_out_of_main(tmp_path, monkeypatch):
+    def fault(cfg):
+        raise TypeError("a program fault")
+
+    monkeypatch.setattr(cli, "cmd_verify", fault)
+    with pytest.raises(TypeError, match="^a program fault$"):
+        run(tmp_path, "verify", VERIFY_CFG)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -20,13 +20,11 @@ from ulakit import (
     registered_models,
     verify_init,
 )
-from ulakit.drift_models import OUTER_RADIUS
+from ulakit.drift_models import FIT_RADII, OUTER_RADIUS
 
 from slow_paths import grad_check_per_column
 
 BUILTINS = ["zero", "ou", "double-well", "gauss-mix", "expansive"]
-
-DISS_GRID = np.unique(np.concatenate([np.geomspace(0.25, 8.0, 12), [1.0]]))
 
 
 def builtin_instances(dim=2):
@@ -130,17 +128,17 @@ def test_zero_jacobian():
 
 def test_grad_check_linear_drift_exact():
     m = make_model("ou", dim=2)
-    assert grad_check(m, [0.4, -1.2], h=1e-5) < 1e-9
+    assert grad_check(m, [0.4, -1.2]) < 1e-9
 
 
 def test_grad_check_double_well():
     m = make_model("double-well", dim=1)
-    assert grad_check(m, [0.7], h=1e-5) < 1e-6
+    assert grad_check(m, [0.7]) < 1e-6
 
 
 def test_grad_check_gauss_mix():
     m = make_model("gauss-mix", dim=2)
-    assert grad_check(m, [0.3, -0.2], h=1e-5) < 1e-6
+    assert grad_check(m, [0.3, -0.2]) < 1e-6
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -149,13 +147,7 @@ def test_grad_check_twenty_random_points(name):
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.uniform(-3, 3, size=2)
-        assert grad_check(m, x, h=1e-5) < 1e-5
-
-
-@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1.0])
-def test_grad_check_blames_a_bad_step_not_the_point(h):
-    with pytest.raises(InputError, match="^finite-difference step must be finite and positive$"):
-        grad_check(make_model("ou", dim=2), [0.4, -1.2], h=h)
+        assert grad_check(m, x) < 1e-5
 
 
 # --- stacked evaluation -----------------------------------------------------
@@ -197,9 +189,9 @@ def test_stacked_evaluators_are_the_one_point_calls_bit_for_bit(m):
 @pytest.mark.parametrize("m", [*stack_models(3), coupled_ou(50, seed=50)], ids=lambda m: f"{m.name}-d{m.dim}")
 def test_grad_check_of_a_stack_is_the_per_column_check_of_its_worst_point(m):
     X = stack_points(m.dim, seed=7)[:20] / 3.0
-    got = grad_check(m, X, h=1e-5)
-    assert got == max(grad_check_per_column(m, x, h=1e-5) for x in X)
-    assert got == max(grad_check(m, x, h=1e-5) for x in X)
+    got = grad_check(m, X)
+    assert got == max(grad_check_per_column(m, x) for x in X)
+    assert got == max(grad_check(m, x) for x in X)
 
 
 def nan_beyond(radius, fn, shape):
@@ -216,9 +208,9 @@ def test_grad_check_raises_the_per_point_model_error(drift_radius, jacobian_radi
     m = dataclasses.replace(ou, drift=drift, jacobian=jacobian)
     X = np.random.default_rng(3).uniform(-3.0, 3.0, (20, 2))
     with pytest.raises(ModelError) as want:
-        max(grad_check_per_column(m, x, h=1e-5) for x in X)
+        max(grad_check_per_column(m, x) for x in X)
     with pytest.raises(ModelError) as got:
-        grad_check(m, X, h=1e-5)
+        grad_check(m, X)
     assert str(got.value) == str(want.value)
 
 
@@ -230,10 +222,6 @@ def test_a_failing_stack_names_its_first_failing_point():
         drift_eval(m, X)
     with pytest.raises(ModelError, match=r"^jacobian returned non-finite values at \[0\.0, 4\.0\]$"):
         drift_jacobian(m, X)
-    # A model that fails only on stacks fails loudly too.
-    m = dataclasses.replace(ou, drift=lambda x: np.full(np.shape(x), np.nan) if np.ndim(x) == 2 else ou.drift(x))
-    with pytest.raises(ModelError, match="^drift failed on a stack of 4 points but on none of them alone$"):
-        drift_eval(m, X)
 
 
 # --- Lipschitz certificates -------------------------------------------------
@@ -261,7 +249,7 @@ def test_lipschitz_constants_on_cert_ball(name):
 
 
 def test_dissipativity_fit_ou():
-    beta, outer_g = dissipativity_fit(make_model("ou", dim=1), DISS_GRID, seed=0)
+    beta, outer_g = dissipativity_fit(make_model("ou", dim=1), seed=0)
     assert beta == pytest.approx(0.0, abs=1e-12) and outer_g == 0.0
 
 
@@ -271,35 +259,26 @@ def test_dissipativity_fit_double_well_witnesses_its_declared_beta():
     # the unit sphere); on the outer shell R, g = R^2 - R^4 / 2
     m = make_model("double-well", dim=1)
     assert m.constants.dissipativity == (0.5, 0.5)
-    beta, outer_g = dissipativity_fit(m, DISS_GRID, seed=0)
+    beta, outer_g = dissipativity_fit(m, seed=0)
     assert beta == pytest.approx(0.5) and outer_g == OUTER_RADIUS**2 - OUTER_RADIUS**4 / 2
 
 
 @pytest.mark.parametrize("name", ["zero", "expansive"])
 def test_dissipativity_fit_is_none_without_a_declared_pair(name):
-    assert dissipativity_fit(make_model(name, dim=1), DISS_GRID, seed=0) is None
+    assert dissipativity_fit(make_model(name, dim=1), seed=0) is None
 
 
 @pytest.mark.parametrize("name", ["ou", "double-well", "gauss-mix"])
 def test_dissipativity_fit_holds_on_fresh_points(name):
     m = make_model(name, dim=2)
     mu = m.constants.mu
-    beta, _ = dissipativity_fit(m, DISS_GRID, seed=0)
+    beta, _ = dissipativity_fit(m, seed=0)
     rng = np.random.default_rng(99)
     dirs = rng.standard_normal((10_000, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = dirs * (DISS_GRID.max() * rng.random((10_000, 1)))
+    pts = dirs * (FIT_RADII.max() * rng.random((10_000, 1)))
     inner = np.sum(m.drift(pts) * pts, axis=1)
     assert np.all(inner <= -mu * np.sum(pts**2, axis=1) + beta + 1e-9)
-
-
-# The grid is checked first, on a model without a declared pair as well.
-@pytest.mark.parametrize("name", ["ou", "zero"])
-def test_dissipativity_fit_rejects_bad_grid(name):
-    with pytest.raises(InputError):
-        dissipativity_fit(make_model(name, dim=1), [])
-    with pytest.raises(InputError):
-        dissipativity_fit(make_model(name, dim=1), [-1.0, 2.0])
 
 
 # --- verify_init ------------------------------------------------------------
