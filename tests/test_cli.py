@@ -1561,6 +1561,7 @@ REJECTED_CONFIGS = {
     # still printed PASS.
     "bound-eval-repeated-eta": ("bound-eval", dict(BOUND_CFG, eta_grid=[0.1, 0.1, 0.1]), "eta_grid repeats a value"),
     "rate-scan-repeated-eta": ("rate-scan", dict(RATE_CFG, eta_grid=[0.1, 0.1, 0.05]), "eta_grid repeats a value"),
+    "rate-scan-eta-repeated-apart": ("rate-scan", dict(RATE_CFG, eta_grid=[0.1, 0.05, 0.1]), "eta_grid repeats a value"),
     "mixing-scan-repeated-eps": ("mixing-scan", dict(MIX_CFG, eps_grid=[0.1, 0.1, 0.1]), "eps_grid repeats a value"),
     # points of another shape failed in unpacking, naming no key.
     "estimate-rate-fit-scalar-points": ("estimate", dict(RATE_FIT_CFG, points=5), "points must be a list of"),

@@ -20,7 +20,7 @@ from ulakit import (
     registered_models,
     verify_init,
 )
-from ulakit.drift_models import FIT_RADII, OUTER_RADIUS
+from ulakit.drift_models import FIT_RADII, OUTER_RADIUS, lipschitz_ratios
 
 from slow_paths import grad_check_per_column
 
@@ -243,6 +243,34 @@ def test_lipschitz_constants_on_cert_ball(name):
         assert d_b <= L1 * gap * (1 + 1e-9) + 1e-12
         d_j = np.linalg.norm(drift_jacobian(m, x) - drift_jacobian(m, y), 2)
         assert d_j <= L2 * gap * (1 + 1e-9) + 1e-12
+
+
+# Drift and Jacobian word a shape mismatch alike, at one point and on a stack.
+@pytest.mark.parametrize("kind", ["drift", "jacobian"])
+def test_a_shape_mismatch_names_the_shape_it_expected(kind):
+    m = dataclasses.replace(make_model("ou", dim=2), **{kind: lambda x: np.zeros(3)})
+    evaluate = drift_eval if kind == "drift" else drift_jacobian
+    tail = "2," if kind == "drift" else "2, 2"
+    with pytest.raises(ModelError, match=rf"^{kind} returned shape \(3,\), expected \({tail}\)$"):
+        evaluate(m, [0.5, 0.5])
+    with pytest.raises(ModelError, match=rf"^{kind} returned shape \(3,\), expected \(4, {tail.rstrip(',')}\)$"):
+        evaluate(m, np.zeros((4, 2)))
+
+
+# A drift gap or a point gap that overflows is refused, with no warning,
+# rather than read as an infinite or null ratio.
+@pytest.mark.parametrize("case", ["drift-gap", "point-gap"])
+def test_lipschitz_ratios_outside_float_range_is_an_input_error(case):
+    if case == "drift-gap":
+        m = make_model("ou", matrix=[[-1e200, 1e199], [1e199, -1e200]])
+        xs, ys = [[1.0, 0.0]], [[0.0, 1.0]]
+    else:
+        m = make_model("ou", dim=2)
+        xs, ys = [[1e300, 0.0]], [[-1e300, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^the Lipschitz ratios leave the float range for this model$"):
+            lipschitz_ratios(m, xs, ys)
 
 
 # --- dissipativity_fit ------------------------------------------------------
